@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, optim, schedules, theory
+from . import harness, optim, problems, schedules, theory
 from ._fmt import dumps17
 
 EXIT_OK = 0
@@ -148,12 +148,15 @@ def _out_root(arg_out: str | None) -> Path:
 def _apply_overrides(config: harness.ExperimentConfig, args) -> harness.ExperimentConfig:
     from dataclasses import replace
 
-    if getattr(args, "seeds", None) is not None:
-        config = replace(config, seeds=tuple(range(args.seeds)))
-    if getattr(args, "waive_admissibility", False):
-        config = replace(config, validation_mode="waived")
-    elif getattr(args, "strict", False):
-        config = replace(config, validation_mode="strict")
+    try:
+        if getattr(args, "seeds", None) is not None:
+            config = replace(config, seeds=tuple(range(args.seeds)))
+        if getattr(args, "waive_admissibility", False):
+            config = replace(config, validation_mode="waived")
+        elif getattr(args, "strict", False):
+            config = replace(config, validation_mode="strict")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return config
 
 
@@ -166,14 +169,11 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     out_root = _out_root(args.out)
     try:
-        report = harness.run_experiment(config, out_dir=out_root, threads=args.threads)
-    except schedules.MomentumTooLarge as exc:
+        report = harness.run_experiment(config, out_dir=out_root)
+    except (schedules.MomentumTooLarge, schedules.InadmissibleSchedule) as exc:
         print(f"admissibility: FAIL ({exc})", file=sys.stderr)
         return EXIT_ADMISSIBILITY
-    except schedules.InadmissibleSchedule as exc:
-        print(f"admissibility: FAIL ({exc})", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except harness.ExperimentDivergence as exc:
+    except (harness.ExperimentDivergence, problems.IterateOutsideCertifiedBox) as exc:
         print(f"divergence: FAIL ({exc})", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (schedules.ScheduleError, harness.BudgetExceeded, ValueError) as exc:
@@ -311,11 +311,11 @@ def cmd_audit(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        report = harness.lyapunov_descent_audit(config, threads=args.threads)
+        report = harness.lyapunov_descent_audit(config)
     except (schedules.MomentumTooLarge, schedules.InadmissibleSchedule) as exc:
         print(f"admissibility: FAIL ({exc})", file=sys.stderr)
         return EXIT_ADMISSIBILITY
-    except harness.ExperimentDivergence as exc:
+    except (harness.ExperimentDivergence, problems.IterateOutsideCertifiedBox) as exc:
         print(f"divergence: FAIL ({exc})", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (ValueError, schedules.ScheduleError) as exc:
@@ -370,7 +370,6 @@ def cmd_ratefit(args) -> int:
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output root (default $SGDM_SCHED_OUT or ./runs)")
     p.add_argument("--seeds", type=int, default=None, help="override: use seeds 0..k-1")
-    p.add_argument("--threads", type=int, default=1, help="concurrent seed runs")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--strict", action="store_true", help="require admissibility (default)")
     g.add_argument(

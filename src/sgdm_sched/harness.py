@@ -1,18 +1,17 @@
 """Multi-seed experiment orchestration.
 
-Builds problems and schedule tables from declarative specs, runs every master
-seed (optionally across threads), aggregates per-step statistics, evaluates
-the closed-form bound report, checks the empirical minimum against it with a
-3-standard-error inflation, and writes machine-readable artifacts
-(trace_<seed>.csv, aggregate.csv, report.json) into a directory named by a
-content hash of the config.
+Builds problems and schedule tables from declarative specs, runs all master
+seeds of an experiment in one lockstep ``optim.run`` call, aggregates
+per-step statistics, evaluates the closed-form bound report, checks the
+empirical minimum against it with a 3-standard-error inflation, and writes
+machine-readable artifacts (trace_<seed>.csv, aggregate.csv, report.json)
+into a directory named by a content hash of the config.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -381,13 +380,18 @@ def _estimate_work(table: schedules.ScheduleTable, n_seeds: int, d: int) -> floa
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
-    threads: int = 1,
     record_theta: bool = False,
 ) -> AggregateReport:
     """Run every master seed, aggregate, evaluate theory, write artifacts.
 
-    Deterministic given the config: traces are keyed by seed index, so the
-    aggregation result does not depend on thread completion order.
+    Deterministic given the config.  The seeds advance in lockstep, seed i
+    sampling from stream (seeds[i], i, t).  A theta0 outside the problem's
+    certified box is a ValueError before any step.  At the first step where
+    any seed's gradient or iterate goes non-finite, ExperimentDivergence names
+    the lowest-index such seed (in ``config.seeds`` order) and that step, even
+    when a later seed would have diverged too; an iterate that leaves the
+    certified box raises IterateOutsideCertifiedBox naming the lowest-index
+    offending seed and the step, in the same order.
     """
     problem = config.problem.build()
     table, plan, regime, regime_params = config.schedule.build(problem.n)
@@ -413,30 +417,26 @@ def run_experiment(
         )
 
     theta0 = np.random.default_rng((int(config.theta0_seed),)).standard_normal(problem.d)
+    try:
+        problem.check_iterate(theta0)
+    except problems.IterateOutsideCertifiedBox as exc:
+        raise ValueError(f"theta0 (theta0_seed {config.theta0_seed}): {exc}") from None
 
-    def one(i: int) -> optim.RunTrace:
-        try:
-            return optim.run(
-                config.alg,
-                config.beta,
-                table,
-                problem,
-                config.seeds[i],
-                run_index=i,
-                theta0=theta0,
-                record_every=config.record_every,
-                waive_admissibility=True,  # validated once above
-                record_theta=record_theta,
-            )
-        except optim.NumericalDivergence as exc:
-            # waived mode waives the admissibility check, not divergence
-            raise ExperimentDivergence(config.seeds[i], exc.step_index) from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(one, range(len(config.seeds))))
-    else:
-        traces = [one(i) for i in range(len(config.seeds))]
+    try:
+        traces = optim.run(
+            config.alg,
+            config.beta,
+            table,
+            problem,
+            config.seeds,
+            theta0=theta0,
+            record_every=config.record_every,
+            waive_admissibility=True,  # validated once above
+            record_theta=record_theta,
+        )
+    except optim.NumericalDivergence as exc:
+        # waived mode waives the admissibility check, not divergence
+        raise ExperimentDivergence(exc.trace.seed, exc.step_index) from exc
     for tr in traces:
         tr.validation_waived = waived
 
@@ -602,9 +602,7 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def lyapunov_descent_audit(
-    config: ExperimentConfig, threads: int = 1, min_seeds: int = 64
-) -> AuditReport:
+def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> AuditReport:
     """Estimate E[L_{t+1} - L_t] per step and compare against the one-step bound.
 
     Requires the nshb parameterization and at least ``min_seeds`` master
@@ -623,7 +621,7 @@ def lyapunov_descent_audit(
 
     problem = config.problem.build()
     table, _, _, _ = config.schedule.build(problem.n)
-    report = run_experiment(config, out_dir=None, threads=threads)
+    report = run_experiment(config, out_dir=None)
     traces = report.traces
     T = table.T
     if T <= 512:

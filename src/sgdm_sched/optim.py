@@ -10,15 +10,23 @@ with g_t the mini-batch gradient.  shb run with lr (1-beta)*eta reproduces
 nshb run with lr eta.  Mini-batches are sampled i.i.d. with replacement from
 one fresh generator per (master seed, run index, step), so runs are
 deterministic and streams can be shared across algorithms exactly.
+
+``run`` is a lockstep engine: the R master seeds of an experiment advance
+together as the rows of (R, d) parameter and momentum arrays, so each step
+makes one mini-batch gradient call, one ``step`` call and, on recorded steps,
+one observation for all seeds.  A single seed is the R = 1 case.  Every row
+is computed as it would be alone, so a seed's trace does not depend on the
+seeds that run beside it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import schedules, theory
+from . import problems, schedules, theory
 
 __all__ = [
     "ALGS",
@@ -36,14 +44,15 @@ ALGS = ("nshb", "shb")
 class NumericalDivergence(RuntimeError):
     """A gradient or parameter coordinate became non-finite.
 
-    Carries the offending step index and, when raised out of ``run``, the
-    truncated trace collected up to that step.
+    Carries the offending step index, the lowest non-finite seed row and,
+    when raised out of ``run``, that seed's trace truncated at the step.
     """
 
-    def __init__(self, step_index: int, trace: "RunTrace | None" = None):
+    def __init__(self, step_index: int, trace: "RunTrace | None" = None, row: int = 0):
         super().__init__(f"non-finite value encountered at step {step_index}")
         self.step_index = step_index
         self.trace = trace
+        self.row = row
 
 
 def _check_alg(alg: str) -> str:
@@ -67,13 +76,18 @@ class OptimizerState:
         if not 0.0 <= beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {beta}")
         theta0 = np.array(theta0, dtype=np.float64, copy=True)
-        if theta0.ndim != 1:
-            raise ValueError("theta0 must be a 1-D vector")
+        if theta0.ndim not in (1, 2):
+            raise ValueError("theta0 must be a 1-D vector or an (R, d) array of seed rows")
         return cls(theta=theta0, momentum=np.zeros_like(theta0), t=0, beta=beta, alg=alg)
 
 
 def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
-    """One update: fold grad into the momentum buffer, move theta, bump t."""
+    """One update: fold grad into the momentum buffer, move theta, bump t.
+
+    The state holds one iterate theta[d] or seed rows theta[R, d].  A
+    non-finite gradient or new iterate raises NumericalDivergence naming the
+    lowest row that is non-finite at this step.
+    """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != state.theta.shape:
         raise ValueError(
@@ -81,8 +95,6 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
         )
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    if not np.all(np.isfinite(grad)):
-        raise NumericalDivergence(state.t)
     # divergence is detected explicitly below; let inf/nan flow, not warn
     with np.errstate(over="ignore", invalid="ignore"):
         if state.alg == "nshb":
@@ -90,8 +102,10 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
         else:
             m = state.beta * state.momentum + grad
         theta = state.theta - lr * m
-    if not np.all(np.isfinite(theta)):
-        raise NumericalDivergence(state.t)
+    finite = np.isfinite(grad) & np.isfinite(theta)
+    if not finite.all():
+        rows_ok = finite.reshape(-1, finite.shape[-1]).all(axis=1)
+        raise NumericalDivergence(state.t, row=int(np.argmin(rows_ok)))
     return OptimizerState(theta=theta, momentum=m, t=state.t + 1, beta=state.beta, alg=state.alg)
 
 
@@ -143,12 +157,14 @@ class RunTrace:
         return int(self.t.shape[0])
 
 
+
+
 def run(
     alg: str,
     beta: float,
     table: schedules.ScheduleTable,
     problem,
-    seed: int,
+    seed: int | Sequence[int],
     *,
     run_index: int = 0,
     theta0: np.ndarray | None = None,
@@ -156,17 +172,30 @@ def run(
     record_every: int = 1,
     waive_admissibility: bool = False,
     record_theta: bool = False,
-) -> RunTrace:
+) -> RunTrace | list[RunTrace]:
     """Execute all T schedule steps, recording exact diagnostics.
+
+    ``seed`` is one master seed, giving one RunTrace, or a sequence of R
+    master seeds, giving a list of R traces.  All seeds start from the same
+    theta0 and advance in lockstep; row r samples its mini-batches from
+    (seed[r], run_index + r, t).
 
     Unless waived, the schedule must pass the admissibility check for
     (beta, problem.L, alg).  theta0 defaults to a deterministic seeded
-    standard-normal draw.  Divergence aborts the run: the raised
-    NumericalDivergence carries the truncated trace with the step recorded.
+    standard-normal draw.  Every iterate is passed to problem.check_iterate
+    before its step; an IterateOutsideCertifiedBox names the lowest offending
+    seed and the step.  Divergence aborts the run at the first step where any
+    row goes non-finite: the raised NumericalDivergence names that step and
+    the lowest non-finite row, and carries that seed's truncated trace with
+    the step recorded.
     """
     alg = _check_alg(alg)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    single = np.ndim(seed) == 0
+    seeds = [int(seed)] if single else [int(s) for s in seed]
+    if not seeds:
+        raise ValueError("need at least one master seed")
     if not waive_admissibility:
         report = schedules.validate_admissible(table, beta, problem.L, alg)
         if not report.admissible:
@@ -177,76 +206,86 @@ def run(
             )
     if theta0 is None:
         theta0 = np.random.default_rng((int(theta0_seed),)).standard_normal(problem.d)
-    state = OptimizerState.initial(theta0, beta, alg)
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    if theta0.ndim != 1:
+        raise ValueError("theta0 must be a 1-D vector")
+    R = len(seeds)
+    run_indices = [int(run_index) + r for r in range(R)]
+    state = OptimizerState.initial(np.tile(theta0, (R, 1)), beta, alg)
     one_minus_beta = 1.0 - beta
     # Lyapunov bookkeeping always uses the nshb parameterization: eta = lr
     # for nshb, eta = lr/(1-beta) and momentum scaled by (1-beta) for shb.
     eta = table.lr if alg == "nshb" else table.lr / one_minus_beta
     A = theory.lyapunov_coefficient_array(eta, problem.L, beta)
 
-    rec_t: list[int] = []
-    rec_f: list[float] = []
-    rec_gns: list[float] = []
-    rec_lyap: list[float] = []
-    rec_theta: list[np.ndarray] = []
-    diverged = False
+    def observe(st: OptimizerState):
+        """(f, ||grad f||^2, Lyapunov value) per seed row at st.theta."""
+        A_prev = float(A[st.t - 1]) if st.t > 0 else 0.0
+        # a huge but finite iterate may overflow here; divergence is
+        # detected by ``step``, so record inf rather than warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = problem.loss(st.theta)
+            g = problem.full_gradient(st.theta)
+            m_eq = st.momentum if alg == "nshb" else one_minus_beta * st.momentum
+            m_sq = np.einsum("ij,ij->i", m_eq, m_eq)
+            return f, np.einsum("ij,ij->i", g, g), theory.lyapunov_value(f, m_sq, A_prev, st.t)
+
+    rec_t = np.arange(0, table.T, record_every)
+    rec_f = np.empty((R, rec_t.size))
+    rec_gns = np.empty((R, rec_t.size))
+    rec_lyap = np.empty((R, rec_t.size))
+    rec_theta = np.empty((R, rec_t.size, problem.d)) if record_theta else None
+    k = 0
     diverged_at: int | None = None
-
-    def observe(t: int, st: OptimizerState) -> None:
-        f_t = float(problem.loss(st.theta))
-        g = problem.full_gradient(st.theta)
-        m_eq = st.momentum if alg == "nshb" else one_minus_beta * st.momentum
-        A_prev = float(A[t - 1]) if t > 0 else 0.0
-        rec_t.append(t)
-        rec_f.append(f_t)
-        rec_gns.append(float(np.dot(g, g)))
-        rec_lyap.append(theory.lyapunov_value(f_t, float(np.dot(m_eq, m_eq)), A_prev, t))
-        if record_theta:
-            rec_theta.append(st.theta.copy())
-
+    diverged_row = -1
     for t in range(table.T):
         if t % record_every == 0:
-            observe(t, state)
-        problem.check_iterate(state.theta)
-        idx = batch_indices(seed, run_index, t, int(table.batch[t]), problem.n)
+            rec_f[:, k], rec_gns[:, k], rec_lyap[:, k] = observe(state)
+            if record_theta:
+                rec_theta[:, k] = state.theta
+            k += 1
+        try:
+            problem.check_iterate(state.theta)
+        except problems.IterateOutsideCertifiedBox as exc:
+            raise problems.IterateOutsideCertifiedBox(
+                f"seed {seeds[exc.row]} at step {t}: {exc}", row=exc.row
+            ) from None
+        b = int(table.batch[t])
+        idx = np.stack([batch_indices(s, i, t, b, problem.n) for s, i in zip(seeds, run_indices)])
         grad = problem.minibatch_gradient(state.theta, idx)
         try:
             state = step(state, grad, float(table.lr[t]))
-        except NumericalDivergence:
-            diverged = True
-            diverged_at = t
+        except NumericalDivergence as exc:
+            diverged_at, diverged_row = t, exc.row
             break
 
-    t_final = state.t
-    f_final = float(problem.loss(state.theta))
-    g_final = problem.full_gradient(state.theta)
-    m_eq = state.momentum if alg == "nshb" else one_minus_beta * state.momentum
-    A_prev = float(A[t_final - 1]) if t_final > 0 else 0.0
-    lyap_final = theory.lyapunov_value(
-        f_final, float(np.dot(m_eq, m_eq)), A_prev, t_final
-    )
-
-    rec = np.asarray(rec_t, dtype=np.int64)
-    trace = RunTrace(
-        t=rec,
-        lr=np.asarray(table.lr[rec], dtype=np.float64),
-        batch=np.asarray(table.batch[rec], dtype=np.int64),
-        f=np.asarray(rec_f),
-        grad_norm_sq=np.asarray(rec_gns),
-        lyapunov=np.asarray(rec_lyap),
-        final_f=f_final,
-        final_grad_norm_sq=float(np.dot(g_final, g_final)),
-        final_lyapunov=lyap_final,
-        seed=int(seed),
-        run_index=int(run_index),
-        alg=alg,
-        beta=float(beta),
-        diverged=diverged,
-        diverged_at=diverged_at,
-        validation_waived=bool(waive_admissibility),
-        theta=np.asarray(rec_theta) if record_theta else None,
-        theta_final=state.theta.copy() if record_theta else None,
-    )
-    if diverged:
-        raise NumericalDivergence(diverged_at, trace)
-    return trace
+    final_f, final_gns, final_lyap = observe(state)
+    rec = rec_t[:k]
+    lr = np.asarray(table.lr[rec], dtype=np.float64)
+    batch = np.asarray(table.batch[rec], dtype=np.int64)
+    traces = [
+        RunTrace(
+            t=rec,
+            lr=lr,
+            batch=batch,
+            f=rec_f[r, :k],
+            grad_norm_sq=rec_gns[r, :k],
+            lyapunov=rec_lyap[r, :k],
+            final_f=float(final_f[r]),
+            final_grad_norm_sq=float(final_gns[r]),
+            final_lyapunov=float(final_lyap[r]),
+            seed=seeds[r],
+            run_index=run_indices[r],
+            alg=alg,
+            beta=float(beta),
+            diverged=r == diverged_row,
+            diverged_at=diverged_at if r == diverged_row else None,
+            validation_waived=bool(waive_admissibility),
+            theta=rec_theta[r, :k] if record_theta else None,
+            theta_final=state.theta[r].copy() if record_theta else None,
+        )
+        for r in range(R)
+    ]
+    if diverged_at is not None:
+        raise NumericalDivergence(diverged_at, traces[diverged_row], row=diverged_row)
+    return traces[0] if single else traces

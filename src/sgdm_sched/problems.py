@@ -5,6 +5,10 @@ smoothness constant L, a single-sample gradient-variance bound sigma_sq, and a
 minimum value f_star (exact for the quadratic family, the 0 lower bound for
 the log-cosh family), so every constant entering the convergence bounds is
 computable instead of estimated.
+
+``loss``, ``full_gradient``, ``minibatch_gradient`` and ``check_iterate``
+take one iterate ``theta[d]`` or a leading seed axis ``theta[R, d]`` (with
+``indices[R, b]``); each row is computed exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -27,7 +31,15 @@ __all__ = [
 
 
 class IterateOutsideCertifiedBox(RuntimeError):
-    """An iterate left the box over which sigma_sq was certified."""
+    """An iterate left the box over which sigma_sq was certified.
+
+    ``row`` is the lowest offending row of a ``theta[R, d]`` batch (0 for a
+    single iterate).
+    """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 class QuadraticMeanProblem:
@@ -84,9 +96,9 @@ class QuadraticMeanProblem:
                 anchors = mean + dev * math.sqrt(sigma_sq / current)
         return cls(anchors)
 
-    def loss(self, theta: np.ndarray) -> float:
+    def loss(self, theta: np.ndarray):
         diff = theta - self.abar
-        return 0.5 * float(np.dot(diff, diff)) + self.f_star
+        return 0.5 * np.einsum("...j,...j->...", diff, diff) + self.f_star
 
     def sample_loss(self, theta: np.ndarray, i: int) -> float:
         diff = theta - self.anchors[i]
@@ -99,7 +111,7 @@ class QuadraticMeanProblem:
         return theta[None, :] - self.anchors[indices]
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return theta - self.anchors[indices].mean(axis=0)
+        return theta - self.anchors[indices].mean(axis=-2)
 
     def minibatch_gradient_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Row i is the mini-batch gradient for the index row indices[i]."""
@@ -217,38 +229,54 @@ class LogCoshProblem:
         }
         return 1.1 * raw_max, trace
 
-    def _z(self, theta: np.ndarray) -> np.ndarray:
-        return (theta[None, :] - self.anchors) / self.scale
+    # The full-data passes go one seed row at a time so that no more than
+    # one (n, d) temporary is alive, whatever the number of seeds.
+    def loss(self, theta: np.ndarray):
+        return _per_row(self._loss, theta)
 
-    def loss(self, theta: np.ndarray) -> float:
-        return self.amp * float(_logcosh(self._z(theta)).sum() / self.n)
+    def _loss(self, theta: np.ndarray) -> float:
+        z = (theta[None, :] - self.anchors) / self.scale
+        return self.amp * float(_logcosh(z).sum() / self.n)
 
     def sample_loss(self, theta: np.ndarray, i: int) -> float:
         return self.amp * float(_logcosh((theta - self.anchors[i]) / self.scale).sum())
 
     def full_gradient(self, theta: np.ndarray) -> np.ndarray:
+        return _per_row(self._full_gradient, theta)
+
+    def _full_gradient(self, theta: np.ndarray) -> np.ndarray:
         # same float path as an all-samples mini-batch, so the unbiasedness
         # identity holds bit-exactly
         return self.sample_gradients(theta, slice(None)).mean(axis=0)
 
     def sample_gradients(self, theta: np.ndarray, indices) -> np.ndarray:
-        z = (theta[None, :] - self.anchors[indices]) / self.scale
+        z = (theta[..., None, :] - self.anchors[indices]) / self.scale
         return self.amp / self.scale * np.tanh(z)
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self.sample_gradients(theta, indices).mean(axis=0)
+        return self.sample_gradients(theta, indices).mean(axis=-2)
 
     def minibatch_gradient_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         z = (theta[None, None, :] - self.anchors[indices]) / self.scale
         return self.amp / self.scale * np.tanh(z).mean(axis=1)
 
     def check_iterate(self, theta: np.ndarray) -> None:
-        worst = float(np.max(np.abs(theta)))
-        if worst > self.box_radius:
+        worst = np.max(np.abs(theta), axis=-1)
+        outside = np.flatnonzero(worst > self.box_radius)
+        if outside.size:
+            row = int(outside[0])
             raise IterateOutsideCertifiedBox(
-                f"|theta|_inf = {worst:.6g} exceeds the sigma_sq certification box "
-                f"radius {self.box_radius:.6g}"
+                f"|theta|_inf = {float(np.ravel(worst)[row]):.6g} exceeds the sigma_sq "
+                f"certification box radius {self.box_radius:.6g}",
+                row=row,
             )
+
+
+def _per_row(fn, theta: np.ndarray):
+    """fn(theta) for one iterate theta[d]; fn applied row by row to theta[R, d]."""
+    if theta.ndim == 1:
+        return fn(theta)
+    return np.array([fn(row) for row in theta])
 
 
 def _logcosh(x: np.ndarray) -> np.ndarray:

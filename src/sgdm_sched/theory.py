@@ -109,13 +109,17 @@ def lyapunov_coefficient_array(eta: np.ndarray, L: float, beta: float) -> np.nda
         return (eta - L * (1.0 - beta) * eta * eta) / (2.0 * (1.0 - beta))
 
 
-def lyapunov_value(f_theta: float, momentum_norm_sq: float, A_prev: float, t: int) -> float:
-    """f(theta_t) for t = 0, else f(theta_t) + A_{t-1} * ||m_{t-1}||^2."""
+def lyapunov_value(f_theta, momentum_norm_sq, A_prev: float, t: int):
+    """f(theta_t) for t = 0, else f(theta_t) + A_{t-1} * ||m_{t-1}||^2.
+
+    f_theta and momentum_norm_sq are floats or equal-shape arrays holding one
+    entry per seed; the result has the same shape.
+    """
     if t < 0:
         raise ValueError("step index must be >= 0")
     if t == 0:
-        return float(f_theta)
-    return float(f_theta + A_prev * momentum_norm_sq)
+        return f_theta
+    return f_theta + A_prev * momentum_norm_sq
 
 
 @dataclass(frozen=True)

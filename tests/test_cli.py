@@ -37,6 +37,33 @@ validation_mode = strict
 """
 
 
+# iterates start inside the 0.5 box (theta0_seed 29) and leave it at step 9
+LOGCOSH_BOX_CONFIG = """\
+[problem]
+family = logcosh
+d = 4
+n = 64
+spread = 3.0
+seed = 0
+box_radius = 0.5
+
+[optimizer]
+alg = nshb
+beta = 0.0
+theta0_seed = 29
+
+[schedule]
+regime = constant-bs
+kind = constant
+lambda_max = 0.1
+batch = 8
+T = 40
+
+[harness]
+seeds = 8
+"""
+
+
 def cli(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
@@ -110,6 +137,28 @@ class TestRunCommand:
         res = cli("run", str(cfg), "--out", str(tmp_path / "runs"))
         assert res.returncode == 1, res.stdout + res.stderr
         assert "theorem1_sq: FAIL" in res.stdout
+
+    def test_iterate_leaving_box_exit_four(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(LOGCOSH_BOX_CONFIG)
+        res = cli("run", str(cfg), "--out", str(tmp_path / "runs"))
+        assert res.returncode == 4, res.stderr
+        assert "divergence: FAIL (seed 7 at step 9:" in res.stderr
+
+    def test_theta0_outside_box_exit_two(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(LOGCOSH_BOX_CONFIG.replace("theta0_seed = 29", "theta0_seed = 0"))
+        res = cli("run", str(cfg), "--out", str(tmp_path / "runs"))
+        assert res.returncode == 2, res.stderr
+        assert "config error: theta0" in res.stderr
+        assert not (tmp_path / "runs").exists()
+
+    def test_zero_seeds_exit_two(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(BASE_CONFIG)
+        res = cli("run", str(cfg), "--seeds", "0", "--out", str(tmp_path / "runs"))
+        assert res.returncode == 2, res.stderr
+        assert "config error: need at least one master seed" in res.stderr
 
     def test_env_var_out_root(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -127,26 +127,22 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_divergence_raises_with_seed(self):
+        # every seed overflows at the same step: the first in config order is named
         cfg = small_config(
             schedule=ScheduleSpec(regime="constant-bs", kind="constant",
                                   lambda_max=1e200, batch=8, T=10),
             validation_mode="waived",
+            seeds=(5, 3, 9),
         )
         with pytest.raises(ExperimentDivergence) as info:
             run_experiment(cfg)
-        assert info.value.seed in cfg.seeds
+        assert info.value.seed == 5
+        assert info.value.step_index == info.value.__cause__.step_index
+        assert str(info.value) == f"seed 5 diverged at step {info.value.step_index}"
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             run_experiment(small_config(budget=10.0))
-
-    def test_threaded_matches_sequential(self, tmp_path):
-        cfg = small_config()
-        seq = run_experiment(cfg, out_dir=tmp_path / "seq", threads=1)
-        par = run_experiment(cfg, out_dir=tmp_path / "par", threads=4)
-        np.testing.assert_array_equal(seq.mean_grad_norm_sq, par.mean_grad_norm_sq)
-        for f in sorted((tmp_path / "seq" / cfg.config_hash).iterdir()):
-            assert (tmp_path / "par" / cfg.config_hash / f.name).read_bytes() == f.read_bytes()
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -5,7 +5,7 @@ import pytest
 
 from sgdm_sched import schedules
 from sgdm_sched.optim import NumericalDivergence, OptimizerState, batch_indices, run, step
-from sgdm_sched.problems import QuadraticMeanProblem
+from sgdm_sched.problems import IterateOutsideCertifiedBox, LogCoshProblem, QuadraticMeanProblem
 from sgdm_sched.schedules import InadmissibleSchedule, LrSchedule, build_constant_bs_table
 
 
@@ -44,6 +44,14 @@ class TestStep:
         state = OptimizerState.initial(np.zeros(2), beta=0.5, alg="nshb")
         with pytest.raises(NumericalDivergence):
             step(state, np.array([1.0, np.inf]), lr=0.1)
+
+    def test_divergence_names_lowest_nonfinite_row(self):
+        # row 2 has a non-finite gradient, row 1 overflows in the update
+        state = OptimizerState(np.array([[0.0], [1e308], [0.0]]), np.zeros((3, 1)), t=4,
+                               beta=0.0, alg="nshb")
+        with pytest.raises(NumericalDivergence) as info:
+            step(state, np.array([[1.0], [-1e308], [np.nan]]), lr=1.0)
+        assert info.value.row == 1 and info.value.step_index == 4
 
     def test_momentum_starts_at_zero(self):
         state = OptimizerState.initial(np.ones(4), beta=0.9, alg="shb")
@@ -201,3 +209,129 @@ class TestAlgorithmEquivalences:
                     waive_admissibility=True)
             scale = np.maximum(1.0, np.abs(a.theta))
             assert np.max(np.abs(a.theta - b.theta) / scale) < 1e-10
+
+
+def reference_run(alg, beta, table, problem, seed, run_index, theta0):
+    """Per-seed loop from batch_indices, minibatch_gradient and the explicit update.
+
+    Returns per-step rows of (theta, f, ||grad f||^2, Lyapunov value) for
+    t = 0..T, the last row being the post-run iterate.
+    """
+    theta, m = theta0.copy(), np.zeros_like(theta0)
+    eta = table.lr if alg == "nshb" else table.lr / (1 - beta)
+    rows = []
+    for t in range(table.T + 1):
+        g = problem.full_gradient(theta)
+        f = float(problem.loss(theta))
+        lyap = f
+        if t > 0:
+            m_eq = m if alg == "nshb" else (1 - beta) * m
+            A_prev = (eta[t - 1] - problem.L * (1 - beta) * eta[t - 1] ** 2) / (2 * (1 - beta))
+            lyap += A_prev * float(m_eq @ m_eq)
+        rows.append((theta.copy(), f, float(g @ g), lyap))
+        if t == table.T:
+            break
+        idx = batch_indices(seed, run_index, t, int(table.batch[t]), problem.n)
+        g_batch = problem.minibatch_gradient(theta, idx)
+        m = beta * m + ((1 - beta) * g_batch if alg == "nshb" else g_batch)
+        theta = theta - table.lr[t] * m
+    thetas, f, gns, lyap = zip(*rows)
+    return np.array(thetas), np.array(f), np.array(gns), np.array(lyap)
+
+
+def small_problem(family):
+    if family == "quadratic":
+        return QuadraticMeanProblem.generate(5, 24, sigma_sq=1.0, seed=3)
+    return LogCoshProblem.generate(5, 24, spread=1.5, seed=3)
+
+
+class TestLockstepEngine:
+    SEEDS = (11, 4, 29, 0, 7)
+
+    @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
+    @pytest.mark.parametrize("alg", ["nshb", "shb"])
+    def test_rows_match_per_seed_reference(self, family, alg):
+        prob = small_problem(family)
+        beta = 0.8
+        lam = 0.2 if alg == "nshb" else 0.2 * (1 - beta)
+        table = build_constant_bs_table(LrSchedule("diminishing", lambda_max=lam), b=3, T=60)
+        theta0 = np.random.default_rng(5).uniform(-2, 2, size=prob.d)
+        traces = run(alg, beta, table, prob, self.SEEDS, theta0=theta0, record_theta=True)
+        assert [tr.seed for tr in traces] == list(self.SEEDS)
+        for r, tr in enumerate(traces):
+            assert tr.run_index == r
+            thetas, f, gns, lyap = reference_run(alg, beta, table, prob, self.SEEDS[r], r, theta0)
+            got = [
+                (np.vstack([tr.theta, tr.theta_final]), thetas),
+                (np.append(tr.f, tr.final_f), f),
+                (np.append(tr.grad_norm_sq, tr.final_grad_norm_sq), gns),
+                (np.append(tr.lyapunov, tr.final_lyapunov), lyap),
+            ]
+            for actual, expected in got:
+                np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
+    def test_row_depends_only_on_its_seed_and_run_index(self, family):
+        # row r samples stream (seeds[r], run_index + r); the seeds beside it
+        # must not change a single bit of its trace
+        prob = small_problem(family)
+        table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=4, T=30)
+
+        def rows(seeds, run_index=0):
+            return run("nshb", 0.5, table, prob, seeds, run_index=run_index, theta0_seed=2,
+                       record_theta=True)
+
+        full = rows([11, 4, 29, 0])
+        variants = [  # (row of full, traces, row of traces)
+            (0, rows([11]), 0),
+            (0, rows([11, 0, 29, 4, 8]), 0),  # the others reordered, one added
+            (1, rows([4, 29], run_index=1), 0),
+            (2, rows([4, 29], run_index=1), 1),
+            (3, rows([29, 0], run_index=2), 1),
+        ]
+        for r, got, k in variants:
+            tr, ref = got[k], full[r]
+            assert (tr.seed, tr.run_index) == (ref.seed, ref.run_index)
+            for field in ("theta", "f", "grad_norm_sq", "lyapunov"):
+                np.testing.assert_array_equal(getattr(tr, field), getattr(ref, field))
+            np.testing.assert_array_equal(tr.theta_final, ref.theta_final)
+            assert tr.final_lyapunov == ref.final_lyapunov
+
+    def test_single_seed_is_one_row_of_the_engine(self):
+        prob = small_problem("quadratic")
+        table = const_table(0.1, T=20, b=2)
+        alone = run("shb", 0.3, table, prob, 4, run_index=1, theta0_seed=2)
+        together = run("shb", 0.3, table, prob, [9, 4], theta0_seed=2)
+        np.testing.assert_array_equal(alone.grad_norm_sq, together[1].grad_norm_sq)
+
+    def test_divergence_reports_first_step_then_lowest_row(self):
+        class Poisoned(QuadraticMeanProblem):
+            """Non-finite mini-batch gradients for given rows at given steps."""
+
+            def __init__(self, anchors, poison):
+                super().__init__(anchors)
+                self.poison, self.t = poison, 0
+
+            def minibatch_gradient(self, theta, indices):
+                g = super().minibatch_gradient(theta, indices)
+                g[self.poison.get(self.t, [])] = np.inf
+                self.t += 1
+                return g
+
+        base = small_problem("quadratic")
+        # row 0 would diverge at step 9, rows 3 and 1 both go non-finite at step 5
+        prob = Poisoned(base.anchors, {5: [3, 1], 9: [0]})
+        with pytest.raises(NumericalDivergence) as info:
+            run("nshb", 0.5, const_table(0.1, T=20, b=2), prob, [10, 11, 12, 13])
+        exc = info.value
+        assert (exc.step_index, exc.row, exc.trace.seed) == (5, 1, 11)
+        assert exc.trace.diverged and exc.trace.diverged_at == 5
+        np.testing.assert_array_equal(exc.trace.t, np.arange(6))
+
+    def test_iterate_outside_box_names_seed_and_step(self):
+        prob = LogCoshProblem.generate(2, 16, spread=3.0, seed=0, box_radius=0.5)
+        table = const_table(0.5, T=30, b=1)
+        with pytest.raises(IterateOutsideCertifiedBox, match=r"^seed (\d+) at step (\d+): ") as info:
+            run("nshb", 0.0, table, prob, [3, 1, 4], theta0=np.zeros(2))
+        seed = int(str(info.value).split()[1])
+        assert seed == [3, 1, 4][info.value.row]

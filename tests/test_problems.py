@@ -89,6 +89,25 @@ class TestUnbiasedness:
         np.testing.assert_array_equal(avg, prob.full_gradient(theta))
 
 
+class TestSeedAxis:
+    @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
+    def test_rows_equal_single_iterate_calls(self, family, rng):
+        if family == "quadratic":
+            prob = QuadraticMeanProblem.generate(4, 20, spread=1.5, seed=3)
+        else:
+            prob = LogCoshProblem.generate(4, 20, spread=1.5, seed=3)
+        theta = rng.standard_normal((3, 4))
+        idx = rng.integers(0, prob.n, size=(3, 7))
+        f = prob.loss(theta)
+        g = prob.full_gradient(theta)
+        g_batch = prob.minibatch_gradient(theta, idx)
+        assert f.shape == (3,) and g.shape == g_batch.shape == (3, 4)
+        for r in range(3):
+            assert f[r] == prob.loss(theta[r])
+            np.testing.assert_array_equal(g[r], prob.full_gradient(theta[r]))
+            np.testing.assert_array_equal(g_batch[r], prob.minibatch_gradient(theta[r], idx[r]))
+
+
 class TestGradientCorrectness:
     @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
     def test_per_sample_gradients_match_finite_differences(self, family, rng):
@@ -158,6 +177,9 @@ class TestLogCosh:
         prob.check_iterate(np.array([1.0, -1.4]))
         with pytest.raises(IterateOutsideCertifiedBox):
             prob.check_iterate(np.array([1.0, -1.6]))
+        with pytest.raises(IterateOutsideCertifiedBox, match="1.7") as info:
+            prob.check_iterate(np.array([[1.0, -1.4], [1.7, 0.0], [0.0, 1.6]]))
+        assert info.value.row == 1
 
 
 class TestMinibatchVariance:
