@@ -261,8 +261,8 @@ class ExperimentConfig:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if not self.seeds:
             raise ValueError("need at least one master seed")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError("master seeds must be non-negative")
+        if any(not 0 <= s < optim.STREAM_LIMIT for s in self.seeds):
+            raise ValueError("master seeds must be in [0, 2**64), the sampling stream's key range")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("master seeds must be distinct")
         if self.record_every < 1:

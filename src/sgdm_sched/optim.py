@@ -7,9 +7,20 @@ update theta_{t+1} = theta_t - lr_t * m_t, where
     shb:   m_t = beta * m_{t-1} + g_t
 
 with g_t the mini-batch gradient.  shb run with lr (1-beta)*eta reproduces
-nshb run with lr eta.  Mini-batches are sampled i.i.d. with replacement from
-one fresh generator per (master seed, run index, step), so runs are
-deterministic and streams can be shared across algorithms exactly.
+nshb run with lr eta.  Mini-batches are sampled i.i.d. with replacement from a
+counter-based stream (Salmon et al., SC'11): index j of the step-t batch of
+(master seed s, run index i) is a pure hash of (s, i, t, j),
+
+    key  = mix(mix(s + G) + i*G)
+    x[j] = mix(mix(key + t*G) + (j+1)*G)
+    idx[j] = Lemire's bounded map of x[j] onto [0, n)
+
+with mix the SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA'14),
+G = 0x9E3779B97F4A7C15 and all arithmetic mod 2^64.  The bounded map rejects
+the 2^64 mod n surplus words, so each index is exactly uniform on [0, n) when
+the hash words are (``batch_indices`` gives the argument).  Runs are deterministic,
+streams can be shared across algorithms exactly, and the (R, b) indices of
+all seeds at one step come from one vectorized call.
 
 ``run`` is a lockstep engine: the R master seeds of an experiment advance
 together as the rows of (R, d) parameter and momentum arrays, so each step
@@ -34,6 +45,7 @@ __all__ = [
     "OptimizerState",
     "RunTrace",
     "step",
+    "STREAM_LIMIT",
     "batch_indices",
     "run",
 ]
@@ -109,14 +121,87 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
     return OptimizerState(theta=theta, momentum=m, t=state.t + 1, beta=state.beta, alg=state.alg)
 
 
-def batch_indices(master_seed: int, run_index: int, t: int, b: int, n: int) -> np.ndarray:
+# SplitMix64 constants (Steele, Lea & Flood 2014).  Every uint64 operation
+# below runs on arrays: numpy integer arrays wrap mod 2^64 silently, while
+# numpy uint64 scalars warn on overflow.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_LOW32 = np.uint64(0xFFFFFFFF)
+# shift counts as uint64 scalars: python-int operands cost a conversion per call
+_SHIFT = {k: np.uint64(k) for k in (27, 30, 31, 32)}
+STREAM_LIMIT = 2**64  # master seeds and run indices are stream words in [0, 2^64)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, a bijection of uint64 words; overwrites and returns x."""
+    x ^= x >> _SHIFT[30]
+    x *= _MUL1
+    x ^= x >> _SHIFT[27]
+    x *= _MUL2
+    x ^= x >> _SHIFT[31]
+    return x
+
+
+def _stream_words(values, what: str) -> np.ndarray:
+    """Non-negative integers below 2^64 as a 1-D uint64 array."""
+    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
+        return values.reshape(-1)
+    ints = [int(v) for v in np.ravel(np.asarray(values, dtype=object))]
+    if any(not 0 <= v < STREAM_LIMIT for v in ints):
+        raise ValueError(f"{what} must be integers in [0, 2**64) to key the sampling stream")
+    return np.array(ints, dtype=np.uint64)
+
+
+def _bounded(x: np.ndarray, n: int) -> np.ndarray:
+    """Lemire's multiply-high map of uniform uint64 words onto [0, n), n < 2^32.
+
+    idx = floor(x*n / 2^64), with the 128-bit product built from the 32-bit
+    limbs of x.  Words whose low product word x*n mod 2^64 falls below
+    2^64 mod n are rejected and redrawn as mix(x + G), so every index value
+    keeps exactly floor(2^64/n) preimages and the map is exactly uniform.
+    """
+    n64 = np.uint64(n)
+    threshold = np.uint64(STREAM_LIMIT % n)
+    while True:
+        high = (x >> _SHIFT[32]) * n64 + (((x & _LOW32) * n64) >> _SHIFT[32])
+        if threshold:
+            reject = x * n64 < threshold
+            if reject.any():
+                x = np.where(reject, _mix(x + _GOLDEN), x)
+                continue
+        return (high >> _SHIFT[32]).view(np.int64)  # < n < 2^32, so the bits agree
+
+
+def batch_indices(master_seed, run_index, t: int, b: int, n: int) -> np.ndarray:
     """I.i.d.-with-replacement index sample of size b for step t.
 
-    A counter-based stream: a fresh generator keyed by
-    (master_seed, run_index, t) per step.
+    A pure function of (master_seed, run_index, t, b, n), computed from the
+    counter-based stream of the module docstring, so any step of any run can
+    be drawn on its own.  Scalar ``master_seed`` and ``run_index`` give shape
+    (b,); equal-length sequences of R seeds and run indices give (R, b), row
+    r equal to the scalar call for (master_seed[r], run_index[r]).
+
+    Exactly uniform: modelling the hash words x as uniform on [0, 2^64), the
+    multiply-high map floor(x*n / 2^64) hits each index floor(2^64/n) or
+    floor(2^64/n) + 1 times; rejecting the 2^64 mod n words whose low product
+    word is below 2^64 mod n removes the surplus (Lemire, TOMACS 2019).
     """
-    rng = np.random.default_rng((int(master_seed), int(run_index), int(t)))
-    return rng.integers(0, n, size=int(b))
+    b, n, t = int(b), int(n), int(t)
+    if not 1 <= n < 2**32:
+        raise ValueError(f"dataset size n must be in [1, 2**32), got {n}")
+    if b < 0 or t < 0:
+        raise ValueError(f"batch size and step must be >= 0, got b={b}, t={t}")
+    single = np.ndim(master_seed) == 0 and np.ndim(run_index) == 0
+    seeds = _stream_words(master_seed, "master seeds")
+    runs = _stream_words(run_index, "run indices")
+    if seeds.shape != runs.shape:
+        raise ValueError(f"{seeds.size} master seeds but {runs.size} run indices")
+    key = _mix(_mix(seeds + _GOLDEN) + runs * _GOLDEN)
+    step_key = _mix(key + np.uint64(t * int(_GOLDEN) % STREAM_LIMIT))
+    counters = np.arange(1, b + 1, dtype=np.uint64) * _GOLDEN
+    idx = _bounded(_mix(step_key[:, None] + counters), n)
+    return idx[0] if single else idx
 
 
 @dataclass
@@ -178,7 +263,8 @@ def run(
     ``seed`` is one master seed, giving one RunTrace, or a sequence of R
     master seeds, giving a list of R traces.  All seeds start from the same
     theta0 and advance in lockstep; row r samples its mini-batches from
-    (seed[r], run_index + r, t).
+    (seed[r], run_index + r, t), and every seed and run index must lie in
+    [0, 2^64), the stream's key range (ValueError otherwise).
 
     Unless waived, the schedule must pass the admissibility check for
     (beta, problem.L, alg).  theta0 defaults to a deterministic seeded
@@ -196,6 +282,10 @@ def run(
     seeds = [int(seed)] if single else [int(s) for s in seed]
     if not seeds:
         raise ValueError("need at least one master seed")
+    R = len(seeds)
+    run_indices = [int(run_index) + r for r in range(R)]
+    seed_words = _stream_words(seeds, "master seeds")
+    run_words = _stream_words(run_indices, "run indices")
     if not waive_admissibility:
         report = schedules.validate_admissible(table, beta, problem.L, alg)
         if not report.admissible:
@@ -209,8 +299,6 @@ def run(
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.ndim != 1:
         raise ValueError("theta0 must be a 1-D vector")
-    R = len(seeds)
-    run_indices = [int(run_index) + r for r in range(R)]
     state = OptimizerState.initial(np.tile(theta0, (R, 1)), beta, alg)
     one_minus_beta = 1.0 - beta
     # Lyapunov bookkeeping always uses the nshb parameterization: eta = lr
@@ -251,7 +339,7 @@ def run(
                 f"seed {seeds[exc.row]} at step {t}: {exc}", row=exc.row
             ) from None
         b = int(table.batch[t])
-        idx = np.stack([batch_indices(s, i, t, b, problem.n) for s, i in zip(seeds, run_indices)])
+        idx = batch_indices(seed_words, run_words, t, b, problem.n)
         grad = problem.minibatch_gradient(state.theta, idx)
         try:
             state = step(state, grad, float(table.lr[t]))

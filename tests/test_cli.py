@@ -2,13 +2,15 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from sgdm_sched import schedules
+from sgdm_sched import cli as sgdm_cli
+from sgdm_sched import optim, problems, schedules
 
 BASE_CONFIG = """\
 [problem]
@@ -37,7 +39,7 @@ validation_mode = strict
 """
 
 
-# iterates start inside the 0.5 box (theta0_seed 29) and leave it at step 9
+# iterates start inside the 0.5 box (theta0_seed 29) and leave it within 40 steps
 LOGCOSH_BOX_CONFIG = """\
 [problem]
 family = logcosh
@@ -62,6 +64,26 @@ T = 40
 [harness]
 seeds = 8
 """
+
+
+def first_box_exit(cfg_path):
+    """(seed, step) the engine must report: each seed of the config run alone
+    through ``optim.run``; the earliest box-exit step, then the lowest seed row."""
+    config = sgdm_cli.load_config(cfg_path)
+    problem = config.problem.build()
+    table = config.schedule.build(problem.n)[0]
+    theta0 = np.random.default_rng((config.theta0_seed,)).standard_normal(problem.d)
+    exits = []
+    for row, seed in enumerate(config.seeds):
+        try:
+            optim.run(config.alg, config.beta, table, problem, seed, run_index=row,
+                      theta0=theta0)
+        except problems.IterateOutsideCertifiedBox as exc:
+            step = int(re.match(r"seed \d+ at step (\d+): ", str(exc)).group(1))
+            exits.append((step, row, seed))
+    assert exits, "the config must leave the box"
+    step, _, seed = min(exits)
+    return seed, step
 
 
 def cli(*args, env_extra=None):
@@ -143,7 +165,8 @@ class TestRunCommand:
         cfg.write_text(LOGCOSH_BOX_CONFIG)
         res = cli("run", str(cfg), "--out", str(tmp_path / "runs"))
         assert res.returncode == 4, res.stderr
-        assert "divergence: FAIL (seed 7 at step 9:" in res.stderr
+        seed, step = first_box_exit(cfg)
+        assert f"divergence: FAIL (seed {seed} at step {step}:" in res.stderr
 
     def test_theta0_outside_box_exit_two(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -159,6 +182,14 @@ class TestRunCommand:
         res = cli("run", str(cfg), "--seeds", "0", "--out", str(tmp_path / "runs"))
         assert res.returncode == 2, res.stderr
         assert "config error: need at least one master seed" in res.stderr
+
+    def test_seed_beyond_stream_key_exit_two(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(BASE_CONFIG.replace("seeds = 8", "seeds = 3,18446744073709551616"))
+        res = cli("run", str(cfg), "--out", str(tmp_path / "runs"))
+        assert res.returncode == 2, res.stderr
+        assert "config error: master seeds must be in [0, 2**64)" in res.stderr
+        assert not (tmp_path / "runs").exists()
 
     def test_env_var_out_root(self, tmp_path):
         cfg = tmp_path / "exp.ini"

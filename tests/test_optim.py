@@ -1,10 +1,20 @@
 """Optimizer state machines: update rules, sampling, traces, equivalences."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sgdm_sched import schedules
-from sgdm_sched.optim import NumericalDivergence, OptimizerState, batch_indices, run, step
+from sgdm_sched.optim import (
+    NumericalDivergence,
+    OptimizerState,
+    _bounded,
+    _mix,
+    batch_indices,
+    run,
+    step,
+)
 from sgdm_sched.problems import IterateOutsideCertifiedBox, LogCoshProblem, QuadraticMeanProblem
 from sgdm_sched.schedules import InadmissibleSchedule, LrSchedule, build_constant_bs_table
 
@@ -72,6 +82,88 @@ class TestBatchIndices:
     def test_range(self):
         idx = batch_indices(3, 2, 1, b=1000, n=17)
         assert idx.min() >= 0 and idx.max() < 17
+
+    # stream tests: R consecutive seeds with run indices 0..R-1, as in an experiment
+    SEEDS = np.arange(64)
+
+    @staticmethod
+    def chi2_z(values, cells):
+        """Wilson-Hilferty normal score of Pearson's chi-square against uniform cells."""
+        counts = np.bincount(np.ravel(values), minlength=cells)
+        expected = counts.sum() / cells
+        df = cells - 1
+        stat = float(np.sum((counts - expected) ** 2) / expected)
+        return ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+
+    @pytest.mark.parametrize("n", [17, 1000, 4095])
+    def test_uniform_at_non_power_of_two_n(self, n):
+        idx = batch_indices(self.SEEDS, self.SEEDS, 3, b=50 * n // 64 + 1, n=n)
+        assert abs(self.chi2_z(idx, n)) < 4.0
+
+    def test_pairs_across_steps_are_independent(self):
+        n = 17
+        now = batch_indices(self.SEEDS, self.SEEDS, 5, b=500, n=n)
+        nxt = batch_indices(self.SEEDS, self.SEEDS, 6, b=500, n=n)
+        assert abs(self.chi2_z(now * n + nxt, n * n)) < 4.0
+
+    def test_pairs_across_rows_are_independent(self):
+        n = 17
+        idx = batch_indices(self.SEEDS, self.SEEDS, 5, b=500, n=n)
+        assert abs(self.chi2_z(idx[:-1] * n + idx[1:], n * n)) < 4.0
+
+    def test_vectorized_rows_equal_scalar_calls(self):
+        seeds = [11, 0, 2**64 - 1, 4, 4]
+        runs = [0, 7, 2, 2**64 - 1, 3]
+        idx = batch_indices(seeds, runs, 9, b=12, n=1000)
+        assert idx.shape == (5, 12) and idx.dtype == np.int64
+        for r, (s, i) in enumerate(zip(seeds, runs)):
+            np.testing.assert_array_equal(idx[r], batch_indices(s, i, 9, 12, 1000))
+        assert batch_indices(11, 0, 9, b=12, n=1000).shape == (12,)
+
+    @pytest.mark.parametrize("n", [17, 1000, 2**32 - 1])
+    def test_bounded_map_is_the_exact_multiply_high(self, n, rng):
+        words = [int(w) for w in rng.integers(0, 2**64, size=2000, dtype=np.uint64)]
+        assert all((w * n) % 2**64 >= 2**64 % n for w in words)  # none rejected
+        got = _bounded(np.array(words, dtype=np.uint64), n)
+        np.testing.assert_array_equal(got, [(w * n) >> 64 for w in words])
+
+    def test_lemire_rejection_redraws(self):
+        # n = 1000: x = 2^61 has low product word 2^61 * 1000 mod 2^64 = 0, below
+        # 2^64 mod 1000 = 616, so it is rejected (else it would map to 125) and
+        # redrawn as mix(x + G); x = 2^63 + 1 (low word 1000) maps to 500 directly
+        x = np.array([2**61, 2**63 + 1], dtype=np.uint64)
+        redraw = _bounded(_mix(np.array([2**61 + 0x9E3779B97F4A7C15], dtype=np.uint64)), 1000)
+        assert redraw[0] != 125
+        np.testing.assert_array_equal(_bounded(x, 1000), [redraw[0], 500])
+        # a power-of-two n has nothing to reject
+        np.testing.assert_array_equal(_bounded(x, 1024), [128, 512])
+
+    def test_rejects_keys_outside_the_stream(self):
+        for seed, run_index in [(-1, 0), (2**64, 0), (0, 2**64)]:
+            with pytest.raises(ValueError, match=r"2\*\*64"):
+                batch_indices(seed, run_index, 0, 4, 10)
+        with pytest.raises(ValueError, match="run indices"):
+            batch_indices([1, 2], [0], 0, 4, 10)
+        with pytest.raises(ValueError, match="run indices"):
+            run("nshb", 0.0, const_table(0.1, T=2), QuadraticMeanProblem.generate(2, 4, seed=0),
+                [1, 2], run_index=2**64 - 1)
+
+    @pytest.mark.parametrize("b", [1, 4, 16])
+    def test_minibatch_variance_on_the_engine_stream(self, b):
+        # E||g_B - grad f||^2 = sigma^2/b on the criterion-9 quadratic, with
+        # batches drawn as the engine draws them: 1e5 rows of batch_indices
+        prob = QuadraticMeanProblem.generate(20, 256, sigma_sq=1.0, seed=7)
+        theta = np.random.default_rng((11,)).standard_normal(20)
+        seeds = np.arange(10_000)
+        thetas = np.tile(theta, (seeds.size, 1))
+        dev = np.concatenate([
+            prob.minibatch_gradient(thetas, batch_indices(seeds, seeds, t, b, prob.n))
+            - prob.full_gradient(theta)
+            for t in range(10)
+        ])
+        sq = np.einsum("ij,ij->i", dev, dev)
+        stderr = sq.std(ddof=1) / math.sqrt(sq.size)
+        assert abs(sq.mean() - prob.sigma_sq / b) <= 3.0 * stderr
 
 
 class TestRun:
