@@ -14,11 +14,14 @@ import configparser
 import json
 import os
 import sys
+import types
+import typing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import harness, optim, problems, schedules, theory
+from . import harness, problems, schedules, theory
 from ._fmt import dumps17
 
 EXIT_OK = 0
@@ -32,34 +35,17 @@ class ConfigError(ValueError):
     """Malformed config file: unknown keys, missing fields, or bad values."""
 
 
-_PROBLEM_FIELDS = {
-    "family": str,
-    "d": int,
-    "n": int,
-    "seed": int,
-    "sigma_sq": float,
-    "spread": float,
-    "scale": float,
-    "amp": float,
-    "box_radius": float,
-}
+def _spec_fields(spec) -> dict:
+    """Config key -> value kind, read off the spec dataclass's field types."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(spec).items():
+        if isinstance(hint, types.UnionType):  # X | None
+            (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+        kinds[name] = "int_list" if typing.get_origin(hint) is tuple else hint
+    return kinds
+
+
 _OPTIMIZER_FIELDS = {"alg": str, "beta": float, "theta0_seed": int}
-_SCHEDULE_FIELDS = {
-    "regime": str,
-    "kind": str,
-    "lambda_max": float,
-    "lambda_min": float,
-    "p": float,
-    "gamma": float,
-    "lambda0": float,
-    "warmup_phases": int,
-    "batch": int,
-    "T": int,
-    "b0": int,
-    "delta": float,
-    "epochs_per_phase": "int_list",
-    "dataset_size": int,
-}
 _HARNESS_FIELDS = {
     "seeds": "seeds",
     "record_every": int,
@@ -67,9 +53,9 @@ _HARNESS_FIELDS = {
     "budget": float,
 }
 _SECTIONS = {
-    "problem": _PROBLEM_FIELDS,
+    "problem": _spec_fields(harness.ProblemSpec),
     "optimizer": _OPTIMIZER_FIELDS,
-    "schedule": _SCHEDULE_FIELDS,
+    "schedule": _spec_fields(harness.ScheduleSpec),
     "harness": _HARNESS_FIELDS,
 }
 
@@ -145,41 +131,21 @@ def _out_root(arg_out: str | None) -> Path:
     return Path(arg_out or os.environ.get("SGDM_SCHED_OUT") or "runs")
 
 
-def _apply_overrides(config: harness.ExperimentConfig, args) -> harness.ExperimentConfig:
-    from dataclasses import replace
-
-    try:
-        if getattr(args, "seeds", None) is not None:
-            config = replace(config, seeds=tuple(range(args.seeds)))
-        if getattr(args, "waive_admissibility", False):
-            config = replace(config, validation_mode="waived")
-        elif getattr(args, "strict", False):
-            config = replace(config, validation_mode="strict")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _load_with_overrides(args) -> harness.ExperimentConfig:
+    config = load_config(args.config)
+    if args.seeds is not None:
+        config = replace(config, seeds=tuple(range(args.seeds)))
+    if args.waive_admissibility:
+        config = replace(config, validation_mode="waived")
+    elif args.strict:
+        config = replace(config, validation_mode="strict")
     return config
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _load_with_overrides(args)
     out_root = _out_root(args.out)
-    try:
-        report = harness.run_experiment(config, out_dir=out_root)
-    except (schedules.MomentumTooLarge, schedules.InadmissibleSchedule) as exc:
-        print(f"admissibility: FAIL ({exc})", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except (harness.ExperimentDivergence, problems.IterateOutsideCertifiedBox) as exc:
-        print(f"divergence: FAIL ({exc})", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (schedules.ScheduleError, harness.BudgetExceeded, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    report = harness.run_experiment(config, out_dir=out_root)
     for name, check in report.checks.items():
         verdict = "PASS" if check["pass"] else "FAIL"
         detail = ""
@@ -192,8 +158,6 @@ def cmd_run(args) -> int:
                 detail = f" (lr_max={check['lr_max']:.6g}, bound={check['lr_bound']:.6g})"
             else:
                 detail = " (no admissible rate: c >= 1/beta^2)"
-        elif name == "no_divergence" and check["seeds"]:
-            detail = f" (seeds {check['seeds']})"
         print(f"{name}: {verdict}{detail}")
     print(f"artifacts: {Path(out_root) / report.config_hash}")
     failed = [
@@ -302,25 +266,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
-        if config.alg != "nshb":
-            raise ConfigError("the Lyapunov descent audit needs alg = nshb")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = harness.lyapunov_descent_audit(config)
-    except (schedules.MomentumTooLarge, schedules.InadmissibleSchedule) as exc:
-        print(f"admissibility: FAIL ({exc})", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except (harness.ExperimentDivergence, problems.IterateOutsideCertifiedBox) as exc:
-        print(f"divergence: FAIL ({exc})", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (ValueError, schedules.ScheduleError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _load_with_overrides(args)
+    report = harness.lyapunov_descent_audit(config)
     out_dir = _out_root(args.out) / config.config_hash
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "audit.csv").write_text(report.to_csv())
@@ -419,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="print the theory report JSON for parameters")
     p_bounds.add_argument("--regime", required=True, help="e.g. cor3.1-constant, cor3.3")
-    p_bounds.add_argument("--alg", required=True, choices=optim.ALGS)
+    p_bounds.add_argument("--alg", required=True, choices=schedules.ALGS)
     p_bounds.add_argument("--beta", type=float, required=True)
     p_bounds.add_argument("--L", type=float, required=True)
     p_bounds.add_argument("--sigma-sq", type=float, required=True)
@@ -444,9 +391,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception -> (exit code, stderr line) for the commands that let failures
+# propagate.  The first matching row wins: the admissibility errors are
+# ScheduleErrors, hence ValueErrors, so they come before the config row.
+_EXIT_CODES = (
+    ((schedules.MomentumTooLarge, schedules.InadmissibleSchedule), EXIT_ADMISSIBILITY,
+     "admissibility: FAIL ({})"),
+    ((harness.ExperimentDivergence, problems.IterateOutsideCertifiedBox), EXIT_DIVERGENCE,
+     "divergence: FAIL ({})"),
+    ((ValueError, harness.BudgetExceeded), EXIT_CONFIG, "config error: {}"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(kind for kinds, _, _ in _EXIT_CODES for kind in kinds) as exc:
+        for kinds, code, line in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(line.format(exc), file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

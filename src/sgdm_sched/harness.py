@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,19 +85,6 @@ class ProblemSpec:
             seed=self.seed,
             box_radius=self.box_radius,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "d": self.d,
-            "n": self.n,
-            "seed": self.seed,
-            "sigma_sq": self.sigma_sq,
-            "spread": self.spread,
-            "scale": self.scale,
-            "amp": self.amp,
-            "box_radius": self.box_radius,
-        }
 
 
 @dataclass(frozen=True)
@@ -219,26 +206,6 @@ class ScheduleSpec:
         table = schedules.build_increasing_bs_table(lr, plan)
         return table, plan, regime, params
 
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "kind": self.kind,
-            "lambda_max": self.lambda_max,
-            "lambda_min": self.lambda_min,
-            "p": self.p,
-            "gamma": self.gamma,
-            "lambda0": self.lambda0,
-            "warmup_phases": self.warmup_phases,
-            "batch": self.batch,
-            "T": self.T,
-            "b0": self.b0,
-            "delta": self.delta,
-            "epochs_per_phase": list(self.epochs_per_phase)
-            if self.epochs_per_phase is not None
-            else None,
-            "dataset_size": self.dataset_size,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -253,10 +220,8 @@ class ExperimentConfig:
     theta0_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "alg", str(self.alg).lower())
+        object.__setattr__(self, "alg", schedules.check_alg(self.alg))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.alg not in optim.ALGS:
-            raise ValueError(f"unknown algorithm {self.alg!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if not self.seeds:
@@ -274,13 +239,13 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
-            "problem": self.problem.to_dict(),
+            "problem": asdict(self.problem),
             "optimizer": {
                 "alg": self.alg,
                 "beta": self.beta,
                 "theta0_seed": self.theta0_seed,
             },
-            "schedule": self.schedule.to_dict(),
+            "schedule": asdict(self.schedule),
             "harness": {
                 "seeds": list(self.seeds),
                 "record_every": self.record_every,
@@ -320,7 +285,6 @@ class AggregateReport:
     constants: theory.TheoremConstants
     admissibility: schedules.AdmissibilityReport | None
     checks: dict
-    diverged_seeds: list[int]
     total_steps: int
     total_samples: int
     M: int | None
@@ -334,15 +298,14 @@ class AggregateReport:
 
     def to_dict(self) -> dict:
         cfg = self.config
-        prob = cfg.problem
         return {
             "config_hash": self.config_hash,
             "alg": cfg.alg,
             "beta": cfg.beta,
             "n_seeds": len(cfg.seeds),
             "validation_mode": cfg.validation_mode,
-            "problem": prob.to_dict(),
-            "schedule": cfg.schedule.to_dict(),
+            "problem": asdict(cfg.problem),
+            "schedule": asdict(cfg.schedule),
             "totals": {
                 "T": self.total_steps,
                 "M": self.M,
@@ -355,7 +318,7 @@ class AggregateReport:
                 "f0_minus_fstar": self.constants.f0_minus_fstar,
                 "sigma_certificate": self.sigma_certificate,
             },
-            "theory": self.theory.to_dict(),
+            "theory": asdict(self.theory),
             "empirical": {
                 "min_mean_grad_norm_sq": self.min_mean_grad_norm_sq,
                 "stderr_at_min": self.stderr_at_min,
@@ -369,7 +332,6 @@ class AggregateReport:
                 "final_mean_f": self.final_mean_f,
             },
             "checks": self.checks,
-            "diverged_seeds": self.diverged_seeds,
         }
 
 
@@ -387,11 +349,13 @@ def run_experiment(
     Deterministic given the config.  The seeds advance in lockstep, seed i
     sampling from stream (seeds[i], i, t).  A theta0 outside the problem's
     certified box is a ValueError before any step.  At the first step where
-    any seed's gradient or iterate goes non-finite, ExperimentDivergence names
-    the lowest-index such seed (in ``config.seeds`` order) and that step, even
-    when a later seed would have diverged too; an iterate that leaves the
-    certified box raises IterateOutsideCertifiedBox naming the lowest-index
-    offending seed and the step, in the same order.
+    any seed's observed f, ||grad f||^2 or Lyapunov value, gradient or
+    iterate goes non-finite (``optim.run`` gives the order within a step),
+    ExperimentDivergence names the lowest-index such seed (in
+    ``config.seeds`` order) and that step, even when a later seed would have
+    diverged too; an iterate that leaves the certified box raises
+    IterateOutsideCertifiedBox naming the lowest-index offending seed and the
+    step, in the same order.
     """
     problem = config.problem.build()
     table, plan, regime, regime_params = config.schedule.build(problem.n)
@@ -421,6 +385,8 @@ def run_experiment(
         problem.check_iterate(theta0)
     except problems.IterateOutsideCertifiedBox as exc:
         raise ValueError(f"theta0 (theta0_seed {config.theta0_seed}): {exc}") from None
+    # theta_0 is shared across seeds, so f(theta_0) - f* is deterministic
+    f0_gap = float(problem.value_and_grad(theta0)[0]) - problem.f_star
 
     try:
         traces = optim.run(
@@ -440,18 +406,20 @@ def run_experiment(
     for tr in traces:
         tr.validation_waived = waived
 
-    report = _aggregate(config, problem, table, plan, regime, regime_params, traces, admissibility)
+    report = _aggregate(
+        config, problem, table, plan, regime, regime_params, traces, admissibility, f0_gap
+    )
     if out_dir is not None:
         write_artifacts(report, Path(out_dir))
     return report
 
 
-def _aggregate(config, problem, table, plan, regime, regime_params, traces, admissibility):
-    diverged_seeds = [tr.seed for tr in traces if tr.diverged]
-    rows = min(tr.rows for tr in traces)
-    t_axis = traces[0].t[:rows]
-    gns = np.stack([tr.grad_norm_sq[:rows] for tr in traces])
-    f_vals = np.stack([tr.f[:rows] for tr in traces])
+def _aggregate(
+    config, problem, table, plan, regime, regime_params, traces, admissibility, f0_gap
+):
+    t_axis = traces[0].t
+    gns = np.stack([tr.grad_norm_sq for tr in traces])
+    f_vals = np.stack([tr.f for tr in traces])
     R = gns.shape[0]
     sqrt_R = math.sqrt(R)
 
@@ -467,10 +435,6 @@ def _aggregate(config, problem, table, plan, regime, regime_params, traces, admi
     finals_sq = np.asarray([tr.final_grad_norm_sq for tr in traces])
     finals_norm = np.sqrt(finals_sq)
     finals_f = np.asarray([tr.final_f for tr in traces])
-
-    # theta_0 is shared across seeds, so f(theta_0) - f* is deterministic
-    theta0 = np.random.default_rng((int(config.theta0_seed),)).standard_normal(problem.d)
-    f0_gap = float(problem.loss(theta0)) - problem.f_star
 
     constants = theory.TheoremConstants(
         L=problem.L,
@@ -503,7 +467,6 @@ def _aggregate(config, problem, table, plan, regime, regime_params, traces, admi
             "rhs": theory_report.rhs_norm,
             "margin": theory_report.rhs_norm - stat_norm,
         },
-        "no_divergence": {"pass": not diverged_seeds, "seeds": diverged_seeds},
     }
 
     search = getattr(problem, "sigma_search", None)
@@ -540,7 +503,6 @@ def _aggregate(config, problem, table, plan, regime, regime_params, traces, admi
         constants=constants,
         admissibility=admissibility,
         checks=checks,
-        diverged_seeds=diverged_seeds,
         total_steps=table.T,
         total_samples=int(table.batch.sum()),
         M=plan.M if plan is not None else None,
@@ -619,11 +581,9 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> Aud
     if config.record_every != 1:
         raise ValueError("audit needs record_every = 1 for consecutive Lyapunov values")
 
-    problem = config.problem.build()
-    table, _, _, _ = config.schedule.build(problem.n)
     report = run_experiment(config, out_dir=None)
     traces = report.traces
-    T = table.T
+    T = report.total_steps
     if T <= 512:
         audited = np.arange(T)
     else:
@@ -632,9 +592,11 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> Aud
     # (R, T+1) Lyapunov series: per-step values plus the post-run value
     lyap = np.stack([np.append(tr.lyapunov, tr.final_lyapunov) for tr in traces])
     gns = np.stack([tr.grad_norm_sq for tr in traces])
-    eta = np.asarray(table.lr)
+    # record_every = 1, so every trace holds the whole schedule table
+    eta, batch = traces[0].lr, traces[0].batch
+    sigma_sq = report.constants.sigma_sq
     half = 0.5 * (1.0 - config.beta) * eta
-    noise = half * problem.sigma_sq / np.asarray(table.batch, dtype=np.float64)
+    noise = half * sigma_sq / batch.astype(np.float64)
 
     delta = lyap[:, audited + 1] - lyap[:, audited]
     D = delta + half[audited] * gns[:, audited] - noise[audited]
@@ -649,8 +611,8 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> Aud
             theory.descent_inequality_rhs(
                 float(eta[t]),
                 config.beta,
-                problem.sigma_sq,
-                int(table.batch[t]),
+                sigma_sq,
+                int(batch[t]),
                 float(gns[:, t].mean()),
             )
             for t in audited

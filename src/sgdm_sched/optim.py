@@ -40,7 +40,6 @@ import numpy as np
 from . import problems, schedules, theory
 
 __all__ = [
-    "ALGS",
     "NumericalDivergence",
     "OptimizerState",
     "RunTrace",
@@ -50,11 +49,9 @@ __all__ = [
     "run",
 ]
 
-ALGS = ("nshb", "shb")
-
 
 class NumericalDivergence(RuntimeError):
-    """A gradient or parameter coordinate became non-finite.
+    """A gradient, parameter coordinate or observed value became non-finite.
 
     Carries the offending step index, the lowest non-finite seed row and,
     when raised out of ``run``, that seed's trace truncated at the step.
@@ -67,13 +64,6 @@ class NumericalDivergence(RuntimeError):
         self.row = row
 
 
-def _check_alg(alg: str) -> str:
-    alg = str(alg).lower()
-    if alg not in ALGS:
-        raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGS}")
-    return alg
-
-
 @dataclass
 class OptimizerState:
     theta: np.ndarray
@@ -84,7 +74,7 @@ class OptimizerState:
 
     @classmethod
     def initial(cls, theta0: np.ndarray, beta: float, alg: str) -> "OptimizerState":
-        alg = _check_alg(alg)
+        alg = schedules.check_alg(alg)
         if not 0.0 <= beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {beta}")
         theta0 = np.array(theta0, dtype=np.float64, copy=True)
@@ -145,8 +135,6 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 def _stream_words(values, what: str) -> np.ndarray:
     """Non-negative integers below 2^64 as a 1-D uint64 array."""
-    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
-        return values.reshape(-1)
     ints = [int(v) for v in np.ravel(np.asarray(values, dtype=object))]
     if any(not 0 <= v < STREAM_LIMIT for v in ints):
         raise ValueError(f"{what} must be integers in [0, 2**64) to key the sampling stream")
@@ -173,6 +161,27 @@ def _bounded(x: np.ndarray, n: int) -> np.ndarray:
         return (high >> _SHIFT[32]).view(np.int64)  # < n < 2^32, so the bits agree
 
 
+def _stream_key(master_seed, run_index) -> np.ndarray:
+    """Per-row stream keys mix(mix(s + G) + i*G), constant for a whole run."""
+    seeds = _stream_words(master_seed, "master seeds")
+    runs = _stream_words(run_index, "run indices")
+    if seeds.shape != runs.shape:
+        raise ValueError(f"{seeds.size} master seeds but {runs.size} run indices")
+    return _mix(_mix(seeds + _GOLDEN) + runs * _GOLDEN)
+
+
+def _check_dataset_size(n: int) -> None:
+    if not 1 <= n < 2**32:
+        raise ValueError(f"dataset size n must be in [1, 2**32), got {n}")
+
+
+def _draw(key: np.ndarray, t: int, b: int, n: int) -> np.ndarray:
+    """(R, b) step-t indices on [0, n) for the R stream keys ``key``."""
+    step_key = _mix(key + np.uint64(t * int(_GOLDEN) % STREAM_LIMIT))
+    counters = np.arange(1, b + 1, dtype=np.uint64) * _GOLDEN
+    return _bounded(_mix(step_key[:, None] + counters), n)
+
+
 def batch_indices(master_seed, run_index, t: int, b: int, n: int) -> np.ndarray:
     """I.i.d.-with-replacement index sample of size b for step t.
 
@@ -188,20 +197,20 @@ def batch_indices(master_seed, run_index, t: int, b: int, n: int) -> np.ndarray:
     word is below 2^64 mod n removes the surplus (Lemire, TOMACS 2019).
     """
     b, n, t = int(b), int(n), int(t)
-    if not 1 <= n < 2**32:
-        raise ValueError(f"dataset size n must be in [1, 2**32), got {n}")
+    _check_dataset_size(n)
     if b < 0 or t < 0:
         raise ValueError(f"batch size and step must be >= 0, got b={b}, t={t}")
     single = np.ndim(master_seed) == 0 and np.ndim(run_index) == 0
-    seeds = _stream_words(master_seed, "master seeds")
-    runs = _stream_words(run_index, "run indices")
-    if seeds.shape != runs.shape:
-        raise ValueError(f"{seeds.size} master seeds but {runs.size} run indices")
-    key = _mix(_mix(seeds + _GOLDEN) + runs * _GOLDEN)
-    step_key = _mix(key + np.uint64(t * int(_GOLDEN) % STREAM_LIMIT))
-    counters = np.arange(1, b + 1, dtype=np.uint64) * _GOLDEN
-    idx = _bounded(_mix(step_key[:, None] + counters), n)
+    idx = _draw(_stream_key(master_seed, run_index), t, b, n)
     return idx[0] if single else idx
+
+
+def _nonfinite_row(*values: np.ndarray) -> int | None:
+    """Lowest seed row where any of the per-row ``values`` is non-finite, else None."""
+    finite = np.isfinite(values[0])
+    for v in values[1:]:
+        finite &= np.isfinite(v)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 @dataclass
@@ -242,8 +251,6 @@ class RunTrace:
         return int(self.t.shape[0])
 
 
-
-
 def run(
     alg: str,
     beta: float,
@@ -270,12 +277,15 @@ def run(
     (beta, problem.L, alg).  theta0 defaults to a deterministic seeded
     standard-normal draw.  Every iterate is passed to problem.check_iterate
     before its step; an IterateOutsideCertifiedBox names the lowest offending
-    seed and the step.  Divergence aborts the run at the first step where any
-    row goes non-finite: the raised NumericalDivergence names that step and
-    the lowest non-finite row, and carries that seed's truncated trace with
-    the step recorded.
+    seed and the step.  Divergence aborts the run at the first step t where
+    any row goes non-finite, checked in this order: the observation at
+    theta_t on recorded steps (f, ||grad f||^2 or the Lyapunov value), then
+    step t's gradient and new iterate; a non-finite observation at the
+    post-run iterate counts as step T.  The raised NumericalDivergence names
+    that step and the lowest non-finite row, and carries that seed's trace
+    truncated after the step's record.
     """
-    alg = _check_alg(alg)
+    alg = schedules.check_alg(alg)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     single = np.ndim(seed) == 0
@@ -284,8 +294,8 @@ def run(
         raise ValueError("need at least one master seed")
     R = len(seeds)
     run_indices = [int(run_index) + r for r in range(R)]
-    seed_words = _stream_words(seeds, "master seeds")
-    run_words = _stream_words(run_indices, "run indices")
+    key = _stream_key(seeds, run_indices)
+    _check_dataset_size(problem.n)
     if not waive_admissibility:
         report = schedules.validate_admissible(table, beta, problem.L, alg)
         if not report.admissible:
@@ -309,11 +319,10 @@ def run(
     def observe(st: OptimizerState):
         """(f, ||grad f||^2, Lyapunov value) per seed row at st.theta."""
         A_prev = float(A[st.t - 1]) if st.t > 0 else 0.0
-        # a huge but finite iterate may overflow here; divergence is
-        # detected by ``step``, so record inf rather than warn
+        # a huge but finite iterate may overflow here; the caller reports
+        # a non-finite value as divergence, so record it rather than warn
         with np.errstate(over="ignore", invalid="ignore"):
-            f = problem.loss(st.theta)
-            g = problem.full_gradient(st.theta)
+            f, g = problem.value_and_grad(st.theta)
             m_eq = st.momentum if alg == "nshb" else one_minus_beta * st.momentum
             m_sq = np.einsum("ij,ij->i", m_eq, m_eq)
             return f, np.einsum("ij,ij->i", g, g), theory.lyapunov_value(f, m_sq, A_prev, st.t)
@@ -328,18 +337,22 @@ def run(
     diverged_row = -1
     for t in range(table.T):
         if t % record_every == 0:
-            rec_f[:, k], rec_gns[:, k], rec_lyap[:, k] = observe(state)
+            obs = observe(state)
+            rec_f[:, k], rec_gns[:, k], rec_lyap[:, k] = obs
             if record_theta:
                 rec_theta[:, k] = state.theta
             k += 1
+            row = _nonfinite_row(*obs)
+            if row is not None:
+                diverged_at, diverged_row = t, row
+                break
         try:
             problem.check_iterate(state.theta)
         except problems.IterateOutsideCertifiedBox as exc:
             raise problems.IterateOutsideCertifiedBox(
                 f"seed {seeds[exc.row]} at step {t}: {exc}", row=exc.row
             ) from None
-        b = int(table.batch[t])
-        idx = batch_indices(seed_words, run_words, t, b, problem.n)
+        idx = _draw(key, t, int(table.batch[t]), problem.n)
         grad = problem.minibatch_gradient(state.theta, idx)
         try:
             state = step(state, grad, float(table.lr[t]))
@@ -348,6 +361,9 @@ def run(
             break
 
     final_f, final_gns, final_lyap = observe(state)
+    row = _nonfinite_row(final_f, final_gns, final_lyap)
+    if diverged_at is None and row is not None:
+        diverged_at, diverged_row = table.T, row
     rec = rec_t[:k]
     lr = np.asarray(table.lr[rec], dtype=np.float64)
     batch = np.asarray(table.batch[rec], dtype=np.int64)

@@ -1,14 +1,20 @@
 """Synthetic finite-sum problems with closed-form smoothness and noise constants.
 
-Both families expose per-sample gradients, the exact full gradient, a
-smoothness constant L, a single-sample gradient-variance bound sigma_sq, and a
-minimum value f_star (exact for the quadratic family, the 0 lower bound for
-the log-cosh family), so every constant entering the convergence bounds is
-computable instead of estimated.
+Both families implement one problem protocol, so every constant entering the
+convergence bounds is computable instead of estimated:
 
-``loss``, ``full_gradient``, ``minibatch_gradient`` and ``check_iterate``
-take one iterate ``theta[d]`` or a leading seed axis ``theta[R, d]`` (with
-``indices[R, b]``); each row is computed exactly as it would be alone.
+- ``value_and_grad(theta) -> (f, g)``: the exact objective and full gradient;
+- ``minibatch_gradient(theta, indices)``: the mean of the per-sample
+  gradients at ``indices``;
+- the constants ``L`` (smoothness), ``sigma_sq`` (single-sample
+  gradient-variance bound), ``f_star`` (the minimum for the quadratic
+  family, the lower bound 0 for the log-cosh family), ``n`` and ``d``;
+- ``check_iterate(theta)``, which raises IterateOutsideCertifiedBox for an
+  iterate outside the region where ``sigma_sq`` is certified.
+
+The methods take one iterate ``theta[d]`` or a leading seed axis
+``theta[R, d]`` (with ``indices[R, b]``); each row is computed exactly as it
+would be alone.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ __all__ = [
     "IterateOutsideCertifiedBox",
     "QuadraticMeanProblem",
     "LogCoshProblem",
-    "anchors_to_csv",
     "minibatch_gradient",
     "full_gradient_norm_sq",
     "empirical_minibatch_variance",
@@ -96,26 +101,12 @@ class QuadraticMeanProblem:
                 anchors = mean + dev * math.sqrt(sigma_sq / current)
         return cls(anchors)
 
-    def loss(self, theta: np.ndarray):
-        diff = theta - self.abar
-        return 0.5 * np.einsum("...j,...j->...", diff, diff) + self.f_star
-
-    def sample_loss(self, theta: np.ndarray, i: int) -> float:
-        diff = theta - self.anchors[i]
-        return 0.5 * float(np.dot(diff, diff))
-
-    def full_gradient(self, theta: np.ndarray) -> np.ndarray:
-        return theta - self.abar
-
-    def sample_gradients(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return theta[None, :] - self.anchors[indices]
+    def value_and_grad(self, theta: np.ndarray):
+        g = theta - self.abar
+        return 0.5 * np.einsum("...j,...j->...", g, g) + self.f_star, g
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         return theta - self.anchors[indices].mean(axis=-2)
-
-    def minibatch_gradient_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Row i is the mini-batch gradient for the index row indices[i]."""
-        return theta[None, :] - self.anchors[indices].mean(axis=1)
 
     def minibatch_deviation_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Rows of grad f_B - grad f via centered anchors (cancellation-free)."""
@@ -229,36 +220,28 @@ class LogCoshProblem:
         }
         return 1.1 * raw_max, trace
 
-    # The full-data passes go one seed row at a time so that no more than
-    # one (n, d) temporary is alive, whatever the number of seeds.
-    def loss(self, theta: np.ndarray):
-        return _per_row(self._loss, theta)
+    def value_and_grad(self, theta: np.ndarray):
+        # One seed row at a time, so that no more than one (n, d) temporary is
+        # alive whatever the number of seeds.
+        if theta.ndim == 1:
+            return self._value_and_grad(theta)
+        f = np.empty(theta.shape[0])
+        g = np.empty_like(theta)
+        for r, row in enumerate(theta):
+            f[r], g[r] = self._value_and_grad(row)
+        return f, g
 
-    def _loss(self, theta: np.ndarray) -> float:
+    def _value_and_grad(self, theta: np.ndarray):
         z = (theta[None, :] - self.anchors) / self.scale
-        return self.amp * float(_logcosh(z).sum() / self.n)
-
-    def sample_loss(self, theta: np.ndarray, i: int) -> float:
-        return self.amp * float(_logcosh((theta - self.anchors[i]) / self.scale).sum())
-
-    def full_gradient(self, theta: np.ndarray) -> np.ndarray:
-        return _per_row(self._full_gradient, theta)
-
-    def _full_gradient(self, theta: np.ndarray) -> np.ndarray:
-        # same float path as an all-samples mini-batch, so the unbiasedness
+        f = self.amp * float(_logcosh(z).sum() / self.n)
+        # the float path of an all-samples mini-batch, so the unbiasedness
         # identity holds bit-exactly
-        return self.sample_gradients(theta, slice(None)).mean(axis=0)
-
-    def sample_gradients(self, theta: np.ndarray, indices) -> np.ndarray:
-        z = (theta[..., None, :] - self.anchors[indices]) / self.scale
-        return self.amp / self.scale * np.tanh(z)
+        g = (self.amp / self.scale * np.tanh(z)).mean(axis=0)
+        return f, g
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self.sample_gradients(theta, indices).mean(axis=-2)
-
-    def minibatch_gradient_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        z = (theta[None, None, :] - self.anchors[indices]) / self.scale
-        return self.amp / self.scale * np.tanh(z).mean(axis=1)
+        z = (theta[..., None, :] - self.anchors[indices]) / self.scale
+        return (self.amp / self.scale * np.tanh(z)).mean(axis=-2)
 
     def check_iterate(self, theta: np.ndarray) -> None:
         worst = np.max(np.abs(theta), axis=-1)
@@ -272,28 +255,10 @@ class LogCoshProblem:
             )
 
 
-def _per_row(fn, theta: np.ndarray):
-    """fn(theta) for one iterate theta[d]; fn applied row by row to theta[R, d]."""
-    if theta.ndim == 1:
-        return fn(theta)
-    return np.array([fn(row) for row in theta])
-
-
 def _logcosh(x: np.ndarray) -> np.ndarray:
     # log(cosh(x)) = |x| + log1p(exp(-2|x|)) - log(2), stable for large |x|
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
-def anchors_to_csv(problem) -> str:
-    """Anchor matrix as CSV (header i,x0..x{d-1}) for reproduction/audit."""
-    from ._fmt import fmt_float
-
-    header = "i," + ",".join(f"x{j}" for j in range(problem.d))
-    lines = [header]
-    for i in range(problem.n):
-        lines.append(f"{i}," + ",".join(fmt_float(v) for v in problem.anchors[i]))
-    return "\n".join(lines) + "\n"
 
 
 def minibatch_gradient(problem, theta: np.ndarray, indices) -> np.ndarray:
@@ -311,7 +276,7 @@ def full_gradient_norm_sq(problem, theta: np.ndarray) -> float:
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
-    g = problem.full_gradient(theta)
+    _, g = problem.value_and_grad(theta)
     return float(np.dot(g, g))
 
 
@@ -334,8 +299,11 @@ def empirical_minibatch_variance(
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a usable estimate")
     theta = np.asarray(theta, dtype=np.float64)
-    gbar = problem.full_gradient(theta)
+    # the quadratic's deviations come from centered anchors, free of the
+    # cancellation in g_B - gbar, so sigma_sq = 0 estimates exactly 0
     deviation_many = getattr(problem, "minibatch_deviation_many", None)
+    if deviation_many is None:
+        _, gbar = problem.value_and_grad(theta)
     rng = np.random.default_rng((int(seed),))
     sq = np.empty(trials)
     done = 0
@@ -345,7 +313,7 @@ def empirical_minibatch_variance(
         if deviation_many is not None:
             dev = deviation_many(theta, idx)
         else:
-            dev = problem.minibatch_gradient_many(theta, idx) - gbar
+            dev = problem.minibatch_gradient(np.broadcast_to(theta, (k, problem.d)), idx) - gbar
         sq[done : done + k] = np.einsum("ij,ij->i", dev, dev)
         done += k
     value = float(sq.mean())

@@ -11,7 +11,7 @@ by ``delta`` after each phase while the learning rate either decays, grows by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,12 @@ __all__ = [
     "PhasePlan",
     "ScheduleTable",
     "AdmissibilityReport",
+    "ALGS",
     "DECAYING_KINDS",
     "GROWTH_KINDS",
     "build_constant_bs_table",
     "build_increasing_bs_table",
+    "check_alg",
     "growth_constant",
     "admissible_lr_bound",
     "validate_admissible",
@@ -55,7 +57,8 @@ class InadmissibleSchedule(ScheduleError):
     """Schedule rejected by the admissibility check in strict mode."""
 
 
-def _check_alg(alg: str) -> str:
+def check_alg(alg: str) -> str:
+    """The algorithm name, lower-cased, if it is one of ALGS; ScheduleError otherwise."""
     alg = str(alg).lower()
     if alg not in ALGS:
         raise ScheduleError(f"unknown algorithm {alg!r}; expected one of {ALGS}")
@@ -207,12 +210,16 @@ class PhasePlan:
 
 @dataclass(frozen=True)
 class ScheduleTable:
-    """Immutable per-step (learning rate, batch size) table."""
+    """Immutable per-step (learning rate, batch size) table.
+
+    ``growth_constant_c`` is derived from ``lr``: the smallest c >= 1 with
+    lr[t+1] <= c * lr[t] over the whole table.
+    """
 
     lr: np.ndarray
     batch: np.ndarray
     T: int
-    growth_constant_c: float
+    growth_constant_c: float = field(init=False)
 
     def __post_init__(self):
         lr = np.ascontiguousarray(np.asarray(self.lr, dtype=np.float64))
@@ -229,7 +236,7 @@ class ScheduleTable:
         batch.flags.writeable = False
         object.__setattr__(self, "lr", lr)
         object.__setattr__(self, "batch", batch)
-        object.__setattr__(self, "growth_constant_c", float(self.growth_constant_c))
+        object.__setattr__(self, "growth_constant_c", _growth_constant_of(lr))
 
 
 def _growth_constant_of(lam: np.ndarray) -> float:
@@ -291,7 +298,7 @@ def build_constant_bs_table(
             1.0 + np.cos(epoch * math.pi / E)
         )
     batch = np.full(T, int(b), dtype=np.int64)
-    return ScheduleTable(lr=lam, batch=batch, T=T, growth_constant_c=_growth_constant_of(lam))
+    return ScheduleTable(lr=lam, batch=batch, T=T)
 
 
 def build_increasing_bs_table(lr: LrSchedule, plan: PhasePlan) -> ScheduleTable:
@@ -339,7 +346,7 @@ def build_increasing_bs_table(lr: LrSchedule, plan: PhasePlan) -> ScheduleTable:
         lam = lr.lambda_min + 0.5 * (lr.lambda_max - lr.lambda_min) * (
             1.0 + np.cos(epoch * math.pi / plan.total_epochs)
         )
-    return ScheduleTable(lr=lam, batch=batch, T=T, growth_constant_c=_growth_constant_of(lam))
+    return ScheduleTable(lr=lam, batch=batch, T=T)
 
 
 def admissible_lr_bound(beta: float, L: float, c: float, alg: str) -> float:
@@ -348,7 +355,7 @@ def admissible_lr_bound(beta: float, L: float, c: float, alg: str) -> float:
     (1 - c*beta^2) / (L*(1-beta)) for nshb, (1 - c*beta^2) / L for shb.
     Raises MomentumTooLarge when c >= 1/beta^2 (empty range).
     """
-    alg = _check_alg(alg)
+    alg = check_alg(alg)
     if not 0.0 <= beta < 1.0:
         raise ScheduleError(f"beta must be in [0, 1), got {beta}")
     if not L > 0.0:
@@ -377,7 +384,7 @@ class AdmissibilityReport:
 
 def validate_admissible(table: ScheduleTable, beta: float, L: float, alg: str) -> AdmissibilityReport:
     """Check max_t lr[t] against the admissible range for (beta, L, c, alg)."""
-    c = growth_constant(table)
+    c = table.growth_constant_c
     bound = admissible_lr_bound(beta, L, c, alg)
     lr_max = float(np.max(table.lr))
     return AdmissibilityReport(
@@ -387,7 +394,7 @@ def validate_admissible(table: ScheduleTable, beta: float, L: float, alg: str) -
         c=c,
         beta=float(beta),
         L=float(L),
-        alg=_check_alg(alg),
+        alg=check_alg(alg),
     )
 
 
@@ -414,10 +421,6 @@ def table_from_csv(text: str) -> ScheduleTable:
             raise ScheduleError(f"non-contiguous step index {t} at row {i}")
         lrs.append(lam)
         batches.append(b)
-    lam = np.asarray(lrs, dtype=np.float64)
     return ScheduleTable(
-        lr=lam,
-        batch=np.asarray(batches, dtype=np.int64),
-        T=len(lrs),
-        growth_constant_c=_growth_constant_of(lam),
+        lr=np.asarray(lrs, dtype=np.float64), batch=np.asarray(batches, dtype=np.int64), T=len(lrs)
     )

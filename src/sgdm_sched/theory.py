@@ -9,7 +9,7 @@ closed-form bounds on B_T and V_T, and the single-step descent inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -47,12 +47,7 @@ REGIMES = (
 
 def c_alg(alg: str, beta: float) -> float:
     """Algorithm constant: 1/(1-beta) for nshb, 1 for shb."""
-    alg = str(alg).lower()
-    if alg == "nshb":
-        return 1.0 / (1.0 - beta)
-    if alg == "shb":
-        return 1.0
-    raise ValueError(f"unknown algorithm {alg!r}")
+    return 1.0 / (1.0 - beta) if schedules.check_alg(alg) == "nshb" else 1.0
 
 
 @dataclass(frozen=True)
@@ -77,8 +72,7 @@ class TheoremConstants:
             raise ValueError("initial suboptimality must be >= 0")
         if self.sigma_sq < 0.0:
             raise ValueError("sigma_sq must be >= 0")
-        object.__setattr__(self, "alg", str(self.alg).lower())
-        c_alg(self.alg, self.beta)  # validates alg
+        object.__setattr__(self, "alg", schedules.check_alg(self.alg))
 
     @property
     def C_alg(self) -> float:
@@ -142,22 +136,8 @@ class TheoryReport:
     c: float
     C_alg: float
 
-    def to_dict(self) -> dict:
-        return {
-            "B_T": self.B_T,
-            "V_T": self.V_T,
-            "rhs_sq": self.rhs_sq,
-            "rhs_norm": self.rhs_norm,
-            "B_bound": self.B_bound,
-            "V_bound": self.V_bound,
-            "regime": self.regime,
-            "admissible_lr_max": self.admissible_lr_max,
-            "c": self.c,
-            "C_alg": self.C_alg,
-        }
-
     def to_json(self) -> str:
-        return dumps17(self.to_dict())
+        return dumps17(asdict(self))
 
 
 def theorem1_rhs(constants: TheoremConstants, table: schedules.ScheduleTable) -> TheoryReport:

@@ -157,9 +157,7 @@ def test_criterion_03_nshb_shb_equivalence():
             else:
                 eta = build_constant_bs_table(
                     LrSchedule(kind, lambda_max=lmax, p=2.0), b=2, T=int(rng.integers(5, 60)))
-        alpha = schedules.ScheduleTable(
-            lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T,
-            growth_constant_c=eta.growth_constant_c)
+        alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T)
         seed = int(rng.integers(10_000))
         a = run("nshb", beta, eta, problem, seed, theta0_seed=trial, record_theta=True,
                 waive_admissibility=True)

@@ -39,6 +39,48 @@ validation_mode = strict
 """
 
 
+def momentum_conflict(config):
+    # growth constant c = gamma = 1.2 >= 1/0.95^2 = 1.108: no admissible rate
+    return config.replace("beta = 0.9", "beta = 0.95").replace(
+        "regime = constant-bs\nkind = cosine\nlambda_max = 0.15\nbatch = 8\nT = 40",
+        "regime = joint-growth\ngamma = 1.2\nlambda0 = 0.001\nb0 = 8\ndelta = 2\n"
+        "epochs_per_phase = 1,1",
+    )
+
+
+def diverging(config):
+    return config.replace("lambda_max = 0.15", "lambda_max = 1e200").replace(
+        "validation_mode = strict", "validation_mode = waived"
+    )
+
+
+# the iterate stays finite (|theta| doubles per step up to ~2^520), but f
+# overflows to inf near step 512
+OVERFLOWING_F_CONFIG = """\
+[problem]
+family = quadratic
+d = 1
+n = 4
+sigma_sq = 1.0
+seed = 1
+
+[optimizer]
+alg = nshb
+beta = 0.0
+
+[schedule]
+regime = constant-bs
+kind = constant
+lambda_max = 3
+batch = 1
+T = 520
+
+[harness]
+seeds = 2
+validation_mode = waived
+"""
+
+
 # iterates start inside the 0.5 box (theta0_seed 29) and leave it within 40 steps
 LOGCOSH_BOX_CONFIG = """\
 [problem]
@@ -121,28 +163,25 @@ class TestRunCommand:
         assert res.returncode == 2
 
     def test_momentum_growth_conflict_exit_three(self, tmp_path):
-        # growth constant c = gamma = 1.2 >= 1/0.95^2 = 1.108: no admissible rate
         cfg = tmp_path / "exp.ini"
-        cfg.write_text(
-            BASE_CONFIG.replace("beta = 0.9", "beta = 0.95").replace(
-                "regime = constant-bs\nkind = cosine\nlambda_max = 0.15\nbatch = 8\nT = 40",
-                "regime = joint-growth\ngamma = 1.2\nlambda0 = 0.001\nb0 = 8\ndelta = 2\n"
-                "epochs_per_phase = 1,1",
-            )
-        )
+        cfg.write_text(momentum_conflict(BASE_CONFIG))
         res = cli("run", str(cfg), "--out", str(tmp_path / "runs"))
         assert res.returncode == 3
         assert "1/beta^2" in res.stderr
 
     def test_divergence_exit_four(self, tmp_path):
         cfg = tmp_path / "exp.ini"
-        cfg.write_text(
-            BASE_CONFIG.replace("lambda_max = 0.15", "lambda_max = 1e200").replace(
-                "validation_mode = strict", "validation_mode = waived"
-            )
-        )
+        cfg.write_text(diverging(BASE_CONFIG))
         res = cli("run", str(cfg), "--out", str(tmp_path / "runs"))
         assert res.returncode == 4
+
+    def test_overflowing_observation_exit_four(self, tmp_path, capsys):
+        # in process, so a RuntimeWarning would fail the test (filterwarnings)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(OVERFLOWING_F_CONFIG)
+        assert sgdm_cli.main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 4
+        assert "divergence: FAIL (seed" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_bound_failure_exit_one(self, tmp_path):
         # waived, stable but inadmissible rate: the variance floor sits above
@@ -299,6 +338,18 @@ class TestAuditCommand:
         cfg.write_text(BASE_CONFIG.replace("alg = nshb", "alg = shb"))
         res = cli("audit", str(cfg))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("edit, code, message", [
+        (lambda c: c + "budget = 10\n", 2, "config error: estimated work"),
+        (momentum_conflict, 3, "admissibility: FAIL ("),
+        (diverging, 4, "divergence: FAIL (seed 0 diverged"),
+    ], ids=["budget", "admissibility", "divergence"])
+    def test_audit_failure_exit_codes(self, tmp_path, capsys, edit, code, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(edit(BASE_CONFIG.replace("seeds = 8", "seeds = 64")))
+        assert sgdm_cli.main(["audit", str(cfg), "--out", str(tmp_path / "runs")]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "runs").exists()
 
 
 class TestRatefitCommand:

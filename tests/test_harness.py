@@ -89,6 +89,22 @@ class TestRunExperiment:
         }
         assert doc["totals"]["samples"] == 8 * 40
         assert doc["empirical"]["min_mean_grad_norm_sq"] >= 0
+        assert list(doc["checks"]) == ["admissible", "theorem1_sq", "theorem1_norm"]
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({}, "c5f253fb83e9bde5"),
+        (dict(
+            problem=ProblemSpec(family="logcosh", d=3, n=16, spread=2.0, scale=0.5, amp=1.5,
+                                box_radius=5.0, seed=2),
+            schedule=ScheduleSpec(regime="warmup", kind="cosine", gamma=1.5, lambda0=0.02,
+                                  lambda_min=0.001, warmup_phases=1, b0=4, delta=2.0,
+                                  epochs_per_phase=(1, 2, 1), dataset_size=16),
+            alg="SHB", validation_mode="waived", record_every=2, budget=1e9,
+        ), "38be79718d498a1a"),
+    ], ids=["defaults", "every-field"])
+    def test_config_hash_is_pinned(self, overrides, expected):
+        # the hash names the artifact directory, so it must not drift
+        assert small_config(**overrides).config_hash == expected
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_config()

@@ -158,7 +158,7 @@ class TestBatchIndices:
         thetas = np.tile(theta, (seeds.size, 1))
         dev = np.concatenate([
             prob.minibatch_gradient(thetas, batch_indices(seeds, seeds, t, b, prob.n))
-            - prob.full_gradient(theta)
+            - prob.value_and_grad(theta)[1]
             for t in range(10)
         ])
         sq = np.einsum("ij,ij->i", dev, dev)
@@ -243,10 +243,7 @@ class TestAlgorithmEquivalences:
         eta = build_constant_bs_table(
             LrSchedule("diminishing", lambda_max=0.15), b=4, T=80
         )
-        alpha = schedules.ScheduleTable(
-            lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T,
-            growth_constant_c=eta.growth_constant_c,
-        )
+        alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T)
         a = run("nshb", beta, eta, prob, seed=3, theta0_seed=1, record_theta=True)
         b = run("shb", beta, alpha, prob, seed=3, theta0_seed=1, record_theta=True)
         scale = np.maximum(1.0, np.abs(a.theta))
@@ -290,10 +287,7 @@ class TestAlgorithmEquivalences:
             T = int(rng.integers(5, 50))
             lam = float(rng.uniform(0.01, 0.3))
             eta = const_table(lam, T=T, b=int(rng.integers(1, 5)))
-            alpha = schedules.ScheduleTable(
-                lr=eta.lr * (1 - beta), batch=eta.batch, T=T,
-                growth_constant_c=eta.growth_constant_c,
-            )
+            alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=T)
             seed = int(rng.integers(1000))
             a = run("nshb", beta, eta, prob, seed=seed, theta0_seed=7, record_theta=True,
                     waive_admissibility=True)
@@ -313,8 +307,8 @@ def reference_run(alg, beta, table, problem, seed, run_index, theta0):
     eta = table.lr if alg == "nshb" else table.lr / (1 - beta)
     rows = []
     for t in range(table.T + 1):
-        g = problem.full_gradient(theta)
-        f = float(problem.loss(theta))
+        f, g = problem.value_and_grad(theta)
+        f = float(f)
         lyap = f
         if t > 0:
             m_eq = m if alg == "nshb" else (1 - beta) * m
@@ -419,6 +413,31 @@ class TestLockstepEngine:
         assert (exc.step_index, exc.row, exc.trace.seed) == (5, 1, 11)
         assert exc.trace.diverged and exc.trace.diverged_at == 5
         np.testing.assert_array_equal(exc.trace.t, np.arange(6))
+
+    def test_nonfinite_observation_diverges_at_its_step(self):
+        class Overflowing(QuadraticMeanProblem):
+            """f = inf for given rows at given observation calls."""
+
+            def __init__(self, anchors, poison):
+                super().__init__(anchors)
+                self.poison, self.calls = poison, 0
+
+            def value_and_grad(self, theta):
+                f, g = super().value_and_grad(theta)
+                f[self.poison.get(self.calls, [])] = np.inf
+                self.calls += 1
+                return f, g
+
+        base = small_problem("quadratic")
+        table = const_table(0.1, T=20, b=2)
+        # observation k is made at step k; observation 20 at the post-run iterate
+        for poison, step, row in (({4: [2, 1], 7: [0]}, 4, 1), ({20: [3]}, 20, 3)):
+            with pytest.raises(NumericalDivergence) as info:
+                run("nshb", 0.5, table, Overflowing(base.anchors, poison), [10, 11, 12, 13])
+            exc = info.value
+            assert (exc.step_index, exc.row, exc.trace.seed) == (step, row, 10 + row)
+            assert exc.trace.diverged_at == step
+            np.testing.assert_array_equal(exc.trace.t, np.arange(min(step + 1, 20)))
 
     def test_iterate_outside_box_names_seed_and_step(self):
         prob = LogCoshProblem.generate(2, 16, spread=3.0, seed=0, box_radius=0.5)

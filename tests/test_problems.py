@@ -25,6 +25,12 @@ def _fd_gradient(fun, theta, h=1e-5):
     return g
 
 
+def _per_sample_gradients(prob, theta):
+    """(n, d) array whose row i is sample i's gradient: one-index mini-batches."""
+    return prob.minibatch_gradient(np.broadcast_to(theta, (prob.n, prob.d)),
+                                   np.arange(prob.n)[:, None])
+
+
 @pytest.fixture
 def two_anchor_problem():
     return QuadraticMeanProblem(np.array([[0.0], [2.0]]))
@@ -37,7 +43,7 @@ class TestQuadraticClosedForms:
         # f* = (1/n) sum ||a_i - abar||^2 / 2 = (1 + 1)/2/2
         assert prob.f_star == pytest.approx(0.5)
         assert prob.sigma_sq == pytest.approx(1.0)
-        assert prob.loss(np.array([1.0])) == pytest.approx(prob.f_star)
+        assert prob.value_and_grad(np.array([1.0]))[0] == pytest.approx(prob.f_star)
 
     def test_gradient_at_minimizer_is_zero(self, two_anchor_problem):
         assert full_gradient_norm_sq(two_anchor_problem, np.array([1.0])) == 0.0
@@ -80,13 +86,13 @@ class TestUnbiasedness:
         prob = QuadraticMeanProblem.generate(8, 33, spread=2.0, seed=1)
         theta = rng.standard_normal(8)
         avg = prob.minibatch_gradient(theta, np.arange(prob.n))
-        np.testing.assert_array_equal(avg, prob.full_gradient(theta))
+        np.testing.assert_array_equal(avg, prob.value_and_grad(theta)[1])
 
     def test_logcosh_all_samples_equals_full_gradient_exactly(self, rng):
         prob = LogCoshProblem.generate(5, 17, spread=1.5, seed=2)
         theta = rng.standard_normal(5)
         avg = prob.minibatch_gradient(theta, np.arange(prob.n))
-        np.testing.assert_array_equal(avg, prob.full_gradient(theta))
+        np.testing.assert_array_equal(avg, prob.value_and_grad(theta)[1])
 
 
 class TestSeedAxis:
@@ -98,30 +104,38 @@ class TestSeedAxis:
             prob = LogCoshProblem.generate(4, 20, spread=1.5, seed=3)
         theta = rng.standard_normal((3, 4))
         idx = rng.integers(0, prob.n, size=(3, 7))
-        f = prob.loss(theta)
-        g = prob.full_gradient(theta)
+        f, g = prob.value_and_grad(theta)
         g_batch = prob.minibatch_gradient(theta, idx)
         assert f.shape == (3,) and g.shape == g_batch.shape == (3, 4)
         for r in range(3):
-            assert f[r] == prob.loss(theta[r])
-            np.testing.assert_array_equal(g[r], prob.full_gradient(theta[r]))
+            f_r, g_r = prob.value_and_grad(theta[r])
+            assert f[r] == f_r
+            np.testing.assert_array_equal(g[r], g_r)
             np.testing.assert_array_equal(g_batch[r], prob.minibatch_gradient(theta[r], idx[r]))
 
 
 class TestGradientCorrectness:
     @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
     def test_per_sample_gradients_match_finite_differences(self, family, rng):
+        # sample i's gradient against the one-anchor problem f_i, and the
+        # full gradient against the full objective's own value
         if family == "quadratic":
             prob = QuadraticMeanProblem.generate(4, 12, spread=1.3, seed=5)
+            single = [QuadraticMeanProblem(prob.anchors[i : i + 1]) for i in range(prob.n)]
         else:
             prob = LogCoshProblem.generate(4, 12, spread=1.3, scale=0.7, amp=1.4, seed=5)
+            single = [LogCoshProblem(prob.anchors[i : i + 1], scale=0.7, amp=1.4)
+                      for i in range(prob.n)]
         for _ in range(100):
             theta = rng.uniform(-2, 2, size=prob.d)
             i = int(rng.integers(prob.n))
-            analytic = prob.sample_gradients(theta, np.array([i]))[0]
-            fd = _fd_gradient(lambda th: prob.sample_loss(th, i), theta)
-            err = np.linalg.norm(fd - analytic)
-            assert err <= 1e-6 * max(1.0, np.linalg.norm(analytic))
+            for analytic, fun in (
+                (prob.minibatch_gradient(theta, np.array([i])), single[i].value_and_grad),
+                (prob.value_and_grad(theta)[1], prob.value_and_grad),
+            ):
+                fd = _fd_gradient(lambda th: fun(th)[0], theta)
+                err = np.linalg.norm(fd - analytic)
+                assert err <= 1e-6 * max(1.0, np.linalg.norm(analytic))
 
 
 class TestSmoothness:
@@ -134,7 +148,7 @@ class TestSmoothness:
         for _ in range(10_000):
             t1 = rng.uniform(-4, 4, size=prob.d)
             t2 = rng.uniform(-4, 4, size=prob.d)
-            lhs = np.linalg.norm(prob.full_gradient(t1) - prob.full_gradient(t2))
+            lhs = np.linalg.norm(prob.value_and_grad(t1)[1] - prob.value_and_grad(t2)[1])
             assert lhs <= prob.L * np.linalg.norm(t1 - t2) * (1 + 1e-12)
 
 
@@ -147,7 +161,7 @@ class TestLogCosh:
         prob = LogCoshProblem.generate(3, 8, seed=0)
         assert prob.f_star == 0.0
         for _ in range(50):
-            assert prob.loss(rng.uniform(-5, 5, size=3)) >= 0.0
+            assert prob.value_and_grad(rng.uniform(-5, 5, size=3))[0] >= 0.0
 
     def test_common_anchor_is_stationary(self):
         anchor = np.array([0.3, -1.2, 0.8])
@@ -160,7 +174,7 @@ class TestLogCosh:
         prob = LogCoshProblem.generate(3, 32, spread=2.0, scale=0.6, seed=11, box_radius=4.0)
         for _ in range(1000):
             theta = rng.uniform(-4.0, 4.0, size=3)
-            g = prob.sample_gradients(theta, np.arange(prob.n))
+            g = _per_sample_gradients(prob, theta)
             gbar = g.mean(axis=0)
             v = float(np.einsum("ij,ij->", g, g) / prob.n - np.dot(gbar, gbar))
             assert v <= prob.sigma_sq
@@ -210,6 +224,15 @@ class TestMinibatchVariance:
         prob = QuadraticMeanProblem.generate(4, 16, sigma_sq=0.0, seed=3)
         est = empirical_minibatch_variance(prob, np.ones(4), b=3, trials=1000, seed=0)
         assert est.value == 0.0
+
+    def test_logcosh_matches_exact_variance_at_b1(self):
+        # the generic g_B - grad f path, for a problem without centered deviations
+        prob = LogCoshProblem.generate(3, 32, spread=2.0, scale=0.6, seed=11)
+        theta = np.array([0.4, -1.0, 0.7])
+        g = _per_sample_gradients(prob, theta)
+        exact = float(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1)))
+        est = empirical_minibatch_variance(prob, theta, b=1, trials=20_000, seed=99)
+        assert abs(est.value - exact) <= 3 * est.stderr
 
     def test_trials_floor_enforced(self):
         prob = QuadraticMeanProblem.generate(2, 8, seed=0)
