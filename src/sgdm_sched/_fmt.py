@@ -3,15 +3,54 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+
+import numpy as np
 
 FLOAT_FMT = "%.17g"
+
+
+def _non_finite(x) -> ValueError:
+    return ValueError(f"refusing to serialize non-finite value {float(x)!r}")
 
 
 def fmt_float(x: float) -> str:
     """Format a float with 17 significant digits (lossless round-trip)."""
     if not math.isfinite(x):
-        raise ValueError(f"refusing to serialize non-finite value {x!r}")
+        raise _non_finite(x)
     return FLOAT_FMT % float(x)
+
+
+def csv_rows(columns: Sequence, lead: Sequence[str] | None = None) -> list[str]:
+    """CSV lines (without newlines) of equal-length columns, one ``%`` per row.
+
+    Integer and bool columns are written with ``%d``, every other column with
+    17 significant digits after one finiteness check per column (a non-finite
+    value is a ValueError, as in ``fmt_float``).  ``lead``, when given, is a
+    column of already formatted text placed first, e.g. the shared prefix of
+    several files.
+    """
+    fmts, values = [], []
+    if lead is not None:
+        fmts.append("%s")
+        values.append(lead)
+    for col in columns:
+        col = np.asarray(col)
+        if col.dtype.kind in "biu":
+            fmts.append("%d")
+        else:
+            if not np.isfinite(col).all():
+                raise _non_finite(col[~np.isfinite(col)][0])
+            fmts.append(FLOAT_FMT)
+        values.append(col.tolist())
+    if len({len(v) for v in values}) > 1:
+        raise ValueError("CSV columns differ in length")
+    return list(map(",".join(fmts).__mod__, zip(*values)))
+
+
+def csv_text(header: str, columns: Sequence, lead: Sequence[str] | None = None) -> str:
+    """The header line plus ``csv_rows(columns, lead)``, each line ending in a newline."""
+    return "\n".join([header, *csv_rows(columns, lead)]) + "\n"
 
 
 def dumps17(obj, indent: int = 2) -> str:

@@ -85,7 +85,10 @@ def load_config(path: str | Path) -> harness.ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     # keep key case as written so unknown-key messages are readable
     cp.optionxform = str
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:  # no section header, duplicate key, ...
+        raise ConfigError(str(exc)) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     values: dict[str, dict] = {}

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import optim, problems, schedules, theory
-from ._fmt import dumps17, fmt_float
+from ._fmt import csv_rows, csv_text, dumps17
 
 __all__ = [
     "BudgetExceeded",
@@ -518,25 +518,24 @@ def write_artifacts(report: AggregateReport, out_root: Path) -> Path:
     """Write trace_<seed>.csv per seed, aggregate.csv and report.json.
 
     The experiment directory is named by the config content hash; floats are
-    serialized with 17 significant digits so reruns are byte-identical.
+    serialized with 17 significant digits so reruns are byte-identical, and a
+    non-finite value is refused (ValueError) rather than written.
     """
     exp_dir = Path(out_root) / report.config_hash
     exp_dir.mkdir(parents=True, exist_ok=True)
+    # the traces of one run share their t, lr and batch columns, so their
+    # text is formatted once and reused for every trace that carries them
+    shared, lead = None, None
     for tr in report.traces:
-        lines = ["t,lr,batch,f,grad_norm_sq,lyapunov"]
-        for k in range(tr.rows):
-            lines.append(
-                f"{int(tr.t[k])},{fmt_float(tr.lr[k])},{int(tr.batch[k])},"
-                f"{fmt_float(tr.f[k])},{fmt_float(tr.grad_norm_sq[k])},{fmt_float(tr.lyapunov[k])}"
-            )
-        (exp_dir / f"trace_{tr.seed}.csv").write_text("\n".join(lines) + "\n")
-    lines = ["t,mean_grad_norm_sq,stderr"]
-    for k in range(report.t.shape[0]):
-        lines.append(
-            f"{int(report.t[k])},{fmt_float(report.mean_grad_norm_sq[k])},"
-            f"{fmt_float(report.stderr_grad_norm_sq[k])}"
+        cols = (tr.t, tr.lr, tr.batch)
+        if shared is None or not all(map(np.array_equal, cols, shared)):
+            shared, lead = cols, csv_rows(cols)
+        text = csv_text(
+            "t,lr,batch,f,grad_norm_sq,lyapunov", (tr.f, tr.grad_norm_sq, tr.lyapunov), lead
         )
-    (exp_dir / "aggregate.csv").write_text("\n".join(lines) + "\n")
+        (exp_dir / f"trace_{tr.seed}.csv").write_text(text)
+    aggregate = (report.t, report.mean_grad_norm_sq, report.stderr_grad_norm_sq)
+    (exp_dir / "aggregate.csv").write_text(csv_text("t,mean_grad_norm_sq,stderr", aggregate))
     (exp_dir / "report.json").write_text(dumps17(report.to_dict()))
     return exp_dir
 
@@ -554,14 +553,10 @@ class AuditReport:
     all_ok: bool
 
     def to_csv(self) -> str:
-        lines = ["t,mean_delta_lyapunov,descent_rhs,stderr,ok"]
-        for k in range(self.t.shape[0]):
-            lines.append(
-                f"{int(self.t[k])},{fmt_float(self.mean_delta[k])},"
-                f"{fmt_float(self.descent_rhs[k])},{fmt_float(self.stderr[k])},"
-                f"{int(self.ok[k])}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            "t,mean_delta_lyapunov,descent_rhs,stderr,ok",
+            (self.t, self.mean_delta, self.descent_rhs, self.stderr, self.ok),
+        )
 
 
 def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> AuditReport:

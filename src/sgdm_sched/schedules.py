@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fmt import fmt_float
+from ._fmt import csv_text
 
 __all__ = [
     "ScheduleError",
@@ -400,10 +400,7 @@ def validate_admissible(table: ScheduleTable, beta: float, L: float, alg: str) -
 
 def table_to_csv(table: ScheduleTable) -> str:
     """CSV text with header ``t,lr,batch``; floats carry 17 significant digits."""
-    lines = ["t,lr,batch"]
-    for t in range(table.T):
-        lines.append(f"{t},{fmt_float(table.lr[t])},{int(table.batch[t])}")
-    return "\n".join(lines) + "\n"
+    return csv_text("t,lr,batch", (np.arange(table.T), table.lr, table.batch))
 
 
 def table_from_csv(text: str) -> ScheduleTable:

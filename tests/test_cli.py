@@ -352,6 +352,20 @@ class TestAuditCommand:
         assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("text, message", [
+    ("alg = nshb\n" + BASE_CONFIG, "File contains no section headers"),
+    (BASE_CONFIG.replace("d = 4\n", "d = 4\nd = 5\n"), "option 'd' in section 'problem' already"),
+], ids=["no-section-header", "duplicate-key"])
+def test_malformed_ini_exit_two(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text.replace("seeds = 8", "seeds = 64"))
+    assert sgdm_cli.main([command, str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "runs").exists()
+
+
 class TestRatefitCommand:
     def _fake_report(self, path, T, y):
         path.write_text(json.dumps({

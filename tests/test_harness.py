@@ -1,5 +1,6 @@
 """Experiment orchestration: aggregation, artifact output, audits, rate fits."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from sgdm_sched.harness import (
     lyapunov_descent_audit,
     rate_fit,
     run_experiment,
+    write_artifacts,
 )
 
 
@@ -30,6 +32,53 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# sets every config field away from its default: log-cosh, warmup, shb,
+# waived, record_every = 2
+EVERY_FIELD = dict(
+    problem=ProblemSpec(family="logcosh", d=3, n=16, spread=2.0, scale=0.5, amp=1.5,
+                        box_radius=5.0, seed=2),
+    schedule=ScheduleSpec(regime="warmup", kind="cosine", gamma=1.5, lambda0=0.02,
+                          lambda_min=0.001, warmup_phases=1, b0=4, delta=2.0,
+                          epochs_per_phase=(1, 2, 1), dataset_size=16),
+    alg="SHB", validation_mode="waived", record_every=2, budget=1e9,
+)
+
+# First 16 hex digits of the SHA-256 of each artifact file.  Reruns and other
+# versions must write the same bytes, so a change here must be deliberate.
+PINNED_ARTIFACTS = {
+    "defaults": {
+        "aggregate.csv": "c35fe58a8c5bd582",
+        "report.json": "37fb86c2aa17af63",
+        "trace_0.csv": "ca3231f9f5c736e8",
+        "trace_1.csv": "a32b770e15827534",
+        "trace_2.csv": "a3e780c3ed7bda06",
+        "trace_3.csv": "d1d15c8b17f9e569",
+        "trace_4.csv": "d8d80356ef01ab33",
+        "trace_5.csv": "d64203997cb38456",
+        "trace_6.csv": "c56ccdf04287463f",
+        "trace_7.csv": "b781817afa1aced5",
+    },
+    "every-field": {
+        "aggregate.csv": "16e7e550d8596644",
+        "report.json": "d05a22cea85a90ed",
+        "trace_0.csv": "ecf7b540a40a31ef",
+        "trace_1.csv": "d321c37a0dcdc0d4",
+        "trace_2.csv": "4585e27625790da9",
+        "trace_3.csv": "a75f420730b19475",
+        "trace_4.csv": "ce1433b304218e07",
+        "trace_5.csv": "4c9bd1ecd3af5198",
+        "trace_6.csv": "93e091cc5a3793c9",
+        "trace_7.csv": "917b41942b7a0361",
+    },
+    "table_to_csv": "f0be0d3aaa5d87fe",
+    "audit.to_csv": "5bfb7eed66334e19",
+}
+
+
+def short_sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 class TestScheduleSpec:
@@ -93,18 +142,36 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("overrides, expected", [
         ({}, "c5f253fb83e9bde5"),
-        (dict(
-            problem=ProblemSpec(family="logcosh", d=3, n=16, spread=2.0, scale=0.5, amp=1.5,
-                                box_radius=5.0, seed=2),
-            schedule=ScheduleSpec(regime="warmup", kind="cosine", gamma=1.5, lambda0=0.02,
-                                  lambda_min=0.001, warmup_phases=1, b0=4, delta=2.0,
-                                  epochs_per_phase=(1, 2, 1), dataset_size=16),
-            alg="SHB", validation_mode="waived", record_every=2, budget=1e9,
-        ), "38be79718d498a1a"),
+        (EVERY_FIELD, "38be79718d498a1a"),
     ], ids=["defaults", "every-field"])
     def test_config_hash_is_pinned(self, overrides, expected):
         # the hash names the artifact directory, so it must not drift
         assert small_config(**overrides).config_hash == expected
+
+    @pytest.mark.parametrize("overrides, name", [({}, "defaults"), (EVERY_FIELD, "every-field")],
+                             ids=["defaults", "every-field"])
+    def test_artifact_bytes_are_pinned(self, tmp_path, overrides, name):
+        cfg = small_config(**overrides)
+        run_experiment(cfg, out_dir=tmp_path)
+        written = {f.name: short_sha(f.read_bytes())
+                   for f in sorted((tmp_path / cfg.config_hash).iterdir())}
+        assert written == PINNED_ARTIFACTS[name]
+
+    def test_non_finite_trace_value_is_refused(self, tmp_path):
+        report = run_experiment(small_config())
+        report.traces[2].lyapunov[5] = np.inf
+        with pytest.raises(ValueError, match="non-finite value inf"):
+            write_artifacts(report, tmp_path)
+
+    def test_table_and_audit_csv_bytes_are_pinned(self):
+        lr = schedules.LrSchedule(kind="warmup_cosine", gamma=1.5, lambda0=0.02,
+                                  warmup_phases=1, lambda_min=0.001)
+        plan = schedules.PhasePlan(b0=4, delta=2.0, epochs_per_phase=(1, 2, 1),
+                                   dataset_size=16)
+        text = schedules.table_to_csv(schedules.build_increasing_bs_table(lr, plan))
+        assert short_sha(text.encode()) == PINNED_ARTIFACTS["table_to_csv"]
+        audit = lyapunov_descent_audit(small_config(seeds=tuple(range(64))))
+        assert short_sha(audit.to_csv().encode()) == PINNED_ARTIFACTS["audit.to_csv"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_config()
