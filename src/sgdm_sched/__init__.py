@@ -15,7 +15,6 @@ from .schedules import (
     ScheduleTable,
     build_constant_bs_table,
     build_increasing_bs_table,
-    growth_constant,
     table_from_csv,
     table_to_csv,
     validate_admissible,
@@ -25,8 +24,6 @@ from .problems import (
     LogCoshProblem,
     QuadraticMeanProblem,
     empirical_minibatch_variance,
-    full_gradient_norm_sq,
-    minibatch_gradient,
 )
 from .optim import NumericalDivergence, OptimizerState, RunTrace, batch_indices, run, step
 from .theory import (
@@ -34,7 +31,6 @@ from .theory import (
     TheoryReport,
     corollary_bounds,
     descent_inequality_rhs,
-    lyapunov_coefficient,
     lyapunov_value,
     theorem1_rhs,
 )
@@ -80,12 +76,8 @@ __all__ = [
     "corollary_bounds",
     "descent_inequality_rhs",
     "empirical_minibatch_variance",
-    "full_gradient_norm_sq",
-    "growth_constant",
-    "lyapunov_coefficient",
     "lyapunov_descent_audit",
     "lyapunov_value",
-    "minibatch_gradient",
     "rate_fit",
     "run",
     "run_experiment",

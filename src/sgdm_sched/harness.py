@@ -403,8 +403,6 @@ def run_experiment(
     except optim.NumericalDivergence as exc:
         # waived mode waives the admissibility check, not divergence
         raise ExperimentDivergence(exc.trace.seed, exc.step_index) from exc
-    for tr in traces:
-        tr.validation_waived = waived
 
     report = _aggregate(
         config, problem, table, plan, regime, regime_params, traces, admissibility, f0_gap
@@ -469,17 +467,6 @@ def _aggregate(
         },
     }
 
-    search = getattr(problem, "sigma_search", None)
-    certificate = None
-    if search is not None:
-        certificate = {
-            "box_radius": search["box_radius"],
-            "grid_points_per_coord": search["grid_points_per_coord"],
-            "probe_points": search["probe_points"],
-            "raw_max": search["raw_max"],
-            "inflation": search["inflation"],
-        }
-
     return AggregateReport(
         config=config,
         config_hash=config.config_hash,
@@ -509,7 +496,7 @@ def _aggregate(
         T_w=plan.warmup_steps(config.schedule.warmup_phases)
         if plan is not None and config.schedule.warmup_phases is not None
         else None,
-        sigma_certificate=certificate,
+        sigma_certificate=getattr(problem, "sigma_search", None),
         traces=traces,
     )
 
@@ -641,11 +628,31 @@ class RateFit:
         return math.exp(self.slope)
 
 
+# Student t quantiles t_0.975(df) for df = 2..30, to three decimals.
+_T975 = (
+    4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201,
+    2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080,
+    2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+)
+
+
+def _t975(df: int) -> float:
+    """Two-sided 95% Student t quantile for df >= 2 degrees of freedom.
+
+    Beyond the table, the Cornish-Fisher expansion about the normal quantile
+    to order 1/df^2, within 5e-5 relative for df > 30.
+    """
+    if df <= 30:
+        return _T975[df - 2]
+    z = 1.959963984540054
+    return z + (z**3 + z) / (4 * df) + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * df**2)
+
+
 def rate_fit(x, y, mode: str = "loglog") -> RateFit:
     """Fit log(y) against log(x) (mode 'loglog') or x itself (mode 'per-phase').
 
-    Returns the slope with its standard error and a 95% confidence interval.
-    Needs at least 4 points.
+    Returns the slope with its standard error and a 95% confidence interval
+    from Student t with n - 2 degrees of freedom.  Needs at least 4 points.
     """
     if mode not in ("loglog", "per-phase"):
         raise ValueError(f"unknown rate-fit mode {mode!r}")
@@ -657,17 +664,20 @@ def rate_fit(x, y, mode: str = "loglog") -> RateFit:
         raise ValueError(f"need at least 4 budget points, got {x.shape[0]}")
     if np.any(y <= 0):
         raise ValueError("y values must be positive for a log fit")
-    X = np.log(x) if mode == "loglog" else x
+    if np.all(x == x[0]):
+        raise ValueError("x values must not all be equal")
     if mode == "loglog" and np.any(x <= 0):
         raise ValueError("x values must be positive for a log-log fit")
+    X = np.log(x) if mode == "loglog" else x
     coef, cov = np.polyfit(X, np.log(y), 1, cov=True)
     slope = float(coef[0])
     se = float(math.sqrt(cov[0, 0]))
+    half = _t975(x.shape[0] - 2) * se
     return RateFit(
         slope=slope,
         stderr=se,
-        ci_low=slope - 1.96 * se,
-        ci_high=slope + 1.96 * se,
+        ci_low=slope - half,
+        ci_high=slope + half,
         mode=mode,
         n_points=int(x.shape[0]),
     )

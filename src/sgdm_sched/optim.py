@@ -236,9 +236,6 @@ class RunTrace:
     run_index: int
     alg: str
     beta: float
-    diverged: bool = False
-    diverged_at: int | None = None
-    validation_waived: bool = False
     theta: np.ndarray | None = None
     theta_final: np.ndarray | None = None
 
@@ -333,8 +330,8 @@ def run(
     rec_lyap = np.empty((R, rec_t.size))
     rec_theta = np.empty((R, rec_t.size, problem.d)) if record_theta else None
     k = 0
-    diverged_at: int | None = None
-    diverged_row = -1
+    div_step: int | None = None
+    div_row = -1
     for t in range(table.T):
         if t % record_every == 0:
             obs = observe(state)
@@ -344,7 +341,7 @@ def run(
             k += 1
             row = _nonfinite_row(*obs)
             if row is not None:
-                diverged_at, diverged_row = t, row
+                div_step, div_row = t, row
                 break
         try:
             problem.check_iterate(state.theta)
@@ -357,13 +354,13 @@ def run(
         try:
             state = step(state, grad, float(table.lr[t]))
         except NumericalDivergence as exc:
-            diverged_at, diverged_row = t, exc.row
+            div_step, div_row = t, exc.row
             break
 
     final_f, final_gns, final_lyap = observe(state)
     row = _nonfinite_row(final_f, final_gns, final_lyap)
-    if diverged_at is None and row is not None:
-        diverged_at, diverged_row = table.T, row
+    if div_step is None and row is not None:
+        div_step, div_row = table.T, row
     rec = rec_t[:k]
     lr = np.asarray(table.lr[rec], dtype=np.float64)
     batch = np.asarray(table.batch[rec], dtype=np.int64)
@@ -382,14 +379,11 @@ def run(
             run_index=run_indices[r],
             alg=alg,
             beta=float(beta),
-            diverged=r == diverged_row,
-            diverged_at=diverged_at if r == diverged_row else None,
-            validation_waived=bool(waive_admissibility),
             theta=rec_theta[r, :k] if record_theta else None,
             theta_final=state.theta[r].copy() if record_theta else None,
         )
         for r in range(R)
     ]
-    if diverged_at is not None:
-        raise NumericalDivergence(diverged_at, traces[diverged_row], row=diverged_row)
+    if div_step is not None:
+        raise NumericalDivergence(div_step, traces[div_row], row=div_row)
     return traces[0] if single else traces

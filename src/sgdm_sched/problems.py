@@ -28,8 +28,6 @@ __all__ = [
     "IterateOutsideCertifiedBox",
     "QuadraticMeanProblem",
     "LogCoshProblem",
-    "minibatch_gradient",
-    "full_gradient_norm_sq",
     "empirical_minibatch_variance",
     "VarianceEstimate",
 ]
@@ -116,16 +114,46 @@ class QuadraticMeanProblem:
         pass  # sigma_sq is global; nothing to enforce
 
 
+# Grid points per coordinate on which the log-cosh variance bound is certified.
+SIGMA_GRID_POINTS = 2048
+
+
 class LogCoshProblem:
     """Smooth bounded-gradient finite sum: f_i(theta) = amp * sum_j logcosh((theta_j - a_ij)/scale).
 
     Gradients are (amp/scale) * tanh((theta - a_i)/scale), so L = amp/scale^2
     (tanh is 1-Lipschitz) and every f_i >= 0, giving the lower bound
-    f_star = 0.  The variance bound sigma_sq is certified by per-coordinate
-    grid search plus random probes over the box [-box_radius, box_radius]^d,
-    inflated by 10%; it is only claimed while iterates stay in that box, which
-    ``check_iterate`` enforces at run time.  The search trace is kept in
-    ``sigma_search``.
+    f_star = 0.  The variance bound sigma_sq is proven over the box
+    [-box_radius, box_radius]^d, and only claimed while iterates stay in it,
+    which ``check_iterate`` enforces at run time.
+
+    The single-sample variance is a sum of per-coordinate terms
+    v_j(x) = mean_i(g_ij^2) - mean_i(g_ij)^2 with g_ij = c * tanh((x - a_ij)/scale)
+    and c = amp/scale, so its box maximum is at most the sum of the maxima of
+    the v_j on [-R, R].  Each v_j is bounded on a grid of SIGMA_GRID_POINTS
+    points as follows.
+
+    - Curvature.  With t = tanh, p = 1 - t^2 in (0, 1] and k = amp^2/scale^4,
+      v_j'' = 2k(3 mean(p^2) - 2 mean(p) - mean(p)^2) - 2 mean(g) mean(g'').
+      The bracket is at most max(3p^2 - 2p) = 1 and, as mean(p^2) >= m^2 for
+      m = mean(p), at least min(2m^2 - 2m) = -1/2; and |g| <= c, |g''| =
+      (c/scale^2) |2t(1 - t^2)| <= (c/scale^2) 4/(3 sqrt 3).  Hence
+      |v_j''| <= M = (2 + 8/(3 sqrt 3)) k.
+    - Cells.  As v_j'' >= -M, v_j + M x^2/2 is convex, so on a cell of width h
+      v_j lies below its chord plus M (x - x0)(x1 - x)/2, which is at most
+      the larger endpoint value plus M h^2/8.  The grid includes both ends of
+      [-R, R], and h is its largest spacing.
+    - Rounding.  Each computed g_ij is within 2 eps c of the exact one: tanh
+      is within eps, the rounded argument moves g by at most
+      c eps |z| sech^2 z <= 0.45 c eps, and the product by c adds c eps/2.
+      A mean of n terms of size at most c^2 loses at most n eps c^2 to
+      summation (Higham, Accuracy and Stability, 2002, sec. 4.2), so
+      mean(g^2) and mean(g)^2 carry at most (n + 6) eps c^2 and
+      (2n + 7) eps c^2, and each computed grid value of v_j is within
+      (3n + 14) eps c^2 <= 4(n + 4) eps c^2 of the exact one, to first order.
+
+    So sigma_sq = sum_j max_grid v_j + d M h^2/8 + d 4(n + 4) eps c^2.  The
+    terms are kept in ``sigma_search``.
     """
 
     def __init__(
@@ -135,8 +163,6 @@ class LogCoshProblem:
         scale: float = 1.0,
         amp: float = 1.0,
         box_radius: float = 6.0,
-        cert_points: int = 2048,
-        cert_seed: int = 0,
     ):
         anchors = np.ascontiguousarray(np.asarray(anchors, dtype=np.float64))
         if anchors.ndim != 2 or anchors.shape[0] < 1:
@@ -151,7 +177,8 @@ class LogCoshProblem:
         self.box_radius = float(box_radius)
         self.L = self.amp / self.scale**2
         self.f_star = 0.0  # lower bound: every per-sample loss is >= 0
-        self.sigma_sq, self.sigma_search = self._certify_sigma(cert_points, cert_seed)
+        self.sigma_search = s = self._certify_sigma()
+        self.sigma_sq = s["grid_max"] + s["curvature_slack"] + s["rounding_margin"]
 
     @classmethod
     def generate(
@@ -164,61 +191,33 @@ class LogCoshProblem:
         amp: float = 1.0,
         seed: int = 0,
         box_radius: float = 6.0,
-        cert_points: int = 2048,
-        cert_seed: int = 0,
     ) -> "LogCoshProblem":
         rng = np.random.default_rng((int(seed),))
         anchors = spread * rng.standard_normal((n, d))
-        return cls(
-            anchors,
-            scale=scale,
-            amp=amp,
-            box_radius=box_radius,
-            cert_points=cert_points,
-            cert_seed=cert_seed,
-        )
+        return cls(anchors, scale=scale, amp=amp, box_radius=box_radius)
 
-    def _certify_sigma(self, cert_points: int, cert_seed: int):
-        """Certify the single-sample gradient variance bound over the box.
-
-        The variance (1/n) sum_i ||g_i(theta)||^2 - ||gbar(theta)||^2 is a sum
-        of per-coordinate terms, each depending on one theta_j only, so the box
-        maximum separates: a dense 1-D grid per coordinate locates each term's
-        maximum, the coordinate maxima add up, and random full-dimensional
-        probes double-check the combined point.  The certified value is the
-        search maximum inflated by 10%.
-        """
-        rng = np.random.default_rng((int(cert_seed),))
+    def _certify_sigma(self) -> dict:
+        """The terms of the proven variance bound (see the class docstring)."""
         R = self.box_radius
-        grid = np.linspace(-R, R, max(64, cert_points))
+        c = self.amp / self.scale
+        grid = np.linspace(-R, R, SIGMA_GRID_POINTS)
         per_coord_max = np.empty(self.d)
-        argmax = np.empty(self.d)
         for j in range(self.d):
-            z = (grid[:, None] - self.anchors[None, :, j]) / self.scale
-            g = self.amp / self.scale * np.tanh(z)
+            g = c * np.tanh((grid[:, None] - self.anchors[None, :, j]) / self.scale)
             v_j = np.einsum("pi,pi->p", g, g) / self.n - g.mean(axis=1) ** 2
-            k = int(np.argmax(v_j))
-            per_coord_max[j] = v_j[k]
-            argmax[j] = grid[k]
-        raw_max = float(per_coord_max.sum())
-        probes = rng.uniform(-R, R, size=(256, self.d))
-        probes = np.vstack([probes, argmax, np.zeros(self.d)])
-        probe_values = np.empty(probes.shape[0])
-        for i, theta in enumerate(probes):
-            g = self.amp / self.scale * np.tanh((theta[None, :] - self.anchors) / self.scale)
-            gbar = g.mean(axis=0)
-            probe_values[i] = np.einsum("ij,ij->", g, g) / self.n - float(np.dot(gbar, gbar))
-        raw_max = max(raw_max, float(probe_values.max()))
-        trace = {
+            per_coord_max[j] = v_j.max()
+        M = (2.0 + 8.0 / (3.0 * math.sqrt(3.0))) * c * c / self.scale**2
+        h = float(np.diff(grid).max())
+        eps = float(np.finfo(np.float64).eps)
+        return {
             "box_radius": R,
-            "grid_points_per_coord": int(grid.shape[0]),
-            "probe_points": int(probes.shape[0]),
-            "per_coordinate_max": per_coord_max,
-            "argmax": argmax,
-            "raw_max": raw_max,
-            "inflation": 1.1,
+            "grid_points_per_coord": SIGMA_GRID_POINTS,
+            "grid_max": math.fsum(per_coord_max),
+            "curvature_bound": M,
+            "grid_spacing": h,
+            "curvature_slack": self.d * M * h * h / 8.0,
+            "rounding_margin": self.d * 4.0 * (self.n + 4) * eps * c * c,
         }
-        return 1.1 * raw_max, trace
 
     def value_and_grad(self, theta: np.ndarray):
         # One seed row at a time, so that no more than one (n, d) temporary is
@@ -259,25 +258,6 @@ def _logcosh(x: np.ndarray) -> np.ndarray:
     # log(cosh(x)) = |x| + log1p(exp(-2|x|)) - log(2), stable for large |x|
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
-def minibatch_gradient(problem, theta: np.ndarray, indices) -> np.ndarray:
-    """Arithmetic mean of the per-sample gradients at the given indices."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        raise ValueError("indices must be non-empty")
-    if np.any(indices < 0) or np.any(indices >= problem.n):
-        raise IndexError(f"sample index out of range [0, {problem.n})")
-    return problem.minibatch_gradient(np.asarray(theta, dtype=np.float64), indices)
-
-
-def full_gradient_norm_sq(problem, theta: np.ndarray) -> float:
-    """Exact ||grad f(theta)||^2 via the problem's closed form."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    _, g = problem.value_and_grad(theta)
-    return float(np.dot(g, g))
 
 
 class VarianceEstimate(NamedTuple):

@@ -31,7 +31,6 @@ __all__ = [
     "build_constant_bs_table",
     "build_increasing_bs_table",
     "check_alg",
-    "growth_constant",
     "admissible_lr_bound",
     "validate_admissible",
     "table_to_csv",
@@ -255,10 +254,22 @@ def _growth_constant_of(lam: np.ndarray) -> float:
     return max(1.0, float(np.max(nxt[ok] / prev[ok])))
 
 
-def growth_constant(table) -> float:
-    """Growth constant c of a table (or raw lr array): max(1, max_t lr[t+1]/lr[t])."""
-    lam = getattr(table, "lr", table)
-    return _growth_constant_of(lam)
+def _decaying_lr(lr: LrSchedule, T: int, epoch: np.ndarray | None, E: int | None) -> np.ndarray:
+    """Rate of a decaying kind at steps 0..T-1.
+
+    The cosine kinds walk the per-step epoch index ``epoch`` over E epochs,
+    from their peak rate (lambda_max, or lambda0 * gamma^warmup_phases for the
+    tail of warmup_cosine) down to lambda_min.
+    """
+    if lr.kind == "constant":
+        return np.full(T, float(lr.lambda_max))
+    t = np.arange(T, dtype=np.float64)
+    if lr.kind == "diminishing":
+        return lr.lambda_max / np.sqrt(t + 1.0)
+    if lr.kind == "polynomial":
+        return (lr.lambda_max - lr.lambda_min) * (1.0 - t / T) ** lr.p + lr.lambda_min
+    peak = lr.lambda_max if lr.kind == "cosine" else lr.lambda0 * lr.gamma ** int(lr.warmup_phases)
+    return lr.lambda_min + 0.5 * (peak - lr.lambda_min) * (1.0 + np.cos(epoch * math.pi / E))
 
 
 def build_constant_bs_table(
@@ -277,14 +288,8 @@ def build_constant_bs_table(
         raise ScheduleError(f"T must be >= 1, got {T}")
     if b < 1:
         raise ScheduleError(f"batch size must be >= 1, got {b}")
-    t = np.arange(T, dtype=np.float64)
-    if lr.kind == "constant":
-        lam = np.full(T, float(lr.lambda_max))
-    elif lr.kind == "diminishing":
-        lam = lr.lambda_max / np.sqrt(t + 1.0)
-    elif lr.kind == "polynomial":
-        lam = (lr.lambda_max - lr.lambda_min) * (1.0 - t / T) ** lr.p + lr.lambda_min
-    else:  # cosine
+    epoch, E = None, None
+    if lr.kind == "cosine":
         if dataset_size is None:
             raise ScheduleError("cosine kind needs dataset_size to fix the epoch length")
         K = math.ceil(dataset_size / b)
@@ -294,11 +299,8 @@ def build_constant_bs_table(
             )
         E = T // K
         epoch = np.floor_divide(np.arange(T), K).astype(np.float64)
-        lam = lr.lambda_min + 0.5 * (lr.lambda_max - lr.lambda_min) * (
-            1.0 + np.cos(epoch * math.pi / E)
-        )
     batch = np.full(T, int(b), dtype=np.int64)
-    return ScheduleTable(lr=lam, batch=batch, T=T)
+    return ScheduleTable(lr=_decaying_lr(lr, T, epoch, E), batch=batch, T=T)
 
 
 def build_increasing_bs_table(lr: LrSchedule, plan: PhasePlan) -> ScheduleTable:
@@ -327,25 +329,14 @@ def build_increasing_bs_table(lr: LrSchedule, plan: PhasePlan) -> ScheduleTable:
             )
         lam = lr.lambda0 * lr.gamma ** np.minimum(phase, Mw).astype(np.float64)
         if lr.kind == "warmup_cosine" and Mw < plan.M:
-            lambda_max = lr.lambda0 * lr.gamma**Mw
-            epoch = plan.step_epochs().astype(np.float64)
+            # the tail restarts the epoch count at the end of the warm-up
             e_warm = plan.warmup_epochs(Mw)
-            e_total = plan.total_epochs
             post = phase > Mw
-            arc = (epoch[post] - e_warm) * math.pi / (e_total - e_warm)
-            lam[post] = lr.lambda_min + 0.5 * (lambda_max - lr.lambda_min) * (1.0 + np.cos(arc))
-    elif lr.kind == "constant":
-        lam = np.full(T, float(lr.lambda_max))
-    elif lr.kind == "diminishing":
-        lam = lr.lambda_max / np.sqrt(np.arange(T, dtype=np.float64) + 1.0)
-    elif lr.kind == "polynomial":
-        t = np.arange(T, dtype=np.float64)
-        lam = (lr.lambda_max - lr.lambda_min) * (1.0 - t / T) ** lr.p + lr.lambda_min
-    else:  # cosine, epoch-wise across the whole plan
-        epoch = plan.step_epochs().astype(np.float64)
-        lam = lr.lambda_min + 0.5 * (lr.lambda_max - lr.lambda_min) * (
-            1.0 + np.cos(epoch * math.pi / plan.total_epochs)
-        )
+            epoch = plan.step_epochs().astype(np.float64)[post] - e_warm
+            lam[post] = _decaying_lr(lr, epoch.size, epoch, plan.total_epochs - e_warm)
+    else:  # a decaying kind; cosine walks the global epoch across the whole plan
+        epoch = plan.step_epochs().astype(np.float64) if lr.kind == "cosine" else None
+        lam = _decaying_lr(lr, T, epoch, plan.total_epochs)
     return ScheduleTable(lr=lam, batch=batch, T=T)
 
 

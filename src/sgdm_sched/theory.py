@@ -20,7 +20,6 @@ __all__ = [
     "TheoremConstants",
     "TheoryReport",
     "c_alg",
-    "lyapunov_coefficient",
     "lyapunov_coefficient_array",
     "lyapunov_value",
     "theorem1_rhs",
@@ -79,25 +78,12 @@ class TheoremConstants:
         return c_alg(self.alg, self.beta)
 
 
-def lyapunov_coefficient(eta_t: float, L: float, beta: float, *, strict: bool = True) -> float:
-    """Momentum-norm coefficient A_t = (eta - L(1-beta) eta^2) / (2(1-beta)).
-
-    Non-negative exactly for eta in [0, 1/(L(1-beta))]; with ``strict`` a
-    negative value (inadmissible eta) raises instead of being returned.
-    """
-    if eta_t < 0:
-        raise ValueError(f"eta must be >= 0, got {eta_t}")
-    A = (eta_t - L * (1.0 - beta) * eta_t * eta_t) / (2.0 * (1.0 - beta))
-    if strict and A < 0.0:
-        raise ValueError(
-            f"eta={eta_t:.6g} exceeds 1/(L(1-beta)) = {1.0 / (L * (1.0 - beta)):.6g}; "
-            "the Lyapunov coefficient would be negative"
-        )
-    return float(A)
-
-
 def lyapunov_coefficient_array(eta: np.ndarray, L: float, beta: float) -> np.ndarray:
-    """Vectorized A_t, no sign check (waived runs may be inadmissible)."""
+    """Momentum-norm coefficients A_t = (eta_t - L(1-beta) eta_t^2) / (2(1-beta)).
+
+    Non-negative exactly for eta_t in [0, 1/(L(1-beta))]; there is no sign
+    check, since waived runs may be inadmissible.
+    """
     eta = np.asarray(eta, dtype=np.float64)
     with np.errstate(over="ignore"):  # absurd waived rates may overflow; fine
         return (eta - L * (1.0 - beta) * eta * eta) / (2.0 * (1.0 - beta))

@@ -392,3 +392,19 @@ class TestRatefitCommand:
             paths.append(str(p))
         res = cli("ratefit", *paths)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("mode", ["loglog", "per-phase"])
+    def test_single_phase_reports_exit_two_without_warning(self, tmp_path, mode):
+        # M = 0 in every single-phase report; warnings are errors in the child
+        paths = []
+        for k in range(5):
+            p = tmp_path / f"r{k}.json"
+            p.write_text(json.dumps({
+                "totals": {"T": 100 * (k + 1), "M": 0, "samples": 800 * (k + 1)},
+                "empirical": {"min_mean_grad_norm": 1.0 / (k + 1)},
+            }))
+            paths.append(str(p))
+        res = cli("ratefit", *paths, "--x", "M", "--mode", mode,
+                  env_extra={"PYTHONWARNINGS": "error"})
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("ratefit error: x values must")

@@ -45,6 +45,19 @@ EVERY_FIELD = dict(
     alg="SHB", validation_mode="waived", record_every=2, budget=1e9,
 )
 
+# one schedule per regime for the log-cosh bound check (n = 32)
+LOGCOSH_SCHEDULES = {
+    "constant-bs": ScheduleSpec(regime="constant-bs", kind="cosine", lambda_max=0.1,
+                                batch=4, T=64),
+    "increasing-bs": ScheduleSpec(regime="increasing-bs", kind="diminishing", lambda_max=0.1,
+                                  b0=4, delta=2.0, epochs_per_phase=(2, 2, 2)),
+    "joint-growth": ScheduleSpec(regime="joint-growth", gamma=1.5, lambda0=0.02,
+                                 b0=4, delta=2.0, epochs_per_phase=(1, 1, 1)),
+    "warmup": ScheduleSpec(regime="warmup", kind="cosine", gamma=1.5, lambda0=0.02,
+                           lambda_min=0.001, warmup_phases=1, b0=4, delta=2.0,
+                           epochs_per_phase=(1, 2, 1)),
+}
+
 # First 16 hex digits of the SHA-256 of each artifact file.  Reruns and other
 # versions must write the same bytes, so a change here must be deliberate.
 PINNED_ARTIFACTS = {
@@ -62,7 +75,7 @@ PINNED_ARTIFACTS = {
     },
     "every-field": {
         "aggregate.csv": "16e7e550d8596644",
-        "report.json": "d05a22cea85a90ed",
+        "report.json": "973fe4383d62e4a4",
         "trace_0.csv": "ecf7b540a40a31ef",
         "trace_1.csv": "d321c37a0dcdc0d4",
         "trace_2.csv": "4585e27625790da9",
@@ -231,6 +244,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="distinct"):
             small_config(seeds=(1, 1, 2))
 
+    @pytest.mark.parametrize("alg", ["nshb", "shb"])
+    @pytest.mark.parametrize("regime", sorted(LOGCOSH_SCHEDULES))
+    def test_logcosh_unified_bound_dominance(self, regime, alg):
+        # the first bound check on a non-quadratic problem: sigma_sq is the
+        # proven log-cosh certificate, and the report carries its terms
+        cfg = small_config(
+            problem=ProblemSpec(family="logcosh", d=4, n=32, spread=1.5, seed=4),
+            alg=alg, beta=0.5, schedule=LOGCOSH_SCHEDULES[regime], seeds=tuple(range(16)),
+        )
+        report = run_experiment(cfg)
+        assert report.checks["theorem1_sq"]["pass"]
+        assert report.checks["theorem1_norm"]["pass"]
+        constants = report.to_dict()["problem_constants"]
+        cert = constants["sigma_certificate"]
+        assert constants["sigma_sq"] == (
+            cert["grid_max"] + cert["curvature_slack"] + cert["rounding_margin"])
+
     def test_noise_free_mean_decreases_and_bound_holds(self):
         # beta = 0 reduces to exact gradient descent (with momentum the
         # gradient norm may overshoot even without noise)
@@ -309,3 +339,18 @@ class TestRateFit:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             rate_fit([1, 2, 3, 4], [1.0, 0.5, -0.3, 0.1])
+
+    def test_rejects_nonpositive_x_without_warning(self):
+        # checked before the log is taken: the suite turns warnings into errors
+        with pytest.raises(ValueError, match="x values must be positive"):
+            rate_fit([0, 1, 2, 3], [1.0, 0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match="not all be equal"):
+            rate_fit([0, 0, 0, 0], [1.0, 0.5, 0.3, 0.2], mode="per-phase")
+
+    def test_interval_uses_student_t(self, rng):
+        stats = pytest.importorskip("scipy.stats")
+        for n in range(4, 80):
+            x = np.arange(1.0, n + 1)
+            fit = rate_fit(x, np.exp(-0.3 * x + rng.normal(0, 0.1, size=n)), mode="per-phase")
+            t = (fit.ci_high - fit.ci_low) / (2 * fit.stderr)
+            assert t == pytest.approx(stats.t.ppf(0.975, n - 2), abs=5e-4), n

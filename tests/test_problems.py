@@ -10,8 +10,6 @@ from sgdm_sched.problems import (
     LogCoshProblem,
     QuadraticMeanProblem,
     empirical_minibatch_variance,
-    full_gradient_norm_sq,
-    minibatch_gradient,
 )
 
 
@@ -23,6 +21,11 @@ def _fd_gradient(fun, theta, h=1e-5):
         e[j] = h
         g[j] = (fun(theta + e) - fun(theta - e)) / (2 * h)
     return g
+
+
+def _grad_norm_sq(prob, theta):
+    g = prob.value_and_grad(theta)[1]
+    return float(np.dot(g, g))
 
 
 def _per_sample_gradients(prob, theta):
@@ -46,29 +49,27 @@ class TestQuadraticClosedForms:
         assert prob.value_and_grad(np.array([1.0]))[0] == pytest.approx(prob.f_star)
 
     def test_gradient_at_minimizer_is_zero(self, two_anchor_problem):
-        assert full_gradient_norm_sq(two_anchor_problem, np.array([1.0])) == 0.0
+        assert _grad_norm_sq(two_anchor_problem, np.array([1.0])) == 0.0
 
     def test_grad_norm_sq_off_minimizer(self, two_anchor_problem):
         # grad f(0) = 0 - 1, squared norm 1
-        assert full_gradient_norm_sq(two_anchor_problem, np.array([0.0])) == pytest.approx(1.0)
+        assert _grad_norm_sq(two_anchor_problem, np.array([0.0])) == pytest.approx(1.0)
 
     def test_single_sample_gradient(self, two_anchor_problem):
-        g = minibatch_gradient(two_anchor_problem, np.array([1.0]), [0])
+        g = two_anchor_problem.minibatch_gradient(np.array([1.0]), np.array([0]))
         assert g == pytest.approx([1.0])  # theta - a_0 = 1 - 0
 
     def test_two_sample_average(self, two_anchor_problem):
-        g = minibatch_gradient(two_anchor_problem, np.array([1.0]), [0, 1])
+        g = two_anchor_problem.minibatch_gradient(np.array([1.0]), np.array([0, 1]))
         assert g == pytest.approx([0.0])  # ((1-0) + (1-2)) / 2
 
     def test_full_batch_at_minimizer(self, two_anchor_problem):
-        g = minibatch_gradient(two_anchor_problem, np.array([1.0]), [0, 1])
+        g = two_anchor_problem.minibatch_gradient(np.array([1.0]), np.array([0, 1]))
         np.testing.assert_array_equal(g, [0.0])
 
     def test_index_out_of_range(self, two_anchor_problem):
         with pytest.raises(IndexError):
-            minibatch_gradient(two_anchor_problem, np.array([1.0]), [2])
-        with pytest.raises(ValueError):
-            minibatch_gradient(two_anchor_problem, np.array([1.0]), [])
+            two_anchor_problem.minibatch_gradient(np.array([1.0]), np.array([2]))
 
     def test_sigma_dialing_is_tight(self):
         for target in (0.25, 1.0, 7.5):
@@ -166,11 +167,11 @@ class TestLogCosh:
     def test_common_anchor_is_stationary(self):
         anchor = np.array([0.3, -1.2, 0.8])
         prob = LogCoshProblem(np.tile(anchor, (6, 1)))
-        assert full_gradient_norm_sq(prob, anchor) == 0.0
+        assert _grad_norm_sq(prob, anchor) == 0.0
 
     def test_certified_sigma_covers_fresh_points(self, rng):
-        # separable per-coordinate maximization plus 10% inflation must
-        # dominate the variance at arbitrary points inside the box
+        # the proven bound must dominate the variance at arbitrary points
+        # inside the box
         prob = LogCoshProblem.generate(3, 32, spread=2.0, scale=0.6, seed=11, box_radius=4.0)
         for _ in range(1000):
             theta = rng.uniform(-4.0, 4.0, size=3)
@@ -180,11 +181,56 @@ class TestLogCosh:
             assert v <= prob.sigma_sq
 
     def test_search_trace_persisted(self):
-        prob = LogCoshProblem.generate(3, 8, seed=0)
-        trace = prob.sigma_search
-        assert trace["inflation"] == 1.1
-        assert trace["raw_max"] * 1.1 == pytest.approx(prob.sigma_sq)
-        assert trace["per_coordinate_max"].shape == (3,)
+        # the certificate's terms add up to sigma_sq and follow their formulas
+        prob = LogCoshProblem.generate(3, 8, scale=0.7, amp=1.3, seed=0)
+        s = prob.sigma_search
+        assert prob.sigma_sq == s["grid_max"] + s["curvature_slack"] + s["rounding_margin"]
+        assert (s["box_radius"], s["grid_points_per_coord"]) == (6.0, 2048)
+        M = (2 + 8 / (3 * math.sqrt(3))) * 1.3**2 / 0.7**4
+        assert s["curvature_bound"] == pytest.approx(M, rel=1e-14)
+        assert s["grid_spacing"] == pytest.approx(12.0 / 2047, rel=1e-12)
+        assert s["curvature_slack"] == pytest.approx(3 * M * s["grid_spacing"] ** 2 / 8, rel=1e-14)
+        margin = 3 * 4 * (8 + 4) * np.finfo(np.float64).eps * (1.3 / 0.7) ** 2
+        assert s["rounding_margin"] == pytest.approx(margin, rel=1e-14)
+
+    def test_variance_curvature_is_bounded(self, rng):
+        # central second differences of one coordinate's variance term
+        # v(x) = mean(g^2) - mean(g)^2 stay within the certificate's |v''| <= M
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            scale, amp = rng.uniform(0.3, 2.0), rng.uniform(0.3, 3.0)
+            anchors = rng.normal(0.0, rng.uniform(0.1, 4.0), size=n)
+            M = LogCoshProblem(anchors[:, None], scale=scale, amp=amp).sigma_search[
+                "curvature_bound"]
+
+            def v(x):
+                g = amp / scale * np.tanh((x[:, None] - anchors) / scale)
+                return (g * g).mean(axis=1) - g.mean(axis=1) ** 2
+
+            x, h = rng.uniform(-6.0, 6.0, size=20), 1e-3 * scale
+            fd = (v(x + h) - 2 * v(x) + v(x - h)) / h**2
+            assert np.all(np.abs(fd) <= M)
+
+    def test_certified_sigma_against_refined_maximum(self):
+        # the per-coordinate maxima on 2^16 points per coordinate lie below
+        # the certified value, and it exceeds them by no more than its slack
+        prob = LogCoshProblem.generate(4, 64, spread=2.0, scale=0.6, amp=1.5, seed=11,
+                                       box_radius=4.0)
+        s = prob.sigma_search
+        fine = np.linspace(-4.0, 4.0, 2**16)
+        refined = 0.0
+        for j in range(prob.d):
+            g = 1.5 / 0.6 * np.tanh((fine[:, None] - prob.anchors[:, j]) / 0.6)
+            refined += float(((g * g).mean(axis=1) - g.mean(axis=1) ** 2).max())
+        assert refined <= prob.sigma_sq
+        # the fine grid's own cell slack is (2047/65535)^2 < 0.001 of the coarse one
+        assert prob.sigma_sq <= refined + 1.001 * s["curvature_slack"] + 3 * s["rounding_margin"]
+
+    def test_certified_sigma_is_tight_on_the_benchmark_problem(self):
+        # the per-coordinate maxima on 2^16 points add up to 7.8908366, and a
+        # branch-and-bound search over the same proof reaches 7.8915
+        prob = LogCoshProblem.generate(20, 1024, seed=3)
+        assert 7.890836 <= prob.sigma_sq <= 7.8915
 
     def test_box_check(self):
         prob = LogCoshProblem.generate(2, 4, seed=0, box_radius=1.5)

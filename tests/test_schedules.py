@@ -1,5 +1,6 @@
 """Schedule construction, phase bookkeeping, growth constant, admissibility."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from sgdm_sched.schedules import (
     admissible_lr_bound,
     build_constant_bs_table,
     build_increasing_bs_table,
-    growth_constant,
     table_from_csv,
     table_to_csv,
     validate_admissible,
@@ -170,24 +170,24 @@ class TestIncreasingBatchTables:
 class TestGrowthConstant:
     def test_constant_is_one(self):
         table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=1, T=10)
-        assert growth_constant(table) == 1.0
+        assert table.growth_constant_c == 1.0
 
     def test_diminishing_clamped_at_one(self):
         table = build_constant_bs_table(LrSchedule("diminishing", lambda_max=1.0), b=1, T=50)
-        assert growth_constant(table) == 1.0
+        assert table.growth_constant_c == 1.0
 
     def test_exp_growth_equals_gamma(self):
         plan = PhasePlan(b0=4, delta=2.0, epochs_per_phase=(1, 1, 1), dataset_size=16)
         table = build_increasing_bs_table(LrSchedule("exp_growth", gamma=1.5, lambda0=0.1), plan)
-        assert growth_constant(table) == pytest.approx(1.5, rel=1e-12)
         assert table.growth_constant_c == pytest.approx(1.5, rel=1e-12)
 
     def test_zero_before_positive_rejected(self):
         with pytest.raises(ScheduleError, match="undefined"):
-            schedules.growth_constant(np.array([0.0, 1.0]))
+            schedules.ScheduleTable(lr=np.array([0.0, 1.0]), batch=np.ones(2), T=2)
 
     def test_trailing_zeros_ok(self):
-        assert schedules.growth_constant(np.array([1.0, 0.5, 0.0, 0.0])) == 1.0
+        table = schedules.ScheduleTable(lr=np.array([1.0, 0.5, 0.0, 0.0]), batch=np.ones(4), T=4)
+        assert table.growth_constant_c == 1.0
 
 
 class TestAdmissibility:
@@ -286,6 +286,36 @@ class TestCsvRoundTrip:
     def test_header_checked(self):
         with pytest.raises(ScheduleError):
             table_from_csv("a,b,c\n0,1,1\n")
+
+    # First 16 hex digits of the SHA-256 of table_to_csv for every kind
+    # through each builder; a change here must be deliberate.
+    @pytest.mark.parametrize("builder, kind, lr_args, expected", [
+        ("constant-bs", "constant", {}, "bc1492750d86caf3"),
+        ("constant-bs", "diminishing", {}, "632d2935f4d17bec"),
+        ("constant-bs", "cosine", {}, "0c9e2c364e255d24"),
+        ("constant-bs", "polynomial", {}, "4da6318f21588012"),
+        ("increasing-bs", "constant", {}, "99ff5dc42ee5153b"),
+        ("increasing-bs", "diminishing", {}, "c8029da03929c82e"),
+        ("increasing-bs", "cosine", {}, "811e841779edb084"),
+        ("increasing-bs", "polynomial", {}, "b2e10960952328e3"),
+        ("increasing-bs", "exp_growth", {}, "eccb65751b59f38a"),
+        ("increasing-bs", "warmup_constant", {"warmup_phases": 1}, "43a48ca5427519bb"),
+        ("increasing-bs", "warmup_cosine", {"warmup_phases": 0}, "03b043da791c302b"),
+        ("increasing-bs", "warmup_cosine", {"warmup_phases": 1}, "7fe9f9c113e8b7c2"),
+        ("increasing-bs", "warmup_cosine", {"warmup_phases": 2}, "eccb65751b59f38a"),
+    ])
+    def test_table_bytes_are_pinned(self, builder, kind, lr_args, expected):
+        if kind in schedules.DECAYING_KINDS:
+            lr = LrSchedule(kind, lambda_max=0.37, lambda_min=0.013, p=1.7)
+        else:
+            lr = LrSchedule(kind, gamma=1.3, lambda0=0.02, lambda_min=0.001, **lr_args)
+        if builder == "constant-bs":
+            table = build_constant_bs_table(lr, b=4, T=24, dataset_size=16)
+        else:
+            plan = PhasePlan(b0=3, delta=1.7, epochs_per_phase=(2, 1, 3), dataset_size=20)
+            table = build_increasing_bs_table(lr, plan)
+        digest = hashlib.sha256(table_to_csv(table).encode()).hexdigest()[:16]
+        assert digest == expected
 
 
 class TestTableImmutability:

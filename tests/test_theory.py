@@ -13,7 +13,7 @@ from sgdm_sched.theory import (
     TheoremConstants,
     corollary_bounds,
     descent_inequality_rhs,
-    lyapunov_coefficient,
+    lyapunov_coefficient_array,
     lyapunov_value,
     theorem1_rhs,
 )
@@ -31,29 +31,32 @@ def exact_terms(table):
     return 1.0 / s, math.fsum(l / float(b) for l, b in zip(lam, table.batch)) / s
 
 
+def coefficient(eta, L, beta):
+    """A_t of one step size, through the array form."""
+    return float(lyapunov_coefficient_array(np.array([eta]), L, beta)[0])
+
+
 class TestLyapunovCoefficient:
     def test_zero_step_size(self):
-        assert lyapunov_coefficient(0.0, L=3.0, beta=0.5) == 0.0
+        assert coefficient(0.0, L=3.0, beta=0.5) == 0.0
 
     def test_boundary_root(self):
         L, beta = 2.0, 0.5
         eta = 1.0 / (L * (1 - beta))
-        assert lyapunov_coefficient(eta, L, beta) == pytest.approx(0.0, abs=1e-18)
+        assert coefficient(eta, L, beta) == pytest.approx(0.0, abs=1e-18)
 
     def test_interior_value(self):
         # (0.5 - 1*0.5*0.25) / (2*0.5) = 0.375
-        assert lyapunov_coefficient(0.5, L=1.0, beta=0.5) == pytest.approx(0.375)
+        assert coefficient(0.5, L=1.0, beta=0.5) == pytest.approx(0.375)
 
     def test_nonnegative_across_admissible_range(self):
         L, beta = 2.5, 0.7
-        for eta in np.linspace(0.0, 1.0 / (L * (1 - beta)), 200):
-            assert lyapunov_coefficient(float(eta), L, beta) >= 0.0
+        eta = np.linspace(0.0, 1.0 / (L * (1 - beta)), 200)
+        assert np.all(lyapunov_coefficient_array(eta, L, beta) >= 0.0)
 
-    def test_strict_rejects_oversized_eta(self):
-        with pytest.raises(ValueError, match="negative"):
-            lyapunov_coefficient(2.1, L=1.0, beta=0.5)  # bound is 2.0
-        # non-strict evaluation returns the (negative) raw value
-        assert lyapunov_coefficient(2.1, L=1.0, beta=0.5, strict=False) < 0.0
+    def test_negative_beyond_root(self):
+        # no sign check: a waived run past 1/(L(1-beta)) = 2.0 gets a negative A_t
+        assert coefficient(2.1, L=1.0, beta=0.5) < 0.0
 
 
 class TestLyapunovValue:
