@@ -171,26 +171,25 @@ def cmd_run(args) -> int:
     return EXIT_OK if not failed else EXIT_BOUND_FAIL
 
 
-def _schedule_spec_from_flags(args, regime: str | None = None) -> harness.ScheduleSpec:
-    """Map CLI flags to a ScheduleSpec; `regime` comes from --regime for
-    `bounds` (cor3.x names) or is inferred from flags for `schedule`."""
-    kind = args.kind
+def _schedule_spec_from_flags(args, kind: str) -> harness.ScheduleSpec:
+    """Map the schedule flags and a rate kind to a ScheduleSpec.
+
+    The regime is inferred: without --b0 the batch is constant; with it the
+    kind picks joint-growth (exp_growth), warmup (warmup_*) or increasing-bs.
+    """
     if args.dataset_size is None and (args.b0 is not None or kind.endswith("cosine")):
         raise ConfigError(
             "--dataset-size is required for phase plans and cosine kinds "
             "(it fixes the steps-per-epoch bookkeeping)"
         )
-    if regime is None:
-        if args.b0 is not None:
-            if kind == "exp_growth":
-                regime = "joint-growth"
-            elif kind in ("warmup_constant", "warmup_cosine"):
-                regime = "warmup"
-                kind = kind.removeprefix("warmup_")
-            else:
-                regime = "increasing-bs"
-        else:
-            regime = "constant-bs"
+    if args.b0 is None:
+        regime = "constant-bs"
+    elif kind == "exp_growth":
+        regime = "joint-growth"
+    elif kind.startswith("warmup_"):
+        regime, kind = "warmup", kind.removeprefix("warmup_")
+    else:
+        regime = "increasing-bs"
     lambda_max = args.lr if args.lr is not None else args.lr_max
     return harness.ScheduleSpec(
         regime=regime,
@@ -212,30 +211,19 @@ def _schedule_spec_from_flags(args, regime: str | None = None) -> harness.Schedu
     )
 
 
-_BOUNDS_REGIME_TO_SPEC = {
-    "cor3.1": "constant-bs",
-    "cor3.2": "increasing-bs",
-    "cor3.3": "joint-growth",
-    "cor3.4": "warmup",
-}
-
-
 def cmd_bounds(args) -> int:
     try:
-        prefix = args.regime.split("-")[0]
-        if prefix not in _BOUNDS_REGIME_TO_SPEC:
+        if args.regime not in theory.REGIMES:
             raise ConfigError(f"unknown regime {args.regime!r}; expected one of {theory.REGIMES}")
-        spec_regime = _BOUNDS_REGIME_TO_SPEC[prefix]
-        kind = args.regime[len(prefix) + 1 :] if "-" in args.regime else args.kind
-        if spec_regime == "joint-growth":
-            kind = "exp_growth"
-        ns = argparse.Namespace(**vars(args))
-        ns.kind = kind
-        spec = _schedule_spec_from_flags(ns, regime=spec_regime)
-        n_for_epochs = args.dataset_size if args.dataset_size is not None else (
-            args.batch if spec_regime == "constant-bs" and args.batch else 1
-        )
-        table, _, regime, regime_params = spec.build(n_for_epochs)
+        # the corollary fixes the rate kind; the flags then infer the regime
+        # exactly as `schedule` does, and must land on the corollary asked for
+        prefix, _, kind = args.regime.partition("-")
+        kind = {"cor3.3": "exp_growth", "cor3.4": f"warmup_{kind}"}.get(prefix, kind)
+        table, regime, symbols = _schedule_spec_from_flags(args, kind).build(args.dataset_size)
+        if regime != args.regime:
+            raise ConfigError(
+                f"regime {args.regime!r} is inconsistent with the schedule flags (built {regime!r})"
+            )
         constants = theory.TheoremConstants(
             L=args.L,
             beta=args.beta,
@@ -244,11 +232,7 @@ def cmd_bounds(args) -> int:
             sigma_sq=args.sigma_sq,
             alg=args.alg,
         )
-        if regime != args.regime:
-            raise ConfigError(
-                f"regime {args.regime!r} is inconsistent with the schedule flags (built {regime!r})"
-            )
-        report = theory.build_report(constants, table, regime, regime_params)
+        report = theory.build_report(constants, table, regime, symbols)
     except (ConfigError, schedules.ScheduleError, ValueError) as exc:
         print(f"flag error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -258,9 +242,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_schedule(args) -> int:
     try:
-        spec = _schedule_spec_from_flags(args)
-        n_default = args.dataset_size if args.dataset_size is not None else (args.batch or 1)
-        table, _, _, _ = spec.build(n_default)
+        table = _schedule_spec_from_flags(args, args.kind).build(args.dataset_size)[0]
     except (ConfigError, schedules.ScheduleError, ValueError) as exc:
         print(f"flag error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

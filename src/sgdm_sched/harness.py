@@ -122,89 +122,59 @@ class ScheduleSpec:
                 self, "epochs_per_phase", tuple(int(e) for e in self.epochs_per_phase)
             )
 
-    def _plan(self, problem_n: int) -> schedules.PhasePlan:
-        if self.b0 is None or self.delta is None or self.epochs_per_phase is None:
-            raise ValueError(f"regime {self.regime!r} needs b0, delta and epochs_per_phase")
-        return schedules.PhasePlan(
-            b0=self.b0,
-            delta=self.delta,
-            epochs_per_phase=self.epochs_per_phase,
-            dataset_size=self.dataset_size if self.dataset_size is not None else problem_n,
-        )
+    def build(self, problem_n: int | None):
+        """Materialize (table, corollary regime, the corollary's symbols).
 
-    def build(self, problem_n: int):
-        """Materialize (table, plan-or-None, theory regime, regime params)."""
+        The regime picks the rate kind once: exp_growth for joint-growth,
+        warmup_<kind> for warmup.  The symbols are read off the built table,
+        its rate schedule and, for the phase regimes, its PhasePlan; M_w and
+        T_w exist for the warm-up regime only.
+        """
+        kind = {"joint-growth": "exp_growth", "warmup": f"warmup_{self.kind}"}.get(
+            self.regime, self.kind
+        )
+        if (kind in schedules.GROWTH_KINDS) != (self.regime in ("joint-growth", "warmup")):
+            raise ValueError(f"regime {self.regime!r} does not take kind {self.kind!r}")
+        lr = schedules.LrSchedule(
+            kind=kind,
+            lambda_max=self.lambda_max,
+            lambda_min=self.lambda_min,
+            p=self.p,
+            gamma=self.gamma,
+            lambda0=self.lambda0,
+            warmup_phases=self.warmup_phases,
+        )
+        n = self.dataset_size if self.dataset_size is not None else problem_n
+        decaying = ("lambda_max", "lambda_min", "p")
         if self.regime == "constant-bs":
             if self.batch is None or self.T is None:
                 raise ValueError("constant-bs regime needs batch and T")
-            lr = schedules.LrSchedule(
-                kind=self.kind,
-                lambda_max=self.lambda_max,
-                lambda_min=self.lambda_min,
-                p=self.p,
-            )
-            table = schedules.build_constant_bs_table(
-                lr,
-                self.batch,
-                self.T,
-                dataset_size=self.dataset_size if self.dataset_size is not None else problem_n,
-            )
-            regime = f"cor3.1-{self.kind}"
-            params = {
-                "lambda_max": self.lambda_max,
-                "lambda_min": self.lambda_min,
-                "p": self.p,
-                "T": table.T,
-                "batch": self.batch,
-            }
-            return table, None, regime, params
+            table = schedules.build_constant_bs_table(lr, self.batch, self.T, dataset_size=n)
+            symbols = {name: getattr(lr, name) for name in decaying}
+            return table, f"cor3.1-{self.kind}", symbols | {"T": table.T, "batch": self.batch}
 
-        plan = self._plan(problem_n)
-        params = {
+        if self.b0 is None or self.delta is None or self.epochs_per_phase is None:
+            raise ValueError(f"regime {self.regime!r} needs b0, delta and epochs_per_phase")
+        plan = schedules.PhasePlan(self.b0, self.delta, self.epochs_per_phase, n)
+        table = schedules.build_increasing_bs_table(lr, plan)
+        regime, names = {
+            "increasing-bs": (f"cor3.2-{self.kind}", decaying),
+            "joint-growth": ("cor3.3", ("gamma", "lambda0")),
+            "warmup": (f"cor3.4-{self.kind}", ("gamma", "lambda0", "lambda_min")),
+        }[self.regime]
+        symbols = {name: getattr(lr, name) for name in names} | {
             "delta": plan.delta,
             "b0": plan.b0,
             "K_max": max(plan.steps_per_epoch_all),
             "K_min": min(plan.steps_per_epoch_all),
             "E_max": max(plan.epochs_per_phase),
             "E_min": min(plan.epochs_per_phase),
-            "T": plan.total_steps,
+            "T": table.T,
             "M": plan.M,
         }
-        if self.regime == "increasing-bs":
-            lr = schedules.LrSchedule(
-                kind=self.kind,
-                lambda_max=self.lambda_max,
-                lambda_min=self.lambda_min,
-                p=self.p,
-            )
-            regime = f"cor3.2-{self.kind}"
-            params.update(
-                lambda_max=self.lambda_max, lambda_min=self.lambda_min, p=self.p
-            )
-        elif self.regime == "joint-growth":
-            lr = schedules.LrSchedule(kind="exp_growth", gamma=self.gamma, lambda0=self.lambda0)
-            regime = "cor3.3"
-            params.update(gamma=self.gamma, lambda0=self.lambda0)
-        else:  # warmup
-            if self.kind not in ("constant", "cosine"):
-                raise ValueError("warmup regime needs kind 'constant' or 'cosine'")
-            lr = schedules.LrSchedule(
-                kind=f"warmup_{self.kind}",
-                gamma=self.gamma,
-                lambda0=self.lambda0,
-                warmup_phases=self.warmup_phases,
-                lambda_min=self.lambda_min,
-            )
-            regime = f"cor3.4-{self.kind}"
-            params.update(
-                gamma=self.gamma,
-                lambda0=self.lambda0,
-                lambda_min=self.lambda_min,
-                M_w=self.warmup_phases,
-                T_w=plan.warmup_steps(self.warmup_phases),
-            )
-        table = schedules.build_increasing_bs_table(lr, plan)
-        return table, plan, regime, params
+        if self.regime == "warmup":
+            symbols.update(M_w=lr.warmup_phases, T_w=plan.warmup_steps(lr.warmup_phases))
+        return table, regime, symbols
 
 
 @dataclass(frozen=True)
@@ -342,7 +312,6 @@ def _estimate_work(table: schedules.ScheduleTable, n_seeds: int, d: int) -> floa
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
-    record_theta: bool = False,
 ) -> AggregateReport:
     """Run every master seed, aggregate, evaluate theory, write artifacts.
 
@@ -358,7 +327,7 @@ def run_experiment(
     step, in the same order.
     """
     problem = config.problem.build()
-    table, plan, regime, regime_params = config.schedule.build(problem.n)
+    table, regime, symbols = config.schedule.build(problem.n)
     waived = config.validation_mode == "waived"
 
     admissibility = None
@@ -398,23 +367,18 @@ def run_experiment(
             theta0=theta0,
             record_every=config.record_every,
             waive_admissibility=True,  # validated once above
-            record_theta=record_theta,
         )
     except optim.NumericalDivergence as exc:
         # waived mode waives the admissibility check, not divergence
         raise ExperimentDivergence(exc.trace.seed, exc.step_index) from exc
 
-    report = _aggregate(
-        config, problem, table, plan, regime, regime_params, traces, admissibility, f0_gap
-    )
+    report = _aggregate(config, problem, table, regime, symbols, traces, admissibility, f0_gap)
     if out_dir is not None:
         write_artifacts(report, Path(out_dir))
     return report
 
 
-def _aggregate(
-    config, problem, table, plan, regime, regime_params, traces, admissibility, f0_gap
-):
+def _aggregate(config, problem, table, regime, symbols, traces, admissibility, f0_gap):
     t_axis = traces[0].t
     gns = np.stack([tr.grad_norm_sq for tr in traces])
     f_vals = np.stack([tr.f for tr in traces])
@@ -442,7 +406,7 @@ def _aggregate(
         sigma_sq=problem.sigma_sq,
         alg=config.alg,
     )
-    theory_report = theory.build_report(constants, table, regime, regime_params)
+    theory_report = theory.build_report(constants, table, regime, symbols)
 
     stat_sq = float(mean_sq[i_min] + 3.0 * stderr_sq[i_min])
     stat_norm = float(mean_norm[i_min_norm] + 3.0 * stderr_norm[i_min_norm])
@@ -492,10 +456,8 @@ def _aggregate(
         checks=checks,
         total_steps=table.T,
         total_samples=int(table.batch.sum()),
-        M=plan.M if plan is not None else None,
-        T_w=plan.warmup_steps(config.schedule.warmup_phases)
-        if plan is not None and config.schedule.warmup_phases is not None
-        else None,
+        M=symbols.get("M"),
+        T_w=symbols.get("T_w"),
         sigma_certificate=getattr(problem, "sigma_search", None),
         traces=traces,
     )
@@ -510,13 +472,11 @@ def write_artifacts(report: AggregateReport, out_root: Path) -> Path:
     """
     exp_dir = Path(out_root) / report.config_hash
     exp_dir.mkdir(parents=True, exist_ok=True)
-    # the traces of one run share their t, lr and batch columns, so their
-    # text is formatted once and reused for every trace that carries them
-    shared, lead = None, None
+    # every trace of one run carries the same t, lr and batch arrays, so
+    # their text is formatted once
+    first = report.traces[0]
+    lead = csv_rows((first.t, first.lr, first.batch))
     for tr in report.traces:
-        cols = (tr.t, tr.lr, tr.batch)
-        if shared is None or not all(map(np.array_equal, cols, shared)):
-            shared, lead = cols, csv_rows(cols)
         text = csv_text(
             "t,lr,batch,f,grad_norm_sq,lyapunov", (tr.f, tr.grad_norm_sq, tr.lyapunov), lead
         )

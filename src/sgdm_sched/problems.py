@@ -201,10 +201,16 @@ class LogCoshProblem:
         R = self.box_radius
         c = self.amp / self.scale
         grid = np.linspace(-R, R, SIGMA_GRID_POINTS)
+        # blocks of grid points hold about 2^18 values (2 MB), whatever n is;
+        # each point's value is computed exactly as over the whole grid
+        block = max(1, 2**18 // self.n)
         per_coord_max = np.empty(self.d)
+        v_j = np.empty(SIGMA_GRID_POINTS)
         for j in range(self.d):
-            g = c * np.tanh((grid[:, None] - self.anchors[None, :, j]) / self.scale)
-            v_j = np.einsum("pi,pi->p", g, g) / self.n - g.mean(axis=1) ** 2
+            a_j = self.anchors[None, :, j]
+            for lo in range(0, SIGMA_GRID_POINTS, block):
+                g = c * np.tanh((grid[lo : lo + block, None] - a_j) / self.scale)
+                v_j[lo : lo + block] = np.einsum("pi,pi->p", g, g) / self.n - g.mean(axis=1) ** 2
             per_coord_max[j] = v_j.max()
         M = (2.0 + 8.0 / (3.0 * math.sqrt(3.0))) * c * c / self.scale**2
         h = float(np.diff(grid).max())

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, output formats, env overrides."""
 
+import hashlib
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from sgdm_sched import cli as sgdm_cli
-from sgdm_sched import optim, problems, schedules
+from sgdm_sched import optim, problems, schedules, theory
 
 BASE_CONFIG = """\
 [problem]
@@ -36,6 +37,34 @@ T = 40
 seeds = 8
 record_every = 1
 validation_mode = strict
+"""
+
+
+def with_schedule(config, schedule):
+    """``config`` with its [schedule] section replaced by ``schedule``."""
+    head, rest = config.split("[schedule]\n")
+    return head + "[schedule]\n" + schedule + "\n[harness]\n" + rest.split("[harness]\n")[1]
+
+
+INCREASING_SCHEDULE = """\
+regime = increasing-bs
+kind = constant
+lambda_max = 0.05
+b0 = 4
+delta = 2
+epochs_per_phase = 1,1,1
+"""
+
+# warm-up through phase 3 of a plan whose last phase index is M = 2
+WARMUP_SCHEDULE = """\
+regime = warmup
+kind = constant
+gamma = 1.1
+lambda0 = 0.01
+warmup_phases = 3
+b0 = 4
+delta = 2
+epochs_per_phase = 1,1,1
 """
 
 
@@ -246,6 +275,24 @@ class TestRunCommand:
         assert len(exp_dirs) == 1
         assert len(list(exp_dirs[0].glob("trace_*.csv"))) == 4
 
+    def test_warmup_phases_beyond_last_phase_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_schedule(BASE_CONFIG, WARMUP_SCHEDULE))
+        assert sgdm_cli.main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "warmup_phases=3 exceeds" in err
+
+    @pytest.mark.parametrize("warmup_phases", [1, 5])
+    def test_stray_warmup_phases_is_ignored_outside_warmup(self, tmp_path, warmup_phases):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_schedule(BASE_CONFIG, INCREASING_SCHEDULE
+                                     + f"warmup_phases = {warmup_phases}\n"))
+        out = tmp_path / "runs"
+        assert sgdm_cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        (report,) = out.glob("*/report.json")
+        totals = json.loads(report.read_text())["totals"]
+        assert totals["M"] == 2 and totals["T_w"] is None
+
 
 class TestScheduleCommand:
     def test_cosine_fifteen_rows(self):
@@ -319,6 +366,69 @@ class TestBoundsCommand:
         res = cli("bounds", "--regime", "cor3.1-constant", "--sigma-sq", "1",
                   "--f0-gap", "1", "--beta", "0", "--alg", "nshb", "--L", "1")
         assert res.returncode == 2
+
+
+THEORY_FLAGS = ("--alg", "nshb", "--beta", "0.5", "--L", "2", "--sigma-sq", "1.5", "--f0-gap", "3")
+PHASE_FLAGS = ("--b0", "8", "--delta", "2", "--epochs-per-phase", "1,2,1", "--dataset-size", "64")
+GROWTH_FLAGS = ("--gamma", "1.5", "--lr0", "0.02", "--b0", "8", "--delta", "2",
+                "--epochs-per-phase", "1,1,2", "--dataset-size", "64")
+SMALL_GROWTH_FLAGS = ("--gamma", "1.5", "--lr0", "0.02", "--b0", "4", "--delta", "2",
+                      "--dataset-size", "16")
+
+
+def bounds_argv(regime, *flags):
+    return ["bounds", "--regime", regime, *flags, *THEORY_FLAGS]
+
+
+# SHA-256 prefixes of the stdout of `bounds` for every corollary regime and of
+# `schedule` for one kind per table-builder branch
+@pytest.mark.parametrize("argv, digest", [
+    (bounds_argv("cor3.1-constant", "--lr", "0.1", "--batch", "10", "--T", "100"),
+     "0cddb6fb74e513a4"),
+    (bounds_argv("cor3.1-diminishing", "--lr-max", "0.2", "--batch", "4", "--T", "50"),
+     "c6cd20270fdc521e"),
+    (bounds_argv("cor3.1-cosine", "--lr-max", "0.2", "--lr-min", "0.01", "--batch", "4",
+                 "--T", "40", "--dataset-size", "32"), "ffbee7b0dc28e7ea"),
+    (bounds_argv("cor3.1-polynomial", "--lr-max", "0.2", "--lr-min", "0.01", "--p", "2",
+                 "--batch", "4", "--T", "50"), "523bddb8c0f88392"),
+    (bounds_argv("cor3.2-constant", "--lr", "0.1", *PHASE_FLAGS), "f75f157d48b093a6"),
+    (bounds_argv("cor3.2-diminishing", "--lr-max", "0.2", *PHASE_FLAGS), "065eb6850898c66c"),
+    (bounds_argv("cor3.2-cosine", "--lr-max", "0.2", "--lr-min", "0.01", *PHASE_FLAGS),
+     "70e5b64b96fe331e"),
+    (bounds_argv("cor3.2-polynomial", "--lr-max", "0.2", "--lr-min", "0.01", "--p", "2",
+                 *PHASE_FLAGS), "3ea5e3af950b6876"),
+    (bounds_argv("cor3.3", *GROWTH_FLAGS), "3c9c63da0958fa69"),
+    (bounds_argv("cor3.4-constant", *GROWTH_FLAGS, "--warmup-phases", "1"), "2490e2af3b04e7ba"),
+    (bounds_argv("cor3.4-cosine", *GROWTH_FLAGS, "--warmup-phases", "1", "--lr-min", "0.001"),
+     "6dae8ccbb2a177d8"),
+    (["schedule", "--kind", "cosine", "--lr-max", "1", "--lr-min", "0.1", "--batch", "2",
+      "--dataset-size", "6", "--T", "9"], "29e6cdf0e5b878d3"),
+    (["schedule", "--kind", "polynomial", "--lr-max", "0.5", "--p", "2", "--b0", "4",
+      "--delta", "2", "--epochs-per-phase", "1,2", "--dataset-size", "16"], "a6f193332a38184f"),
+    (["schedule", "--kind", "exp_growth", *SMALL_GROWTH_FLAGS, "--epochs-per-phase", "1,1,1"],
+     "b427a20e1bbfc41c"),
+    (["schedule", "--kind", "warmup_cosine", *SMALL_GROWTH_FLAGS, "--epochs-per-phase", "1,1,2",
+      "--warmup-phases", "1", "--lr-min", "0.001"], "7817982877251ed7"),
+], ids=[*theory.REGIMES, "schedule-cosine", "schedule-polynomial-phases",
+        "schedule-exp_growth", "schedule-warmup_cosine"])
+def test_cli_stdout_is_pinned(capsys, argv, digest):
+    assert sgdm_cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (bounds_argv("cor3.1-constant", "--lr", "0.1", "--batch", "10", "--T", "100",
+                 *PHASE_FLAGS), "inconsistent with the schedule flags"),
+    (bounds_argv("cor3.4-constant", *SMALL_GROWTH_FLAGS, "--epochs-per-phase", "1,1,1",
+                 "--warmup-phases", "3"), "warmup_phases=3 exceeds"),
+    (["schedule", "--kind", "warmup_constant", *SMALL_GROWTH_FLAGS, "--epochs-per-phase",
+      "1,1,1", "--warmup-phases", "3"], "warmup_phases=3 exceeds"),
+], ids=["bounds-phase-flags-on-cor3.1", "bounds-warmup-beyond-M", "schedule-warmup-beyond-M"])
+def test_flags_the_schedule_cannot_honour_exit_two(capsys, argv, message):
+    assert sgdm_cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flag error: ") and message in err
 
 
 class TestAuditCommand:

@@ -98,33 +98,46 @@ class TestScheduleSpec:
     def test_constant_bs_regime_string(self):
         spec = ScheduleSpec(regime="constant-bs", kind="polynomial", lambda_max=0.1,
                             p=2.0, batch=4, T=20)
-        table, plan, regime, params = spec.build(problem_n=64)
+        table, regime, symbols = spec.build(problem_n=64)
         assert regime == "cor3.1-polynomial"
-        assert plan is None
-        assert table.T == 20 and params["T"] == 20
+        assert "M" not in symbols and "T_w" not in symbols
+        assert table.T == 20 and symbols["T"] == 20
 
     def test_increasing_bs_realized_extrema(self):
         spec = ScheduleSpec(regime="increasing-bs", kind="constant", lambda_max=0.1,
                             b0=8, delta=2.0, epochs_per_phase=(1, 2, 1))
-        table, plan, regime, params = spec.build(problem_n=32)
+        table, regime, symbols = spec.build(problem_n=32)
         assert regime == "cor3.2-constant"
-        assert params["K_max"] == 4 and params["E_max"] == 2
-        assert params["T"] == plan.total_steps == table.T
+        assert symbols["K_max"] == 4 and symbols["E_max"] == 2
+        # phases of 1, 2 and 1 epochs of 4, 2 and 1 steps
+        assert symbols["T"] == table.T == 4 + 2 * 2 + 1
 
     def test_joint_growth(self):
         spec = ScheduleSpec(regime="joint-growth", gamma=1.5, lambda0=0.02,
                             b0=8, delta=2.0, epochs_per_phase=(1, 1, 1))
-        table, plan, regime, params = spec.build(problem_n=32)
+        table, regime, symbols = spec.build(problem_n=32)
         assert regime == "cor3.3"
-        assert params["M"] == 2
+        assert symbols["M"] == 2
         assert table.growth_constant_c == pytest.approx(1.5, rel=1e-12)
 
     def test_warmup(self):
         spec = ScheduleSpec(regime="warmup", kind="constant", gamma=1.5, lambda0=0.02,
                             warmup_phases=1, b0=8, delta=2.0, epochs_per_phase=(1, 1, 1))
-        table, plan, regime, params = spec.build(problem_n=32)
+        table, regime, symbols = spec.build(problem_n=32)
         assert regime == "cor3.4-constant"
-        assert params["T_w"] == plan.warmup_steps(1)
+        # phases 0 and 1 hold one epoch of 4 and of 2 steps
+        assert (symbols["M_w"], symbols["T_w"], table.T) == (1, 4 + 2, 4 + 2 + 1)
+
+    @pytest.mark.parametrize("regime, kind", [
+        ("increasing-bs", "exp_growth"), ("increasing-bs", "warmup_constant"),
+        ("constant-bs", "exp_growth"), ("warmup", "diminishing"),
+    ])
+    def test_kind_outside_the_regime_is_refused(self, regime, kind):
+        spec = ScheduleSpec(regime=regime, kind=kind, gamma=1.5, lambda0=0.02,
+                            warmup_phases=1, batch=4, T=8, b0=8, delta=2.0,
+                            epochs_per_phase=(1, 1, 1))
+        with pytest.raises(ValueError, match=f"does not take kind '{kind}'"):
+            spec.build(problem_n=32)
 
 
 class TestRunExperiment:

@@ -1,6 +1,7 @@
 """Synthetic problem families: gradients, noise constants, certification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,17 @@ class TestLogCosh:
         assert s["curvature_slack"] == pytest.approx(3 * M * s["grid_spacing"] ** 2 / 8, rel=1e-14)
         margin = 3 * 4 * (8 + 4) * np.finfo(np.float64).eps * (1.3 / 0.7) ** 2
         assert s["rounding_margin"] == pytest.approx(margin, rel=1e-14)
+
+    def test_certificate_memory_is_bounded_in_n(self):
+        # the grid is evaluated in blocks of about 2^18 values, so set-up
+        # holds a few MB of temporaries however large n is
+        tracemalloc.start()
+        try:
+            LogCoshProblem.generate(1, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_variance_curvature_is_bounded(self, rng):
         # central second differences of one coordinate's variance term
