@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, problems, schedules, theory
+from . import harness, optim, problems, schedules, theory
 from ._fmt import dumps17
 
 EXIT_OK = 0
@@ -282,7 +282,8 @@ def cmd_ratefit(args) -> int:
                 xs.append(doc["totals"]["samples"])
             ys.append(emp["min_mean_grad_norm"])
         fit = harness.rate_fit(xs, ys, mode=args.mode)
-    except (ConfigError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+        # a report that is not an object of objects fails to index (TypeError)
         print(f"ratefit error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = {
@@ -382,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     ((schedules.MomentumTooLarge, schedules.InadmissibleSchedule), EXIT_ADMISSIBILITY,
      "admissibility: FAIL ({})"),
-    ((harness.ExperimentDivergence, problems.IterateOutsideCertifiedBox), EXIT_DIVERGENCE,
+    ((optim.NumericalDivergence, problems.IterateOutsideCertifiedBox), EXIT_DIVERGENCE,
      "divergence: FAIL ({})"),
     ((ValueError, harness.BudgetExceeded), EXIT_CONFIG, "config error: {}"),
 )

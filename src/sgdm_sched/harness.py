@@ -1,11 +1,12 @@
 """Multi-seed experiment orchestration.
 
-Builds problems and schedule tables from declarative specs, runs all master
-seeds of an experiment in one lockstep ``optim.run`` call, aggregates
-per-step statistics, evaluates the closed-form bound report, checks the
-empirical minimum against it with a 3-standard-error inflation, and writes
-machine-readable artifacts (trace_<seed>.csv, aggregate.csv, report.json)
-into a directory named by a content hash of the config.
+Builds problems and schedule tables from declarative specs, settles
+admissibility, the budget and the closed-form bound report before the first
+step, runs all master seeds of an experiment in one lockstep ``optim.run``
+call, aggregates per-step statistics, checks the empirical minimum against
+the bound with a 3-standard-error inflation, and writes machine-readable
+artifacts (trace_<seed>.csv, aggregate.csv, report.json) into a directory
+named by a content hash of the config.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from ._fmt import csv_rows, csv_text, dumps17
 
 __all__ = [
     "BudgetExceeded",
-    "ExperimentDivergence",
     "ProblemSpec",
     "ScheduleSpec",
     "ExperimentConfig",
@@ -40,15 +40,6 @@ SCHEDULE_REGIMES = ("constant-bs", "increasing-bs", "joint-growth", "warmup")
 
 class BudgetExceeded(RuntimeError):
     """Configured work estimate exceeds the budget guard."""
-
-
-class ExperimentDivergence(RuntimeError):
-    """A strict-mode run diverged; carries the offending seed and step."""
-
-    def __init__(self, seed: int, step_index: int):
-        super().__init__(f"seed {seed} diverged at step {step_index}")
-        self.seed = seed
-        self.step_index = step_index
 
 
 @dataclass(frozen=True)
@@ -238,9 +229,6 @@ class AggregateReport:
     t: np.ndarray
     mean_grad_norm_sq: np.ndarray
     stderr_grad_norm_sq: np.ndarray
-    mean_grad_norm: np.ndarray
-    stderr_grad_norm: np.ndarray
-    mean_f: np.ndarray
     min_mean_grad_norm_sq: float
     stderr_at_min: float
     t_at_min: int
@@ -253,12 +241,10 @@ class AggregateReport:
     final_mean_f: float
     theory: theory.TheoryReport
     constants: theory.TheoremConstants
-    admissibility: schedules.AdmissibilityReport | None
     checks: dict
     total_steps: int
     total_samples: int
-    M: int | None
-    T_w: int | None
+    symbols: dict  # the corollary's symbols, M and T_w among them
     sigma_certificate: dict | None = None
     traces: list = field(repr=False, default_factory=list)
 
@@ -278,8 +264,8 @@ class AggregateReport:
             "schedule": asdict(cfg.schedule),
             "totals": {
                 "T": self.total_steps,
-                "M": self.M,
-                "T_w": self.T_w,
+                "M": self.symbols.get("M"),
+                "T_w": self.symbols.get("T_w"),
                 "samples": self.total_samples,
             },
             "problem_constants": {
@@ -305,22 +291,21 @@ class AggregateReport:
         }
 
 
-def _estimate_work(table: schedules.ScheduleTable, n_seeds: int, d: int) -> float:
-    return float(table.T) * n_seeds * d * float(np.mean(table.batch))
-
-
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
 ) -> AggregateReport:
-    """Run every master seed, aggregate, evaluate theory, write artifacts.
+    """Settle the policy, run every master seed, aggregate, write artifacts.
 
-    Deterministic given the config.  The seeds advance in lockstep, seed i
-    sampling from stream (seeds[i], i, t).  A theta0 outside the problem's
-    certified box is a ValueError before any step.  At the first step where
-    any seed's observed f, ||grad f||^2 or Lyapunov value, gradient or
-    iterate goes non-finite (``optim.run`` gives the order within a step),
-    ExperimentDivergence names the lowest-index such seed (in
+    Deterministic given the config.  Before any step, in this order: the
+    admissibility check (unless waived), the budget, theta0 inside the
+    certified box, the bound report and the config hash; a theta0 outside
+    the box, an unmet corollary hypothesis and a non-finite config field are
+    ValueErrors.  The seeds then advance in lockstep, seed i
+    sampling from stream (seeds[i], i, t).  At the first step where any
+    seed's observed f, ||grad f||^2 or Lyapunov value, gradient or iterate
+    goes non-finite (``optim.run`` gives the order within a step),
+    optim.NumericalDivergence names the lowest-index such seed (in
     ``config.seeds`` order) and that step, even when a later seed would have
     diverged too; an iterate that leaves the certified box raises
     IterateOutsideCertifiedBox naming the lowest-index offending seed and the
@@ -343,7 +328,7 @@ def run_experiment(
             f"L={problem.L:.6g}, c={admissibility.c:.6g})"
         )
 
-    work = _estimate_work(table, len(config.seeds), problem.d)
+    work = float(table.T) * len(config.seeds) * problem.d * float(np.mean(table.batch))
     if work > config.budget:
         raise BudgetExceeded(
             f"estimated work {work:.3g} (T x seeds x d x mean batch) exceeds budget {config.budget:.3g}"
@@ -354,34 +339,30 @@ def run_experiment(
         problem.check_iterate(theta0)
     except problems.IterateOutsideCertifiedBox as exc:
         raise ValueError(f"theta0 (theta0_seed {config.theta0_seed}): {exc}") from None
-    # theta_0 is shared across seeds, so f(theta_0) - f* is deterministic
+    # theta_0 is shared across seeds, so f(theta_0) - f* and with it the
+    # whole bound report are known before the first step
     f0_gap = float(problem.value_and_grad(theta0)[0]) - problem.f_star
+    constants = theory.TheoremConstants(
+        L=problem.L, beta=config.beta, c=table.growth_constant_c,
+        f0_minus_fstar=f0_gap, sigma_sq=problem.sigma_sq, alg=config.alg,
+    )
+    theory_report = theory.build_report(constants, table, regime, symbols)
+    config_hash = config.config_hash  # names the artifacts; refuses a non-finite field
 
-    try:
-        traces = optim.run(
-            config.alg,
-            config.beta,
-            table,
-            problem,
-            config.seeds,
-            theta0=theta0,
-            record_every=config.record_every,
-            waive_admissibility=True,  # validated once above
-        )
-    except optim.NumericalDivergence as exc:
-        # waived mode waives the admissibility check, not divergence
-        raise ExperimentDivergence(exc.trace.seed, exc.step_index) from exc
-
-    report = _aggregate(config, problem, table, regime, symbols, traces, admissibility, f0_gap)
+    traces = optim.run(config.alg, config.beta, table, problem, config.seeds,
+                       theta0=theta0, record_every=config.record_every)
+    report = _aggregate(config, config_hash, table, symbols, traces, admissibility,
+                        constants, theory_report)
+    report.sigma_certificate = getattr(problem, "sigma_search", None)
     if out_dir is not None:
         write_artifacts(report, Path(out_dir))
     return report
 
 
-def _aggregate(config, problem, table, regime, symbols, traces, admissibility, f0_gap):
+def _aggregate(config, config_hash, table, symbols, traces, admissibility, constants,
+               theory_report):
     t_axis = traces[0].t
     gns = np.stack([tr.grad_norm_sq for tr in traces])
-    f_vals = np.stack([tr.f for tr in traces])
     R = gns.shape[0]
     sqrt_R = math.sqrt(R)
 
@@ -396,17 +377,6 @@ def _aggregate(config, problem, table, regime, symbols, traces, admissibility, f
 
     finals_sq = np.asarray([tr.final_grad_norm_sq for tr in traces])
     finals_norm = np.sqrt(finals_sq)
-    finals_f = np.asarray([tr.final_f for tr in traces])
-
-    constants = theory.TheoremConstants(
-        L=problem.L,
-        beta=config.beta,
-        c=table.growth_constant_c,
-        f0_minus_fstar=f0_gap,
-        sigma_sq=problem.sigma_sq,
-        alg=config.alg,
-    )
-    theory_report = theory.build_report(constants, table, regime, symbols)
 
     stat_sq = float(mean_sq[i_min] + 3.0 * stderr_sq[i_min])
     stat_norm = float(mean_norm[i_min_norm] + 3.0 * stderr_norm[i_min_norm])
@@ -433,13 +403,10 @@ def _aggregate(config, problem, table, regime, symbols, traces, admissibility, f
 
     return AggregateReport(
         config=config,
-        config_hash=config.config_hash,
+        config_hash=config_hash,
         t=t_axis,
         mean_grad_norm_sq=mean_sq,
         stderr_grad_norm_sq=stderr_sq,
-        mean_grad_norm=mean_norm,
-        stderr_grad_norm=stderr_norm,
-        mean_f=f_vals.mean(axis=0),
         min_mean_grad_norm_sq=float(mean_sq[i_min]),
         stderr_at_min=float(stderr_sq[i_min]),
         t_at_min=int(t_axis[i_min]),
@@ -449,16 +416,13 @@ def _aggregate(config, problem, table, regime, symbols, traces, admissibility, f
         final_stderr_grad_norm_sq=float(finals_sq.std(ddof=1) / sqrt_R) if R > 1 else 0.0,
         final_mean_grad_norm=float(finals_norm.mean()),
         final_stderr_grad_norm=float(finals_norm.std(ddof=1) / sqrt_R) if R > 1 else 0.0,
-        final_mean_f=float(finals_f.mean()),
+        final_mean_f=float(np.mean([tr.final_f for tr in traces])),
         theory=theory_report,
         constants=constants,
-        admissibility=admissibility,
         checks=checks,
         total_steps=table.T,
         total_samples=int(table.batch.sum()),
-        M=symbols.get("M"),
-        T_w=symbols.get("T_w"),
-        sigma_certificate=getattr(problem, "sigma_search", None),
+        symbols=symbols,
         traces=traces,
     )
 

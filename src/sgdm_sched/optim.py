@@ -54,11 +54,14 @@ class NumericalDivergence(RuntimeError):
     """A gradient, parameter coordinate or observed value became non-finite.
 
     Carries the offending step index, the lowest non-finite seed row and,
-    when raised out of ``run``, that seed's trace truncated at the step.
+    when raised out of ``run``, that row's master seed and its trace
+    truncated at the step; the message then names the seed.
     """
 
     def __init__(self, step_index: int, trace: "RunTrace | None" = None, row: int = 0):
-        super().__init__(f"non-finite value encountered at step {step_index}")
+        self.seed = None if trace is None else trace.seed
+        what = "non-finite value encountered" if trace is None else f"seed {self.seed} diverged"
+        super().__init__(f"{what} at step {step_index}")
         self.step_index = step_index
         self.trace = trace
         self.row = row
@@ -259,7 +262,6 @@ def run(
     theta0: np.ndarray | None = None,
     theta0_seed: int = 0,
     record_every: int = 1,
-    waive_admissibility: bool = False,
     record_theta: bool = False,
 ) -> RunTrace | list[RunTrace]:
     """Execute all T schedule steps, recording exact diagnostics.
@@ -270,8 +272,9 @@ def run(
     (seed[r], run_index + r, t), and every seed and run index must lie in
     [0, 2^64), the stream's key range (ValueError otherwise).
 
-    Unless waived, the schedule must pass the admissibility check for
-    (beta, problem.L, alg).  theta0 defaults to a deterministic seeded
+    Admissibility is the caller's decision: ``run`` steps through any table
+    (``schedules.validate_admissible`` checks one; ``harness.run_experiment``
+    enforces it unless waived).  theta0 defaults to a deterministic seeded
     standard-normal draw.  Every iterate is passed to problem.check_iterate
     before its step; an IterateOutsideCertifiedBox names the lowest offending
     seed and the step.  Divergence aborts the run at the first step t where
@@ -279,8 +282,8 @@ def run(
     theta_t on recorded steps (f, ||grad f||^2 or the Lyapunov value), then
     step t's gradient and new iterate; a non-finite observation at the
     post-run iterate counts as step T.  The raised NumericalDivergence names
-    that step and the lowest non-finite row, and carries that seed's trace
-    truncated after the step's record.
+    that step and the lowest non-finite row's master seed, and carries that
+    seed's trace truncated after the step's record.
     """
     alg = schedules.check_alg(alg)
     if record_every < 1:
@@ -293,14 +296,6 @@ def run(
     run_indices = [int(run_index) + r for r in range(R)]
     key = _stream_key(seeds, run_indices)
     _check_dataset_size(problem.n)
-    if not waive_admissibility:
-        report = schedules.validate_admissible(table, beta, problem.L, alg)
-        if not report.admissible:
-            raise schedules.InadmissibleSchedule(
-                f"max lr {report.lr_max:.6g} is not below the admissible bound "
-                f"{report.lr_bound:.6g} for {alg} (beta={beta}, L={problem.L:.6g}, "
-                f"c={report.c:.6g}); waive explicitly to run anyway"
-            )
     if theta0 is None:
         theta0 = np.random.default_rng((int(theta0_seed),)).standard_normal(problem.d)
     theta0 = np.asarray(theta0, dtype=np.float64)

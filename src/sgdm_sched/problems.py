@@ -45,6 +45,18 @@ class IterateOutsideCertifiedBox(RuntimeError):
         self.row = row
 
 
+def _anchor_array(anchors) -> np.ndarray:
+    """Anchors as a read-only C-contiguous float64 array; ValueError unless
+    they form a non-empty, finite (n, d) array."""
+    anchors = np.ascontiguousarray(np.asarray(anchors, dtype=np.float64))
+    if anchors.ndim != 2 or anchors.shape[0] < 1:
+        raise ValueError("anchors must be a non-empty (n, d) array")
+    if not np.all(np.isfinite(anchors)):
+        raise ValueError("anchors must be finite")
+    anchors.flags.writeable = False
+    return anchors
+
+
 class QuadraticMeanProblem:
     """Mean-anchored quadratic: f_i(theta) = 0.5 * ||theta - a_i||^2.
 
@@ -54,13 +66,7 @@ class QuadraticMeanProblem:
     """
 
     def __init__(self, anchors: np.ndarray):
-        anchors = np.ascontiguousarray(np.asarray(anchors, dtype=np.float64))
-        if anchors.ndim != 2 or anchors.shape[0] < 1:
-            raise ValueError("anchors must be a non-empty (n, d) array")
-        if not np.all(np.isfinite(anchors)):
-            raise ValueError("anchors must be finite")
-        anchors.flags.writeable = False
-        self.anchors = anchors
+        self.anchors = anchors = _anchor_array(anchors)
         self.n, self.d = anchors.shape
         abar = anchors.mean(axis=0)
         if np.all(anchors == anchors[0]):
@@ -86,17 +92,21 @@ class QuadraticMeanProblem:
         """Seeded Gaussian anchors; ``sigma_sq`` rescales deviations to hit the
         target single-sample variance exactly (up to roundoff)."""
         rng = np.random.default_rng((int(seed),))
-        anchors = spread * rng.standard_normal((n, d))
-        if sigma_sq is not None:
-            if sigma_sq < 0:
-                raise ValueError("sigma_sq must be >= 0")
-            mean = anchors.mean(axis=0)
-            dev = anchors - mean
-            current = np.einsum("ij,ij->", dev, dev) / n
-            if sigma_sq == 0.0 or current == 0.0:
-                anchors = np.tile(mean, (n, 1))
-            else:
-                anchors = mean + dev * math.sqrt(sigma_sq / current)
+        # a spread that is not finite or overflows is a ValueError, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            anchors = spread * rng.standard_normal((n, d))
+            if sigma_sq is not None:
+                if sigma_sq < 0:
+                    raise ValueError("sigma_sq must be >= 0")
+                mean = anchors.mean(axis=0)
+                dev = anchors - mean
+                current = np.einsum("ij,ij->", dev, dev) / n
+                if sigma_sq == 0.0 or current == 0.0:
+                    anchors = np.tile(mean, (n, 1))
+                elif math.isfinite(current):
+                    anchors = mean + dev * math.sqrt(sigma_sq / current)
+                else:  # a factor sqrt(sigma_sq / inf) = 0 would collapse the anchors
+                    raise ValueError(f"spread={spread} leaves the anchor variance non-finite")
         return cls(anchors)
 
     def value_and_grad(self, theta: np.ndarray):
@@ -164,20 +174,20 @@ class LogCoshProblem:
         amp: float = 1.0,
         box_radius: float = 6.0,
     ):
-        anchors = np.ascontiguousarray(np.asarray(anchors, dtype=np.float64))
-        if anchors.ndim != 2 or anchors.shape[0] < 1:
-            raise ValueError("anchors must be a non-empty (n, d) array")
-        if not (scale > 0 and amp > 0 and box_radius > 0):
-            raise ValueError("scale, amp and box_radius must be > 0")
-        anchors.flags.writeable = False
-        self.anchors = anchors
-        self.n, self.d = anchors.shape
+        if not all(0 < v < math.inf for v in (scale, amp, box_radius)):
+            raise ValueError("scale, amp and box_radius must be finite and > 0")
+        self.anchors = _anchor_array(anchors)
+        self.n, self.d = self.anchors.shape
         self.scale = float(scale)
         self.amp = float(amp)
         self.box_radius = float(box_radius)
-        self.L = self.amp / self.scale**2
         self.f_star = 0.0  # lower bound: every per-sample loss is >= 0
-        self.sigma_search = s = self._certify_sigma()
+        try:  # huge or tiny constants overflow L or the certificate
+            with np.errstate(over="raise", invalid="raise"):
+                self.L = self.amp / self.scale**2
+                self.sigma_search = s = self._certify_sigma()
+        except ArithmeticError as exc:
+            raise ValueError(f"log-cosh constants leave the float range: {exc}") from None
         self.sigma_sq = s["grid_max"] + s["curvature_slack"] + s["rounding_margin"]
 
     @classmethod
@@ -193,7 +203,8 @@ class LogCoshProblem:
         box_radius: float = 6.0,
     ) -> "LogCoshProblem":
         rng = np.random.default_rng((int(seed),))
-        anchors = spread * rng.standard_normal((n, d))
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects inf/nan
+            anchors = spread * rng.standard_normal((n, d))
         return cls(anchors, scale=scale, amp=amp, box_radius=box_radius)
 
     def _certify_sigma(self) -> dict:

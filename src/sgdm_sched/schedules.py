@@ -103,8 +103,8 @@ class LrSchedule:
             if self.kind.startswith("warmup"):
                 if self.warmup_phases is None or self.warmup_phases < 0:
                     raise ScheduleError(f"{self.kind} needs warmup_phases >= 0")
-                if self.lambda_min < 0.0:
-                    raise ScheduleError("lambda_min must be >= 0")
+                if not 0.0 <= self.lambda_min < math.inf:
+                    raise ScheduleError("lambda_min must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,10 @@ class PhasePlan:
             raise ScheduleError("epochs_per_phase must be a non-empty list of positive integers")
         if self.dataset_size < 1:
             raise ScheduleError(f"dataset_size must be positive, got {self.dataset_size}")
-        b_last = self.batch_size(self.M)
+        try:
+            b_last = self.batch_size(self.M)
+        except OverflowError:  # delta^M * b0 beyond the float range
+            b_last = math.inf
         if b_last > self.dataset_size:
             raise ScheduleError(
                 f"final-phase batch size {b_last} exceeds dataset size {self.dataset_size}"
@@ -290,8 +293,8 @@ def build_constant_bs_table(
         raise ScheduleError(f"batch size must be >= 1, got {b}")
     epoch, E = None, None
     if lr.kind == "cosine":
-        if dataset_size is None:
-            raise ScheduleError("cosine kind needs dataset_size to fix the epoch length")
+        if dataset_size is None or dataset_size < 1:
+            raise ScheduleError("cosine kind needs a positive dataset_size to fix the epoch length")
         K = math.ceil(dataset_size / b)
         if T % K != 0:
             raise ScheduleError(

@@ -159,10 +159,8 @@ def test_criterion_03_nshb_shb_equivalence():
                     LrSchedule(kind, lambda_max=lmax, p=2.0), b=2, T=int(rng.integers(5, 60)))
         alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T)
         seed = int(rng.integers(10_000))
-        a = run("nshb", beta, eta, problem, seed, theta0_seed=trial, record_theta=True,
-                waive_admissibility=True)
-        b = run("shb", beta, alpha, problem, seed, theta0_seed=trial, record_theta=True,
-                waive_admissibility=True)
+        a = run("nshb", beta, eta, problem, seed, theta0_seed=trial, record_theta=True)
+        b = run("shb", beta, alpha, problem, seed, theta0_seed=trial, record_theta=True)
         scale = np.maximum(1.0, np.abs(a.theta))
         worst = max(worst, float(np.max(np.abs(a.theta - b.theta) / scale)))
     ok = verdict(3, "nshb/shb equivalence", worst < 1e-10,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sgdm_sched import cli as sgdm_cli
-from sgdm_sched import optim, problems, schedules, theory
+from sgdm_sched import harness, optim, problems, schedules, theory
 
 BASE_CONFIG = """\
 [problem]
@@ -282,6 +282,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "warmup_phases=3 exceeds" in err
 
+    def test_unusable_corollary_exits_two_before_any_step(self, tmp_path, capsys, monkeypatch):
+        # warm-up through the last phase M = 2 leaves no post-warm-up step
+        def no_run(*args, **kwargs):
+            raise AssertionError("optim.run was reached")
+
+        monkeypatch.setattr(harness.optim, "run", no_run)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_schedule(BASE_CONFIG, WARMUP_SCHEDULE.replace(
+            "warmup_phases = 3", "warmup_phases = 2")))
+        assert sgdm_cli.main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: warm-up bounds need at least one post-warm-up step (T > T_w)\n")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("warmup_phases", [1, 5])
     def test_stray_warmup_phases_is_ignored_outside_warmup(self, tmp_path, warmup_phases):
         cfg = tmp_path / "exp.ini"
@@ -292,6 +306,61 @@ class TestRunCommand:
         (report,) = out.glob("*/report.json")
         totals = json.loads(report.read_text())["totals"]
         assert totals["M"] == 2 and totals["T_w"] is None
+
+
+def ini_text(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items()) + "\n"
+        for name, body in sections.items()
+    )
+
+
+# a small constant-batch quadratic config and a small phase-plan log-cosh
+# config, whose every float and int key takes each of EXTREME_VALUES in
+# turn; no int grows, since T, n, d, batch and seeds allocate
+EXTREME_BASES = {
+    "constant-bs": {
+        "problem": {"family": "quadratic", "d": 2, "n": 16, "sigma_sq": 1.0, "seed": 3},
+        "optimizer": {"alg": "nshb", "beta": 0.5, "theta0_seed": 1},
+        "schedule": {"regime": "constant-bs", "kind": "cosine", "lambda_max": 0.1,
+                     "batch": 4, "T": 8},
+        "harness": {"seeds": 2},
+    },
+    "phase-plan": {
+        "problem": {"family": "logcosh", "d": 2, "n": 16, "spread": 1.0, "seed": 3},
+        "optimizer": {"alg": "shb", "beta": 0.5, "theta0_seed": 1},
+        "schedule": {"regime": "warmup", "kind": "cosine", "gamma": 1.1, "lambda0": 0.01,
+                     "lambda_min": 0.001, "warmup_phases": 1, "b0": 2, "delta": 2,
+                     "epochs_per_phase": "1,1,1"},
+        "harness": {"seeds": 2},
+    },
+}
+EXTREME_VALUES = {float: ("nan", "inf", "-inf", "1e308", "-1", "0"), int: ("-1", "0")}
+EXTREME_CASES = [
+    (base, section, key, value)
+    for base in EXTREME_BASES
+    for section, fields in sgdm_cli._SECTIONS.items()
+    for key, kind in fields.items()
+    for value in EXTREME_VALUES.get(kind, ())
+]
+
+
+@pytest.mark.parametrize("base", EXTREME_BASES)
+def test_extreme_value_bases_pass(tmp_path, base):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini_text(EXTREME_BASES[base]))
+    assert sgdm_cli.main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+
+
+@pytest.mark.parametrize("base, section, key, value", EXTREME_CASES,
+                         ids=["-".join(case) for case in EXTREME_CASES])
+def test_extreme_values_keep_the_exit_contract(tmp_path, base, section, key, value):
+    # in process, so a warning fails the test (filterwarnings) rather than printing
+    sections = {name: dict(body) for name, body in EXTREME_BASES[base].items()}
+    sections[section][key] = value
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini_text(sections))
+    assert sgdm_cli.main(["run", str(cfg), "--out", str(tmp_path / "runs")]) in range(5)
 
 
 class TestScheduleCommand:
@@ -431,6 +500,24 @@ def test_flags_the_schedule_cannot_honour_exit_two(capsys, argv, message):
     assert err.startswith("flag error: ") and message in err
 
 
+@pytest.mark.parametrize("delta", ["inf", "1e308"])
+@pytest.mark.parametrize("command", ["run", "bounds", "schedule"])
+def test_overflowing_batch_growth_exits_two(tmp_path, capsys, command, delta):
+    # delta^M * b0 leaves the float range: the final batch exceeds any dataset
+    plan = ("--b0", "4", "--delta", delta, "--epochs-per-phase", "1,1,1", "--dataset-size", "32")
+    if command == "run":
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_schedule(BASE_CONFIG, INCREASING_SCHEDULE.replace(
+            "delta = 2", f"delta = {delta}")))
+        argv, prefix = ["run", str(cfg), "--out", str(tmp_path / "runs")], "config error: "
+    elif command == "bounds":
+        argv, prefix = bounds_argv("cor3.2-constant", "--lr", "0.1", *plan), "flag error: "
+    else:
+        argv, prefix = ["schedule", "--lr", "0.1", *plan], "flag error: "
+    assert sgdm_cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(prefix + "final-phase batch size inf exceeds")
+
+
 class TestAuditCommand:
     def test_audit_passes_and_writes_csv(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -502,6 +589,21 @@ class TestRatefitCommand:
             paths.append(str(p))
         res = cli("ratefit", *paths)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"totals": None, "empirical": {"min_mean_grad_norm": 1.0}},
+        {"totals": {"T": 100, "M": None, "samples": 800}, "empirical": None},
+    ], ids=["list", "null-totals", "null-empirical"])
+    def test_report_that_is_not_an_object_exits_two(self, tmp_path, capsys, doc):
+        paths = []
+        for k in range(4):
+            p = tmp_path / f"r{k}.json"
+            self._fake_report(p, 100 * (k + 1), 1.0 / (k + 1))
+            paths.append(str(p))
+        (tmp_path / "r0.json").write_text(json.dumps(doc))
+        assert sgdm_cli.main(["ratefit", *paths]) == 2
+        assert capsys.readouterr().err.startswith("ratefit error: ")
 
     @pytest.mark.parametrize("mode", ["loglog", "per-phase"])
     def test_single_phase_reports_exit_two_without_warning(self, tmp_path, mode):

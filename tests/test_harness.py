@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from sgdm_sched import schedules
+from sgdm_sched import optim, schedules
 from sgdm_sched.harness import (
     BudgetExceeded,
     ExperimentConfig,
-    ExperimentDivergence,
     ProblemSpec,
     ScheduleSpec,
     lyapunov_descent_audit,
@@ -243,15 +242,25 @@ class TestRunExperiment:
             validation_mode="waived",
             seeds=(5, 3, 9),
         )
-        with pytest.raises(ExperimentDivergence) as info:
+        with pytest.raises(optim.NumericalDivergence) as info:
             run_experiment(cfg)
         assert info.value.seed == 5
-        assert info.value.step_index == info.value.__cause__.step_index
         assert str(info.value) == f"seed 5 diverged at step {info.value.step_index}"
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             run_experiment(small_config(budget=10.0))
+
+    def test_non_finite_field_rejected_before_any_step(self, monkeypatch):
+        # the config hash names the artifact directory and cannot hold nan, so
+        # an unused non-finite field fails before the run, not after it
+        def no_run(*args, **kwargs):
+            raise AssertionError("optim.run was reached")
+
+        monkeypatch.setattr(optim, "run", no_run)
+        cfg = small_config(problem=ProblemSpec(family="quadratic", d=4, n=32, scale=math.nan))
+        with pytest.raises(ValueError, match="non-finite value nan"):
+            run_experiment(cfg)
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

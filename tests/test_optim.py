@@ -16,7 +16,7 @@ from sgdm_sched.optim import (
     step,
 )
 from sgdm_sched.problems import IterateOutsideCertifiedBox, LogCoshProblem, QuadraticMeanProblem
-from sgdm_sched.schedules import InadmissibleSchedule, LrSchedule, build_constant_bs_table
+from sgdm_sched.schedules import LrSchedule, build_constant_bs_table
 
 
 def const_table(lam, T, b=1):
@@ -202,17 +202,15 @@ class TestRun:
     def test_strict_rejects_inadmissible(self):
         prob = QuadraticMeanProblem.generate(3, 8, sigma_sq=0.5, seed=4)
         table = const_table(5.0, T=10, b=2)  # bound for beta=0.9, L=1 is 1.9
-        with pytest.raises(InadmissibleSchedule):
-            run("nshb", 0.9, table, prob, seed=1)
-        trace = run("nshb", 0.9, table, prob, seed=1, waive_admissibility=True)
+        # admissibility is the caller's gate (run_experiment); run only steps
+        trace = run("nshb", 0.9, table, prob, seed=1)
         assert trace.rows == 10
 
     def test_divergence_carries_truncated_trace(self):
         prob = QuadraticMeanProblem.generate(2, 4, sigma_sq=0.0, seed=0)
         table = const_table(1e200, T=10, b=1)
         with pytest.raises(NumericalDivergence) as info:
-            run("nshb", 0.0, table, prob, seed=1, waive_admissibility=True,
-                theta0=np.array([1.0, 1.0]))
+            run("nshb", 0.0, table, prob, seed=1, theta0=np.array([1.0, 1.0]))
         exc = info.value
         assert exc.trace is not None and exc.trace.seed == 1
         assert exc.trace.t[-1] == exc.step_index
@@ -289,10 +287,8 @@ class TestAlgorithmEquivalences:
             eta = const_table(lam, T=T, b=int(rng.integers(1, 5)))
             alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=T)
             seed = int(rng.integers(1000))
-            a = run("nshb", beta, eta, prob, seed=seed, theta0_seed=7, record_theta=True,
-                    waive_admissibility=True)
-            b = run("shb", beta, alpha, prob, seed=seed, theta0_seed=7, record_theta=True,
-                    waive_admissibility=True)
+            a = run("nshb", beta, eta, prob, seed=seed, theta0_seed=7, record_theta=True)
+            b = run("shb", beta, alpha, prob, seed=seed, theta0_seed=7, record_theta=True)
             scale = np.maximum(1.0, np.abs(a.theta))
             assert np.max(np.abs(a.theta - b.theta) / scale) < 1e-10
 

@@ -77,6 +77,12 @@ class TestQuadraticClosedForms:
             prob = QuadraticMeanProblem.generate(6, 64, sigma_sq=target, seed=3)
             assert prob.sigma_sq == pytest.approx(target, rel=1e-12)
 
+    @pytest.mark.parametrize("spread", [1e200, np.inf])
+    def test_spread_whose_variance_overflows_is_refused(self, spread):
+        # an infinite deviation variance would rescale every anchor onto the mean
+        with pytest.raises(ValueError, match="anchor variance non-finite"):
+            QuadraticMeanProblem.generate(4, 32, sigma_sq=1.0, spread=spread, seed=3)
+
     def test_zero_sigma_gives_identical_anchors(self):
         prob = QuadraticMeanProblem.generate(4, 16, sigma_sq=0.0, seed=3)
         assert prob.sigma_sq == 0.0
