@@ -1,20 +1,14 @@
-"""Gallery of the seven learning-rate schedules and the phase plans behind them.
+"""Gallery of the schedules of all four regimes and the phase plans behind them.
 
-Builds one small table per kind, prints the per-phase picture, and shows the
-growth constant c that the admissibility condition c < 1/beta^2 cares about.
+Builds one small table per rate kind through ``ScheduleSpec.build``, prints
+the per-phase picture and a corollary's symbols, and shows the growth
+constant c that the admissibility condition c < 1/beta^2 cares about.
 Run:  python3 demos/01_schedule_gallery.py
 """
 
 import numpy as np
 
-from sgdm_sched import (
-    LrSchedule,
-    PhasePlan,
-    build_constant_bs_table,
-    build_increasing_bs_table,
-    table_to_csv,
-    validate_admissible,
-)
+from sgdm_sched import PhasePlan, ScheduleSpec, table_to_csv, validate_admissible
 
 
 def show(name, table, max_rows=8):
@@ -27,31 +21,32 @@ def show(name, table, max_rows=8):
 # ---- fixed batch, decaying rate -------------------------------------------
 print("== fixed batch size, decaying learning rate ==")
 b, n = 16, 80  # K = ceil(80/16) = 5 steps per epoch
-show("constant", build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b, 15))
-show("diminishing", build_constant_bs_table(LrSchedule("diminishing", lambda_max=0.1), b, 15))
-show("cosine (E=3)", build_constant_bs_table(
-    LrSchedule("cosine", lambda_max=0.1), b, 15, dataset_size=n))
-show("polynomial (p=2)", build_constant_bs_table(
-    LrSchedule("polynomial", lambda_max=0.1, p=2.0), b, 15))
+for name, kind, p in [("constant", "constant", 1.0), ("diminishing", "diminishing", 1.0),
+                      ("cosine (E=3)", "cosine", 1.0), ("polynomial (p=2)", "polynomial", 2.0)]:
+    spec = ScheduleSpec("constant-bs", kind, lambda_max=0.1, p=p, batch=b, T=15)
+    show(name, spec.build(problem_n=n)[0])
 
 # ---- growing batch ----------------------------------------------------------
 print("\n== batch doubling per phase (b0=8, n=64, 2 epochs each) ==")
-plan = PhasePlan(b0=8, delta=2.0, epochs_per_phase=(2, 2, 2, 2), dataset_size=64)
-print(f"phases m=0..{plan.M}: batches {plan.batch_sizes}, steps/epoch "
-      f"{plan.steps_per_epoch_all}, boundaries {plan.phase_starts}")
-
-show("decaying + growth", build_increasing_bs_table(
-    LrSchedule("cosine", lambda_max=0.1), plan))
-show("joint growth", build_increasing_bs_table(
-    LrSchedule("exp_growth", gamma=1.5, lambda0=0.02), plan))
-show("warm-up constant", build_increasing_bs_table(
-    LrSchedule("warmup_constant", gamma=1.5, lambda0=0.02, warmup_phases=1), plan))
-show("warm-up cosine", build_increasing_bs_table(
-    LrSchedule("warmup_cosine", gamma=1.5, lambda0=0.02, warmup_phases=1), plan))
+plan = dict(b0=8, delta=2.0, epochs_per_phase=(2, 2, 2, 2), dataset_size=64)
+phases = PhasePlan(**plan)
+print(f"phases m=0..{phases.M}: batches {phases.batch_sizes}, steps/epoch "
+      f"{phases.steps_per_epoch_all}, boundaries {phases.phase_starts}")
+growth = dict(gamma=1.5, lambda0=0.02)
+specs = {
+    "decaying + growth": ScheduleSpec("increasing-bs", "cosine", lambda_max=0.1, **plan),
+    "joint growth": ScheduleSpec("joint-growth", **growth, **plan),
+    "warm-up constant": ScheduleSpec("warmup", "constant", warmup_phases=1, **growth, **plan),
+    "warm-up cosine": ScheduleSpec("warmup", "cosine", warmup_phases=1, **growth, **plan),
+}
+for name, spec in specs.items():
+    table, regime, symbols = spec.build(problem_n=None)
+    show(name, table)
+print(f"{regime} symbols: M_w = {symbols['M_w']}, T_w = {symbols['T_w']}, T = {symbols['T']}")
 
 # ---- admissibility ----------------------------------------------------------
 print("\n== admissible-rate check (L = 1) ==")
-joint = build_increasing_bs_table(LrSchedule("exp_growth", gamma=1.5, lambda0=0.02), plan)
+joint = specs["joint growth"].build(problem_n=None)[0]
 for beta in (0.0, 0.5, 0.8):
     rep = validate_admissible(joint, beta=beta, L=1.0, alg="nshb")
     print(f"beta={beta}: lr_max={rep.lr_max:.4g} vs bound {rep.lr_bound:.4g} "

@@ -9,12 +9,12 @@ Run:  python3 demos/02_optimizer_equivalence.py
 
 import numpy as np
 
-from sgdm_sched import LrSchedule, QuadraticMeanProblem, ScheduleTable, build_constant_bs_table, run
+from sgdm_sched import QuadraticMeanProblem, ScheduleSpec, ScheduleTable, run
 from sgdm_sched.optim import batch_indices
 
 beta = 0.9
 problem = QuadraticMeanProblem.generate(d=6, n=64, sigma_sq=1.0, seed=1)
-eta = build_constant_bs_table(LrSchedule("diminishing", lambda_max=0.15), b=8, T=120)
+eta = ScheduleSpec("constant-bs", "diminishing", lambda_max=0.15, batch=8, T=120).build(problem.n)[0]
 alpha = ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T)
 
 a = run("nshb", beta, eta, problem, seed=7, theta0_seed=2, record_theta=True)

@@ -8,10 +8,10 @@ constants, and a multi-seed harness that verifies the bounds empirically.
 from .schedules import (
     AdmissibilityReport,
     InadmissibleSchedule,
-    LrSchedule,
     MomentumTooLarge,
     PhasePlan,
     ScheduleError,
+    ScheduleSpec,
     ScheduleTable,
     build_constant_bs_table,
     build_increasing_bs_table,
@@ -40,7 +40,6 @@ from .harness import (
     ExperimentConfig,
     ProblemSpec,
     RateFit,
-    ScheduleSpec,
     lyapunov_descent_audit,
     rate_fit,
     run_experiment,
@@ -56,7 +55,6 @@ __all__ = [
     "InadmissibleSchedule",
     "IterateOutsideCertifiedBox",
     "LogCoshProblem",
-    "LrSchedule",
     "MomentumTooLarge",
     "NumericalDivergence",
     "OptimizerState",

@@ -45,6 +45,11 @@ def _spec_fields(spec) -> dict:
     return kinds
 
 
+# the rate shapes `schedule --kind` names; with --b0 the growth kinds pick the
+# joint-growth (exp_growth) and warmup (warmup_*) regimes
+_FLAG_KINDS = ("constant", "cosine", "diminishing", "exp_growth", "polynomial",
+               "warmup_constant", "warmup_cosine")
+
 _OPTIMIZER_FIELDS = {"alg": str, "beta": float, "theta0_seed": int}
 _HARNESS_FIELDS = {
     "seeds": "seeds",
@@ -55,7 +60,7 @@ _HARNESS_FIELDS = {
 _SECTIONS = {
     "problem": _spec_fields(harness.ProblemSpec),
     "optimizer": _OPTIMIZER_FIELDS,
-    "schedule": _spec_fields(harness.ScheduleSpec),
+    "schedule": _spec_fields(schedules.ScheduleSpec),
     "harness": _HARNESS_FIELDS,
 }
 
@@ -114,7 +119,7 @@ def load_config(path: str | Path) -> harness.ExperimentConfig:
     har = values.get("harness", {})
     try:
         problem = harness.ProblemSpec(**values.get("problem", {}))
-        schedule = harness.ScheduleSpec(**values["schedule"])
+        schedule = schedules.ScheduleSpec(**values["schedule"])
         return harness.ExperimentConfig(
             problem=problem,
             alg=opt["alg"],
@@ -171,7 +176,7 @@ def cmd_run(args) -> int:
     return EXIT_OK if not failed else EXIT_BOUND_FAIL
 
 
-def _schedule_spec_from_flags(args, kind: str) -> harness.ScheduleSpec:
+def _schedule_spec_from_flags(args, kind: str) -> schedules.ScheduleSpec:
     """Map the schedule flags and a rate kind to a ScheduleSpec.
 
     The regime is inferred: without --b0 the batch is constant; with it the
@@ -191,7 +196,7 @@ def _schedule_spec_from_flags(args, kind: str) -> harness.ScheduleSpec:
     else:
         regime = "increasing-bs"
     lambda_max = args.lr if args.lr is not None else args.lr_max
-    return harness.ScheduleSpec(
+    return schedules.ScheduleSpec(
         regime=regime,
         kind=kind,
         lambda_max=lambda_max if lambda_max is not None else 0.1,
@@ -313,12 +318,6 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--kind",
-        default="constant",
-        choices=sorted(schedules.ALL_KINDS),
-        help="learning-rate shape",
-    )
     p.add_argument("--lr", type=float, default=None, help="alias for --lr-max")
     p.add_argument("--lr-max", type=float, default=None)
     p.add_argument("--lr-min", type=float, default=0.0)
@@ -361,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sched = sub.add_parser("schedule", help="print a schedule table as CSV (t,lr,batch)")
+    p_sched.add_argument("--kind", default="constant", choices=_FLAG_KINDS,
+                         help="learning-rate shape")
     _add_schedule_flags(p_sched)
     p_sched.set_defaults(func=cmd_schedule)
 

@@ -1,8 +1,8 @@
 """Multi-seed experiment orchestration.
 
-Builds problems and schedule tables from declarative specs, settles
-admissibility, the budget and the closed-form bound report before the first
-step, runs all master seeds of an experiment in one lockstep ``optim.run``
+Builds the problem from a ``ProblemSpec`` and the schedule table from a
+``schedules.ScheduleSpec`` (re-exported here), settles admissibility, the
+budget and the closed-form bound report before the first step, runs all master seeds of an experiment in one lockstep ``optim.run``
 call, aggregates per-step statistics, checks the empirical minimum against
 the bound with a 3-standard-error inflation, and writes machine-readable
 artifacts (trace_<seed>.csv, aggregate.csv, report.json) into a directory
@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import optim, problems, schedules, theory
 from ._fmt import csv_rows, csv_text, dumps17
+from .schedules import ScheduleSpec
 
 __all__ = [
     "BudgetExceeded",
@@ -35,7 +36,9 @@ __all__ = [
     "write_artifacts",
 ]
 
-SCHEDULE_REGIMES = ("constant-bs", "increasing-bs", "joint-growth", "warmup")
+# the fields each problem family does not read; they keep their defaults, so
+# they cannot change the config hash
+_FAMILY_IGNORES = {"quadratic": ("scale", "amp", "box_radius"), "logcosh": ("sigma_sq",)}
 
 
 class BudgetExceeded(RuntimeError):
@@ -57,8 +60,11 @@ class ProblemSpec:
     box_radius: float = 6.0
 
     def __post_init__(self):
-        if self.family not in ("quadratic", "logcosh"):
+        if self.family not in _FAMILY_IGNORES:
             raise ValueError(f"unknown problem family {self.family!r}")
+        for f in fields(self):
+            if f.name in _FAMILY_IGNORES[self.family]:
+                object.__setattr__(self, f.name, f.default)
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be positive")
 
@@ -76,96 +82,6 @@ class ProblemSpec:
             seed=self.seed,
             box_radius=self.box_radius,
         )
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Declarative schedule description covering all four regimes.
-
-    regime "constant-bs" needs kind/batch/T (cosine also dataset_size, which
-    defaults to the problem's n); the phase regimes need b0/delta/
-    epochs_per_phase, with "joint-growth" adding gamma/lambda0 and "warmup"
-    adding gamma/lambda0/warmup_phases on top of kind in {constant, cosine}.
-    """
-
-    regime: str
-    kind: str = "constant"
-    lambda_max: float = 0.1
-    lambda_min: float = 0.0
-    p: float = 1.0
-    gamma: float | None = None
-    lambda0: float | None = None
-    warmup_phases: int | None = None
-    batch: int | None = None
-    T: int | None = None
-    b0: int | None = None
-    delta: float | None = None
-    epochs_per_phase: tuple[int, ...] | None = None
-    dataset_size: int | None = None
-
-    def __post_init__(self):
-        if self.regime not in SCHEDULE_REGIMES:
-            raise ValueError(
-                f"unknown schedule regime {self.regime!r}; expected one of {SCHEDULE_REGIMES}"
-            )
-        if self.epochs_per_phase is not None:
-            object.__setattr__(
-                self, "epochs_per_phase", tuple(int(e) for e in self.epochs_per_phase)
-            )
-
-    def build(self, problem_n: int | None):
-        """Materialize (table, corollary regime, the corollary's symbols).
-
-        The regime picks the rate kind once: exp_growth for joint-growth,
-        warmup_<kind> for warmup.  The symbols are read off the built table,
-        its rate schedule and, for the phase regimes, its PhasePlan; M_w and
-        T_w exist for the warm-up regime only.
-        """
-        kind = {"joint-growth": "exp_growth", "warmup": f"warmup_{self.kind}"}.get(
-            self.regime, self.kind
-        )
-        if (kind in schedules.GROWTH_KINDS) != (self.regime in ("joint-growth", "warmup")):
-            raise ValueError(f"regime {self.regime!r} does not take kind {self.kind!r}")
-        lr = schedules.LrSchedule(
-            kind=kind,
-            lambda_max=self.lambda_max,
-            lambda_min=self.lambda_min,
-            p=self.p,
-            gamma=self.gamma,
-            lambda0=self.lambda0,
-            warmup_phases=self.warmup_phases,
-        )
-        n = self.dataset_size if self.dataset_size is not None else problem_n
-        decaying = ("lambda_max", "lambda_min", "p")
-        if self.regime == "constant-bs":
-            if self.batch is None or self.T is None:
-                raise ValueError("constant-bs regime needs batch and T")
-            table = schedules.build_constant_bs_table(lr, self.batch, self.T, dataset_size=n)
-            symbols = {name: getattr(lr, name) for name in decaying}
-            return table, f"cor3.1-{self.kind}", symbols | {"T": table.T, "batch": self.batch}
-
-        if self.b0 is None or self.delta is None or self.epochs_per_phase is None:
-            raise ValueError(f"regime {self.regime!r} needs b0, delta and epochs_per_phase")
-        plan = schedules.PhasePlan(self.b0, self.delta, self.epochs_per_phase, n)
-        table = schedules.build_increasing_bs_table(lr, plan)
-        regime, names = {
-            "increasing-bs": (f"cor3.2-{self.kind}", decaying),
-            "joint-growth": ("cor3.3", ("gamma", "lambda0")),
-            "warmup": (f"cor3.4-{self.kind}", ("gamma", "lambda0", "lambda_min")),
-        }[self.regime]
-        symbols = {name: getattr(lr, name) for name in names} | {
-            "delta": plan.delta,
-            "b0": plan.b0,
-            "K_max": max(plan.steps_per_epoch_all),
-            "K_min": min(plan.steps_per_epoch_all),
-            "E_max": max(plan.epochs_per_phase),
-            "E_min": min(plan.epochs_per_phase),
-            "T": table.T,
-            "M": plan.M,
-        }
-        if self.regime == "warmup":
-            symbols.update(M_w=lr.warmup_phases, T_w=plan.warmup_steps(lr.warmup_phases))
-        return table, regime, symbols
 
 
 @dataclass(frozen=True)

@@ -237,8 +237,6 @@ class RunTrace:
     final_lyapunov: float
     seed: int
     run_index: int
-    alg: str
-    beta: float
     theta: np.ndarray | None = None
     theta_final: np.ndarray | None = None
 
@@ -372,8 +370,6 @@ def run(
             final_lyapunov=float(final_lyap[r]),
             seed=seeds[r],
             run_index=run_indices[r],
-            alg=alg,
-            beta=float(beta),
             theta=rec_theta[r, :k] if record_theta else None,
             theta_final=state.theta[r].copy() if record_theta else None,
         )

@@ -1,17 +1,21 @@
 """Deterministic learning-rate and batch-size schedules with phase bookkeeping.
 
-Schedules are materialized as immutable per-step tables so that every consumer
-(optimizer runs, bound evaluation, CSV export) sees exactly the same numbers.
-Two families are supported: a fixed batch size with one of four decaying
-learning-rate shapes, and phase-based plans where the batch size is multiplied
-by ``delta`` after each phase while the learning rate either decays, grows by
-``gamma`` per phase, or warms up and then freezes/decays.
+``ScheduleSpec`` is the one description of a schedule: a regime (one of the
+paper's scheduling strategies), the rate kind for the regimes that take one,
+and the numbers the regime reads.  ``ScheduleSpec.build`` materializes it as
+an immutable per-step table, so that every consumer (optimizer runs, bound
+evaluation, CSV export) sees exactly the same numbers, together with the
+corollary the table falls under and that corollary's symbols.  constant-bs
+holds the batch size fixed under one of four decaying rate shapes; the phase
+regimes multiply the batch size by ``delta`` after each phase while the rate
+decays (increasing-bs), grows by ``gamma`` per phase (joint-growth), or warms
+up and then holds or cosine-decays (warmup).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,13 +25,12 @@ __all__ = [
     "ScheduleError",
     "MomentumTooLarge",
     "InadmissibleSchedule",
-    "LrSchedule",
+    "ScheduleSpec",
     "PhasePlan",
     "ScheduleTable",
     "AdmissibilityReport",
     "ALGS",
     "DECAYING_KINDS",
-    "GROWTH_KINDS",
     "build_constant_bs_table",
     "build_increasing_bs_table",
     "check_alg",
@@ -38,8 +41,20 @@ __all__ = [
 ]
 
 DECAYING_KINDS = frozenset({"constant", "diminishing", "cosine", "polynomial"})
-GROWTH_KINDS = frozenset({"exp_growth", "warmup_constant", "warmup_cosine"})
-ALL_KINDS = DECAYING_KINDS | GROWTH_KINDS
+_PLAN_FIELDS = ("b0", "delta", "epochs_per_phase", "dataset_size")
+# regime -> (its corollary, the rate kinds it takes, the fields its table and
+# symbols read); joint-growth has a single rate law and takes no kind
+_REGIMES = {
+    "constant-bs": ("cor3.1-{kind}", DECAYING_KINDS,
+                    ("kind", "lambda_max", "lambda_min", "p", "batch", "T", "dataset_size")),
+    "increasing-bs": ("cor3.2-{kind}", DECAYING_KINDS,
+                      ("kind", "lambda_max", "lambda_min", "p", *_PLAN_FIELDS)),
+    "joint-growth": ("cor3.3", (), ("gamma", "lambda0", *_PLAN_FIELDS)),
+    "warmup": ("cor3.4-{kind}", ("constant", "cosine"),
+               ("kind", "lambda_min", "gamma", "lambda0", "warmup_phases", *_PLAN_FIELDS)),
+}
+# the read fields that are corollary symbols under their own name
+_RATE_SYMBOLS = ("lambda_max", "lambda_min", "p", "gamma", "lambda0")
 
 ALGS = ("nshb", "shb")
 
@@ -65,30 +80,64 @@ def check_alg(alg: str) -> str:
 
 
 @dataclass(frozen=True)
-class LrSchedule:
-    """Declarative learning-rate schedule parameters.
+class ScheduleSpec:
+    """Declarative schedule description covering all four regimes.
 
-    ``lambda_min``/``lambda_max`` bound the decaying kinds.  Growth and
-    warm-up kinds start from ``lambda0`` and multiply by ``gamma`` at each
-    phase boundary; ``warmup_phases`` is the index of the last growing phase
-    for the warm-up kinds, after which the rate is frozen (warmup_constant)
-    or cosine-decayed towards ``lambda_min`` (warmup_cosine).
+    regime "constant-bs" needs kind/batch/T (cosine also dataset_size, which
+    defaults to the problem's n); the phase regimes need b0/delta/
+    epochs_per_phase, with "joint-growth" adding gamma/lambda0 and "warmup"
+    adding gamma/lambda0/warmup_phases on top of kind in {constant, cosine}.
+    The decaying kinds read lambda_max/lambda_min (and p for polynomial); the
+    growth regimes start from lambda0 and multiply by gamma at each phase
+    boundary, warmup through phase ``warmup_phases``, after which the rate is
+    held (kind constant) or cosine-decayed towards lambda_min (kind cosine).
+    A field the regime does not read is reset to its default, so it cannot
+    change the config hash.
     """
 
-    kind: str
-    lambda_max: float = 0.0
+    regime: str
+    kind: str = "constant"
+    lambda_max: float = 0.1
     lambda_min: float = 0.0
     p: float = 1.0
     gamma: float | None = None
     lambda0: float | None = None
     warmup_phases: int | None = None
+    batch: int | None = None
+    T: int | None = None
+    b0: int | None = None
+    delta: float | None = None
+    epochs_per_phase: tuple[int, ...] | None = None
+    dataset_size: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.regime not in _REGIMES:
             raise ScheduleError(
-                f"unknown schedule kind {self.kind!r}; expected one of {sorted(ALL_KINDS)}"
+                f"unknown schedule regime {self.regime!r}; expected one of {tuple(_REGIMES)}"
             )
-        if self.kind in DECAYING_KINDS:
+        read = _REGIMES[self.regime][2]
+        for f in fields(self)[1:]:  # every field but regime
+            if f.name not in read:
+                object.__setattr__(self, f.name, f.default)
+        if self.epochs_per_phase is not None:
+            object.__setattr__(
+                self, "epochs_per_phase", tuple(int(e) for e in self.epochs_per_phase)
+            )
+
+    def build(self, problem_n: int | None):
+        """Materialize (table, corollary regime, the corollary's symbols).
+
+        The rate fields are checked first.  The symbols are read off the spec,
+        the built table and, for the phase regimes, its PhasePlan; M_w and T_w
+        exist for the warm-up regime only.
+        """
+        corollary, kinds, read = _REGIMES[self.regime]
+        if kinds and self.kind not in kinds:
+            raise ScheduleError(
+                f"regime {self.regime!r} does not take kind {self.kind!r}; "
+                f"expected one of {sorted(kinds)}"
+            )
+        if self.regime in ("constant-bs", "increasing-bs"):
             if not 0.0 <= self.lambda_min <= self.lambda_max:
                 raise ScheduleError(
                     f"need 0 <= lambda_min <= lambda_max, got [{self.lambda_min}, {self.lambda_max}]"
@@ -97,14 +146,39 @@ class LrSchedule:
                 raise ScheduleError(f"polynomial power must be > 0, got {self.p}")
         else:
             if self.gamma is None or not self.gamma > 1.0:
-                raise ScheduleError(f"{self.kind} needs a growth factor gamma > 1")
+                raise ScheduleError(f"{self.regime} needs a growth factor gamma > 1")
             if self.lambda0 is None or not self.lambda0 > 0.0:
-                raise ScheduleError(f"{self.kind} needs an initial rate lambda0 > 0")
-            if self.kind.startswith("warmup"):
+                raise ScheduleError(f"{self.regime} needs an initial rate lambda0 > 0")
+            if self.regime == "warmup":
                 if self.warmup_phases is None or self.warmup_phases < 0:
-                    raise ScheduleError(f"{self.kind} needs warmup_phases >= 0")
+                    raise ScheduleError("warmup needs warmup_phases >= 0")
                 if not 0.0 <= self.lambda_min < math.inf:
                     raise ScheduleError("lambda_min must be finite and >= 0")
+
+        n = self.dataset_size if self.dataset_size is not None else problem_n
+        regime = corollary.format(kind=self.kind)
+        symbols = {name: getattr(self, name) for name in read if name in _RATE_SYMBOLS}
+        if self.regime == "constant-bs":
+            table = build_constant_bs_table(self, n)
+            return table, regime, symbols | {"T": table.T, "batch": self.batch}
+
+        if self.b0 is None or self.delta is None or self.epochs_per_phase is None:
+            raise ScheduleError(f"regime {self.regime!r} needs b0, delta and epochs_per_phase")
+        plan = PhasePlan(self.b0, self.delta, self.epochs_per_phase, n)
+        table = build_increasing_bs_table(self, plan)
+        symbols |= {
+            "delta": plan.delta,
+            "b0": plan.b0,
+            "K_max": max(plan.steps_per_epoch_all),
+            "K_min": min(plan.steps_per_epoch_all),
+            "E_max": max(plan.epochs_per_phase),
+            "E_min": min(plan.epochs_per_phase),
+            "T": table.T,
+            "M": plan.M,
+        }
+        if self.regime == "warmup":
+            symbols.update(M_w=self.warmup_phases, T_w=plan.warmup_steps(self.warmup_phases))
+        return table, regime, symbols
 
 
 @dataclass(frozen=True)
@@ -257,42 +331,40 @@ def _growth_constant_of(lam: np.ndarray) -> float:
     return max(1.0, float(np.max(nxt[ok] / prev[ok])))
 
 
-def _decaying_lr(lr: LrSchedule, T: int, epoch: np.ndarray | None, E: int | None) -> np.ndarray:
+def _decaying_lr(spec: ScheduleSpec, T: int, epoch: np.ndarray | None, E: int | None) -> np.ndarray:
     """Rate of a decaying kind at steps 0..T-1.
 
-    The cosine kinds walk the per-step epoch index ``epoch`` over E epochs,
-    from their peak rate (lambda_max, or lambda0 * gamma^warmup_phases for the
-    tail of warmup_cosine) down to lambda_min.
+    The cosine kind walks the per-step epoch index ``epoch`` over E epochs,
+    from its peak rate (lambda_max, or lambda0 * gamma^warmup_phases for the
+    tail of a warm-up) down to lambda_min.
     """
-    if lr.kind == "constant":
-        return np.full(T, float(lr.lambda_max))
+    if spec.kind == "constant":
+        return np.full(T, float(spec.lambda_max))
     t = np.arange(T, dtype=np.float64)
-    if lr.kind == "diminishing":
-        return lr.lambda_max / np.sqrt(t + 1.0)
-    if lr.kind == "polynomial":
-        return (lr.lambda_max - lr.lambda_min) * (1.0 - t / T) ** lr.p + lr.lambda_min
-    peak = lr.lambda_max if lr.kind == "cosine" else lr.lambda0 * lr.gamma ** int(lr.warmup_phases)
-    return lr.lambda_min + 0.5 * (peak - lr.lambda_min) * (1.0 + np.cos(epoch * math.pi / E))
+    if spec.kind == "diminishing":
+        return spec.lambda_max / np.sqrt(t + 1.0)
+    if spec.kind == "polynomial":
+        return (spec.lambda_max - spec.lambda_min) * (1.0 - t / T) ** spec.p + spec.lambda_min
+    peak = (spec.lambda0 * spec.gamma ** int(spec.warmup_phases) if spec.regime == "warmup"
+            else spec.lambda_max)
+    return spec.lambda_min + 0.5 * (peak - spec.lambda_min) * (1.0 + np.cos(epoch * math.pi / E))
 
 
-def build_constant_bs_table(
-    lr: LrSchedule, b: int, T: int, dataset_size: int | None = None
-) -> ScheduleTable:
-    """Materialize a decaying-LR schedule with the batch size held at ``b``.
+def build_constant_bs_table(spec: ScheduleSpec, dataset_size: int | None = None) -> ScheduleTable:
+    """Materialize a constant-bs spec: its decaying rate with the batch held at ``spec.batch``.
 
-    The cosine kind groups the step axis into epochs of K = ceil(dataset_size/b)
+    The cosine kind groups the step axis into epochs of K = ceil(dataset_size/batch)
     steps; T must then be a whole number of epochs.
     """
-    if lr.kind not in DECAYING_KINDS:
-        raise ScheduleError(
-            f"constant-batch tables need a decaying kind, got {lr.kind!r}"
-        )
+    b, T = spec.batch, spec.T
+    if b is None or T is None:
+        raise ScheduleError("constant-bs regime needs batch and T")
     if T < 1:
         raise ScheduleError(f"T must be >= 1, got {T}")
     if b < 1:
         raise ScheduleError(f"batch size must be >= 1, got {b}")
     epoch, E = None, None
-    if lr.kind == "cosine":
+    if spec.kind == "cosine":
         if dataset_size is None or dataset_size < 1:
             raise ScheduleError("cosine kind needs a positive dataset_size to fix the epoch length")
         K = math.ceil(dataset_size / b)
@@ -303,44 +375,39 @@ def build_constant_bs_table(
         E = T // K
         epoch = np.floor_divide(np.arange(T), K).astype(np.float64)
     batch = np.full(T, int(b), dtype=np.int64)
-    return ScheduleTable(lr=_decaying_lr(lr, T, epoch, E), batch=batch, T=T)
+    return ScheduleTable(lr=_decaying_lr(spec, T, epoch, E), batch=batch, T=T)
 
 
-def build_increasing_bs_table(lr: LrSchedule, plan: PhasePlan) -> ScheduleTable:
-    """Materialize a phase plan: batch delta^m * b0 on phase m, LR per ``lr.kind``.
+def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTable:
+    """Materialize a phase plan: batch delta^m * b0 on phase m, the rate per ``spec.regime``.
 
-    Decaying kinds pair with the plan as-is (the cosine variant walks the
-    global epoch index against the plan's total epoch count).  exp_growth
-    multiplies the rate by gamma at every phase boundary; the warm-up kinds do
-    so through phase ``warmup_phases`` and then hold (warmup_constant) or
-    cosine-decay (warmup_cosine) the rate.
+    increasing-bs pairs a decaying kind with the plan as-is (cosine walks the
+    global epoch index against the plan's total epoch count).  joint-growth
+    multiplies the rate by gamma at every phase boundary; warmup does so
+    through phase ``warmup_phases`` and then holds (kind constant) or
+    cosine-decays (kind cosine) the rate.
     """
     T = plan.total_steps
-    batch = plan.step_batches()
-    phase = plan.step_phases()
-    if lr.kind in GROWTH_KINDS and lr.gamma >= plan.delta:
+    if spec.regime == "increasing-bs":
+        epoch = plan.step_epochs().astype(np.float64) if spec.kind == "cosine" else None
+        lam = _decaying_lr(spec, T, epoch, plan.total_epochs)
+        return ScheduleTable(lr=lam, batch=plan.step_batches(), T=T)
+    if spec.gamma >= plan.delta:
         raise ScheduleError(
-            f"need gamma < delta so that gamma/delta < 1; got gamma={lr.gamma}, delta={plan.delta}"
+            f"need gamma < delta so that gamma/delta < 1; got gamma={spec.gamma}, delta={plan.delta}"
         )
-    if lr.kind == "exp_growth":
-        lam = lr.lambda0 * lr.gamma ** phase.astype(np.float64)
-    elif lr.kind in ("warmup_constant", "warmup_cosine"):
-        Mw = int(lr.warmup_phases)
-        if Mw > plan.M:
-            raise ScheduleError(
-                f"warmup_phases={Mw} exceeds the plan's last phase index M={plan.M}"
-            )
-        lam = lr.lambda0 * lr.gamma ** np.minimum(phase, Mw).astype(np.float64)
-        if lr.kind == "warmup_cosine" and Mw < plan.M:
-            # the tail restarts the epoch count at the end of the warm-up
-            e_warm = plan.warmup_epochs(Mw)
-            post = phase > Mw
-            epoch = plan.step_epochs().astype(np.float64)[post] - e_warm
-            lam[post] = _decaying_lr(lr, epoch.size, epoch, plan.total_epochs - e_warm)
-    else:  # a decaying kind; cosine walks the global epoch across the whole plan
-        epoch = plan.step_epochs().astype(np.float64) if lr.kind == "cosine" else None
-        lam = _decaying_lr(lr, T, epoch, plan.total_epochs)
-    return ScheduleTable(lr=lam, batch=batch, T=T)
+    Mw = plan.M if spec.regime == "joint-growth" else int(spec.warmup_phases)
+    if Mw > plan.M:
+        raise ScheduleError(f"warmup_phases={Mw} exceeds the plan's last phase index M={plan.M}")
+    phase = plan.step_phases()
+    lam = spec.lambda0 * spec.gamma ** np.minimum(phase, Mw).astype(np.float64)
+    if spec.kind == "cosine" and Mw < plan.M:
+        # the tail restarts the epoch count at the end of the warm-up
+        e_warm = plan.warmup_epochs(Mw)
+        post = phase > Mw
+        epoch = plan.step_epochs().astype(np.float64)[post] - e_warm
+        lam[post] = _decaying_lr(spec, epoch.size, epoch, plan.total_epochs - e_warm)
+    return ScheduleTable(lr=lam, batch=plan.step_batches(), T=T)
 
 
 def admissible_lr_bound(beta: float, L: float, c: float, alg: str) -> float:
@@ -371,9 +438,6 @@ class AdmissibilityReport:
     lr_bound: float
     lr_max: float
     c: float
-    beta: float
-    L: float
-    alg: str
 
 
 def validate_admissible(table: ScheduleTable, beta: float, L: float, alg: str) -> AdmissibilityReport:
@@ -386,9 +450,6 @@ def validate_admissible(table: ScheduleTable, beta: float, L: float, alg: str) -
         lr_bound=bound,
         lr_max=lr_max,
         c=c,
-        beta=float(beta),
-        L=float(L),
-        alg=check_alg(alg),
     )
 
 

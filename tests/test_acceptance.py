@@ -23,9 +23,7 @@ from sgdm_sched.harness import (
 )
 from sgdm_sched.optim import run
 from sgdm_sched.problems import QuadraticMeanProblem, LogCoshProblem, empirical_minibatch_variance
-from sgdm_sched.schedules import LrSchedule, PhasePlan, build_constant_bs_table, build_increasing_bs_table
-
-from conftest import random_decaying_lr, random_plan
+from conftest import constant_bs_table, random_decaying_lr, random_plan
 
 BENCH = ProblemSpec(family="quadratic", d=20, n=256, sigma_sq=1.0, seed=7)
 REL_SLACK = 1 + 1e-12  # roundoff slack where a bound holds with equality
@@ -48,8 +46,7 @@ def test_criterion_01_cosine_sum_identity():
     worst = 0.0
     for K in range(1, 21):
         for E in range(1, 21):
-            lr = LrSchedule("cosine", lambda_max=2.0, lambda_min=0.0)
-            table = build_constant_bs_table(lr, b=1, T=K * E, dataset_size=K)
+            table = constant_bs_table("cosine", batch=1, T=K * E, dataset_size=K, lambda_max=2.0)
             # lr_t = (1 + cos(...)); sum(lr) - KE isolates the cosine sum
             cos_sum = math.fsum(float(x) for x in table.lr) - K * E
             worst = max(worst, abs(cos_sum - K))
@@ -58,68 +55,44 @@ def test_criterion_01_cosine_sum_identity():
 
 
 def test_criterion_02_bound_dominance():
-    """200 random configurations per regime: exact B_T/V_T never exceed the bounds."""
+    """200 random configurations per regime: exact B_T/V_T never exceed the
+    bounds evaluated at the symbols ScheduleSpec.build passes to them."""
     rng = np.random.default_rng(20250811)
     violations = []
 
-    def check(tag, B_exact, V_exact, B, V):
+    def check(spec):
+        table, regime, symbols = spec.build(problem_n=None)
+        B_exact, V_exact = exact_terms(table)
+        B, V = theory.corollary_bounds(regime, **symbols)
         if not (B_exact <= B * REL_SLACK and V_exact <= V * REL_SLACK):
-            violations.append((tag, B_exact, B, V_exact, V))
+            violations.append((regime, B_exact, B, V_exact, V))
 
     for _ in range(200):  # fixed batch, decaying rate (cor3.1-* regimes)
         lr = random_decaying_lr(rng)
         b = int(rng.integers(1, 65))
-        if lr.kind == "cosine":
+        if lr["kind"] == "cosine":
             K, E = int(rng.integers(1, 10)), int(rng.integers(1, 10))
-            table = build_constant_bs_table(lr, b=b, T=K * E, dataset_size=K * b)
+            check(ScheduleSpec("constant-bs", batch=b, T=K * E, dataset_size=K * b, **lr))
         else:
-            table = build_constant_bs_table(lr, b=b, T=int(rng.integers(1, 400)))
-        B, V = theory.corollary_bounds(
-            f"cor3.1-{lr.kind}", lambda_max=lr.lambda_max, lambda_min=lr.lambda_min,
-            p=lr.p, T=table.T, batch=b)
-        check(("3.1", lr.kind), *exact_terms(table), B, V)
+            check(ScheduleSpec("constant-bs", batch=b, T=int(rng.integers(1, 400)), **lr))
 
     for _ in range(200):  # growing batch, decaying rate (cor3.2-* regimes)
         plan = random_plan(rng)
-        lr = random_decaying_lr(rng)
-        table = build_increasing_bs_table(lr, plan)
-        B, V = theory.corollary_bounds(
-            f"cor3.2-{lr.kind}", lambda_max=lr.lambda_max, lambda_min=lr.lambda_min,
-            p=lr.p, T=table.T, delta=plan.delta, b0=plan.b0,
-            K_max=max(plan.steps_per_epoch_all), E_max=max(plan.epochs_per_phase))
-        check(("3.2", lr.kind), *exact_terms(table), B, V)
+        check(ScheduleSpec("increasing-bs", **random_decaying_lr(rng), **plan))
 
     for _ in range(200):  # joint exponential growth (cor3.3 regime)
         plan = random_plan(rng)
-        gamma = float(rng.uniform(1.01, plan.delta - 1e-6))
-        lr = LrSchedule("exp_growth", gamma=gamma, lambda0=float(rng.uniform(0.001, 0.5)))
-        table = build_increasing_bs_table(lr, plan)
-        B, V = theory.corollary_bounds(
-            "cor3.3", delta=plan.delta, gamma=gamma, lambda0=lr.lambda0, b0=plan.b0,
-            K_min=min(plan.steps_per_epoch_all), K_max=max(plan.steps_per_epoch_all),
-            E_min=min(plan.epochs_per_phase), E_max=max(plan.epochs_per_phase), M=plan.M)
-        check(("3.3",), *exact_terms(table), B, V)
+        gamma = float(rng.uniform(1.01, plan["delta"] - 1e-6))
+        check(ScheduleSpec("joint-growth", gamma=gamma,
+                           lambda0=float(rng.uniform(0.001, 0.5)), **plan))
 
-    count = 0
-    while count < 200:  # warm-up (cor3.4-* regimes)
-        plan = random_plan(rng)
-        if plan.M < 1:
-            continue
-        count += 1
-        gamma = float(rng.uniform(1.01, plan.delta - 1e-6))
-        Mw = int(rng.integers(0, plan.M))
+    for _ in range(200):  # warm-up (cor3.4-* regimes)
+        plan = random_plan(rng)  # M >= 1
+        gamma = float(rng.uniform(1.01, plan["delta"] - 1e-6))
+        Mw = int(rng.integers(0, len(plan["epochs_per_phase"]) - 1))
         kind = str(rng.choice(["constant", "cosine"]))
-        lr = LrSchedule(f"warmup_{kind}", gamma=gamma,
-                        lambda0=float(rng.uniform(0.001, 0.5)),
-                        warmup_phases=Mw, lambda_min=0.0)
-        table = build_increasing_bs_table(lr, plan)
-        B, V = theory.corollary_bounds(
-            f"cor3.4-{kind}", delta=plan.delta, gamma=gamma, lambda0=lr.lambda0,
-            b0=plan.b0, K_min=min(plan.steps_per_epoch_all),
-            K_max=max(plan.steps_per_epoch_all), E_min=min(plan.epochs_per_phase),
-            E_max=max(plan.epochs_per_phase), M_w=Mw, T=plan.total_steps,
-            T_w=plan.warmup_steps(Mw), lambda_min=0.0)
-        check(("3.4", kind), *exact_terms(table), B, V)
+        check(ScheduleSpec("warmup", kind, gamma=gamma, lambda0=float(rng.uniform(0.001, 0.5)),
+                           warmup_phases=Mw, lambda_min=0.0, **plan))
 
     ok = verdict(2, "bound dominance", not violations,
                  f"800 configurations, {len(violations)} violations")
@@ -143,20 +116,20 @@ def test_criterion_03_nshb_shb_equivalence():
         kind = str(rng.choice(["constant", "diminishing", "cosine", "polynomial",
                                "exp_growth", "warmup_constant"]))
         if kind in ("exp_growth", "warmup_constant"):
-            plan = PhasePlan(b0=2, delta=2.0, epochs_per_phase=(2, 2, 2),
-                             dataset_size=max(8, n))
-            lr = LrSchedule(kind, gamma=1.4, lambda0=float(rng.uniform(0.01, 0.1)),
-                            warmup_phases=1)
-            eta = build_increasing_bs_table(lr, plan)
+            regime = "joint-growth" if kind == "exp_growth" else "warmup"
+            spec = ScheduleSpec(regime, gamma=1.4, lambda0=float(rng.uniform(0.01, 0.1)),
+                                warmup_phases=1, b0=2, delta=2.0, epochs_per_phase=(2, 2, 2),
+                                dataset_size=max(8, n))
+            eta = spec.build(problem_n=None)[0]
         else:
             lmax = float(rng.uniform(0.01, 0.3))
             if kind == "cosine":
                 K, E = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-                eta = build_constant_bs_table(
-                    LrSchedule(kind, lambda_max=lmax), b=2, T=K * E, dataset_size=2 * K)
+                eta = constant_bs_table(kind, batch=2, T=K * E, dataset_size=2 * K,
+                                        lambda_max=lmax)
             else:
-                eta = build_constant_bs_table(
-                    LrSchedule(kind, lambda_max=lmax, p=2.0), b=2, T=int(rng.integers(5, 60)))
+                eta = constant_bs_table(kind, batch=2, T=int(rng.integers(5, 60)),
+                                        lambda_max=lmax, p=2.0)
         alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T)
         seed = int(rng.integers(10_000))
         a = run("nshb", beta, eta, problem, seed, theta0_seed=trial, record_theta=True)

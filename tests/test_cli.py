@@ -306,6 +306,10 @@ class TestRunCommand:
         (report,) = out.glob("*/report.json")
         totals = json.loads(report.read_text())["totals"]
         assert totals["M"] == 2 and totals["T_w"] is None
+        # the ignored key leaves the config, and so the artifact directory, as
+        # it is without the key
+        cfg.write_text(with_schedule(BASE_CONFIG, INCREASING_SCHEDULE))
+        assert report.parent.name == sgdm_cli.load_config(cfg).config_hash
 
 
 def ini_text(sections):
@@ -498,6 +502,17 @@ def test_flags_the_schedule_cannot_honour_exit_two(capsys, argv, message):
     assert sgdm_cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("flag error: ") and message in err
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "exp_growth"])
+def test_bounds_refuses_kind(capsys, kind):
+    # the corollary fixes the rate kind; --kind belongs to `schedule` only
+    argv = bounds_argv("cor3.1-cosine", "--lr-max", "0.2", "--lr-min", "0.01", "--batch", "4",
+                       "--T", "40", "--dataset-size", "32", "--kind", kind)
+    with pytest.raises(SystemExit) as exc:
+        sgdm_cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kind" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta", ["inf", "1e308"])

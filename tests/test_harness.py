@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -189,11 +190,10 @@ class TestRunExperiment:
             write_artifacts(report, tmp_path)
 
     def test_table_and_audit_csv_bytes_are_pinned(self):
-        lr = schedules.LrSchedule(kind="warmup_cosine", gamma=1.5, lambda0=0.02,
-                                  warmup_phases=1, lambda_min=0.001)
-        plan = schedules.PhasePlan(b0=4, delta=2.0, epochs_per_phase=(1, 2, 1),
-                                   dataset_size=16)
-        text = schedules.table_to_csv(schedules.build_increasing_bs_table(lr, plan))
+        spec = ScheduleSpec(regime="warmup", kind="cosine", gamma=1.5, lambda0=0.02,
+                            warmup_phases=1, lambda_min=0.001, b0=4, delta=2.0,
+                            epochs_per_phase=(1, 2, 1), dataset_size=16)
+        text = schedules.table_to_csv(spec.build(problem_n=None)[0])
         assert short_sha(text.encode()) == PINNED_ARTIFACTS["table_to_csv"]
         audit = lyapunov_descent_audit(small_config(seeds=tuple(range(64))))
         assert short_sha(audit.to_csv().encode()) == PINNED_ARTIFACTS["audit.to_csv"]
@@ -252,15 +252,31 @@ class TestRunExperiment:
             run_experiment(small_config(budget=10.0))
 
     def test_non_finite_field_rejected_before_any_step(self, monkeypatch):
-        # the config hash names the artifact directory and cannot hold nan, so
-        # an unused non-finite field fails before the run, not after it
+        # the config hash names the artifact directory and cannot hold inf; an
+        # infinite budget passes every other check, so it must fail before the
+        # run, not after it
         def no_run(*args, **kwargs):
             raise AssertionError("optim.run was reached")
 
         monkeypatch.setattr(optim, "run", no_run)
-        cfg = small_config(problem=ProblemSpec(family="quadratic", d=4, n=32, scale=math.nan))
-        with pytest.raises(ValueError, match="non-finite value nan"):
+        cfg = small_config(budget=math.inf)
+        with pytest.raises(ValueError, match="refusing to serialize non-finite value inf"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("problem, schedule", [
+        (dict(scale=5.0, amp=math.nan, box_radius=1.0), {}),
+        ({}, dict(gamma=1.5, lambda0=0.02, warmup_phases=3, b0=4, delta=2.0,
+                  epochs_per_phase=(1, 1))),
+    ], ids=["family", "regime"])
+    def test_unread_fields_do_not_change_the_config_hash(self, problem, schedule):
+        # the quadratic family reads no scale/amp/box_radius, and constant-bs
+        # no growth or plan field: they are reset to their defaults
+        base = small_config()
+        cfg = small_config(
+            problem=ProblemSpec(**{**asdict(base.problem), **problem}),
+            schedule=ScheduleSpec(**{**asdict(base.schedule), **schedule}),
+        )
+        assert cfg == base and cfg.config_hash == base.config_hash
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -16,11 +16,11 @@ from sgdm_sched.optim import (
     step,
 )
 from sgdm_sched.problems import IterateOutsideCertifiedBox, LogCoshProblem, QuadraticMeanProblem
-from sgdm_sched.schedules import LrSchedule, build_constant_bs_table
+from conftest import constant_bs_table
 
 
 def const_table(lam, T, b=1):
-    return build_constant_bs_table(LrSchedule("constant", lambda_max=lam), b=b, T=T)
+    return constant_bs_table("constant", batch=b, T=T, lambda_max=lam)
 
 
 class TestStep:
@@ -218,10 +218,9 @@ class TestRun:
 
     def test_batch_sizes_follow_table(self):
         prob = QuadraticMeanProblem.generate(2, 32, sigma_sq=1.0, seed=5)
-        plan = schedules.PhasePlan(b0=8, delta=2.0, epochs_per_phase=(1, 1, 1), dataset_size=32)
-        table = schedules.build_increasing_bs_table(
-            LrSchedule("constant", lambda_max=0.1), plan
-        )
+        spec = schedules.ScheduleSpec("increasing-bs", lambda_max=0.1, b0=8, delta=2.0,
+                                      epochs_per_phase=(1, 1, 1), dataset_size=32)
+        table = spec.build(problem_n=None)[0]
         trace = run("nshb", 0.0, table, prob, seed=1)
         np.testing.assert_array_equal(trace.batch, table.batch)
 
@@ -238,9 +237,7 @@ class TestAlgorithmEquivalences:
         # alpha_t = (1 - beta) * eta_t reproduces the nshb trajectory
         prob = QuadraticMeanProblem.generate(4, 16, sigma_sq=1.0, seed=6)
         beta = 0.9
-        eta = build_constant_bs_table(
-            LrSchedule("diminishing", lambda_max=0.15), b=4, T=80
-        )
+        eta = constant_bs_table("diminishing", batch=4, T=80, lambda_max=0.15)
         alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T)
         a = run("nshb", beta, eta, prob, seed=3, theta0_seed=1, record_theta=True)
         b = run("shb", beta, alpha, prob, seed=3, theta0_seed=1, record_theta=True)
@@ -252,9 +249,8 @@ class TestAlgorithmEquivalences:
         # theta_{t+1} = theta_t - eta_t (1-beta) g_t + beta (eta_t/eta_{t-1}) (theta_t - theta_{t-1})
         prob = QuadraticMeanProblem.generate(3, 12, sigma_sq=0.5, seed=8)
         beta = 0.8
-        table = build_constant_bs_table(
-            LrSchedule("cosine", lambda_max=0.2, lambda_min=0.05), b=3, T=100, dataset_size=12
-        )
+        table = constant_bs_table("cosine", batch=3, T=100, dataset_size=12, lambda_max=0.2,
+                                  lambda_min=0.05)
         buffer_form = run("nshb", beta, table, prob, seed=5, theta0_seed=2, record_theta=True)
 
         theta = np.array(buffer_form.theta[0])
@@ -336,7 +332,7 @@ class TestLockstepEngine:
         prob = small_problem(family)
         beta = 0.8
         lam = 0.2 if alg == "nshb" else 0.2 * (1 - beta)
-        table = build_constant_bs_table(LrSchedule("diminishing", lambda_max=lam), b=3, T=60)
+        table = constant_bs_table("diminishing", batch=3, T=60, lambda_max=lam)
         theta0 = np.random.default_rng(5).uniform(-2, 2, size=prob.d)
         traces = run(alg, beta, table, prob, self.SEEDS, theta0=theta0, record_theta=True)
         assert [tr.seed for tr in traces] == list(self.SEEDS)
@@ -357,7 +353,7 @@ class TestLockstepEngine:
         # row r samples stream (seeds[r], run_index + r); the seeds beside it
         # must not change a single bit of its trace
         prob = small_problem(family)
-        table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=4, T=30)
+        table = const_table(0.1, T=30, b=4)
 
         def rows(seeds, run_index=0):
             return run("nshb", 0.5, table, prob, seeds, run_index=run_index, theta0_seed=2,

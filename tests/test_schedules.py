@@ -8,24 +8,30 @@ import pytest
 
 from sgdm_sched import schedules
 from sgdm_sched.schedules import (
-    LrSchedule,
     MomentumTooLarge,
     PhasePlan,
     ScheduleError,
+    ScheduleSpec,
     admissible_lr_bound,
-    build_constant_bs_table,
     build_increasing_bs_table,
     table_from_csv,
     table_to_csv,
     validate_admissible,
 )
 
-from conftest import random_decaying_lr, random_plan
+from conftest import constant_bs_table, random_decaying_lr, random_plan
+
+
+def plan_spec(regime, plan, kind="constant", **rates):
+    """A phase-regime ScheduleSpec over the fields of ``plan``."""
+    return ScheduleSpec(regime, kind, b0=plan.b0, delta=plan.delta,
+                        epochs_per_phase=plan.epochs_per_phase,
+                        dataset_size=plan.dataset_size, **rates)
 
 
 class TestConstantBatchTables:
     def test_constant_lr(self):
-        table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=4, T=5)
+        table = constant_bs_table("constant", batch=4, T=5, lambda_max=0.1)
         np.testing.assert_array_equal(table.lr, [0.1] * 5)
         np.testing.assert_array_equal(table.batch, [4] * 5)
 
@@ -33,42 +39,41 @@ class TestConstantBatchTables:
         # oracle: lambda_max / sqrt(t+1) evaluated directly
         expected = [1.0 / math.sqrt(t + 1) for t in range(3)]
         assert expected == pytest.approx([1.0, 0.7071067811865475, 0.5773502691896258])
-        table = build_constant_bs_table(LrSchedule("diminishing", lambda_max=1.0), b=1, T=3)
+        table = constant_bs_table("diminishing", batch=1, T=3, lambda_max=1.0)
         np.testing.assert_allclose(table.lr, expected, rtol=0, atol=0)
 
     def test_cosine_lr_three_epochs(self):
         # oracle: (1 + cos(m*pi/3)) / 2 for epochs m = 0, 1, 2
         expected_per_epoch = [(1 + math.cos(m * math.pi / 3)) / 2 for m in range(3)]
         assert expected_per_epoch == pytest.approx([1.0, 0.75, 0.25], abs=1e-12)
-        lr = LrSchedule("cosine", lambda_max=1.0, lambda_min=0.0)
-        table = build_constant_bs_table(lr, b=1, T=15, dataset_size=5)  # K = 5, E = 3
+        # K = 5, E = 3
+        table = constant_bs_table("cosine", batch=1, T=15, dataset_size=5, lambda_max=1.0)
         for t in range(15):
             assert table.lr[t] == pytest.approx(expected_per_epoch[t // 5], abs=1e-12)
 
     def test_polynomial_lr(self):
         # oracle: (lmax - lmin) (1 - t/T)^p + lmin evaluated directly
-        lr = LrSchedule("polynomial", lambda_max=1.0, lambda_min=0.1, p=2.0)
-        table = build_constant_bs_table(lr, b=2, T=10)
+        table = constant_bs_table("polynomial", batch=2, T=10, lambda_max=1.0,
+                                  lambda_min=0.1, p=2.0)
         expected = [(1.0 - 0.1) * (1 - t / 10) ** 2 + 0.1 for t in range(10)]
         np.testing.assert_allclose(table.lr, expected, rtol=1e-15)
 
     def test_rejects_zero_T(self):
         with pytest.raises(ScheduleError):
-            build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=1, T=0)
+            constant_bs_table("constant", batch=1, T=0, lambda_max=0.1)
 
     def test_rejects_cosine_partial_epoch(self):
-        lr = LrSchedule("cosine", lambda_max=1.0)
         with pytest.raises(ScheduleError, match="multiple"):
-            build_constant_bs_table(lr, b=1, T=14, dataset_size=5)
+            constant_bs_table("cosine", batch=1, T=14, dataset_size=5, lambda_max=1.0)
 
     def test_rejects_min_above_max(self):
-        with pytest.raises(ScheduleError):
-            LrSchedule("cosine", lambda_max=0.1, lambda_min=0.2)
+        with pytest.raises(ScheduleError, match="lambda_min <= lambda_max"):
+            constant_bs_table("cosine", batch=1, T=5, dataset_size=1, lambda_max=0.1,
+                              lambda_min=0.2)
 
     def test_rejects_growth_kind(self):
-        lr = LrSchedule("exp_growth", gamma=1.5, lambda0=0.1)
-        with pytest.raises(ScheduleError):
-            build_constant_bs_table(lr, b=1, T=5)
+        with pytest.raises(ScheduleError, match="does not take kind 'exp_growth'"):
+            constant_bs_table("exp_growth", batch=1, T=5, gamma=1.5, lambda0=0.1)
 
 
 class TestPhasePlan:
@@ -85,7 +90,7 @@ class TestPhasePlan:
 
     def test_partition_no_gaps_or_overlaps(self, rng):
         for _ in range(50):
-            plan = random_plan(rng)
+            plan = PhasePlan(**random_plan(rng))
             starts = plan.phase_starts
             assert starts[0] == 0
             assert starts[-1] == plan.total_steps
@@ -113,8 +118,8 @@ class TestPhasePlan:
 class TestIncreasingBatchTables:
     def test_exp_growth_lr_per_phase(self):
         plan = PhasePlan(b0=8, delta=2.0, epochs_per_phase=(1, 1, 1), dataset_size=32)
-        lr = LrSchedule("exp_growth", gamma=1.5, lambda0=0.1)
-        table = build_increasing_bs_table(lr, plan)
+        table = build_increasing_bs_table(plan_spec("joint-growth", plan, gamma=1.5, lambda0=0.1),
+                                          plan)
         # oracle: gamma^m * lambda0 per phase
         expected = [0.1] * 4 + [0.1 * 1.5] * 2 + [0.1 * 1.5**2]
         np.testing.assert_allclose(table.lr, expected, rtol=1e-15)
@@ -122,15 +127,16 @@ class TestIncreasingBatchTables:
 
     def test_warmup_constant_freezes_after_warmup(self):
         plan = PhasePlan(b0=8, delta=2.0, epochs_per_phase=(1, 1, 1), dataset_size=32)
-        lr = LrSchedule("warmup_constant", gamma=1.5, lambda0=0.1, warmup_phases=1)
-        table = build_increasing_bs_table(lr, plan)
+        spec = plan_spec("warmup", plan, gamma=1.5, lambda0=0.1, warmup_phases=1)
+        table = build_increasing_bs_table(spec, plan)
         expected = [0.1] * 4 + [0.15] * 2 + [0.15]
         np.testing.assert_allclose(table.lr, expected, rtol=1e-15)
 
     def test_warmup_cosine_decays_to_min_after_warmup(self):
         plan = PhasePlan(b0=4, delta=2.0, epochs_per_phase=(2, 2, 2, 2), dataset_size=32)
-        lr = LrSchedule("warmup_cosine", gamma=1.5, lambda0=0.1, warmup_phases=1, lambda_min=0.0)
-        table = build_increasing_bs_table(lr, plan)
+        spec = plan_spec("warmup", plan, "cosine", gamma=1.5, lambda0=0.1, warmup_phases=1,
+                         lambda_min=0.0)
+        table = build_increasing_bs_table(spec, plan)
         T_w = plan.warmup_steps(1)
         lam_max = 0.1 * 1.5
         # warm-up part grows by phase
@@ -149,8 +155,8 @@ class TestIncreasingBatchTables:
     def test_decaying_kinds_with_plan(self, rng):
         plan = PhasePlan(b0=8, delta=2.0, epochs_per_phase=(2, 2, 2), dataset_size=32)
         for kind in ("constant", "diminishing", "cosine", "polynomial"):
-            lr = LrSchedule(kind=kind, lambda_max=0.5, lambda_min=0.05, p=2.0)
-            table = build_increasing_bs_table(lr, plan)
+            spec = plan_spec("increasing-bs", plan, kind, lambda_max=0.5, lambda_min=0.05, p=2.0)
+            table = build_increasing_bs_table(spec, plan)
             assert table.T == plan.total_steps
             assert np.all(np.diff(table.lr) <= 1e-15)  # non-increasing
             assert np.all(np.diff(table.batch) >= 0)
@@ -158,27 +164,29 @@ class TestIncreasingBatchTables:
     def test_rejects_gamma_at_or_above_delta(self):
         plan = PhasePlan(b0=8, delta=2.0, epochs_per_phase=(1, 1), dataset_size=16)
         with pytest.raises(ScheduleError, match="gamma/delta"):
-            build_increasing_bs_table(LrSchedule("exp_growth", gamma=2.0, lambda0=0.1), plan)
+            build_increasing_bs_table(plan_spec("joint-growth", plan, gamma=2.0, lambda0=0.1),
+                                      plan)
 
     def test_rejects_warmup_beyond_last_phase(self):
         plan = PhasePlan(b0=8, delta=2.0, epochs_per_phase=(1, 1), dataset_size=16)
-        lr = LrSchedule("warmup_constant", gamma=1.5, lambda0=0.1, warmup_phases=2)
+        spec = plan_spec("warmup", plan, gamma=1.5, lambda0=0.1, warmup_phases=2)
         with pytest.raises(ScheduleError, match="warmup_phases"):
-            build_increasing_bs_table(lr, plan)
+            build_increasing_bs_table(spec, plan)
 
 
 class TestGrowthConstant:
     def test_constant_is_one(self):
-        table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=1, T=10)
+        table = constant_bs_table("constant", batch=1, T=10, lambda_max=0.1)
         assert table.growth_constant_c == 1.0
 
     def test_diminishing_clamped_at_one(self):
-        table = build_constant_bs_table(LrSchedule("diminishing", lambda_max=1.0), b=1, T=50)
+        table = constant_bs_table("diminishing", batch=1, T=50, lambda_max=1.0)
         assert table.growth_constant_c == 1.0
 
     def test_exp_growth_equals_gamma(self):
         plan = PhasePlan(b0=4, delta=2.0, epochs_per_phase=(1, 1, 1), dataset_size=16)
-        table = build_increasing_bs_table(LrSchedule("exp_growth", gamma=1.5, lambda0=0.1), plan)
+        table = build_increasing_bs_table(plan_spec("joint-growth", plan, gamma=1.5, lambda0=0.1),
+                                          plan)
         assert table.growth_constant_c == pytest.approx(1.5, rel=1e-12)
 
     def test_zero_before_positive_rejected(self):
@@ -208,7 +216,7 @@ class TestAdmissibility:
             admissible_lr_bound(0.95, 1.0, 1.2, "nshb")
 
     def test_validate_pass_and_fail(self):
-        table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.15), b=4, T=10)
+        table = constant_bs_table("constant", batch=4, T=10, lambda_max=0.15)
         ok = validate_admissible(table, beta=0.9, L=10.0, alg="nshb")
         assert ok.admissible and ok.lr_bound == pytest.approx(0.19)
         bad = validate_admissible(table, beta=0.9, L=10.0, alg="shb")
@@ -241,20 +249,20 @@ class TestMonotonicity:
     def test_decaying_kinds_non_increasing(self, rng):
         for _ in range(20):
             lr = random_decaying_lr(rng)
-            if lr.kind == "cosine":
+            if lr["kind"] == "cosine":
                 K, E = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-                table = build_constant_bs_table(lr, b=1, T=K * E, dataset_size=K)
+                table = constant_bs_table(batch=1, T=K * E, dataset_size=K, **lr)
             else:
-                table = build_constant_bs_table(lr, b=1, T=int(rng.integers(1, 200)))
+                table = constant_bs_table(batch=1, T=int(rng.integers(1, 200)), **lr)
             assert np.all(np.diff(table.lr) <= 1e-15), lr
 
     def test_warmup_monotone_around_T_w(self, rng):
-        for kind in ("warmup_constant", "warmup_cosine"):
-            plan = random_plan(rng, max_M=4)
+        for kind in ("constant", "cosine"):
+            plan = PhasePlan(**random_plan(rng, max_M=4))
             Mw = int(rng.integers(0, plan.M + 1))
-            lr = LrSchedule(kind=kind, gamma=min(1.2, (plan.delta + 1) / 2), lambda0=0.05,
-                            warmup_phases=Mw, lambda_min=0.0)
-            table = build_increasing_bs_table(lr, plan)
+            spec = plan_spec("warmup", plan, kind, gamma=min(1.2, (plan.delta + 1) / 2),
+                             lambda0=0.05, warmup_phases=Mw, lambda_min=0.0)
+            table = build_increasing_bs_table(spec, plan)
             T_w = plan.warmup_steps(Mw)
             diffs = np.diff(table.lr)
             assert np.all(diffs[: T_w - 1] >= -1e-15)  # non-decreasing before T_w
@@ -262,21 +270,20 @@ class TestMonotonicity:
 
     def test_batches_non_decreasing(self, rng):
         for _ in range(20):
-            plan = random_plan(rng)
+            plan = PhasePlan(**random_plan(rng))
             table = build_increasing_bs_table(
-                LrSchedule("constant", lambda_max=0.1), plan
+                plan_spec("increasing-bs", plan, lambda_max=0.1), plan
             )
             assert np.all(np.diff(table.batch) >= 0)
 
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, rng):
-        plan = random_plan(rng)
+        plan = PhasePlan(**random_plan(rng))
         table = build_increasing_bs_table(
-            LrSchedule("exp_growth", gamma=1.25, lambda0=0.0123456789012345, ), plan
-        ) if plan.delta > 1.25 else build_constant_bs_table(
-            LrSchedule("diminishing", lambda_max=0.777), b=3, T=17
-        )
+            plan_spec("joint-growth", plan, gamma=1.25, lambda0=0.0123456789012345), plan
+        ) if plan.delta > 1.25 else constant_bs_table("diminishing", batch=3, T=17,
+                                                      lambda_max=0.777)
         text = table_to_csv(table)
         parsed = table_from_csv(text)
         np.testing.assert_array_equal(parsed.lr, table.lr)
@@ -306,21 +313,24 @@ class TestCsvRoundTrip:
     ])
     def test_table_bytes_are_pinned(self, builder, kind, lr_args, expected):
         if kind in schedules.DECAYING_KINDS:
-            lr = LrSchedule(kind, lambda_max=0.37, lambda_min=0.013, p=1.7)
-        else:
-            lr = LrSchedule(kind, gamma=1.3, lambda0=0.02, lambda_min=0.001, **lr_args)
+            rates = dict(kind=kind, lambda_max=0.37, lambda_min=0.013, p=1.7)
+        else:  # exp_growth names joint-growth (which ignores kind), warmup_<kind> warmup
+            builder = "joint-growth" if kind == "exp_growth" else "warmup"
+            rates = dict(kind=kind.removeprefix("warmup_"), gamma=1.3, lambda0=0.02,
+                         lambda_min=0.001, **lr_args)
         if builder == "constant-bs":
-            table = build_constant_bs_table(lr, b=4, T=24, dataset_size=16)
+            spec = ScheduleSpec(builder, batch=4, T=24, dataset_size=16, **rates)
         else:
-            plan = PhasePlan(b0=3, delta=1.7, epochs_per_phase=(2, 1, 3), dataset_size=20)
-            table = build_increasing_bs_table(lr, plan)
+            spec = ScheduleSpec(builder, b0=3, delta=1.7, epochs_per_phase=(2, 1, 3),
+                                dataset_size=20, **rates)
+        table = spec.build(problem_n=None)[0]
         digest = hashlib.sha256(table_to_csv(table).encode()).hexdigest()[:16]
         assert digest == expected
 
 
 class TestTableImmutability:
     def test_arrays_read_only(self):
-        table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=1, T=4)
+        table = constant_bs_table("constant", batch=1, T=4, lambda_max=0.1)
         with pytest.raises(ValueError):
             table.lr[0] = 99.0
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sgdm_sched import schedules, theory
-from sgdm_sched.schedules import LrSchedule, PhasePlan, build_constant_bs_table, build_increasing_bs_table
+from sgdm_sched.schedules import ScheduleSpec
 from sgdm_sched.theory import (
     TheoremConstants,
     corollary_bounds,
@@ -18,7 +18,7 @@ from sgdm_sched.theory import (
     theorem1_rhs,
 )
 
-from conftest import random_decaying_lr, random_plan
+from conftest import constant_bs_table, random_decaying_lr, random_plan
 
 # float slack for dominance checks: constant-LR B_T EQUALS its bound in exact
 # arithmetic, so pure roundoff must not count as a violation
@@ -72,7 +72,7 @@ class TestLyapunovValue:
 
 class TestTheoremRhs:
     def test_constant_table_terms(self):
-        table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=10, T=100)
+        table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
         constants = TheoremConstants(L=1.0, beta=0.0, c=1.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         rep = theorem1_rhs(constants, table)
@@ -82,7 +82,7 @@ class TestTheoremRhs:
         assert rep.rhs_norm == pytest.approx(math.sqrt(0.3), rel=1e-15)
 
     def test_calg_scaling(self):
-        table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=10, T=100)
+        table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
         constants = TheoremConstants(L=1.0, beta=0.5, c=1.0, f0_minus_fstar=1.0,
                                      sigma_sq=0.0, alg="nshb")
         rep = theorem1_rhs(constants, table)
@@ -95,10 +95,10 @@ class TestTheoremRhs:
             for _ in range(5):
                 lr = random_decaying_lr(rng)
                 T = int(rng.integers(2, 50))
-                if lr.kind == "cosine":
-                    table = build_constant_bs_table(lr, b=b, T=4 * T, dataset_size=4 * b)
+                if lr["kind"] == "cosine":
+                    table = constant_bs_table(batch=b, T=4 * T, dataset_size=4 * b, **lr)
                 else:
-                    table = build_constant_bs_table(lr, b=b, T=T)
+                    table = constant_bs_table(batch=b, T=T, **lr)
                 rep = theorem1_rhs(
                     TheoremConstants(L=1.0, beta=0.0, c=1.0, f0_minus_fstar=0.0,
                                      sigma_sq=1.0, alg="shb"),
@@ -122,7 +122,7 @@ class TestCorollaryBounds:
         # bound = 1/(2 * 1 * (sqrt(4) - 1)) = 0.5; exact B_3 = 1/(1 + 1/sqrt2 + 1/sqrt3)
         B, V = corollary_bounds("cor3.1-diminishing", lambda_max=1.0, T=3, batch=2)
         assert B == pytest.approx(0.5)
-        table = build_constant_bs_table(LrSchedule("diminishing", lambda_max=1.0), b=2, T=3)
+        table = constant_bs_table("diminishing", batch=2, T=3, lambda_max=1.0)
         B_exact, _ = exact_terms(table)
         assert B_exact == pytest.approx(1.0 / (1.0 + 1.0 / math.sqrt(2) + 1.0 / math.sqrt(3)))
         assert B_exact <= B
@@ -174,79 +174,50 @@ class TestCorollaryBounds:
 
 
 class TestBoundDominance:
-    """Randomized: exact sums never exceed the closed-form bounds."""
+    """Randomized: exact sums never exceed the closed-form bounds evaluated at
+    the symbols ScheduleSpec.build passes to them."""
+
+    @staticmethod
+    def assert_dominated(spec):
+        table, regime, symbols = spec.build(problem_n=None)
+        B_exact, V_exact = exact_terms(table)
+        B, V = corollary_bounds(regime, **symbols)
+        assert B_exact <= B * REL_SLACK, spec
+        assert V_exact <= V * REL_SLACK, spec
 
     def test_cor31_dominance(self, rng):
-        constants = TheoremConstants(L=1.0, beta=0.0, c=1.0, f0_minus_fstar=0.0,
-                                     sigma_sq=1.0, alg="shb")
         for _ in range(60):
             lr = random_decaying_lr(rng)
             b = int(rng.integers(1, 65))
-            if lr.kind == "cosine":
+            if lr["kind"] == "cosine":
                 K, E = int(rng.integers(1, 10)), int(rng.integers(1, 10))
-                table = build_constant_bs_table(lr, b=b, T=K * E, dataset_size=K * b)
+                spec = ScheduleSpec("constant-bs", batch=b, T=K * E, dataset_size=K * b, **lr)
             else:
-                table = build_constant_bs_table(lr, b=b, T=int(rng.integers(1, 400)))
-            B_exact, V_exact = exact_terms(table)
-            B, V = corollary_bounds(
-                f"cor3.1-{lr.kind}", lambda_max=lr.lambda_max, lambda_min=lr.lambda_min,
-                p=lr.p, T=table.T, batch=b,
-            )
-            assert B_exact <= B * REL_SLACK, lr
-            assert V_exact <= V * REL_SLACK, lr
+                spec = ScheduleSpec("constant-bs", batch=b, T=int(rng.integers(1, 400)), **lr)
+            self.assert_dominated(spec)
 
     def test_cor32_dominance(self, rng):
         for _ in range(60):
             plan = random_plan(rng)
-            lr = random_decaying_lr(rng)
-            table = build_increasing_bs_table(lr, plan)
-            B_exact, V_exact = exact_terms(table)
-            B, V = corollary_bounds(
-                f"cor3.2-{lr.kind}", lambda_max=lr.lambda_max, lambda_min=lr.lambda_min,
-                p=lr.p, T=table.T, delta=plan.delta, b0=plan.b0,
-                K_max=max(plan.steps_per_epoch_all), E_max=max(plan.epochs_per_phase),
-            )
-            assert B_exact <= B * REL_SLACK, (lr, plan)
-            assert V_exact <= V * REL_SLACK, (lr, plan)
+            self.assert_dominated(ScheduleSpec("increasing-bs", **random_decaying_lr(rng), **plan))
 
     def test_cor33_dominance(self, rng):
         for _ in range(60):
             plan = random_plan(rng)
-            gamma = float(rng.uniform(1.01, plan.delta - 1e-6))
-            lr = LrSchedule("exp_growth", gamma=gamma, lambda0=float(rng.uniform(0.001, 0.2)))
-            table = build_increasing_bs_table(lr, plan)
-            B_exact, V_exact = exact_terms(table)
-            B, V = corollary_bounds(
-                "cor3.3", delta=plan.delta, gamma=gamma, lambda0=lr.lambda0, b0=plan.b0,
-                K_min=min(plan.steps_per_epoch_all), K_max=max(plan.steps_per_epoch_all),
-                E_min=min(plan.epochs_per_phase), E_max=max(plan.epochs_per_phase),
-                M=plan.M,
-            )
-            assert B_exact <= B * REL_SLACK, (lr, plan)
-            assert V_exact <= V * REL_SLACK, (lr, plan)
+            gamma = float(rng.uniform(1.01, plan["delta"] - 1e-6))
+            self.assert_dominated(ScheduleSpec(
+                "joint-growth", gamma=gamma, lambda0=float(rng.uniform(0.001, 0.2)), **plan))
 
     def test_cor34_dominance(self, rng):
         for _ in range(60):
-            plan = random_plan(rng)
-            if plan.M < 1:
-                continue
-            gamma = float(rng.uniform(1.01, plan.delta - 1e-6))
-            Mw = int(rng.integers(0, plan.M))  # strictly before the last phase
+            plan = random_plan(rng)  # M >= 1
+            gamma = float(rng.uniform(1.01, plan["delta"] - 1e-6))
+            M = len(plan["epochs_per_phase"]) - 1
+            Mw = int(rng.integers(0, M))  # strictly before the last phase
             kind = str(rng.choice(["constant", "cosine"]))
-            lr = LrSchedule(f"warmup_{kind}", gamma=gamma,
-                            lambda0=float(rng.uniform(0.001, 0.2)),
-                            warmup_phases=Mw, lambda_min=0.0)
-            table = build_increasing_bs_table(lr, plan)
-            B_exact, V_exact = exact_terms(table)
-            B, V = corollary_bounds(
-                f"cor3.4-{kind}", delta=plan.delta, gamma=gamma, lambda0=lr.lambda0,
-                b0=plan.b0, K_min=min(plan.steps_per_epoch_all),
-                K_max=max(plan.steps_per_epoch_all),
-                E_min=min(plan.epochs_per_phase), E_max=max(plan.epochs_per_phase),
-                M_w=Mw, T=plan.total_steps, T_w=plan.warmup_steps(Mw), lambda_min=0.0,
-            )
-            assert B_exact <= B * REL_SLACK, (lr, plan)
-            assert V_exact <= V * REL_SLACK, (lr, plan)
+            self.assert_dominated(ScheduleSpec(
+                "warmup", kind, gamma=gamma, lambda0=float(rng.uniform(0.001, 0.2)),
+                warmup_phases=Mw, lambda_min=0.0, **plan))
 
 
 class TestVarianceTermDecay:
@@ -255,10 +226,10 @@ class TestVarianceTermDecay:
         # (with equal-length phases T is only linear in M and the 1/4 factor
         # is unreachable; see the epoch-tripling rationale in the README)
         def v_term(M):
-            plan = PhasePlan(b0=8, delta=2.0,
-                             epochs_per_phase=tuple(3**m for m in range(M + 1)),
-                             dataset_size=8 * 2**M)
-            table = build_increasing_bs_table(LrSchedule("constant", lambda_max=0.1), plan)
+            spec = ScheduleSpec("increasing-bs", lambda_max=0.1, b0=8, delta=2.0,
+                                epochs_per_phase=tuple(3**m for m in range(M + 1)),
+                                dataset_size=8 * 2**M)
+            table = spec.build(problem_n=None)[0]
             return exact_terms(table)[1]
 
         assert v_term(8) < v_term(2) / 4.0
@@ -269,7 +240,7 @@ class TestRateClassSanity:
         lam = 0.37
         values = []
         for T in (10, 100, 1000, 10_000):
-            table = build_constant_bs_table(LrSchedule("constant", lambda_max=lam), b=1, T=T)
+            table = constant_bs_table("constant", batch=1, T=T, lambda_max=lam)
             B_exact, _ = exact_terms(table)
             values.append(B_exact * T)
         for v in values:
@@ -301,7 +272,7 @@ class TestDescentInequalityRhs:
 
 class TestReportSerialization:
     def test_exact_field_names(self):
-        table = build_constant_bs_table(LrSchedule("constant", lambda_max=0.1), b=10, T=100)
+        table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
         constants = TheoremConstants(L=1.0, beta=0.0, c=1.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         rep = theory.build_report(constants, table, "cor3.1-constant",
