@@ -161,6 +161,17 @@ class LogCoshProblem:
       mean(g^2) and mean(g)^2 carry at most (n + 6) eps c^2 and
       (2n + 7) eps c^2, and each computed grid value of v_j is within
       (3n + 14) eps c^2 <= 4(n + 4) eps c^2 of the exact one, to first order.
+    - Search.  The chord bound holds between any two grid points, not only
+      neighbours: every grid point strictly between x_lo and x_hi has an
+      exact value at most max(v_lo, v_hi) + M (x_hi - x_lo)^2/8.  With
+      rho = 4(n + 4) eps c^2, one rho moves each computed end value to the
+      exact one, one moves the exact inner value to its computed one, and a
+      third covers the rounding of the bound itself (it is compared only
+      while it is below max v_j <= c^2, so it carries a few eps c^2).  So
+      an interval whose bound plus 3 rho is below the largest computed value
+      so far holds no grid point whose computed value reaches it, and
+      bisecting the index range of the grid, level by level, and dropping
+      such intervals finds the exact computed grid maximum.
 
     So sigma_sq = sum_j max_grid v_j + d M h^2/8 + d 4(n + 4) eps c^2.  The
     terms are kept in ``sigma_search``.
@@ -182,6 +193,7 @@ class LogCoshProblem:
         self.amp = float(amp)
         self.box_radius = float(box_radius)
         self.f_star = 0.0  # lower bound: every per-sample loss is >= 0
+        self._work = np.empty((3, self.n, self.d))  # value_and_grad's buffers
         try:  # huge or tiny constants overflow L or the certificate
             with np.errstate(over="raise", invalid="raise"):
                 self.L = self.amp / self.scale**2
@@ -212,20 +224,11 @@ class LogCoshProblem:
         R = self.box_radius
         c = self.amp / self.scale
         grid = np.linspace(-R, R, SIGMA_GRID_POINTS)
-        # blocks of grid points hold about 2^18 values (2 MB), whatever n is;
-        # each point's value is computed exactly as over the whole grid
-        block = max(1, 2**18 // self.n)
-        per_coord_max = np.empty(self.d)
-        v_j = np.empty(SIGMA_GRID_POINTS)
-        for j in range(self.d):
-            a_j = self.anchors[None, :, j]
-            for lo in range(0, SIGMA_GRID_POINTS, block):
-                g = c * np.tanh((grid[lo : lo + block, None] - a_j) / self.scale)
-                v_j[lo : lo + block] = np.einsum("pi,pi->p", g, g) / self.n - g.mean(axis=1) ** 2
-            per_coord_max[j] = v_j.max()
         M = (2.0 + 8.0 / (3.0 * math.sqrt(3.0))) * c * c / self.scale**2
         h = float(np.diff(grid).max())
         eps = float(np.finfo(np.float64).eps)
+        margin = 3.0 * 4.0 * (self.n + 4) * eps * c * c  # the search's 3 rho
+        per_coord_max = [self._grid_max(grid, j, M, margin) for j in range(self.d)]
         return {
             "box_radius": R,
             "grid_points_per_coord": SIGMA_GRID_POINTS,
@@ -236,23 +239,68 @@ class LogCoshProblem:
             "rounding_margin": self.d * 4.0 * (self.n + 4) * eps * c * c,
         }
 
-    def value_and_grad(self, theta: np.ndarray):
-        # One seed row at a time, so that no more than one (n, d) temporary is
-        # alive whatever the number of seeds.
-        if theta.ndim == 1:
-            return self._value_and_grad(theta)
-        f = np.empty(theta.shape[0])
-        g = np.empty_like(theta)
-        for r, row in enumerate(theta):
-            f[r], g[r] = self._value_and_grad(row)
-        return f, g
+    def _grid_max(self, grid: np.ndarray, j: int, M: float, margin: float) -> float:
+        """max of the computed v_j over ``grid``, by the search of the class docstring."""
+        v = np.empty(grid.size)
+        v[[0, -1]] = self._variance_terms(grid[[0, -1]], j)
+        best = max(v[0], v[-1])
+        lo, hi = np.array([0]), np.array([grid.size - 1])
+        while True:
+            with np.errstate(over="ignore"):  # an infinite bound never prunes
+                reach = np.maximum(v[lo], v[hi]) + M * (grid[hi] - grid[lo]) ** 2 / 8.0 + margin
+            keep = (hi - lo >= 2) & (reach >= best)
+            if not keep.any():
+                return float(best)
+            lo, hi = lo[keep], hi[keep]
+            mid = (lo + hi) // 2
+            v[mid] = self._variance_terms(grid[mid], j)
+            best = max(best, v[mid].max())
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
 
-    def _value_and_grad(self, theta: np.ndarray):
-        z = (theta[None, :] - self.anchors) / self.scale
-        f = self.amp * float(_logcosh(z).sum() / self.n)
-        # the float path of an all-samples mini-batch, so the unbiasedness
-        # identity holds bit-exactly
-        g = (self.amp / self.scale * np.tanh(z)).mean(axis=0)
+    def _variance_terms(self, x: np.ndarray, j: int) -> np.ndarray:
+        """v_j at the points ``x``.
+
+        Each point's value comes from its own contiguous row of g, so it does
+        not depend on the other points; blocks hold about 2^18 values (2 MB)
+        whatever n is.
+        """
+        c = self.amp / self.scale
+        a_j = self.anchors[None, :, j]
+        block = max(1, 2**18 // self.n)
+        v = np.empty(x.size)
+        for lo in range(0, x.size, block):
+            g = c * np.tanh((x[lo : lo + block, None] - a_j) / self.scale)
+            v[lo : lo + block] = np.einsum("pi,pi->p", g, g) / self.n - g.mean(axis=1) ** 2
+        return v
+
+    def value_and_grad(self, theta: np.ndarray):
+        # One seed row at a time through the preallocated (3, n, d) work
+        # array: the ufuncs write into it, so a call allocates nothing of
+        # size n.  Each step is the same operation on the same values as the
+        # expression form f = amp * mean(|z| + log1p(exp(-2|z|)) - log 2),
+        # g = mean(c * tanh(z)), so f and g are bit-identical to it.
+        rows = theta[None, :] if theta.ndim == 1 else theta
+        f = np.empty(rows.shape[0])
+        g = np.empty(rows.shape)
+        z, w, u = self._work
+        for r, row in enumerate(rows):
+            np.subtract(row, self.anchors, out=z)
+            np.divide(z, self.scale, out=z)
+            # log(cosh(z)) = |z| + log1p(exp(-2|z|)) - log(2), stable for large |z|
+            np.abs(z, out=w)
+            np.multiply(w, -2.0, out=u)
+            np.exp(u, out=u)
+            np.log1p(u, out=u)
+            np.add(w, u, out=u)
+            np.subtract(u, math.log(2.0), out=u)
+            f[r] = self.amp * float(u.sum() / self.n)
+            # the float path of an all-samples mini-batch, so the unbiasedness
+            # identity holds bit-exactly
+            np.tanh(z, out=w)
+            np.multiply(w, self.amp / self.scale, out=w)
+            w.mean(axis=0, out=g[r])
+        if theta.ndim == 1:
+            return float(f[0]), g[0]
         return f, g
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -269,12 +317,6 @@ class LogCoshProblem:
                 f"certification box radius {self.box_radius:.6g}",
                 row=row,
             )
-
-
-def _logcosh(x: np.ndarray) -> np.ndarray:
-    # log(cosh(x)) = |x| + log1p(exp(-2|x|)) - log(2), stable for large |x|
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
 class VarianceEstimate(NamedTuple):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sgdm_sched.problems import (
+    SIGMA_GRID_POINTS,
     IterateOutsideCertifiedBox,
     LogCoshProblem,
     QuadraticMeanProblem,
@@ -33,6 +34,33 @@ def _per_sample_gradients(prob, theta):
     """(n, d) array whose row i is sample i's gradient: one-index mini-batches."""
     return prob.minibatch_gradient(np.broadcast_to(theta, (prob.n, prob.d)),
                                    np.arange(prob.n)[:, None])
+
+
+def _full_grid_max(prob):
+    """sum_j max of v_j over every certificate grid point, in blocks of about
+    2^18 values: the evaluation the pruned search replaces."""
+    c = prob.amp / prob.scale
+    grid = np.linspace(-prob.box_radius, prob.box_radius, SIGMA_GRID_POINTS)
+    block = max(1, 2**18 // prob.n)
+    per_coord = []
+    for j in range(prob.d):
+        a_j = prob.anchors[None, :, j]
+        v = np.empty(grid.size)
+        for lo in range(0, grid.size, block):
+            g = c * np.tanh((grid[lo : lo + block, None] - a_j) / prob.scale)
+            v[lo : lo + block] = np.einsum("pi,pi->p", g, g) / prob.n - g.mean(axis=1) ** 2
+        per_coord.append(v.max())
+    return math.fsum(per_coord)
+
+
+def _logcosh_expression(prob, theta):
+    """f and g of one iterate as plain numpy expressions, allocating freely."""
+    z = (theta[None, :] - prob.anchors) / prob.scale
+    az = np.abs(z)
+    logcosh = az + np.log1p(np.exp(-2.0 * az)) - math.log(2.0)
+    f = prob.amp * float(logcosh.sum() / prob.n)
+    g = (prob.amp / prob.scale * np.tanh(z)).mean(axis=0)
+    return f, g
 
 
 @pytest.fixture
@@ -245,10 +273,41 @@ class TestLogCosh:
         assert prob.sigma_sq <= refined + 1.001 * s["curvature_slack"] + 3 * s["rounding_margin"]
 
     def test_certified_sigma_is_tight_on_the_benchmark_problem(self):
-        # the per-coordinate maxima on 2^16 points add up to 7.8908366, and a
-        # branch-and-bound search over the same proof reaches 7.8915
+        # the per-coordinate maxima on 2^16 points add up to 7.8908366; the
+        # certificate adds the 2048-point grid's cell slack and rounding
+        # margin to the maximum of that grid, found by the pruned search
         prob = LogCoshProblem.generate(20, 1024, seed=3)
         assert 7.890836 <= prob.sigma_sq <= 7.8915
+
+    def test_pruned_grid_max_equals_the_full_grid(self):
+        # bit for bit, also where v_j is nearly flat (tiny spread) and little
+        # can be pruned, and at the sharp curvature of a small scale
+        rng = np.random.default_rng(1972)
+        for k in range(200):
+            n = 1 if k < 10 else round(10 ** rng.uniform(0.0, math.log10(600.0)))
+            prob = LogCoshProblem.generate(
+                int(rng.integers(1, 3)), n,
+                spread=float(10 ** rng.uniform(-2.0, 0.5)),
+                scale=float(10 ** rng.uniform(math.log10(0.05), math.log10(3.0))),
+                amp=float(10 ** rng.uniform(-1.0, 1.0)),
+                box_radius=float(rng.uniform(0.5, 10.0)),
+                seed=k,
+            )
+            assert prob.sigma_search["grid_max"] == _full_grid_max(prob), k
+
+    def test_search_evaluates_few_grid_points(self, monkeypatch):
+        # every grid value comes from one row of a tanh call; count the rows
+        rows = 0
+        tanh = np.tanh
+
+        def counting_tanh(x, *args, **kwargs):
+            nonlocal rows
+            rows += x.shape[0]
+            return tanh(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "tanh", counting_tanh)
+        LogCoshProblem.generate(20, 1024, seed=3)
+        assert 0 < rows <= 128 * 20
 
     def test_box_check(self):
         prob = LogCoshProblem.generate(2, 4, seed=0, box_radius=1.5)
@@ -258,6 +317,45 @@ class TestLogCosh:
         with pytest.raises(IterateOutsideCertifiedBox, match="1.7") as info:
             prob.check_iterate(np.array([[1.0, -1.4], [1.7, 0.0], [0.0, 1.6]]))
         assert info.value.row == 1
+
+
+class TestLogCoshObservation:
+    def test_buffered_equals_the_expression_form(self, rng):
+        prob = LogCoshProblem.generate(20, 1024, scale=0.7, amp=1.3, seed=3)
+        theta = rng.uniform(-6.0, 6.0, size=(16, 20))
+        f, g = prob.value_and_grad(theta)
+        for r in range(16):
+            f_r, g_r = _logcosh_expression(prob, theta[r])
+            assert f[r] == f_r
+            assert np.array_equal(g[r], g_r)
+        f_1, g_1 = prob.value_and_grad(theta[5])
+        f_ref, g_ref = _logcosh_expression(prob, theta[5])
+        assert isinstance(f_1, float) and f_1 == f_ref
+        assert np.array_equal(g_1, g_ref)
+
+    def test_allocates_no_per_row_temporaries(self, rng):
+        prob = LogCoshProblem.generate(20, 1024, seed=3)
+        theta = rng.uniform(-6.0, 6.0, size=(16, 20))
+        prob.value_and_grad(theta)
+        tracemalloc.start()
+        try:
+            prob.value_and_grad(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < prob.n * prob.d * 8
+
+    def test_returned_arrays_outlive_the_next_call(self, rng):
+        prob = LogCoshProblem.generate(6, 50, seed=4)
+        theta = rng.uniform(-3.0, 3.0, size=(4, 6))
+        f, g = prob.value_and_grad(theta)
+        f_copy, g_copy = f.copy(), g.copy()
+        _, g_1 = prob.value_and_grad(theta[0])
+        g_1_copy = g_1.copy()
+        prob.value_and_grad(rng.uniform(-3.0, 3.0, size=(4, 6)))
+        prob.value_and_grad(-theta[0])
+        assert np.array_equal(f, f_copy) and np.array_equal(g, g_copy)
+        assert np.array_equal(g_1, g_1_copy)
 
 
 class TestMinibatchVariance:
