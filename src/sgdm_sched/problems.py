@@ -57,6 +57,30 @@ def _anchor_array(anchors) -> np.ndarray:
     return anchors
 
 
+def _batch_mean(rows: np.ndarray, indices: np.ndarray, per_sample=None, theta=None) -> np.ndarray:
+    """Mean over each batch of ``rows[i]``, or of ``per_sample(rows[i], theta)``.
+
+    ``indices`` is one batch (b,) or R batches (R, b); ``per_sample`` may
+    overwrite the gathered rows it gets.  The gather is batch-major, (b, R, d),
+    so the sum runs over whole contiguous (R, d) slices, adding the b samples
+    of every element in order, as a row-major (R, b, d) sum over the batch
+    axis does; each row is thus computed as it would be alone.  With d = 1
+    that row-major sum runs pairwise over the contiguous batch axis instead,
+    so d = 1 keeps the C-contiguous row-major gather for the same bits.
+    """
+    if rows.shape[1] == 1:
+        x = rows.take(np.ascontiguousarray(indices), axis=0)
+        if per_sample is not None:
+            x = per_sample(x, theta[..., None, :])
+        return x.mean(axis=-2)
+    x = rows.take(np.transpose(indices), axis=0)
+    if per_sample is not None:
+        x = per_sample(x, theta)
+    total = np.add.reduce(x, axis=0)
+    total /= x.shape[0]
+    return total
+
+
 class QuadraticMeanProblem:
     """Mean-anchored quadratic: f_i(theta) = 0.5 * ||theta - a_i||^2.
 
@@ -114,11 +138,11 @@ class QuadraticMeanProblem:
         return 0.5 * np.einsum("...j,...j->...", g, g) + self.f_star, g
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return theta - self.anchors[indices].mean(axis=-2)
+        return theta - _batch_mean(self.anchors, indices)
 
     def minibatch_deviation_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Rows of grad f_B - grad f via centered anchors (cancellation-free)."""
-        return -self._dev[indices].mean(axis=1)
+        return -_batch_mean(self._dev, indices)
 
     def check_iterate(self, theta: np.ndarray) -> None:
         pass  # sigma_sq is global; nothing to enforce
@@ -240,10 +264,24 @@ class LogCoshProblem:
         }
 
     def _grid_max(self, grid: np.ndarray, j: int, M: float, margin: float) -> float:
-        """max of the computed v_j over ``grid``, by the search of the class docstring."""
+        """max of the computed v_j over ``grid``, by the search of the class docstring.
+
+        Where v_j is flat against its curvature bound, bisection prunes
+        nothing until the intervals are a few cells wide and so evaluates
+        nearly every point, one level at a time.  As v_j >= 0, an interval
+        four cells wide can only be pruned once the best value exceeds its
+        curvature slack.  So once an interior point has been seen, if the best
+        value is still below that slack and the kept intervals hold more than
+        half of the unevaluated points, the search evaluates all those points
+        in one call instead.  Either way the result is the computed grid
+        maximum, since each value is independent of the others.
+        """
         v = np.empty(grid.size)
         v[[0, -1]] = self._variance_terms(grid[[0, -1]], j)
         best = max(v[0], v[-1])
+        unseen = grid.size - 2
+        cells4 = 4.0 * float(grid[1] - grid[0])
+        flat = M * cells4 * cells4 / 8.0 + margin  # python floats: overflow gives inf
         lo, hi = np.array([0]), np.array([grid.size - 1])
         while True:
             with np.errstate(over="ignore"):  # an infinite bound never prunes
@@ -252,9 +290,16 @@ class LogCoshProblem:
             if not keep.any():
                 return float(best)
             lo, hi = lo[keep], hi[keep]
+            if best <= flat and unseen < grid.size - 2 and 2 * int((hi - lo - 1).sum()) > unseen:
+                inside = np.zeros(grid.size + 1, dtype=np.int64)
+                inside[lo + 1] += 1  # the interiors of the kept intervals are disjoint
+                inside[hi] -= 1
+                rest = np.flatnonzero(np.cumsum(inside[:-1]))
+                return float(max(best, self._variance_terms(grid[rest], j).max()))
             mid = (lo + hi) // 2
             v[mid] = self._variance_terms(grid[mid], j)
             best = max(best, v[mid].max())
+            unseen -= mid.size
             lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
 
     def _variance_terms(self, x: np.ndarray, j: int) -> np.ndarray:
@@ -304,8 +349,15 @@ class LogCoshProblem:
         return f, g
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        z = (theta[..., None, :] - self.anchors[indices]) / self.scale
-        return (self.amp / self.scale * np.tanh(z)).mean(axis=-2)
+        return _batch_mean(self.anchors, indices, self._sample_gradients, theta)
+
+    def _sample_gradients(self, a: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """(amp/scale) tanh((theta - a)/scale), computed in place over the gathered anchors a."""
+        np.subtract(theta, a, out=a)
+        a /= self.scale
+        np.tanh(a, out=a)
+        a *= self.amp / self.scale
+        return a
 
     def check_iterate(self, theta: np.ndarray) -> None:
         worst = np.max(np.abs(theta), axis=-1)

@@ -7,6 +7,7 @@ import pytest
 
 from sgdm_sched import schedules
 from sgdm_sched.optim import (
+    _BLOCK_WORDS,
     NumericalDivergence,
     OptimizerState,
     _bounded,
@@ -317,10 +318,10 @@ def reference_run(alg, beta, table, problem, seed, run_index, theta0):
     return np.array(thetas), np.array(f), np.array(gns), np.array(lyap)
 
 
-def small_problem(family):
+def small_problem(family, d=5):
     if family == "quadratic":
-        return QuadraticMeanProblem.generate(5, 24, sigma_sq=1.0, seed=3)
-    return LogCoshProblem.generate(5, 24, spread=1.5, seed=3)
+        return QuadraticMeanProblem.generate(d, 24, sigma_sq=1.0, seed=3)
+    return LogCoshProblem.generate(d, 24, spread=1.5, seed=3)
 
 
 class TestLockstepEngine:
@@ -349,11 +350,13 @@ class TestLockstepEngine:
                 np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
-    def test_row_depends_only_on_its_seed_and_run_index(self, family):
+    @pytest.mark.parametrize("d, b", [(1, 4), (1, 40), (5, 4), (5, 40)])
+    def test_row_depends_only_on_its_seed_and_run_index(self, family, d, b):
         # row r samples stream (seeds[r], run_index + r); the seeds beside it
-        # must not change a single bit of its trace
-        prob = small_problem(family)
-        table = const_table(0.1, T=30, b=4)
+        # must not change a single bit of its trace.  d = 1 with b >= 9 is
+        # where a batch-major sum would stop matching a single row's sum.
+        prob = small_problem(family, d)
+        table = const_table(0.1, T=30, b=b)
 
         def rows(seeds, run_index=0):
             return run("nshb", 0.5, table, prob, seeds, run_index=run_index, theta0_seed=2,
@@ -374,6 +377,45 @@ class TestLockstepEngine:
                 np.testing.assert_array_equal(getattr(tr, field), getattr(ref, field))
             np.testing.assert_array_equal(tr.theta_final, ref.theta_final)
             assert tr.final_lyapunov == ref.final_lyapunov
+
+    def test_blocks_of_steps_match_per_step_draws(self):
+        # run draws a block of equal-batch steps at a time; the per-seed
+        # reference draws each step through batch_indices.  Neither phase is a
+        # whole number of blocks, n = 1000 makes the bounded map reject words,
+        # and the rate jump makes every row diverge inside a block.
+        prob = QuadraticMeanProblem.generate(3, 1000, sigma_sq=1.0, seed=5)
+        seeds, beta, record_every = [11, 4, 29, 0], 0.5, 3
+        phases = {3: 700, 7: 800}  # batch: steps
+        T = sum(phases.values())
+        lr = np.where(np.arange(T) < 1000, 0.1, 20.0)
+        table = schedules.ScheduleTable(lr=lr, batch=np.repeat(*zip(*phases.items())), T=T)
+        block = {b: _BLOCK_WORDS // (len(seeds) * b) for b in phases}
+        assert all(1 < steps / block[b] != steps // block[b] for b, steps in phases.items())
+        theta0 = np.random.default_rng(5).uniform(-2, 2, size=prob.d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            refs = [reference_run("nshb", beta, table, prob, s, r, theta0)
+                    for r, s in enumerate(seeds)]
+        # the engine's divergence rule: a non-finite observation on a recorded
+        # step, else a non-finite new iterate, at the first such step and row
+        bad_obs = ~np.isfinite(np.array([np.vstack(ref[1:]) for ref in refs])).all(axis=1)
+        bad_theta = ~np.isfinite(np.array([ref[0][1:] for ref in refs])).all(axis=2)
+        bad = bad_theta[:, :T] | (bad_obs[:, :T] & (np.arange(T) % record_every == 0))
+        div_step = int(np.argmax(bad.any(axis=0)))
+        div_row = int(np.argmax(bad[:, div_step]))
+        assert 1000 < div_step < T and (div_step - 700) % block[7] != 0
+        with pytest.raises(NumericalDivergence) as info:
+            run("nshb", beta, table, prob, seeds, theta0=theta0, record_every=record_every,
+                record_theta=True)
+        exc = info.value
+        assert (exc.step_index, exc.row, exc.trace.seed) == (div_step, div_row, seeds[div_row])
+        rec = np.arange(0, div_step + 1, record_every)
+        np.testing.assert_array_equal(exc.trace.t, rec)
+        thetas, f, gns, lyap = refs[div_row]
+        np.testing.assert_array_equal(exc.trace.theta, thetas[rec])
+        np.testing.assert_array_equal(exc.trace.f, f[rec])
+        # the reference forms ||grad f||^2 as g @ g and A_{t-1} with eta**2
+        np.testing.assert_allclose(exc.trace.grad_norm_sq, gns[rec], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(exc.trace.lyapunov, lyap[rec], rtol=1e-12, atol=0)
 
     def test_single_seed_is_one_row_of_the_engine(self):
         prob = small_problem("quadratic")

@@ -295,6 +295,26 @@ class TestLogCosh:
             )
             assert prob.sigma_search["grid_max"] == _full_grid_max(prob), k
 
+    @pytest.mark.parametrize("d, n, kwargs", [
+        (3, 600, dict(spread=0.01, scale=0.05, box_radius=10.0, seed=7)),
+        (3, 50, dict(spread=0.01, seed=1)),
+    ])
+    def test_flat_coordinates_are_evaluated_at_once(self, d, n, kwargs, monkeypatch):
+        # nearly flat v_j: bisection would evaluate the grid a level at a
+        # time, so the search evaluates the kept points in one call instead
+        calls = 0
+        terms = LogCoshProblem._variance_terms
+
+        def counting_terms(self, x, j):
+            nonlocal calls
+            calls += 1
+            return terms(self, x, j)
+
+        monkeypatch.setattr(LogCoshProblem, "_variance_terms", counting_terms)
+        prob = LogCoshProblem.generate(d, n, **kwargs)
+        assert calls <= 3 * d
+        assert prob.sigma_search["grid_max"] == _full_grid_max(prob)
+
     def test_search_evaluates_few_grid_points(self, monkeypatch):
         # every grid value comes from one row of a tanh call; count the rows
         rows = 0
