@@ -26,16 +26,21 @@ pure function of (s, i, t, j), blocking changes no index.
 
 ``run`` is a lockstep engine: the R master seeds of an experiment advance
 together as the rows of (R, d) parameter and momentum arrays, so each step
-makes one mini-batch gradient call, one ``step`` call and, on recorded steps,
-one observation for all seeds.  A single seed is the R = 1 case.  Every row
-is computed as it would be alone, so a seed's trace does not depend on the
-seeds that run beside it.
+makes one mini-batch gradient call and one ``step`` call for all seeds;
+``step`` updates the arrays in place.  A single seed is the R = 1 case.
+Observations are made a block of recorded steps at a time: ``run`` copies
+each recorded (theta_t, m_{t-1}) into a (J, R, d) block and observes the
+block's J*R rows in one ``value_and_grad`` call, so a block may step past a
+non-finite observation before its flush finds it and reports the earlier
+step.  Every row is computed as it would be alone, so a seed's trace does
+not depend on the seeds that run beside it, nor on the block it is
+observed in.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +81,13 @@ class OptimizerState:
     t: int
     beta: float
     alg: str
+    # the arrays ``step`` writes the next momentum and iterate into, plus a
+    # finiteness mask; a finite step swaps the pair with (theta, momentum)
+    _spare: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shape = np.shape(self.theta)
+        self._spare = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
 
     @classmethod
     def initial(cls, theta0: np.ndarray, beta: float, alg: str) -> "OptimizerState":
@@ -94,6 +106,12 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
     The state holds one iterate theta[d] or seed rows theta[R, d].  A
     non-finite gradient or new iterate raises NumericalDivergence naming the
     lowest row that is non-finite at this step.
+
+    The update runs in place and returns ``state`` itself: the new momentum
+    and iterate are written into the state's spare pair of arrays, which is
+    swapped in only when the new iterate is finite, so a step that raises
+    leaves theta, momentum and t as they were.  The arrays a step swaps out
+    are overwritten by the next one; copy ``state.theta`` to keep it.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != state.theta.shape:
@@ -102,18 +120,27 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
         )
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
+    theta, m, finite = state._spare
     # divergence is detected explicitly below; let inf/nan flow, not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(state.momentum, state.beta, out=m)
         if state.alg == "nshb":
-            m = state.beta * state.momentum + (1.0 - state.beta) * grad
+            np.multiply(grad, 1.0 - state.beta, out=theta)  # theta as scratch
+            np.add(m, theta, out=m)
         else:
-            m = state.beta * state.momentum + grad
-        theta = state.theta - lr * m
-    finite = np.isfinite(grad) & np.isfinite(theta)
-    if not finite.all():
+            np.add(m, grad, out=m)
+        np.multiply(m, lr, out=theta)
+        np.subtract(state.theta, theta, out=theta)
+    # a non-finite gradient or state entry makes the same entry of the new
+    # iterate non-finite, so the iterate alone decides
+    np.isfinite(theta, out=finite)
+    if np.count_nonzero(finite) < finite.size:  # cheaper than finite.all() on small arrays
         rows_ok = finite.reshape(-1, finite.shape[-1]).all(axis=1)
         raise NumericalDivergence(state.t, row=int(np.argmin(rows_ok)))
-    return OptimizerState(theta=theta, momentum=m, t=state.t + 1, beta=state.beta, alg=state.alg)
+    state._spare = (state.theta, state.momentum, finite)
+    state.theta, state.momentum = theta, m
+    state.t += 1
+    return state
 
 
 # SplitMix64 constants (Steele, Lea & Flood 2014).  Every uint64 operation
@@ -232,14 +259,6 @@ def batch_indices(master_seed, run_index, t: int, b: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(idx[0] if single else idx)
 
 
-def _nonfinite_row(*values: np.ndarray) -> int | None:
-    """Lowest seed row where any of the per-row ``values`` is non-finite, else None."""
-    finite = np.isfinite(values[0])
-    for v in values[1:]:
-        finite &= np.isfinite(v)
-    return None if finite.all() else int(np.argmin(finite))
-
-
 @dataclass
 class RunTrace:
     """Per-recorded-step metrics of one run plus the post-run summary.
@@ -305,7 +324,15 @@ def run(
     step t's gradient and new iterate; a non-finite observation at the
     post-run iterate counts as step T.  The raised NumericalDivergence names
     that step and the lowest non-finite row's master seed, and carries that
-    seed's trace truncated after the step's record.
+    seed's trace truncated after the step's record; its final_* values are
+    the observation at that step's iterate.
+
+    Recorded steps are observed J = max(1, _BLOCK_WORDS // (R*d)) at a time
+    (each theta_t is observed with the step's A_{t-1}), and the final
+    iterate with the last block.  A block is flushed when full, at the end
+    and before a box exit or a step divergence is reported, so the steps
+    run past a non-finite observation never change the outcome: the failure
+    order above holds as if every step were observed on its own.
     """
     alg = schedules.check_alg(alg)
     if record_every < 1:
@@ -314,12 +341,12 @@ def run(
     seeds = [int(seed)] if single else [int(s) for s in seed]
     if not seeds:
         raise ValueError("need at least one master seed")
-    R = len(seeds)
+    R, d = len(seeds), problem.d
     run_indices = [int(run_index) + r for r in range(R)]
     key = _stream_key(seeds, run_indices)
     _check_dataset_size(problem.n)
     if theta0 is None:
-        theta0 = np.random.default_rng((int(theta0_seed),)).standard_normal(problem.d)
+        theta0 = np.random.default_rng((int(theta0_seed),)).standard_normal(d)
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.ndim != 1:
         raise ValueError("theta0 must be a 1-D vector")
@@ -328,76 +355,113 @@ def run(
     # Lyapunov bookkeeping always uses the nshb parameterization: eta = lr
     # for nshb, eta = lr/(1-beta) and momentum scaled by (1-beta) for shb.
     eta = table.lr if alg == "nshb" else table.lr / one_minus_beta
-    A = theory.lyapunov_coefficient_array(eta, problem.L, beta)
+    # A_prev[t] = A_{t-1}, the momentum coefficient of the step-t Lyapunov value
+    A_prev = np.concatenate(([0.0], theory.lyapunov_coefficient_array(eta, problem.L, beta)))
 
-    def observe(st: OptimizerState):
-        """(f, ||grad f||^2, Lyapunov value) per seed row at st.theta."""
-        A_prev = float(A[st.t - 1]) if st.t > 0 else 0.0
-        # a huge but finite iterate may overflow here; the caller reports
-        # a non-finite value as divergence, so record it rather than warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, g = problem.value_and_grad(st.theta)
-            m_eq = st.momentum if alg == "nshb" else one_minus_beta * st.momentum
-            m_sq = np.einsum("ij,ij->i", m_eq, m_eq)
-            return f, np.einsum("ij,ij->i", g, g), theory.lyapunov_value(f, m_sq, A_prev, st.t)
-
+    # Column c of rec holds observation c: the recorded steps in order, then
+    # the final iterate.  Observations wait in a block of (theta_t, m_{t-1},
+    # t) entries and are made a block at a time.
     rec_t = np.arange(0, table.T, record_every)
-    rec_f = np.empty((R, rec_t.size))
-    rec_gns = np.empty((R, rec_t.size))
-    rec_lyap = np.empty((R, rec_t.size))
-    rec_theta = np.empty((R, rec_t.size, problem.d)) if record_theta else None
-    k = 0
-    div_step: int | None = None
-    div_row = -1
-    for t, idx in enumerate(_step_indices(key, table.batch, problem.n)):
-        if t % record_every == 0:
-            obs = observe(state)
-            rec_f[:, k], rec_gns[:, k], rec_lyap[:, k] = obs
-            if record_theta:
-                rec_theta[:, k] = state.theta
-            k += 1
-            row = _nonfinite_row(*obs)
-            if row is not None:
-                div_step, div_row = t, row
-                break
-        try:
-            problem.check_iterate(state.theta)
-        except problems.IterateOutsideCertifiedBox as exc:
-            raise problems.IterateOutsideCertifiedBox(
-                f"seed {seeds[exc.row]} at step {t}: {exc}", row=exc.row
-            ) from None
-        grad = problem.minibatch_gradient(state.theta, idx)
-        try:
-            state = step(state, grad, float(table.lr[t]))
-        except NumericalDivergence as exc:
-            div_step, div_row = t, exc.row
-            break
+    rec = [np.empty((R, rec_t.size + 1)) for _ in range(3)]  # f, ||grad f||^2, Lyapunov
+    rec_theta = np.empty((R, rec_t.size + 1, d)) if record_theta else None
+    J = max(1, _BLOCK_WORDS // (R * d))
+    # two arrays, not one (2, J, R, d): the single 64 KB block raised the
+    # cli-doubling benchmark's peak RSS by about 0.7 MB through heap placement
+    blk_theta, blk_m = np.empty((J, R, d)), np.empty((J, R, d))
+    blk_t = np.empty((J, 1), dtype=np.int64)
+    k = j = 0  # observations taken, of which the last j wait in the block
 
-    final_f, final_gns, final_lyap = observe(state)
-    row = _nonfinite_row(final_f, final_gns, final_lyap)
-    if div_step is None and row is not None:
-        div_step, div_row = table.T, row
-    rec = rec_t[:k]
-    lr = np.asarray(table.lr[rec], dtype=np.float64)
-    batch = np.asarray(table.batch[rec], dtype=np.int64)
+    def push(st: OptimizerState) -> None:
+        nonlocal k, j
+        blk_theta[j] = st.theta
+        blk_m[j] = st.momentum
+        blk_t[j] = st.t
+        if record_theta:
+            rec_theta[:, k] = st.theta
+        k += 1
+        j += 1
+
+    def flush() -> tuple[int, int] | None:
+        """Observe the waiting entries into their columns of rec; return the
+        (column, lowest row) of the first non-finite one, or None."""
+        nonlocal j
+        n, j = j, 0
+        if n == 0:
+            return None
+        f, g = problem.value_and_grad(blk_theta[:n].reshape(n * R, d))
+        f = f.reshape(n, R)
+        m_eq = blk_m[:n] if alg == "nshb" else one_minus_beta * blk_m[:n]
+        m_sq = np.einsum("ijk,ijk->ij", m_eq, m_eq)
+        t = blk_t[:n]
+        obs = (f, np.einsum("ij,ij->i", g, g).reshape(n, R),
+               theory.lyapunov_value(f, m_sq, A_prev[t], t))
+        finite = np.ones((n, R), dtype=bool)
+        for column, values in zip(rec, obs):
+            column[:, k - n : k] = values.T
+            finite &= np.isfinite(values)
+        if finite.all():
+            return None
+        first = int(np.argmin(finite.all(axis=1)))
+        return k - n + first, int(np.argmin(finite[first]))
+
+    bad = stop = final = None
+    # Divergence is detected explicitly, and a block may step past a
+    # non-finite observation before its flush finds it: let inf/nan flow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, idx in enumerate(_step_indices(key, table.batch, problem.n)):
+            if t % record_every == 0:
+                push(state)
+                if j == J and (bad := flush()):
+                    break
+            try:
+                problem.check_iterate(state.theta)
+            except problems.IterateOutsideCertifiedBox as exc:
+                if bad := flush():
+                    break
+                raise problems.IterateOutsideCertifiedBox(
+                    f"seed {seeds[exc.row]} at step {t}: {exc}", row=exc.row
+                ) from None
+            grad = problem.minibatch_gradient(state.theta, idx)
+            try:
+                state = step(state, grad, float(table.lr[t]))
+            except NumericalDivergence as exc:
+                stop = t, exc.row
+                break
+        if bad is None:
+            push(state)  # theta_T, or the iterate of the step that diverged
+            final = k - 1
+            bad = flush()
+    if bad is not None and bad[0] != final:
+        # a recorded observation is non-finite: the run ends at its step
+        final = bad[0]
+        stop = int(rec_t[final]), bad[1]
+        rows = final + 1
+    else:
+        rows = final
+        if stop is None and bad is not None:
+            stop = table.T, bad[1]  # the post-run observation counts as step T
+    rec_k = rec_t[:rows]
+    lr = np.asarray(table.lr[rec_k], dtype=np.float64)
+    batch = np.asarray(table.batch[rec_k], dtype=np.int64)
+    f, gns, lyap = rec
     traces = [
         RunTrace(
-            t=rec,
+            t=rec_k,
             lr=lr,
             batch=batch,
-            f=rec_f[r, :k],
-            grad_norm_sq=rec_gns[r, :k],
-            lyapunov=rec_lyap[r, :k],
-            final_f=float(final_f[r]),
-            final_grad_norm_sq=float(final_gns[r]),
-            final_lyapunov=float(final_lyap[r]),
+            f=f[r, :rows],
+            grad_norm_sq=gns[r, :rows],
+            lyapunov=lyap[r, :rows],
+            final_f=float(f[r, final]),
+            final_grad_norm_sq=float(gns[r, final]),
+            final_lyapunov=float(lyap[r, final]),
             seed=seeds[r],
             run_index=run_indices[r],
-            theta=rec_theta[r, :k] if record_theta else None,
-            theta_final=state.theta[r].copy() if record_theta else None,
+            theta=rec_theta[r, :rows] if record_theta else None,
+            theta_final=rec_theta[r, final] if record_theta else None,
         )
         for r in range(R)
     ]
-    if div_step is not None:
-        raise NumericalDivergence(div_step, traces[div_row], row=div_row)
+    if stop is not None:
+        raise NumericalDivergence(stop[0], traces[stop[1]], row=stop[1])
     return traces[0] if single else traces

@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import optim
+
 __all__ = [
     "IterateOutsideCertifiedBox",
     "QuadraticMeanProblem",
@@ -382,7 +384,10 @@ def empirical_minibatch_variance(
 ) -> VarianceEstimate:
     """Monte-Carlo estimate of E||grad f_B(theta) - grad f(theta)||^2.
 
-    Batches of size ``b`` are drawn i.i.d. with replacement; the standard
+    Trial i draws its batch of size ``b`` i.i.d. with replacement from the
+    sampling stream every run uses: ``optim.batch_indices(seed, i, 0, b, n)``,
+    run index i at step 0 of master seed ``seed``.  Trials are evaluated
+    ``chunk`` at a time to bound the memory of the gather; the standard
     error of the mean comes from the same trials.
     """
     if b < 1:
@@ -395,18 +400,16 @@ def empirical_minibatch_variance(
     deviation_many = getattr(problem, "minibatch_deviation_many", None)
     if deviation_many is None:
         _, gbar = problem.value_and_grad(theta)
-    rng = np.random.default_rng((int(seed),))
     sq = np.empty(trials)
-    done = 0
-    while done < trials:
-        k = min(chunk, trials - done)
-        idx = rng.integers(0, problem.n, size=(k, b))
+    for lo in range(0, trials, chunk):
+        runs = np.arange(lo, min(lo + chunk, trials))
+        k = runs.size
+        idx = optim.batch_indices([seed] * k, runs, 0, b, problem.n)
         if deviation_many is not None:
             dev = deviation_many(theta, idx)
         else:
             dev = problem.minibatch_gradient(np.broadcast_to(theta, (k, problem.d)), idx) - gbar
-        sq[done : done + k] = np.einsum("ij,ij->i", dev, dev)
-        done += k
+        sq[lo : lo + k] = np.einsum("ij,ij->i", dev, dev)
     value = float(sq.mean())
     stderr = float(sq.std(ddof=1) / math.sqrt(trials))
     return VarianceEstimate(value, stderr, trials)

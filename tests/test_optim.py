@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sgdm_sched import schedules
+from sgdm_sched import schedules, theory
 from sgdm_sched.optim import (
     _BLOCK_WORDS,
     NumericalDivergence,
@@ -324,6 +324,94 @@ def small_problem(family, d=5):
     return LogCoshProblem.generate(d, 24, spread=1.5, seed=3)
 
 
+def observed_one_step_at_a_time(alg, beta, table, problem, seeds, theta0, record_every=1):
+    """The engine's loop with every observation made in a call of its own.
+
+    Returns (obs, final, stop): obs[k] holds (f, ||grad f||^2, Lyapunov
+    value) per seed row at recorded step k, final the same at the last
+    iterate, and stop the (step, row) of the divergence, or None.
+    """
+    R = len(seeds)
+    eta = table.lr if alg == "nshb" else table.lr / (1 - beta)
+    A = theory.lyapunov_coefficient_array(eta, problem.L, beta)
+    state = OptimizerState.initial(np.tile(theta0, (R, 1)), beta, alg)
+
+    def observe(st):
+        f, g = problem.value_and_grad(st.theta)
+        m = st.momentum if alg == "nshb" else (1 - beta) * st.momentum
+        A_prev = float(A[st.t - 1]) if st.t > 0 else 0.0
+        lyap = theory.lyapunov_value(f, np.einsum("ij,ij->i", m, m), A_prev, st.t)
+        return np.array([f, np.einsum("ij,ij->i", g, g), lyap])
+
+    def bad_row(values):
+        bad = ~np.isfinite(values).all(axis=0)
+        return int(np.argmax(bad)) if bad.any() else None
+
+    obs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(table.T):
+            if t % record_every == 0:
+                obs.append(observe(state))
+                if (row := bad_row(obs[-1])) is not None:
+                    return np.array(obs), obs[-1], (t, row)
+            problem.check_iterate(state.theta)
+            idx = batch_indices(seeds, list(range(R)), t, int(table.batch[t]), problem.n)
+            grad = problem.minibatch_gradient(state.theta, idx)
+            try:
+                state = step(state, grad, float(table.lr[t]))
+            except NumericalDivergence as exc:
+                return np.array(obs), observe(state), (t, exc.row)
+        final = observe(state)
+    row = bad_row(final)
+    return np.array(obs), final, None if row is None else (table.T, row)
+
+
+def assert_bits(actual, expected):
+    """Bit-for-bit equality of float arrays (so 0.0 != -0.0)."""
+    a = np.ascontiguousarray(actual, dtype=np.float64)
+    b = np.ascontiguousarray(expected, dtype=np.float64)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_trace_is_row(trace, obs, final, r):
+    """trace holds seed row r of observed_one_step_at_a_time's output."""
+    for i, name in enumerate(("f", "grad_norm_sq", "lyapunov")):
+        assert_bits(getattr(trace, name), obs[:, i, r])
+    assert_bits([trace.final_f, trace.final_grad_norm_sq, trace.final_lyapunov], final[:, r])
+
+
+class Poisoned:
+    """A problem whose observations or mini-batch gradients go non-finite on cue.
+
+    f = inf in the seed rows obs[k] of observation k, counting every row
+    observed so far as k*R + r (run observes a block of steps per call), and
+    the mini-batch gradient of step t is inf in the rows grad[t].
+    """
+
+    def __init__(self, problem, R, obs=None, grad=None):
+        self.problem, self.R, self.obs, self.grad = problem, R, obs or {}, grad or {}
+        self.rows = self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def value_and_grad(self, theta):
+        f, g = self.problem.value_and_grad(theta)
+        for i in range(f.size):
+            k, r = divmod(self.rows + i, self.R)
+            if r in self.obs.get(k, ()):
+                f[i] = np.inf
+        self.rows += f.size
+        return f, g
+
+    def minibatch_gradient(self, theta, indices):
+        g = self.problem.minibatch_gradient(theta, indices)
+        g[self.grad.get(self.steps, [])] = np.inf
+        self.steps += 1
+        return g
+
+
 class TestLockstepEngine:
     SEEDS = (11, 4, 29, 0, 7)
 
@@ -425,22 +513,9 @@ class TestLockstepEngine:
         np.testing.assert_array_equal(alone.grad_norm_sq, together[1].grad_norm_sq)
 
     def test_divergence_reports_first_step_then_lowest_row(self):
-        class Poisoned(QuadraticMeanProblem):
-            """Non-finite mini-batch gradients for given rows at given steps."""
-
-            def __init__(self, anchors, poison):
-                super().__init__(anchors)
-                self.poison, self.t = poison, 0
-
-            def minibatch_gradient(self, theta, indices):
-                g = super().minibatch_gradient(theta, indices)
-                g[self.poison.get(self.t, [])] = np.inf
-                self.t += 1
-                return g
-
         base = small_problem("quadratic")
         # row 0 would diverge at step 9, rows 3 and 1 both go non-finite at step 5
-        prob = Poisoned(base.anchors, {5: [3, 1], 9: [0]})
+        prob = Poisoned(base, 4, grad={5: [3, 1], 9: [0]})
         with pytest.raises(NumericalDivergence) as info:
             run("nshb", 0.5, const_table(0.1, T=20, b=2), prob, [10, 11, 12, 13])
         exc = info.value
@@ -448,25 +523,12 @@ class TestLockstepEngine:
         np.testing.assert_array_equal(exc.trace.t, np.arange(6))
 
     def test_nonfinite_observation_diverges_at_its_step(self):
-        class Overflowing(QuadraticMeanProblem):
-            """f = inf for given rows at given observation calls."""
-
-            def __init__(self, anchors, poison):
-                super().__init__(anchors)
-                self.poison, self.calls = poison, 0
-
-            def value_and_grad(self, theta):
-                f, g = super().value_and_grad(theta)
-                f[self.poison.get(self.calls, [])] = np.inf
-                self.calls += 1
-                return f, g
-
         base = small_problem("quadratic")
         table = const_table(0.1, T=20, b=2)
         # observation k is made at step k; observation 20 at the post-run iterate
         for poison, step, row in (({4: [2, 1], 7: [0]}, 4, 1), ({20: [3]}, 20, 3)):
             with pytest.raises(NumericalDivergence) as info:
-                run("nshb", 0.5, table, Overflowing(base.anchors, poison), [10, 11, 12, 13])
+                run("nshb", 0.5, table, Poisoned(base, 4, obs=poison), [10, 11, 12, 13])
             exc = info.value
             assert (exc.step_index, exc.row, exc.trace.seed) == (step, row, 10 + row)
             np.testing.assert_array_equal(exc.trace.t, np.arange(min(step + 1, 20)))
@@ -478,3 +540,98 @@ class TestLockstepEngine:
             run("nshb", 0.0, table, prob, [3, 1, 4], theta0=np.zeros(2))
         seed = int(str(info.value).split()[1])
         assert seed == [3, 1, 4][info.value.row]
+
+
+class TestBlockedObservation:
+    # R*d = 45 does not divide 4096: blocks of J = 91 recorded steps
+    SEEDS, D, T, BETA = [11, 4, 29, 0, 7], 9, 300, 0.8
+    J = _BLOCK_WORDS // (len(SEEDS) * D)
+
+    def case(self, family, alg="nshb"):
+        prob = small_problem(family, self.D)
+        lam = 0.2 if alg == "nshb" else 0.2 * (1 - self.BETA)
+        table = constant_bs_table("diminishing", batch=3, T=self.T, lambda_max=lam)
+        theta0 = np.random.default_rng(5).uniform(-2, 2, size=prob.d)
+        return prob, table, theta0
+
+    @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
+    @pytest.mark.parametrize("alg", ["nshb", "shb"])
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_blocks_match_one_observation_at_a_time(self, family, alg, record_every):
+        prob, table, theta0 = self.case(family, alg)
+        observations = -(-self.T // record_every) + 1  # with the final one
+        assert _BLOCK_WORDS % (len(self.SEEDS) * self.D) and observations > self.J
+        assert observations % self.J and self.T % self.J
+        traces = run(alg, self.BETA, table, prob, self.SEEDS, theta0=theta0,
+                     record_every=record_every)
+        obs, final, stop = observed_one_step_at_a_time(
+            alg, self.BETA, table, prob, self.SEEDS, theta0, record_every)
+        assert stop is None
+        for r, tr in enumerate(traces):
+            assert_trace_is_row(tr, obs, final, r)
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_step_divergence_mid_block_reports_the_pre_step_observation(self, record_every):
+        # rows 3 and 1 get an inf gradient at step 130, 39 entries into the
+        # second block (record_every = 1) or 44 into the first (3)
+        prob, table, theta0 = self.case("quadratic")
+        poison = {130: [3, 1]}
+        with pytest.raises(NumericalDivergence) as info:
+            run("nshb", self.BETA, table, Poisoned(prob, 5, grad=poison), self.SEEDS,
+                theta0=theta0, record_every=record_every)
+        exc = info.value
+        obs, final, stop = observed_one_step_at_a_time(
+            "nshb", self.BETA, table, Poisoned(prob, 5, grad=poison), self.SEEDS, theta0,
+            record_every)
+        assert stop == (exc.step_index, exc.row) == (130, 1)
+        assert_trace_is_row(exc.trace, obs, final, 1)
+        if record_every == 1:  # step 130 was recorded: final_* repeat its row
+            assert exc.trace.final_f == exc.trace.f[-1]
+
+    def test_box_exit_after_a_nonfinite_observation_in_its_block_is_divergence(self):
+        prob = LogCoshProblem.generate(2, 16, spread=3.0, seed=0, box_radius=0.5)
+        table = const_table(0.5, T=30, b=1)
+        seeds = [3, 1, 4]
+        with pytest.raises(IterateOutsideCertifiedBox) as info:
+            run("nshb", 0.0, table, prob, seeds, theta0=np.zeros(2))
+        exit_step = int(str(info.value).split()[4].rstrip(":"))
+        assert 2 <= exit_step < _BLOCK_WORDS // 6  # one block holds every step
+        poison = {exit_step - 2: [2]}
+        with pytest.raises(NumericalDivergence) as info:
+            run("nshb", 0.0, table, Poisoned(prob, 3, obs=poison), seeds, theta0=np.zeros(2))
+        exc = info.value
+        assert (exc.step_index, exc.row, exc.trace.seed) == (exit_step - 2, 2, 4)
+        obs, final, stop = observed_one_step_at_a_time(
+            "nshb", 0.0, table, Poisoned(prob, 3, obs=poison), seeds, np.zeros(2))
+        assert stop == (exit_step - 2, 2) and final[0, 2] == np.inf
+        assert_trace_is_row(exc.trace, obs, final, 2)
+
+
+class TestStepInPlace:
+    def test_raising_step_leaves_state_unchanged(self):
+        state = OptimizerState(np.array([[0.0], [1e308], [0.0]]), np.array([[1.0], [2.0], [3.0]]),
+                               t=4, beta=0.5, alg="nshb")
+        theta, momentum = state.theta.copy(), state.momentum.copy()
+        with pytest.raises(NumericalDivergence):
+            step(state, np.array([[1.0], [-1e308], [np.nan]]), lr=1.0)
+        assert state.t == 4
+        np.testing.assert_array_equal(state.theta, theta)
+        np.testing.assert_array_equal(state.momentum, momentum)
+        # and it steps on as a fresh state with the same values would
+        grad = np.array([[1.0], [2.0], [3.0]])
+        fresh = OptimizerState(theta, momentum, t=4, beta=0.5, alg="nshb")
+        out, ref = step(state, grad, lr=0.1), step(fresh, grad, lr=0.1)
+        assert out is state and out.t == ref.t == 5
+        assert_bits(out.theta, ref.theta)
+        assert_bits(out.momentum, ref.momentum)
+
+    def test_step_matches_the_expression_form(self, rng):
+        for alg in ("nshb", "shb"):
+            theta, m, g = rng.standard_normal((3, 4, 6))
+            state = OptimizerState(theta.copy(), m.copy(), t=0, beta=0.7, alg=alg)
+            for _ in range(3):
+                m = 0.7 * m + ((1.0 - 0.7) * g if alg == "nshb" else g)
+                theta = theta - 0.05 * m
+                step(state, g, 0.05)
+                assert_bits(state.theta, theta)
+                assert_bits(state.momentum, m)
