@@ -86,7 +86,10 @@ class OptimizerState:
     _spare: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shape = np.shape(self.theta)
+        # owned float64 copies: ``step`` writes into these arrays later on
+        self.theta = np.array(self.theta, dtype=np.float64)
+        self.momentum = np.array(self.momentum, dtype=np.float64)
+        shape = self.theta.shape
         self._spare = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
 
     @classmethod
@@ -94,7 +97,7 @@ class OptimizerState:
         alg = schedules.check_alg(alg)
         if not 0.0 <= beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {beta}")
-        theta0 = np.array(theta0, dtype=np.float64, copy=True)
+        theta0 = np.asarray(theta0, dtype=np.float64)
         if theta0.ndim not in (1, 2):
             raise ValueError("theta0 must be a 1-D vector or an (R, d) array of seed rows")
         return cls(theta=theta0, momentum=np.zeros_like(theta0), t=0, beta=beta, alg=alg)

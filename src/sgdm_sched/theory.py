@@ -93,14 +93,10 @@ def lyapunov_value(f_theta, momentum_norm_sq, A_prev, t):
     """f(theta_t) for t = 0, else f(theta_t) + A_{t-1} * ||m_{t-1}||^2.
 
     f_theta and momentum_norm_sq are floats or equal-shape arrays holding one
-    entry per seed; the result has the same shape.  A_prev and t may also be
-    arrays that broadcast against them, one entry per step, so one call
-    evaluates a block of steps; each entry equals the scalar call's value.
+    entry per seed.  A_prev and t may also be arrays that broadcast against
+    them, one entry per step, so one call evaluates a block of steps.  The
+    result is an array of the broadcast shape (0-d for scalar arguments).
     """
-    if np.ndim(t) == 0:
-        if t < 0:
-            raise ValueError("step index must be >= 0")
-        return f_theta if t == 0 else f_theta + A_prev * momentum_norm_sq
     t = np.asarray(t)
     if (t < 0).any():
         raise ValueError("step index must be >= 0")

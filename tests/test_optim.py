@@ -625,6 +625,22 @@ class TestStepInPlace:
         assert_bits(out.theta, ref.theta)
         assert_bits(out.momentum, ref.momentum)
 
+    def test_constructor_owns_float64_copies(self):
+        # an int state built by hand steps twice; the caller's arrays stay put
+        theta, momentum = np.array([0]), np.array([4])
+        state = OptimizerState(theta, momentum, t=3, beta=0.5, alg="shb")
+        step(state, np.array([1.0]), lr=0.5)
+        step(state, np.array([1.0]), lr=0.5)
+        assert state.t == 5 and state.theta.dtype == np.float64
+        # m: 4 -> 3 -> 2.5; theta: 0 -> -1.5 -> -2.75
+        np.testing.assert_array_equal(state.momentum, [2.5])
+        np.testing.assert_array_equal(state.theta, [-2.75])
+        np.testing.assert_array_equal(theta, [0])
+        np.testing.assert_array_equal(momentum, [4])
+        listed = OptimizerState([0.0, 1.0], [0.0, 0.0], t=0, beta=0.0, alg="nshb")
+        step(step(listed, np.ones(2), lr=1.0), np.ones(2), lr=1.0)
+        np.testing.assert_array_equal(listed.theta, [-2.0, -1.0])
+
     def test_step_matches_the_expression_form(self, rng):
         for alg in ("nshb", "shb"):
             theta, m, g = rng.standard_normal((3, 4, 6))
