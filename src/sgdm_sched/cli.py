@@ -5,6 +5,13 @@ Subcommands: run, bounds, schedule, audit, ratefit.  Exit codes: 0 all checks
 pass, 1 bound-check failure, 2 config/flag error, 3 admissibility failure in
 strict mode, 4 divergence.  The SGDM_SCHED_OUT environment variable overrides
 the default output root (./runs).
+
+`schedule` and `bounds` describe a schedule with one flag per [schedule]
+config key (--regime, --kind, --lambda-max, --b0, --epochs-per-phase, ...),
+parsed as the INI parses that key.  --regime is one of constant-bs,
+increasing-bs, joint-growth and warmup; a flag the regime does not read is
+ignored, as an unread INI key is.  `bounds` prints the corollary the schedule
+falls under as `regime` in its JSON.
 """
 
 from __future__ import annotations
@@ -44,11 +51,6 @@ def _spec_fields(spec) -> dict:
         kinds[name] = "int_list" if typing.get_origin(hint) is tuple else hint
     return kinds
 
-
-# the rate shapes `schedule --kind` names; with --b0 the growth kinds pick the
-# joint-growth (exp_growth) and warmup (warmup_*) regimes
-_FLAG_KINDS = ("constant", "cosine", "diminishing", "exp_growth", "polynomial",
-               "warmup_constant", "warmup_cosine")
 
 _OPTIMIZER_FIELDS = {"alg": str, "beta": float, "theta0_seed": int}
 _HARNESS_FIELDS = {
@@ -115,21 +117,14 @@ def load_config(path: str | Path) -> harness.ExperimentConfig:
     if "regime" not in values["schedule"]:
         raise ConfigError("missing required key 'regime' in [schedule]")
 
-    opt = values["optimizer"]
-    har = values.get("harness", {})
+    # only the keys the file gives; 64 seeds is the CLI's own default
+    har = {"seeds": tuple(range(64)), **values.get("harness", {})}
     try:
-        problem = harness.ProblemSpec(**values.get("problem", {}))
-        schedule = schedules.ScheduleSpec(**values["schedule"])
         return harness.ExperimentConfig(
-            problem=problem,
-            alg=opt["alg"],
-            beta=opt["beta"],
-            schedule=schedule,
-            seeds=har.get("seeds", tuple(range(64))),
-            record_every=har.get("record_every", 1),
-            validation_mode=har.get("validation_mode", "strict"),
-            budget=har.get("budget", 1e10),
-            theta0_seed=opt.get("theta0_seed", 0),
+            problem=harness.ProblemSpec(**values.get("problem", {})),
+            schedule=schedules.ScheduleSpec(**values["schedule"]),
+            **values["optimizer"],
+            **har,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
@@ -176,69 +171,28 @@ def cmd_run(args) -> int:
     return EXIT_OK if not failed else EXIT_BOUND_FAIL
 
 
-def _schedule_spec_from_flags(args, kind: str) -> schedules.ScheduleSpec:
-    """Map the schedule flags and a rate kind to a ScheduleSpec.
-
-    The regime is inferred: without --b0 the batch is constant; with it the
-    kind picks joint-growth (exp_growth), warmup (warmup_*) or increasing-bs.
-    """
-    if args.dataset_size is None and (args.b0 is not None or kind.endswith("cosine")):
-        raise ConfigError(
-            "--dataset-size is required for phase plans and cosine kinds "
-            "(it fixes the steps-per-epoch bookkeeping)"
-        )
-    if args.b0 is None:
-        regime = "constant-bs"
-    elif kind == "exp_growth":
-        regime = "joint-growth"
-    elif kind.startswith("warmup_"):
-        regime, kind = "warmup", kind.removeprefix("warmup_")
-    else:
-        regime = "increasing-bs"
-    lambda_max = args.lr if args.lr is not None else args.lr_max
-    return schedules.ScheduleSpec(
-        regime=regime,
-        kind=kind,
-        lambda_max=lambda_max if lambda_max is not None else 0.1,
-        lambda_min=args.lr_min,
-        p=args.p,
-        gamma=args.gamma,
-        lambda0=args.lr0,
-        warmup_phases=args.warmup_phases,
-        batch=args.batch,
-        T=args.T,
-        b0=args.b0,
-        delta=args.delta,
-        epochs_per_phase=tuple(int(x) for x in args.epochs_per_phase.split(","))
-        if args.epochs_per_phase
-        else None,
-        dataset_size=args.dataset_size,
-    )
+def _flag_schedule(args) -> schedules.ScheduleSpec:
+    """The ScheduleSpec of the [schedule] flags, each parsed as its INI key is."""
+    given = {
+        key: _parse_value("schedule", key, getattr(args, key), kind)
+        for key, kind in _SECTIONS["schedule"].items()
+        if getattr(args, key) is not None
+    }
+    return schedules.ScheduleSpec(**given)
 
 
 def cmd_bounds(args) -> int:
     try:
-        if args.regime not in theory.REGIMES:
-            raise ConfigError(f"unknown regime {args.regime!r}; expected one of {theory.REGIMES}")
-        # the corollary fixes the rate kind; the flags then infer the regime
-        # exactly as `schedule` does, and must land on the corollary asked for
-        prefix, _, kind = args.regime.partition("-")
-        kind = {"cor3.3": "exp_growth", "cor3.4": f"warmup_{kind}"}.get(prefix, kind)
-        table, regime, symbols = _schedule_spec_from_flags(args, kind).build(args.dataset_size)
-        if regime != args.regime:
-            raise ConfigError(
-                f"regime {args.regime!r} is inconsistent with the schedule flags (built {regime!r})"
-            )
+        table, regime, symbols = _flag_schedule(args).build(None)
         constants = theory.TheoremConstants(
             L=args.L,
             beta=args.beta,
-            c=table.growth_constant_c,
             f0_minus_fstar=args.f0_gap,
             sigma_sq=args.sigma_sq,
             alg=args.alg,
         )
         report = theory.build_report(constants, table, regime, symbols)
-    except (ConfigError, schedules.ScheduleError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ScheduleError among them
         print(f"flag error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     sys.stdout.write(report.to_json())
@@ -247,8 +201,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_schedule(args) -> int:
     try:
-        table = _schedule_spec_from_flags(args, args.kind).build(args.dataset_size)[0]
-    except (ConfigError, schedules.ScheduleError, ValueError) as exc:
+        table = _flag_schedule(args).build(None)[0]
+    except ValueError as exc:
         print(f"flag error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     sys.stdout.write(schedules.table_to_csv(table))
@@ -318,23 +272,11 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=None, help="alias for --lr-max")
-    p.add_argument("--lr-max", type=float, default=None)
-    p.add_argument("--lr-min", type=float, default=0.0)
-    p.add_argument("--p", type=float, default=1.0, help="polynomial power")
-    p.add_argument("--gamma", type=float, default=None, help="per-phase LR growth factor")
-    p.add_argument("--lr0", type=float, default=None, help="initial LR for growth kinds")
-    p.add_argument("--warmup-phases", type=int, default=None, help="last growing phase index")
-    p.add_argument("--batch", type=int, default=None, help="constant batch size")
-    p.add_argument("--T", type=int, default=None, help="total steps (constant-batch regimes)")
-    p.add_argument("--dataset-size", type=int, default=None, help="n for epoch bookkeeping")
-    p.add_argument("--b0", type=int, default=None, help="initial batch size of a phase plan")
-    p.add_argument("--delta", type=float, default=None, help="per-phase batch growth factor")
-    p.add_argument(
-        "--epochs-per-phase",
-        default=None,
-        help="comma-separated epochs per phase, e.g. 2,2,2",
+    g = p.add_argument_group(
+        "schedule", "the [schedule] config keys; a key the regime does not read is ignored"
     )
+    for key in _SECTIONS["schedule"]:
+        g.add_argument("--" + key.replace("_", "-"), dest=key, required=key == "regime")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_bounds = sub.add_parser("bounds", help="print the theory report JSON for parameters")
-    p_bounds.add_argument("--regime", required=True, help="e.g. cor3.1-constant, cor3.3")
     p_bounds.add_argument("--alg", required=True, choices=schedules.ALGS)
     p_bounds.add_argument("--beta", type=float, required=True)
     p_bounds.add_argument("--L", type=float, required=True)
@@ -360,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sched = sub.add_parser("schedule", help="print a schedule table as CSV (t,lr,batch)")
-    p_sched.add_argument("--kind", default="constant", choices=_FLAG_KINDS,
-                         help="learning-rate shape")
     _add_schedule_flags(p_sched)
     p_sched.set_defaults(func=cmd_schedule)
 

@@ -259,8 +259,8 @@ def run_experiment(
     # whole bound report are known before the first step
     f0_gap = float(problem.value_and_grad(theta0)[0]) - problem.f_star
     constants = theory.TheoremConstants(
-        L=problem.L, beta=config.beta, c=table.growth_constant_c,
-        f0_minus_fstar=f0_gap, sigma_sq=problem.sigma_sq, alg=config.alg,
+        L=problem.L, beta=config.beta, f0_minus_fstar=f0_gap,
+        sigma_sq=problem.sigma_sq, alg=config.alg,
     )
     theory_report = theory.build_report(constants, table, regime, symbols)
     config_hash = config.config_hash  # names the artifacts; refuses a non-finite field

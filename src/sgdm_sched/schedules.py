@@ -40,10 +40,11 @@ __all__ = [
     "table_from_csv",
 ]
 
-DECAYING_KINDS = frozenset({"constant", "diminishing", "cosine", "polynomial"})
+DECAYING_KINDS = ("constant", "diminishing", "cosine", "polynomial")
 _PLAN_FIELDS = ("b0", "delta", "epochs_per_phase", "dataset_size")
 # regime -> (its corollary, the rate kinds it takes, the fields its table and
-# symbols read); joint-growth has a single rate law and takes no kind
+# symbols read); joint-growth has a single rate law and takes no kind.  The
+# order of regimes and kinds is the order of theory.REGIMES.
 _REGIMES = {
     "constant-bs": ("cor3.1-{kind}", DECAYING_KINDS,
                     ("kind", "lambda_max", "lambda_min", "p", "batch", "T", "dataset_size")),
@@ -164,6 +165,10 @@ class ScheduleSpec:
 
         if self.b0 is None or self.delta is None or self.epochs_per_phase is None:
             raise ScheduleError(f"regime {self.regime!r} needs b0, delta and epochs_per_phase")
+        if n is None:
+            raise ScheduleError(
+                f"regime {self.regime!r} needs a dataset_size to fix the steps per epoch"
+            )
         plan = PhasePlan(self.b0, self.delta, self.epochs_per_phase, n)
         table = build_increasing_bs_table(self, plan)
         symbols |= {

@@ -29,18 +29,11 @@ __all__ = [
     "REGIMES",
 ]
 
-REGIMES = (
-    "cor3.1-constant",
-    "cor3.1-diminishing",
-    "cor3.1-cosine",
-    "cor3.1-polynomial",
-    "cor3.2-constant",
-    "cor3.2-diminishing",
-    "cor3.2-cosine",
-    "cor3.2-polynomial",
-    "cor3.3",
-    "cor3.4-constant",
-    "cor3.4-cosine",
+# every corollary name: one per regime and rate kind it takes
+REGIMES = tuple(
+    corollary.format(kind=kind)
+    for corollary, kinds, _ in schedules._REGIMES.values()
+    for kind in kinds or ("",)
 )
 
 
@@ -55,7 +48,6 @@ class TheoremConstants:
 
     L: float
     beta: float
-    c: float
     f0_minus_fstar: float
     sigma_sq: float
     alg: str
@@ -65,8 +57,6 @@ class TheoremConstants:
             raise ValueError(f"L must be > 0, got {self.L}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        if self.c < 1.0:
-            raise ValueError(f"growth constant must be >= 1, got {self.c}")
         if self.f0_minus_fstar < 0.0:
             raise ValueError("initial suboptimality must be >= 0")
         if self.sigma_sq < 0.0:
@@ -132,16 +122,23 @@ def theorem1_rhs(constants: TheoremConstants, table: schedules.ScheduleTable) ->
     2 * C_alg * (f(theta_0) - f*) * B_T + sigma^2 * V_T.
 
     The gradient-norm (non-squared) form is the square root (``rhs_norm``).
+    The growth constant c is the table's own.  A sum beyond the float range
+    is a ValueError.
     """
     lam = [float(x) for x in table.lr]
-    s_lam = math.fsum(lam)
+    try:
+        s_lam = math.fsum(lam)
+        s_lam_b = math.fsum(l / float(b) for l, b in zip(lam, table.batch))
+    except OverflowError:
+        raise ValueError("sum of learning rates overflows the float range") from None
     if not s_lam > 0.0:
         raise ValueError("sum of learning rates must be positive")
     B_T = 1.0 / s_lam
-    V_T = math.fsum(l / float(b) for l, b in zip(lam, table.batch)) / s_lam
+    V_T = s_lam_b / s_lam
     rhs_sq = 2.0 * constants.C_alg * constants.f0_minus_fstar * B_T + constants.sigma_sq * V_T
+    c = table.growth_constant_c
     try:
-        bound = schedules.admissible_lr_bound(constants.beta, constants.L, constants.c, constants.alg)
+        bound = schedules.admissible_lr_bound(constants.beta, constants.L, c, constants.alg)
     except schedules.MomentumTooLarge:
         bound = None
     return TheoryReport(
@@ -153,7 +150,7 @@ def theorem1_rhs(constants: TheoremConstants, table: schedules.ScheduleTable) ->
         V_bound=None,
         regime=None,
         admissible_lr_max=bound,
-        c=constants.c,
+        c=c,
         C_alg=constants.C_alg,
     )
 

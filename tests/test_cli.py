@@ -369,8 +369,8 @@ def test_extreme_values_keep_the_exit_contract(tmp_path, base, section, key, val
 
 class TestScheduleCommand:
     def test_cosine_fifteen_rows(self):
-        res = cli("schedule", "--kind", "cosine", "--lr-min", "0", "--lr-max", "1",
-                  "--batch", "1", "--dataset-size", "5", "--T", "15")
+        res = cli("schedule", "--regime", "constant-bs", "--kind", "cosine", "--lambda-min", "0",
+                  "--lambda-max", "1", "--batch", "1", "--dataset-size", "5", "--T", "15")
         assert res.returncode == 0
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "t,lr,batch"
@@ -379,35 +379,36 @@ class TestScheduleCommand:
         assert float(lines[6].split(",")[1]) == 0.75
 
     def test_constant_all_rows_equal(self):
-        res = cli("schedule", "--kind", "constant", "--lr", "0.1", "--batch", "4", "--T", "6")
+        res = cli("schedule", "--regime", "constant-bs", "--kind", "constant",
+                  "--lambda-max", "0.1", "--batch", "4", "--T", "6")
         rows = res.stdout.strip().splitlines()[1:]
         assert len({r.split(",")[1] for r in rows}) == 1
         assert float(rows[0].split(",")[1]) == 0.1
 
     def test_warmup_constant_phase_rates(self):
-        res = cli("schedule", "--kind", "warmup_constant", "--lr0", "0.1", "--gamma", "1.5",
-                  "--warmup-phases", "1", "--b0", "8", "--delta", "2",
+        res = cli("schedule", "--regime", "warmup", "--kind", "constant", "--lambda0", "0.1",
+                  "--gamma", "1.5", "--warmup-phases", "1", "--b0", "8", "--delta", "2",
                   "--epochs-per-phase", "1,1,1", "--dataset-size", "32")
         assert res.returncode == 0
         table = schedules.table_from_csv(res.stdout)
         np.testing.assert_allclose(table.lr, [0.1] * 4 + [0.15] * 2 + [0.15], rtol=1e-15)
 
     def test_round_trip_exact(self):
-        res = cli("schedule", "--kind", "diminishing", "--lr-max", "0.123456789012345",
-                  "--batch", "3", "--T", "50")
+        res = cli("schedule", "--regime", "constant-bs", "--kind", "diminishing",
+                  "--lambda-max", "0.123456789012345", "--batch", "3", "--T", "50")
         table = schedules.table_from_csv(res.stdout)
         expected = 0.123456789012345 / np.sqrt(np.arange(50) + 1.0)
         np.testing.assert_array_equal(table.lr, expected)
 
     def test_invalid_parameters_exit_two(self):
-        res = cli("schedule", "--kind", "cosine", "--lr-max", "1", "--batch", "1",
-                  "--dataset-size", "5", "--T", "14")
+        res = cli("schedule", "--regime", "constant-bs", "--kind", "cosine", "--lambda-max", "1",
+                  "--batch", "1", "--dataset-size", "5", "--T", "14")
         assert res.returncode == 2
 
 
 class TestBoundsCommand:
     def test_constant_regime_golden(self):
-        res = cli("bounds", "--regime", "cor3.1-constant", "--lr", "0.1", "--batch", "10",
+        res = cli("bounds", "--regime", "constant-bs", "--lambda-max", "0.1", "--batch", "10",
                   "--T", "100", "--sigma-sq", "1", "--f0-gap", "1", "--beta", "0",
                   "--alg", "nshb", "--L", "1")
         assert res.returncode == 0, res.stderr
@@ -420,7 +421,7 @@ class TestBoundsCommand:
     def test_beta_zero_algs_agree(self):
         docs = []
         for alg in ("nshb", "shb"):
-            res = cli("bounds", "--regime", "cor3.1-constant", "--lr", "0.1", "--batch", "10",
+            res = cli("bounds", "--regime", "constant-bs", "--lambda-max", "0.1", "--batch", "10",
                       "--T", "100", "--sigma-sq", "1", "--f0-gap", "1", "--beta", "0",
                       "--alg", alg, "--L", "1")
             docs.append(json.loads(res.stdout))
@@ -428,7 +429,7 @@ class TestBoundsCommand:
         assert docs[0]["rhs_sq"] == docs[1]["rhs_sq"]
 
     def test_gamma_at_delta_exit_two(self):
-        res = cli("bounds", "--regime", "cor3.3", "--gamma", "2.0", "--lr0", "0.1",
+        res = cli("bounds", "--regime", "joint-growth", "--gamma", "2.0", "--lambda0", "0.1",
                   "--b0", "8", "--delta", "2", "--epochs-per-phase", "1,1,1",
                   "--dataset-size", "32", "--sigma-sq", "1", "--f0-gap", "1",
                   "--beta", "0.5", "--alg", "nshb", "--L", "1")
@@ -436,16 +437,16 @@ class TestBoundsCommand:
         assert "gamma/delta" in res.stderr
 
     def test_missing_flags_exit_two(self):
-        res = cli("bounds", "--regime", "cor3.1-constant", "--sigma-sq", "1",
+        res = cli("bounds", "--regime", "constant-bs", "--sigma-sq", "1",
                   "--f0-gap", "1", "--beta", "0", "--alg", "nshb", "--L", "1")
         assert res.returncode == 2
 
 
 THEORY_FLAGS = ("--alg", "nshb", "--beta", "0.5", "--L", "2", "--sigma-sq", "1.5", "--f0-gap", "3")
 PHASE_FLAGS = ("--b0", "8", "--delta", "2", "--epochs-per-phase", "1,2,1", "--dataset-size", "64")
-GROWTH_FLAGS = ("--gamma", "1.5", "--lr0", "0.02", "--b0", "8", "--delta", "2",
+GROWTH_FLAGS = ("--gamma", "1.5", "--lambda0", "0.02", "--b0", "8", "--delta", "2",
                 "--epochs-per-phase", "1,1,2", "--dataset-size", "64")
-SMALL_GROWTH_FLAGS = ("--gamma", "1.5", "--lr0", "0.02", "--b0", "4", "--delta", "2",
+SMALL_GROWTH_FLAGS = ("--gamma", "1.5", "--lambda0", "0.02", "--b0", "4", "--delta", "2",
                       "--dataset-size", "16")
 
 
@@ -453,35 +454,50 @@ def bounds_argv(regime, *flags):
     return ["bounds", "--regime", regime, *flags, *THEORY_FLAGS]
 
 
+def constant_bs(kind, *flags):
+    return ("constant-bs", "--kind", kind, *flags)
+
+
+def increasing_bs(kind, *flags):
+    return ("increasing-bs", "--kind", kind, *flags, *PHASE_FLAGS)
+
+
+def warmup(kind, *flags):
+    return ("warmup", "--kind", kind, *GROWTH_FLAGS, "--warmup-phases", "1", *flags)
+
+
 # SHA-256 prefixes of the stdout of `bounds` for every corollary regime and of
 # `schedule` for one kind per table-builder branch
 @pytest.mark.parametrize("argv, digest", [
-    (bounds_argv("cor3.1-constant", "--lr", "0.1", "--batch", "10", "--T", "100"),
+    (bounds_argv(*constant_bs("constant", "--lambda-max", "0.1", "--batch", "10", "--T", "100")),
      "0cddb6fb74e513a4"),
-    (bounds_argv("cor3.1-diminishing", "--lr-max", "0.2", "--batch", "4", "--T", "50"),
+    (bounds_argv(*constant_bs("diminishing", "--lambda-max", "0.2", "--batch", "4", "--T", "50")),
      "c6cd20270fdc521e"),
-    (bounds_argv("cor3.1-cosine", "--lr-max", "0.2", "--lr-min", "0.01", "--batch", "4",
-                 "--T", "40", "--dataset-size", "32"), "ffbee7b0dc28e7ea"),
-    (bounds_argv("cor3.1-polynomial", "--lr-max", "0.2", "--lr-min", "0.01", "--p", "2",
-                 "--batch", "4", "--T", "50"), "523bddb8c0f88392"),
-    (bounds_argv("cor3.2-constant", "--lr", "0.1", *PHASE_FLAGS), "f75f157d48b093a6"),
-    (bounds_argv("cor3.2-diminishing", "--lr-max", "0.2", *PHASE_FLAGS), "065eb6850898c66c"),
-    (bounds_argv("cor3.2-cosine", "--lr-max", "0.2", "--lr-min", "0.01", *PHASE_FLAGS),
+    (bounds_argv(*constant_bs("cosine", "--lambda-max", "0.2", "--lambda-min", "0.01",
+                              "--batch", "4", "--T", "40", "--dataset-size", "32")),
+     "ffbee7b0dc28e7ea"),
+    (bounds_argv(*constant_bs("polynomial", "--lambda-max", "0.2", "--lambda-min", "0.01",
+                              "--p", "2", "--batch", "4", "--T", "50")), "523bddb8c0f88392"),
+    (bounds_argv(*increasing_bs("constant", "--lambda-max", "0.1")), "f75f157d48b093a6"),
+    (bounds_argv(*increasing_bs("diminishing", "--lambda-max", "0.2")), "065eb6850898c66c"),
+    (bounds_argv(*increasing_bs("cosine", "--lambda-max", "0.2", "--lambda-min", "0.01")),
      "70e5b64b96fe331e"),
-    (bounds_argv("cor3.2-polynomial", "--lr-max", "0.2", "--lr-min", "0.01", "--p", "2",
-                 *PHASE_FLAGS), "3ea5e3af950b6876"),
-    (bounds_argv("cor3.3", *GROWTH_FLAGS), "3c9c63da0958fa69"),
-    (bounds_argv("cor3.4-constant", *GROWTH_FLAGS, "--warmup-phases", "1"), "2490e2af3b04e7ba"),
-    (bounds_argv("cor3.4-cosine", *GROWTH_FLAGS, "--warmup-phases", "1", "--lr-min", "0.001"),
-     "6dae8ccbb2a177d8"),
-    (["schedule", "--kind", "cosine", "--lr-max", "1", "--lr-min", "0.1", "--batch", "2",
-      "--dataset-size", "6", "--T", "9"], "29e6cdf0e5b878d3"),
-    (["schedule", "--kind", "polynomial", "--lr-max", "0.5", "--p", "2", "--b0", "4",
-      "--delta", "2", "--epochs-per-phase", "1,2", "--dataset-size", "16"], "a6f193332a38184f"),
-    (["schedule", "--kind", "exp_growth", *SMALL_GROWTH_FLAGS, "--epochs-per-phase", "1,1,1"],
+    (bounds_argv(*increasing_bs("polynomial", "--lambda-max", "0.2", "--lambda-min", "0.01",
+                                "--p", "2")), "3ea5e3af950b6876"),
+    (bounds_argv("joint-growth", *GROWTH_FLAGS), "3c9c63da0958fa69"),
+    (bounds_argv(*warmup("constant")), "2490e2af3b04e7ba"),
+    (bounds_argv(*warmup("cosine", "--lambda-min", "0.001")), "6dae8ccbb2a177d8"),
+    (["schedule", "--regime", *constant_bs("cosine", "--lambda-max", "1", "--lambda-min", "0.1",
+                                           "--batch", "2", "--dataset-size", "6", "--T", "9")],
+     "29e6cdf0e5b878d3"),
+    (["schedule", "--regime", "increasing-bs", "--kind", "polynomial", "--lambda-max", "0.5",
+      "--p", "2", "--b0", "4", "--delta", "2", "--epochs-per-phase", "1,2", "--dataset-size", "16"],
+     "a6f193332a38184f"),
+    (["schedule", "--regime", "joint-growth", *SMALL_GROWTH_FLAGS, "--epochs-per-phase", "1,1,1"],
      "b427a20e1bbfc41c"),
-    (["schedule", "--kind", "warmup_cosine", *SMALL_GROWTH_FLAGS, "--epochs-per-phase", "1,1,2",
-      "--warmup-phases", "1", "--lr-min", "0.001"], "7817982877251ed7"),
+    (["schedule", "--regime", "warmup", "--kind", "cosine", *SMALL_GROWTH_FLAGS,
+      "--epochs-per-phase", "1,1,2", "--warmup-phases", "1", "--lambda-min", "0.001"],
+     "7817982877251ed7"),
 ], ids=[*theory.REGIMES, "schedule-cosine", "schedule-polynomial-phases",
         "schedule-exp_growth", "schedule-warmup_cosine"])
 def test_cli_stdout_is_pinned(capsys, argv, digest):
@@ -491,28 +507,31 @@ def test_cli_stdout_is_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (bounds_argv("cor3.1-constant", "--lr", "0.1", "--batch", "10", "--T", "100",
-                 *PHASE_FLAGS), "inconsistent with the schedule flags"),
-    (bounds_argv("cor3.4-constant", *SMALL_GROWTH_FLAGS, "--epochs-per-phase", "1,1,1",
-                 "--warmup-phases", "3"), "warmup_phases=3 exceeds"),
-    (["schedule", "--kind", "warmup_constant", *SMALL_GROWTH_FLAGS, "--epochs-per-phase",
-      "1,1,1", "--warmup-phases", "3"], "warmup_phases=3 exceeds"),
-], ids=["bounds-phase-flags-on-cor3.1", "bounds-warmup-beyond-M", "schedule-warmup-beyond-M"])
+    (bounds_argv("warmup", "--kind", "constant", *SMALL_GROWTH_FLAGS, "--epochs-per-phase",
+                 "1,1,1", "--warmup-phases", "3"), "warmup_phases=3 exceeds"),
+    (["schedule", "--regime", "warmup", "--kind", "constant", *SMALL_GROWTH_FLAGS,
+      "--epochs-per-phase", "1,1,1", "--warmup-phases", "3"], "warmup_phases=3 exceeds"),
+    (bounds_argv("joint-growth", "--gamma", "1.5", "--lambda0", "0.02", "--b0", "4",
+                 "--delta", "2", "--epochs-per-phase", "1,1"), "needs a dataset_size"),
+    (["schedule", "--regime", "increasing-bs", "--b0", "4", "--delta", "2",
+      "--epochs-per-phase", "1,1"], "needs a dataset_size"),
+], ids=["bounds-warmup-beyond-M", "schedule-warmup-beyond-M", "bounds-no-dataset-size",
+        "schedule-no-dataset-size"])
 def test_flags_the_schedule_cannot_honour_exit_two(capsys, argv, message):
     assert sgdm_cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("flag error: ") and message in err
 
 
-@pytest.mark.parametrize("kind", ["polynomial", "exp_growth"])
-def test_bounds_refuses_kind(capsys, kind):
-    # the corollary fixes the rate kind; --kind belongs to `schedule` only
-    argv = bounds_argv("cor3.1-cosine", "--lr-max", "0.2", "--lr-min", "0.01", "--batch", "4",
-                       "--T", "40", "--dataset-size", "32", "--kind", kind)
-    with pytest.raises(SystemExit) as exc:
-        sgdm_cli.main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --kind" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["bounds", "schedule"])
+def test_flag_the_regime_does_not_read_is_ignored(capsys, command):
+    # a stray phase-plan flag on a constant-batch schedule, as an unread INI key
+    flags = constant_bs("constant", "--lambda-max", "0.1", "--batch", "10", "--T", "100")
+    argv = bounds_argv(*flags) if command == "bounds" else [command, "--regime", *flags]
+    assert sgdm_cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    assert sgdm_cli.main([*argv, "--b0", "8"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("delta", ["inf", "1e308"])
@@ -526,11 +545,77 @@ def test_overflowing_batch_growth_exits_two(tmp_path, capsys, command, delta):
             "delta = 2", f"delta = {delta}")))
         argv, prefix = ["run", str(cfg), "--out", str(tmp_path / "runs")], "config error: "
     elif command == "bounds":
-        argv, prefix = bounds_argv("cor3.2-constant", "--lr", "0.1", *plan), "flag error: "
+        argv, prefix = bounds_argv("increasing-bs", *plan), "flag error: "
     else:
-        argv, prefix = ["schedule", "--lr", "0.1", *plan], "flag error: "
+        argv, prefix = ["schedule", "--regime", "increasing-bs", *plan], "flag error: "
     assert sgdm_cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(prefix + "final-phase batch size inf exceeds")
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_overflowing_rate_sum_exits_two_before_any_step(tmp_path, capsys, monkeypatch, command):
+    # every rate is finite, but sum(lr) is beyond the float range
+    def no_run(*args, **kwargs):
+        raise AssertionError("optim.run was reached")
+
+    monkeypatch.setattr(harness.optim, "run", no_run)
+    if command == "run":
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(diverging(BASE_CONFIG).replace("lambda_max = 1e200", "lambda_max = 1e308"))
+        argv, prefix = ["run", str(cfg), "--out", str(tmp_path / "runs")], "config error: "
+    else:
+        argv = bounds_argv(*constant_bs("cosine", "--lambda-max", "1e308", "--batch", "4",
+                                        "--T", "8", "--dataset-size", "16"))
+        prefix = "flag error: "
+    assert sgdm_cli.main(argv) == 2
+    assert capsys.readouterr().err == prefix + "sum of learning rates overflows the float range\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["schedule", "bounds"])
+def test_schedule_flags_are_the_ini_keys(command):
+    (commands,) = [a.choices for a in sgdm_cli.build_parser()._actions
+                   if isinstance(a.choices, dict)]
+    flags = {flag: a.dest for a in commands[command]._actions for flag in a.option_strings
+             if a.dest != "help"}
+    keys = {"--" + key.replace("_", "-"): key for key in sgdm_cli._SECTIONS["schedule"]}
+    if command == "bounds":  # the problem and algorithm constants of the report
+        keys |= {"--alg": "alg", "--beta": "beta", "--L": "L", "--sigma-sq": "sigma_sq",
+                 "--f0-gap": "f0_gap"}
+    assert flags == keys
+
+
+# the schedule bodies of EXTREME_BASES as `schedule` and `bounds` flags, with
+# the dataset size that `run` takes from the problem; every float and int key
+# takes each of EXTREME_VALUES in turn
+FLAG_BASES = {base: {**body["schedule"], "dataset_size": 16}
+              for base, body in EXTREME_BASES.items()}
+FLAG_CASES = [
+    (command, base, key, value)
+    for command in ("schedule", "bounds")
+    for base in FLAG_BASES
+    for key, kind in sgdm_cli._SECTIONS["schedule"].items()
+    for value in EXTREME_VALUES.get(kind, ())
+]
+
+
+def flag_argv(command, body):
+    # --key=value, so that a value such as -inf is not read as a flag
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in body.items()]
+    return [command, *flags, *(THEORY_FLAGS if command == "bounds" else ())]
+
+
+@pytest.mark.parametrize("command", ["schedule", "bounds"])
+@pytest.mark.parametrize("base", FLAG_BASES)
+def test_extreme_flag_bases_pass(command, base):
+    assert sgdm_cli.main(flag_argv(command, FLAG_BASES[base])) == 0
+
+
+@pytest.mark.parametrize("command, base, key, value", FLAG_CASES,
+                         ids=["-".join(case) for case in FLAG_CASES])
+def test_extreme_flag_values_keep_the_exit_contract(command, base, key, value):
+    # in process, so a warning or an uncaught exception fails the test
+    assert sgdm_cli.main(flag_argv(command, {**FLAG_BASES[base], key: value})) in (0, 2)
 
 
 class TestAuditCommand:

@@ -114,6 +114,17 @@ class TestPhasePlan:
         plan = PhasePlan(b0=10, delta=1.5, epochs_per_phase=(1, 1, 1), dataset_size=23)
         assert plan.batch_sizes == (10, 15, 23)  # 22.5 rounds half-up
 
+    @pytest.mark.parametrize("regime, rates", [
+        ("increasing-bs", {}),
+        ("joint-growth", {"gamma": 1.5, "lambda0": 0.1}),
+        ("warmup", {"gamma": 1.5, "lambda0": 0.1, "warmup_phases": 0}),
+    ])
+    def test_build_without_dataset_size_names_it(self, regime, rates):
+        # neither the spec nor a problem gives the n the steps per epoch need
+        spec = ScheduleSpec(regime, b0=4, delta=2.0, epochs_per_phase=(1, 1), **rates)
+        with pytest.raises(ScheduleError, match="needs a dataset_size"):
+            spec.build(None)
+
 
 class TestIncreasingBatchTables:
     def test_exp_growth_lr_per_phase(self):

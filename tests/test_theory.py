@@ -73,7 +73,7 @@ class TestLyapunovValue:
 class TestTheoremRhs:
     def test_constant_table_terms(self):
         table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
-        constants = TheoremConstants(L=1.0, beta=0.0, c=1.0, f0_minus_fstar=1.0,
+        constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         rep = theorem1_rhs(constants, table)
         assert rep.B_T == pytest.approx(0.1, rel=1e-15)
@@ -83,7 +83,7 @@ class TestTheoremRhs:
 
     def test_calg_scaling(self):
         table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
-        constants = TheoremConstants(L=1.0, beta=0.5, c=1.0, f0_minus_fstar=1.0,
+        constants = TheoremConstants(L=1.0, beta=0.5, f0_minus_fstar=1.0,
                                      sigma_sq=0.0, alg="nshb")
         rep = theorem1_rhs(constants, table)
         assert constants.C_alg == 2.0
@@ -100,7 +100,7 @@ class TestTheoremRhs:
                 else:
                     table = constant_bs_table(batch=b, T=T, **lr)
                 rep = theorem1_rhs(
-                    TheoremConstants(L=1.0, beta=0.0, c=1.0, f0_minus_fstar=0.0,
+                    TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=0.0,
                                      sigma_sq=1.0, alg="shb"),
                     table,
                 )
@@ -111,9 +111,26 @@ class TestTheoremRhs:
 
     def test_rejects_zero_lr_sum(self):
         table = schedules.ScheduleTable(lr=np.zeros(3), batch=np.ones(3, dtype=np.int64), T=3)
-        constants = TheoremConstants(L=1.0, beta=0.0, c=1.0, f0_minus_fstar=1.0,
+        constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         with pytest.raises(ValueError, match="positive"):
+            theorem1_rhs(constants, table)
+
+    def test_growth_constant_is_the_tables(self):
+        table = schedules.ScheduleTable(lr=[0.25, 0.5], batch=[1, 1], T=2)
+        constants = TheoremConstants(L=1.0, beta=0.5, f0_minus_fstar=1.0,
+                                     sigma_sq=1.0, alg="nshb")
+        rep = theorem1_rhs(constants, table)
+        assert rep.c == table.growth_constant_c == 2.0
+        assert rep.admissible_lr_max == 1.0  # (1 - 2 * 0.25) / (1 * 0.5)
+
+    def test_rejects_overflowing_lr_sum(self):
+        # each rate is finite; their sum is not
+        table = schedules.ScheduleTable(lr=np.full(2, 1e308), batch=np.ones(2, dtype=np.int64),
+                                        T=2)
+        constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
+                                     sigma_sq=1.0, alg="nshb")
+        with pytest.raises(ValueError, match="overflows"):
             theorem1_rhs(constants, table)
 
 
@@ -273,7 +290,7 @@ class TestDescentInequalityRhs:
 class TestReportSerialization:
     def test_exact_field_names(self):
         table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
-        constants = TheoremConstants(L=1.0, beta=0.0, c=1.0, f0_minus_fstar=1.0,
+        constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         rep = theory.build_report(constants, table, "cor3.1-constant",
                                   {"lambda_max": 0.1, "T": 100, "batch": 10})
