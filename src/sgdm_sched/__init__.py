@@ -29,10 +29,10 @@ from .optim import NumericalDivergence, OptimizerState, RunTrace, batch_indices,
 from .theory import (
     TheoremConstants,
     TheoryReport,
+    build_report,
     corollary_bounds,
     descent_inequality_rhs,
     lyapunov_value,
-    theorem1_rhs,
 )
 from .harness import (
     AggregateReport,
@@ -71,6 +71,7 @@ __all__ = [
     "batch_indices",
     "build_constant_bs_table",
     "build_increasing_bs_table",
+    "build_report",
     "corollary_bounds",
     "descent_inequality_rhs",
     "empirical_minibatch_variance",
@@ -82,6 +83,5 @@ __all__ = [
     "step",
     "table_from_csv",
     "table_to_csv",
-    "theorem1_rhs",
     "validate_admissible",
 ]

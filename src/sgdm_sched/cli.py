@@ -3,8 +3,13 @@ schedule inspection.
 
 Subcommands: run, bounds, schedule, audit, ratefit.  Exit codes: 0 all checks
 pass, 1 bound-check failure, 2 config/flag error, 3 admissibility failure in
-strict mode, 4 divergence.  The SGDM_SCHED_OUT environment variable overrides
-the default output root (./runs).
+strict mode, 4 divergence.  Every subcommand lets its failures propagate to
+`main`, whose `_EXIT_CODES` table alone maps an exception to its exit code
+and stderr line; every exit-2 failure (a bad config or flag, an unreadable
+input, an unwritable --out) prints `config error: ...`.  `run` exits 0 when
+every check of the report passes (`AggregateReport.passed`), else 1.  The
+SGDM_SCHED_OUT environment variable overrides the default output root
+(./runs).  Flags are never abbreviated.
 
 `schedule` and `bounds` describe a schedule with one flag per [schedule]
 config key (--regime, --kind, --lambda-max, --b0, --epochs-per-phase, ...),
@@ -138,10 +143,6 @@ def _load_with_overrides(args) -> harness.ExperimentConfig:
     config = load_config(args.config)
     if args.seeds is not None:
         config = replace(config, seeds=tuple(range(args.seeds)))
-    if args.waive_admissibility:
-        config = replace(config, validation_mode="waived")
-    elif args.strict:
-        config = replace(config, validation_mode="strict")
     return config
 
 
@@ -163,12 +164,7 @@ def cmd_run(args) -> int:
                 detail = " (no admissible rate: c >= 1/beta^2)"
         print(f"{name}: {verdict}{detail}")
     print(f"artifacts: {Path(out_root) / report.config_hash}")
-    failed = [
-        name
-        for name, check in report.checks.items()
-        if not check["pass"] and not (name == "admissible" and check["waived"])
-    ]
-    return EXIT_OK if not failed else EXIT_BOUND_FAIL
+    return EXIT_OK if report.passed else EXIT_BOUND_FAIL
 
 
 def _flag_schedule(args) -> schedules.ScheduleSpec:
@@ -182,29 +178,20 @@ def _flag_schedule(args) -> schedules.ScheduleSpec:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        table, regime, symbols = _flag_schedule(args).build(None)
-        constants = theory.TheoremConstants(
-            L=args.L,
-            beta=args.beta,
-            f0_minus_fstar=args.f0_gap,
-            sigma_sq=args.sigma_sq,
-            alg=args.alg,
-        )
-        report = theory.build_report(constants, table, regime, symbols)
-    except ValueError as exc:  # ConfigError and ScheduleError among them
-        print(f"flag error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    sys.stdout.write(report.to_json())
+    table, regime, symbols = _flag_schedule(args).build(None)
+    constants = theory.TheoremConstants(
+        L=args.L,
+        beta=args.beta,
+        f0_minus_fstar=args.f0_gap,
+        sigma_sq=args.sigma_sq,
+        alg=args.alg,
+    )
+    sys.stdout.write(theory.build_report(constants, table, regime, symbols).to_json())
     return EXIT_OK
 
 
 def cmd_schedule(args) -> int:
-    try:
-        table = _flag_schedule(args).build(None)[0]
-    except ValueError as exc:
-        print(f"flag error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    table = _flag_schedule(args).build(None)[0]
     sys.stdout.write(schedules.table_to_csv(table))
     return EXIT_OK
 
@@ -225,26 +212,19 @@ def cmd_audit(args) -> int:
 
 
 def cmd_ratefit(args) -> int:
-    try:
-        xs, ys = [], []
-        for path in args.reports:
-            with open(path) as fh:
-                doc = json.load(fh)
-            emp = doc["empirical"]
-            if args.x == "T":
-                xs.append(doc["totals"]["T"])
-            elif args.x == "M":
-                if doc["totals"]["M"] is None:
-                    raise ConfigError(f"{path} has no phase count M")
-                xs.append(doc["totals"]["M"])
-            else:
-                xs.append(doc["totals"]["samples"])
-            ys.append(emp["min_mean_grad_norm"])
-        fit = harness.rate_fit(xs, ys, mode=args.mode)
-    except (ConfigError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        # a report that is not an object of objects fails to index (TypeError)
-        print(f"ratefit error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    xs, ys = [], []
+    for path in args.reports:
+        with open(path) as fh:
+            doc = json.load(fh)
+        try:  # a report that is not an object of objects fails to index (TypeError)
+            x, y = doc["totals"][args.x], doc["empirical"]["min_mean_grad_norm"]
+            if x is None:  # M of a report without a phase plan
+                raise ConfigError(f"{path}: totals.{args.x} is null")
+            xs.append(float(x))
+            ys.append(float(y))
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"{path} is not a report: {exc!r}") from None
+    fit = harness.rate_fit(xs, ys, mode=args.mode)
     out = {
         "mode": fit.mode,
         "x": args.x,
@@ -259,16 +239,10 @@ def cmd_ratefit(args) -> int:
     return EXIT_OK
 
 
-def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("config", help="experiment config file (INI)")
     p.add_argument("--out", default=None, help="output root (default $SGDM_SCHED_OUT or ./runs)")
     p.add_argument("--seeds", type=int, default=None, help="override: use seeds 0..k-1")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--strict", action="store_true", help="require admissibility (default)")
-    g.add_argument(
-        "--waive-admissibility",
-        action="store_true",
-        help="run even when the schedule fails the admissible-LR check",
-    )
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
@@ -280,52 +254,52 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser takes an abbreviated flag: each flag has exactly one spelling
     parser = argparse.ArgumentParser(
         prog="sgdm-sched",
         description="Momentum-SGD scheduling laboratory: runs, bounds, schedules, audits.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a config-driven experiment and check its bounds")
-    p_run.add_argument("config", help="experiment config file (INI)")
-    _add_common_run_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
 
-    p_bounds = sub.add_parser("bounds", help="print the theory report JSON for parameters")
+    p_run = command("run", cmd_run, "run a config-driven experiment and check its bounds")
+    _add_config_flags(p_run)
+
+    p_bounds = command("bounds", cmd_bounds, "print the theory report JSON for parameters")
     p_bounds.add_argument("--alg", required=True, choices=schedules.ALGS)
     p_bounds.add_argument("--beta", type=float, required=True)
     p_bounds.add_argument("--L", type=float, required=True)
     p_bounds.add_argument("--sigma-sq", type=float, required=True)
     p_bounds.add_argument("--f0-gap", type=float, required=True)
     _add_schedule_flags(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
 
-    p_sched = sub.add_parser("schedule", help="print a schedule table as CSV (t,lr,batch)")
+    p_sched = command("schedule", cmd_schedule, "print a schedule table as CSV (t,lr,batch)")
     _add_schedule_flags(p_sched)
-    p_sched.set_defaults(func=cmd_schedule)
+    _add_config_flags(command("audit", cmd_audit, "per-step Lyapunov descent audit (nshb)"))
 
-    p_audit = sub.add_parser("audit", help="per-step Lyapunov descent audit (nshb)")
-    p_audit.add_argument("config", help="experiment config file (INI)")
-    _add_common_run_flags(p_audit)
-    p_audit.set_defaults(func=cmd_audit)
-
-    p_fit = sub.add_parser("ratefit", help="fit a decay rate over report.json budget points")
+    p_fit = command("ratefit", cmd_ratefit, "fit a decay rate over report.json budget points")
     p_fit.add_argument("reports", nargs="+", help="report.json files (>= 4)")
     p_fit.add_argument("--mode", choices=("loglog", "per-phase"), default="loglog")
     p_fit.add_argument("--x", choices=("T", "M", "samples"), default="T")
-    p_fit.set_defaults(func=cmd_ratefit)
     return parser
 
 
-# Exception -> (exit code, stderr line) for the commands that let failures
-# propagate.  The first matching row wins: the admissibility errors are
-# ScheduleErrors, hence ValueErrors, so they come before the config row.
+# Exception -> (exit code, stderr line): the one place a failure of any
+# command becomes an exit code.  The first matching row wins: the
+# admissibility errors are ScheduleErrors, hence ValueErrors, so they come
+# before the config row.  OSError covers an unreadable input and an
+# unwritable --out.
 _EXIT_CODES = (
     ((schedules.MomentumTooLarge, schedules.InadmissibleSchedule), EXIT_ADMISSIBILITY,
      "admissibility: FAIL ({})"),
     ((optim.NumericalDivergence, problems.IterateOutsideCertifiedBox), EXIT_DIVERGENCE,
      "divergence: FAIL ({})"),
-    ((ValueError, harness.BudgetExceeded), EXIT_CONFIG, "config error: {}"),
+    ((ValueError, OSError, harness.BudgetExceeded), EXIT_CONFIG, "config error: {}"),
 )
 
 

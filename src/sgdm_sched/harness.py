@@ -166,7 +166,8 @@ class AggregateReport:
 
     @property
     def passed(self) -> bool:
-        return all(c["pass"] for c in self.checks.values())
+        """Every check passes; a waived admissibility check does not count."""
+        return all(c["pass"] or c.get("waived", False) for c in self.checks.values())
 
     def to_dict(self) -> dict:
         cfg = self.config
@@ -275,27 +276,26 @@ def run_experiment(
     return report
 
 
+def _mean_se(x: np.ndarray):
+    """Mean over the seed axis (axis 0) and its standard error, 0 for one seed."""
+    R = x.shape[0]
+    se = x.std(axis=0, ddof=1) / math.sqrt(R) if R > 1 else np.zeros_like(x[0])
+    return x.mean(axis=0), se
+
+
 def _aggregate(config, config_hash, table, symbols, traces, admissibility, constants,
                theory_report):
     t_axis = traces[0].t
     gns = np.stack([tr.grad_norm_sq for tr in traces])
-    R = gns.shape[0]
-    sqrt_R = math.sqrt(R)
-
-    mean_sq = gns.mean(axis=0)
-    stderr_sq = gns.std(axis=0, ddof=1) / sqrt_R if R > 1 else np.zeros_like(mean_sq)
-    norms = np.sqrt(gns)
-    mean_norm = norms.mean(axis=0)
-    stderr_norm = norms.std(axis=0, ddof=1) / sqrt_R if R > 1 else np.zeros_like(mean_norm)
-
+    mean_sq, stderr_sq = _mean_se(gns)
+    mean_norm, stderr_norm = _mean_se(np.sqrt(gns))
     i_min = int(np.argmin(mean_sq))
     i_min_norm = int(np.argmin(mean_norm))
 
     finals_sq = np.asarray([tr.final_grad_norm_sq for tr in traces])
-    finals_norm = np.sqrt(finals_sq)
+    final_mean_sq, final_se_sq = _mean_se(finals_sq)
+    final_mean_norm, final_se_norm = _mean_se(np.sqrt(finals_sq))
 
-    stat_sq = float(mean_sq[i_min] + 3.0 * stderr_sq[i_min])
-    stat_norm = float(mean_norm[i_min_norm] + 3.0 * stderr_norm[i_min_norm])
     checks = {
         "admissible": {
             "pass": bool(admissibility is not None and admissibility.admissible),
@@ -303,19 +303,14 @@ def _aggregate(config, config_hash, table, symbols, traces, admissibility, const
             "lr_bound": admissibility.lr_bound if admissibility else None,
             "waived": config.validation_mode == "waived",
         },
-        "theorem1_sq": {
-            "pass": bool(stat_sq <= theory_report.rhs_sq),
-            "statistic": stat_sq,
-            "rhs": theory_report.rhs_sq,
-            "margin": theory_report.rhs_sq - stat_sq,
-        },
-        "theorem1_norm": {
-            "pass": bool(stat_norm <= theory_report.rhs_norm),
-            "statistic": stat_norm,
-            "rhs": theory_report.rhs_norm,
-            "margin": theory_report.rhs_norm - stat_norm,
-        },
     }
+    for name, mean, se, i, rhs in (
+        ("theorem1_sq", mean_sq, stderr_sq, i_min, theory_report.rhs_sq),
+        ("theorem1_norm", mean_norm, stderr_norm, i_min_norm, theory_report.rhs_norm),
+    ):
+        stat = float(mean[i] + 3.0 * se[i])
+        checks[name] = {"pass": bool(stat <= rhs), "statistic": stat, "rhs": rhs,
+                        "margin": rhs - stat}
 
     return AggregateReport(
         config=config,
@@ -328,10 +323,10 @@ def _aggregate(config, config_hash, table, symbols, traces, admissibility, const
         t_at_min=int(t_axis[i_min]),
         min_mean_grad_norm=float(mean_norm[i_min_norm]),
         stderr_at_min_norm=float(stderr_norm[i_min_norm]),
-        final_mean_grad_norm_sq=float(finals_sq.mean()),
-        final_stderr_grad_norm_sq=float(finals_sq.std(ddof=1) / sqrt_R) if R > 1 else 0.0,
-        final_mean_grad_norm=float(finals_norm.mean()),
-        final_stderr_grad_norm=float(finals_norm.std(ddof=1) / sqrt_R) if R > 1 else 0.0,
+        final_mean_grad_norm_sq=float(final_mean_sq),
+        final_stderr_grad_norm_sq=float(final_se_sq),
+        final_mean_grad_norm=float(final_mean_norm),
+        final_stderr_grad_norm=float(final_se_norm),
         final_mean_f=float(np.mean([tr.final_f for tr in traces])),
         theory=theory_report,
         constants=constants,

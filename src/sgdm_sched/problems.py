@@ -102,6 +102,8 @@ class QuadraticMeanProblem:
         self._dev = anchors - abar
         self._dev.flags.writeable = False
         self.sigma_sq = float(np.einsum("ij,ij->", self._dev, self._dev) / self.n)
+        if not math.isfinite(self.sigma_sq):
+            raise ValueError(f"the anchors' variance sigma_sq = {self.sigma_sq} is not finite")
         self.L = 1.0
         self.f_star = 0.5 * self.sigma_sq
 

@@ -9,7 +9,7 @@ closed-form bounds on B_T and V_T, and the single-step descent inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "c_alg",
     "lyapunov_coefficient_array",
     "lyapunov_value",
-    "theorem1_rhs",
     "corollary_bounds",
     "build_report",
     "descent_inequality_rhs",
@@ -53,6 +52,10 @@ class TheoremConstants:
     alg: str
 
     def __post_init__(self):
+        for name in ("L", "f0_minus_fstar", "sigma_sq"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.L > 0:
             raise ValueError(f"L must be > 0, got {self.L}")
         if not 0.0 <= self.beta < 1.0:
@@ -115,44 +118,6 @@ class TheoryReport:
 
     def to_json(self) -> str:
         return dumps17(asdict(self))
-
-
-def theorem1_rhs(constants: TheoremConstants, table: schedules.ScheduleTable) -> TheoryReport:
-    """Exact B_T, V_T by direct summation and the bound
-    2 * C_alg * (f(theta_0) - f*) * B_T + sigma^2 * V_T.
-
-    The gradient-norm (non-squared) form is the square root (``rhs_norm``).
-    The growth constant c is the table's own.  A sum beyond the float range
-    is a ValueError.
-    """
-    lam = [float(x) for x in table.lr]
-    try:
-        s_lam = math.fsum(lam)
-        s_lam_b = math.fsum(l / float(b) for l, b in zip(lam, table.batch))
-    except OverflowError:
-        raise ValueError("sum of learning rates overflows the float range") from None
-    if not s_lam > 0.0:
-        raise ValueError("sum of learning rates must be positive")
-    B_T = 1.0 / s_lam
-    V_T = s_lam_b / s_lam
-    rhs_sq = 2.0 * constants.C_alg * constants.f0_minus_fstar * B_T + constants.sigma_sq * V_T
-    c = table.growth_constant_c
-    try:
-        bound = schedules.admissible_lr_bound(constants.beta, constants.L, c, constants.alg)
-    except schedules.MomentumTooLarge:
-        bound = None
-    return TheoryReport(
-        B_T=B_T,
-        V_T=V_T,
-        rhs_sq=rhs_sq,
-        rhs_norm=math.sqrt(rhs_sq),
-        B_bound=None,
-        V_bound=None,
-        regime=None,
-        admissible_lr_max=bound,
-        c=c,
-        C_alg=constants.C_alg,
-    )
 
 
 def _req(params: dict, *names: str) -> list[float]:
@@ -266,11 +231,49 @@ def build_report(
     regime: str | None = None,
     regime_params: dict | None = None,
 ) -> TheoryReport:
-    """theorem1_rhs plus the applicable corollary bounds, in one report."""
-    report = theorem1_rhs(constants, table)
+    """Exact B_T, V_T by direct summation, the bound
+    2 * C_alg * (f(theta_0) - f*) * B_T + sigma^2 * V_T, and, given a regime,
+    its corollary's closed-form (B_bound, V_bound).
+
+    The gradient-norm (non-squared) form is the square root (``rhs_norm``).
+    The growth constant c is the table's own.  A sum beyond the float range
+    and a report value that is not finite (a subnormal rate sum makes B_T
+    inf) are ValueErrors naming the value.
+    """
+    lam = [float(x) for x in table.lr]
+    try:
+        s_lam = math.fsum(lam)
+        s_lam_b = math.fsum(l / float(b) for l, b in zip(lam, table.batch))
+    except OverflowError:
+        raise ValueError("sum of learning rates overflows the float range") from None
+    if not s_lam > 0.0:
+        raise ValueError("sum of learning rates must be positive")
+    B_T = 1.0 / s_lam
+    V_T = s_lam_b / s_lam
+    rhs_sq = 2.0 * constants.C_alg * constants.f0_minus_fstar * B_T + constants.sigma_sq * V_T
+    c = table.growth_constant_c
+    try:
+        bound = schedules.admissible_lr_bound(constants.beta, constants.L, c, constants.alg)
+    except schedules.MomentumTooLarge:
+        bound = None
+    B_bound = V_bound = None
     if regime is not None:
         B_bound, V_bound = corollary_bounds(regime, **(regime_params or {}))
-        report = replace(report, B_bound=B_bound, V_bound=V_bound, regime=regime)
+    report = TheoryReport(
+        B_T=B_T,
+        V_T=V_T,
+        rhs_sq=rhs_sq,
+        rhs_norm=math.sqrt(rhs_sq),
+        B_bound=B_bound,
+        V_bound=V_bound,
+        regime=regime,
+        admissible_lr_max=bound,
+        c=c,
+        C_alg=constants.C_alg,
+    )
+    for name, value in vars(report).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"theory report value {name} = {value} is not finite")
     return report
 
 

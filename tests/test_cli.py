@@ -520,7 +520,7 @@ def test_cli_stdout_is_pinned(capsys, argv, digest):
 def test_flags_the_schedule_cannot_honour_exit_two(capsys, argv, message):
     assert sgdm_cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("flag error: ") and message in err
+    assert err.startswith("config error: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["bounds", "schedule"])
@@ -543,13 +543,13 @@ def test_overflowing_batch_growth_exits_two(tmp_path, capsys, command, delta):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(with_schedule(BASE_CONFIG, INCREASING_SCHEDULE.replace(
             "delta = 2", f"delta = {delta}")))
-        argv, prefix = ["run", str(cfg), "--out", str(tmp_path / "runs")], "config error: "
+        argv = ["run", str(cfg), "--out", str(tmp_path / "runs")]
     elif command == "bounds":
-        argv, prefix = bounds_argv("increasing-bs", *plan), "flag error: "
+        argv = bounds_argv("increasing-bs", *plan)
     else:
-        argv, prefix = ["schedule", "--regime", "increasing-bs", *plan], "flag error: "
+        argv = ["schedule", "--regime", "increasing-bs", *plan]
     assert sgdm_cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith(prefix + "final-phase batch size inf exceeds")
+    assert capsys.readouterr().err.startswith("config error: final-phase batch size inf exceeds")
 
 
 @pytest.mark.parametrize("command", ["run", "bounds"])
@@ -562,13 +562,13 @@ def test_overflowing_rate_sum_exits_two_before_any_step(tmp_path, capsys, monkey
     if command == "run":
         cfg = tmp_path / "exp.ini"
         cfg.write_text(diverging(BASE_CONFIG).replace("lambda_max = 1e200", "lambda_max = 1e308"))
-        argv, prefix = ["run", str(cfg), "--out", str(tmp_path / "runs")], "config error: "
+        argv = ["run", str(cfg), "--out", str(tmp_path / "runs")]
     else:
         argv = bounds_argv(*constant_bs("cosine", "--lambda-max", "1e308", "--batch", "4",
                                         "--T", "8", "--dataset-size", "16"))
-        prefix = "flag error: "
     assert sgdm_cli.main(argv) == 2
-    assert capsys.readouterr().err == prefix + "sum of learning rates overflows the float range\n"
+    assert capsys.readouterr().err == (
+        "config error: sum of learning rates overflows the float range\n")
     assert not (tmp_path / "runs").exists()
 
 
@@ -703,7 +703,7 @@ class TestRatefitCommand:
             paths.append(str(p))
         (tmp_path / "r0.json").write_text(json.dumps(doc))
         assert sgdm_cli.main(["ratefit", *paths]) == 2
-        assert capsys.readouterr().err.startswith("ratefit error: ")
+        assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("mode", ["loglog", "per-phase"])
     def test_single_phase_reports_exit_two_without_warning(self, tmp_path, mode):
@@ -719,4 +719,74 @@ class TestRatefitCommand:
         res = cli("ratefit", *paths, "--x", "M", "--mode", mode,
                   env_extra={"PYTHONWARNINGS": "error"})
         assert res.returncode == 2, res.stderr
-        assert res.stderr.startswith("ratefit error: x values must")
+        assert res.stderr.startswith("config error: x values must")
+
+
+def failing_argv(command, tmp_path):
+    """An argv on which ``command`` fails with a config error."""
+    if command in ("run", "audit"):  # --out names a file, not a directory
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(BASE_CONFIG.replace("seeds = 8", "seeds = 64"))
+        (tmp_path / "out").write_text("")
+        return [command, str(cfg), "--out", str(tmp_path / "out")]
+    if command == "bounds":
+        return bounds_argv("joint-growth", "--gamma", "1.5", "--lambda0", "0.02", "--b0", "4",
+                           "--delta", "2", "--epochs-per-phase", "1,1")
+    if command == "schedule":
+        return ["schedule", "--regime", "increasing-bs", "--b0", "4", "--delta", "2",
+                "--epochs-per-phase", "1,1"]
+    return ["ratefit", *[str(tmp_path)] * 4]  # a directory, not a report
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "bounds", "schedule", "ratefit"])
+def test_every_command_fails_through_the_one_exit_table(tmp_path, capsys, command):
+    # one stderr line, no traceback: main's exit table handled the failure
+    assert sgdm_cli.main(failing_argv(command, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--regime", "constant-bs", "--lambda-max", "0.1", "--bat", "4", "--T", "2"],
+    ["schedule", "--regime", "constant-bs", "--lambda-max", "0.1", "--batch", "4", "--T", "2",
+     "--dataset", "16"],
+], ids=["bat", "dataset"])
+def test_abbreviated_flags_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        sgdm_cli.main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--L", "inf", "L must be finite, got inf"),
+    ("--sigma-sq", "nan", "sigma_sq must be finite, got nan"),
+    ("--f0-gap", "inf", "f0_minus_fstar must be finite, got inf"),
+])
+def test_non_finite_bounds_constant_exits_two(capsys, flag, value, message):
+    argv = bounds_argv(*constant_bs("constant", "--lambda-max", "0.1", "--batch", "1",
+                                    "--T", "1"))
+    argv[argv.index(flag) + 1] = value
+    assert sgdm_cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.replace("sigma_sq = 1.0\n", "spread = 1e200\n"),
+     "the anchors' variance sigma_sq = inf is not finite"),
+    (lambda c: c.replace("lambda_max = 0.15", "lambda_max = 5e-324").replace("T = 40", "T = 1")
+     .replace("kind = cosine", "kind = constant"),
+     "theory report value B_T = inf is not finite"),
+], ids=["anchor-variance", "subnormal-rate-sum"])
+def test_non_finite_value_exits_two_before_any_step(tmp_path, capsys, monkeypatch, edit,
+                                                     message):
+    # in process, so a warning fails the test
+    def no_run(*args, **kwargs):
+        raise AssertionError("optim.run was reached")
+
+    monkeypatch.setattr(harness.optim, "run", no_run)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(edit(BASE_CONFIG))
+    assert sgdm_cli.main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "runs").exists()

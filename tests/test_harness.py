@@ -224,6 +224,9 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert not report.checks["admissible"]["pass"]
         assert report.checks["admissible"]["waived"]
+        # the waived check does not count towards the verdict
+        bound_checks = [report.checks[name]["pass"] for name in ("theorem1_sq", "theorem1_norm")]
+        assert report.passed == all(bound_checks)
 
     def test_momentum_too_large_propagates(self):
         cfg = small_config(

@@ -111,6 +111,11 @@ class TestQuadraticClosedForms:
         with pytest.raises(ValueError, match="anchor variance non-finite"):
             QuadraticMeanProblem.generate(4, 32, sigma_sq=1.0, spread=spread, seed=3)
 
+    def test_anchor_variance_that_overflows_is_refused(self):
+        # finite anchors whose mean squared deviation is beyond the float range
+        with pytest.raises(ValueError, match=r"sigma_sq = inf is not finite"):
+            QuadraticMeanProblem.generate(4, 32, spread=1e200, seed=3)
+
     def test_zero_sigma_gives_identical_anchors(self):
         prob = QuadraticMeanProblem.generate(4, 16, sigma_sq=0.0, seed=3)
         assert prob.sigma_sq == 0.0

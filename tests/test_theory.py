@@ -11,11 +11,11 @@ from sgdm_sched import schedules, theory
 from sgdm_sched.schedules import ScheduleSpec
 from sgdm_sched.theory import (
     TheoremConstants,
+    build_report,
     corollary_bounds,
     descent_inequality_rhs,
     lyapunov_coefficient_array,
     lyapunov_value,
-    theorem1_rhs,
 )
 
 from conftest import constant_bs_table, random_decaying_lr, random_plan
@@ -75,7 +75,7 @@ class TestTheoremRhs:
         table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
         constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
-        rep = theorem1_rhs(constants, table)
+        rep = build_report(constants, table)
         assert rep.B_T == pytest.approx(0.1, rel=1e-15)
         assert rep.V_T == pytest.approx(0.1, rel=1e-15)
         assert rep.rhs_sq == pytest.approx(0.3, rel=1e-15)
@@ -85,7 +85,7 @@ class TestTheoremRhs:
         table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
         constants = TheoremConstants(L=1.0, beta=0.5, f0_minus_fstar=1.0,
                                      sigma_sq=0.0, alg="nshb")
-        rep = theorem1_rhs(constants, table)
+        rep = build_report(constants, table)
         assert constants.C_alg == 2.0
         assert rep.rhs_sq == pytest.approx(0.4, rel=1e-15)  # 2 * 2 * 1 * 0.1
 
@@ -99,7 +99,7 @@ class TestTheoremRhs:
                     table = constant_bs_table(batch=b, T=4 * T, dataset_size=4 * b, **lr)
                 else:
                     table = constant_bs_table(batch=b, T=T, **lr)
-                rep = theorem1_rhs(
+                rep = build_report(
                     TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=0.0,
                                      sigma_sq=1.0, alg="shb"),
                     table,
@@ -114,13 +114,13 @@ class TestTheoremRhs:
         constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         with pytest.raises(ValueError, match="positive"):
-            theorem1_rhs(constants, table)
+            build_report(constants, table)
 
     def test_growth_constant_is_the_tables(self):
         table = schedules.ScheduleTable(lr=[0.25, 0.5], batch=[1, 1], T=2)
         constants = TheoremConstants(L=1.0, beta=0.5, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
-        rep = theorem1_rhs(constants, table)
+        rep = build_report(constants, table)
         assert rep.c == table.growth_constant_c == 2.0
         assert rep.admissible_lr_max == 1.0  # (1 - 2 * 0.25) / (1 * 0.5)
 
@@ -131,7 +131,23 @@ class TestTheoremRhs:
         constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         with pytest.raises(ValueError, match="overflows"):
-            theorem1_rhs(constants, table)
+            build_report(constants, table)
+
+
+    @pytest.mark.parametrize("name", ["L", "f0_minus_fstar", "sigma_sq"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_constants_must_be_finite(self, name, value):
+        kwargs = dict(L=1.0, beta=0.0, f0_minus_fstar=1.0, sigma_sq=1.0, alg="nshb")
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            TheoremConstants(**{**kwargs, name: value})
+
+    def test_rejects_non_finite_report_value(self):
+        # a subnormal rate sum: B_T = 1/sum(lr) overflows to inf
+        table = schedules.ScheduleTable(lr=[5e-324], batch=[1], T=1)
+        constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
+                                     sigma_sq=1.0, alg="nshb")
+        with pytest.raises(ValueError, match="theory report value B_T = inf is not finite"):
+            build_report(constants, table)
 
 
 class TestCorollaryBounds:
