@@ -15,7 +15,7 @@ from sgdm_sched.optim import batch_indices
 beta = 0.9
 problem = QuadraticMeanProblem.generate(d=6, n=64, sigma_sq=1.0, seed=1)
 eta = ScheduleSpec("constant-bs", "diminishing", lambda_max=0.15, batch=8, T=120).build(problem.n)[0]
-alpha = ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T)
+alpha = ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch)
 
 a = run("nshb", beta, eta, problem, seed=7, theta0_seed=2, record_theta=True)
 b = run("shb", beta, alpha, problem, seed=7, theta0_seed=2, record_theta=True)

@@ -20,14 +20,15 @@ cfg = ExperimentConfig(
 )
 report = run_experiment(cfg)
 
-th = report.theory
+th, emp = report.theory, report.empirical
 print(f"schedule: {cfg.schedule.regime}/{cfg.schedule.kind}, T={report.total_steps}, "
       f"{report.total_samples} gradient evaluations, 64 seeds")
 print(f"exact bias term      B_T = {th.B_T:.6g}   (closed-form bound {th.B_bound:.6g})")
 print(f"exact variance term  V_T = {th.V_T:.6g}   (closed-form bound {th.V_bound:.6g})")
 print(f"bound on min_t E||grad||^2: {th.rhs_sq:.6g}  (norm form {th.rhs_norm:.6g})")
-print(f"empirical min_t mean||grad||^2 = {report.min_mean_grad_norm_sq:.6g} "
-      f"(+3se = {report.min_mean_grad_norm_sq + 3 * report.stderr_at_min:.6g}) at t={report.t_at_min}")
+print(f"empirical min_t mean||grad||^2 = {emp['min_mean_grad_norm_sq']:.6g} "
+      f"(+3se = {emp['min_mean_grad_norm_sq'] + 3 * emp['stderr_at_min']:.6g}) "
+      f"at t={emp['t_at_min']}")
 for name, check in report.checks.items():
     print(f"  {name}: {'PASS' if check['pass'] else 'FAIL'}")
 

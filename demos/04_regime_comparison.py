@@ -28,12 +28,14 @@ for name, schedule in REGIMES:
                            seeds=tuple(range(64)), theta0_seed=11)
     rep = run_experiment(cfg)
     rows.append((name, rep))
+    emp = rep.empirical
     print(f"{name:32s} {rep.total_samples:8d} {rep.total_steps:6d} "
-          f"{rep.final_mean_grad_norm:14.5f} {rep.final_stderr_grad_norm:12.5f}")
+          f"{emp['final_mean_grad_norm']:14.5f} {emp['final_stderr_grad_norm']:12.5f}")
 
 print("\nordering of mean final gradient norms:")
 for (name_a, a), (name_b, b) in zip(rows, rows[1:]):
-    gap = a.final_mean_grad_norm - b.final_mean_grad_norm
-    ses = a.final_stderr_grad_norm + b.final_stderr_grad_norm
+    a, b = a.empirical, b.empirical
+    gap = a["final_mean_grad_norm"] - b["final_mean_grad_norm"]
+    ses = a["final_stderr_grad_norm"] + b["final_stderr_grad_norm"]
     sign = ">" if gap > ses else "~"
     print(f"  [{name_a}] {sign} [{name_b}]  (gap {gap:.5f}, combined se {ses:.5f})")

@@ -15,7 +15,6 @@ from .schedules import (
     ScheduleTable,
     build_constant_bs_table,
     build_increasing_bs_table,
-    table_from_csv,
     table_to_csv,
     validate_admissible,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "run",
     "run_experiment",
     "step",
-    "table_from_csv",
     "table_to_csv",
     "validate_admissible",
 ]

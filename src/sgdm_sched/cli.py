@@ -6,7 +6,8 @@ pass, 1 bound-check failure, 2 config/flag error, 3 admissibility failure in
 strict mode, 4 divergence.  Every subcommand lets its failures propagate to
 `main`, whose `_EXIT_CODES` table alone maps an exception to its exit code
 and stderr line; every exit-2 failure (a bad config or flag, an unreadable
-input, an unwritable --out) prints `config error: ...`.  `run` exits 0 when
+input, an --out that cannot be made a directory, which is found before the
+first step) prints `config error: ...`.  `run` exits 0 when
 every check of the report passes (`AggregateReport.passed`), else 1.  The
 SGDM_SCHED_OUT environment variable overrides the default output root
 (./runs).  Flags are never abbreviated.
@@ -198,32 +199,40 @@ def cmd_schedule(args) -> int:
 
 def cmd_audit(args) -> int:
     config = _load_with_overrides(args)
-    report = harness.lyapunov_descent_audit(config)
-    out_dir = _out_root(args.out) / config.config_hash
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "audit.csv").write_text(report.to_csv())
+    out_root = _out_root(args.out)
+    report = harness.lyapunov_descent_audit(config, out_dir=out_root)
     n_bad = int(np.sum(~report.ok))
     print(
         f"lyapunov_descent: {'PASS' if report.all_ok else 'FAIL'} "
         f"({report.t.shape[0] - n_bad}/{report.t.shape[0]} audited steps within 3 standard errors)"
     )
-    print(f"artifacts: {out_dir / 'audit.csv'}")
+    print(f"artifacts: {out_root / config.config_hash / 'audit.csv'}")
     return EXIT_OK if report.all_ok else EXIT_BOUND_FAIL
+
+
+def _report_value(path: str, doc, section: str, key: str) -> float:
+    """``doc[section][key]`` of a report as a finite float; ConfigError naming
+    the file and the field otherwise."""
+    try:  # a report that is not an object of objects fails to index (TypeError)
+        value = doc[section][key]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} is not a report: {exc!r}") from None
+    # null is the M of a report without a phase plan; json reads NaN and Infinity
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: {section}.{key} = {json.dumps(value)} is not a finite number")
+    return float(value)
 
 
 def cmd_ratefit(args) -> int:
     xs, ys = [], []
     for path in args.reports:
         with open(path) as fh:
-            doc = json.load(fh)
-        try:  # a report that is not an object of objects fails to index (TypeError)
-            x, y = doc["totals"][args.x], doc["empirical"]["min_mean_grad_norm"]
-            if x is None:  # M of a report without a phase plan
-                raise ConfigError(f"{path}: totals.{args.x} is null")
-            xs.append(float(x))
-            ys.append(float(y))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{path} is not a report: {exc!r}") from None
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # malformed JSON or text that is not UTF-8
+                raise ConfigError(f"{path} is not JSON: {exc}") from None
+        xs.append(_report_value(path, doc, "totals", args.x))
+        ys.append(_report_value(path, doc, "empirical", "min_mean_grad_norm"))
     fit = harness.rate_fit(xs, ys, mode=args.mode)
     out = {
         "mode": fit.mode,

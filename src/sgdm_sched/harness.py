@@ -11,8 +11,10 @@ named by a content hash of the config.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -131,38 +133,46 @@ class ExperimentConfig:
             },
         }
 
-    @property
+    @functools.cached_property
     def config_hash(self) -> str:
+        """First 16 hex digits of the SHA-256 of the config's JSON, computed once."""
         return hashlib.sha256(dumps17(self.to_dict()).encode()).hexdigest()[:16]
 
 
 @dataclass
 class AggregateReport:
-    """Across-seed aggregation, bound verdicts and the attached theory report."""
+    """Across-seed aggregation, bound verdicts and the attached theory report.
+
+    ``config_hash``, ``total_steps`` and ``total_samples`` are read off the
+    config and the schedule table.  ``empirical`` is report.json's
+    "empirical" block: the minimum over recorded steps of the seed-mean
+    ||grad f||^2 and ||grad f||, and the seed-means at the final iterate.
+    """
 
     config: ExperimentConfig
-    config_hash: str
+    table: schedules.ScheduleTable
     t: np.ndarray
     mean_grad_norm_sq: np.ndarray
     stderr_grad_norm_sq: np.ndarray
-    min_mean_grad_norm_sq: float
-    stderr_at_min: float
-    t_at_min: int
-    min_mean_grad_norm: float
-    stderr_at_min_norm: float
-    final_mean_grad_norm_sq: float
-    final_stderr_grad_norm_sq: float
-    final_mean_grad_norm: float
-    final_stderr_grad_norm: float
-    final_mean_f: float
+    empirical: dict
     theory: theory.TheoryReport
     constants: theory.TheoremConstants
     checks: dict
-    total_steps: int
-    total_samples: int
     symbols: dict  # the corollary's symbols, M and T_w among them
     sigma_certificate: dict | None = None
     traces: list = field(repr=False, default_factory=list)
+
+    @property
+    def config_hash(self) -> str:
+        return self.config.config_hash
+
+    @property
+    def total_steps(self) -> int:
+        return self.table.T
+
+    @property
+    def total_samples(self) -> int:
+        return int(self.table.batch.sum())
 
     @property
     def passed(self) -> bool:
@@ -192,18 +202,7 @@ class AggregateReport:
                 "sigma_certificate": self.sigma_certificate,
             },
             "theory": asdict(self.theory),
-            "empirical": {
-                "min_mean_grad_norm_sq": self.min_mean_grad_norm_sq,
-                "stderr_at_min": self.stderr_at_min,
-                "t_at_min": self.t_at_min,
-                "min_mean_grad_norm": self.min_mean_grad_norm,
-                "stderr_at_min_norm": self.stderr_at_min_norm,
-                "final_mean_grad_norm_sq": self.final_mean_grad_norm_sq,
-                "final_stderr_grad_norm_sq": self.final_stderr_grad_norm_sq,
-                "final_mean_grad_norm": self.final_mean_grad_norm,
-                "final_stderr_grad_norm": self.final_stderr_grad_norm,
-                "final_mean_f": self.final_mean_f,
-            },
+            "empirical": self.empirical,
             "checks": self.checks,
         }
 
@@ -216,9 +215,11 @@ def run_experiment(
 
     Deterministic given the config.  Before any step, in this order: the
     admissibility check (unless waived), the budget, theta0 inside the
-    certified box, the bound report and the config hash; a theta0 outside
-    the box, an unmet corollary hypothesis and a non-finite config field are
-    ValueErrors.  The seeds then advance in lockstep, seed i
+    certified box, the bound report, the config hash and, when ``out_dir``
+    is given, that the experiment directory under it can be created; a
+    theta0 outside the box, an unmet corollary hypothesis and a non-finite
+    config field are ValueErrors, an ``out_dir`` path through a file is a
+    NotADirectoryError.  The seeds then advance in lockstep, seed i
     sampling from stream (seeds[i], i, t).  At the first step where any
     seed's observed f, ||grad f||^2 or Lyapunov value, gradient or iterate
     goes non-finite (``optim.run`` gives the order within a step),
@@ -228,6 +229,14 @@ def run_experiment(
     IterateOutsideCertifiedBox naming the lowest-index offending seed and the
     step, in the same order.
     """
+    report = _run(config, out_dir)
+    if out_dir is not None:
+        write_artifacts(report, Path(out_dir))
+    return report
+
+
+def _run(config: ExperimentConfig, out_dir: str | Path | None) -> AggregateReport:
+    """``run_experiment`` up to its report: every pre-step check, the steps, the aggregate."""
     problem = config.problem.build()
     table, regime, symbols = config.schedule.build(problem.n)
     waived = config.validation_mode == "waived"
@@ -265,15 +274,23 @@ def run_experiment(
     )
     theory_report = theory.build_report(constants, table, regime, symbols)
     config_hash = config.config_hash  # names the artifacts; refuses a non-finite field
+    if out_dir is not None:
+        _check_out_dir(Path(out_dir) / config_hash)
 
     traces = optim.run(config.alg, config.beta, table, problem, config.seeds,
                        theta0=theta0, record_every=config.record_every)
-    report = _aggregate(config, config_hash, table, symbols, traces, admissibility,
-                        constants, theory_report)
+    report = _aggregate(config, table, symbols, traces, admissibility, constants, theory_report)
     report.sigma_certificate = getattr(problem, "sigma_search", None)
-    if out_dir is not None:
-        write_artifacts(report, Path(out_dir))
     return report
+
+
+def _check_out_dir(path: Path) -> None:
+    """Refuse, creating nothing, a directory that ``mkdir(parents=True)`` cannot make:
+    ``path`` or its nearest existing ancestor is not a directory."""
+    # lexists: a dangling symlink exists for mkdir; "." or "/" ends the search
+    nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"cannot create directory {path}: {nearest} is not a directory")
 
 
 def _mean_se(x: np.ndarray):
@@ -283,8 +300,7 @@ def _mean_se(x: np.ndarray):
     return x.mean(axis=0), se
 
 
-def _aggregate(config, config_hash, table, symbols, traces, admissibility, constants,
-               theory_report):
+def _aggregate(config, table, symbols, traces, admissibility, constants, theory_report):
     t_axis = traces[0].t
     gns = np.stack([tr.grad_norm_sq for tr in traces])
     mean_sq, stderr_sq = _mean_se(gns)
@@ -295,6 +311,18 @@ def _aggregate(config, config_hash, table, symbols, traces, admissibility, const
     finals_sq = np.asarray([tr.final_grad_norm_sq for tr in traces])
     final_mean_sq, final_se_sq = _mean_se(finals_sq)
     final_mean_norm, final_se_norm = _mean_se(np.sqrt(finals_sq))
+    empirical = {
+        "min_mean_grad_norm_sq": float(mean_sq[i_min]),
+        "stderr_at_min": float(stderr_sq[i_min]),
+        "t_at_min": int(t_axis[i_min]),
+        "min_mean_grad_norm": float(mean_norm[i_min_norm]),
+        "stderr_at_min_norm": float(stderr_norm[i_min_norm]),
+        "final_mean_grad_norm_sq": float(final_mean_sq),
+        "final_stderr_grad_norm_sq": float(final_se_sq),
+        "final_mean_grad_norm": float(final_mean_norm),
+        "final_stderr_grad_norm": float(final_se_norm),
+        "final_mean_f": float(np.mean([tr.final_f for tr in traces])),
+    }
 
     checks = {
         "admissible": {
@@ -313,28 +341,9 @@ def _aggregate(config, config_hash, table, symbols, traces, admissibility, const
                         "margin": rhs - stat}
 
     return AggregateReport(
-        config=config,
-        config_hash=config_hash,
-        t=t_axis,
-        mean_grad_norm_sq=mean_sq,
-        stderr_grad_norm_sq=stderr_sq,
-        min_mean_grad_norm_sq=float(mean_sq[i_min]),
-        stderr_at_min=float(stderr_sq[i_min]),
-        t_at_min=int(t_axis[i_min]),
-        min_mean_grad_norm=float(mean_norm[i_min_norm]),
-        stderr_at_min_norm=float(stderr_norm[i_min_norm]),
-        final_mean_grad_norm_sq=float(final_mean_sq),
-        final_stderr_grad_norm_sq=float(final_se_sq),
-        final_mean_grad_norm=float(final_mean_norm),
-        final_stderr_grad_norm=float(final_se_norm),
-        final_mean_f=float(np.mean([tr.final_f for tr in traces])),
-        theory=theory_report,
-        constants=constants,
-        checks=checks,
-        total_steps=table.T,
-        total_samples=int(table.batch.sum()),
-        symbols=symbols,
-        traces=traces,
+        config=config, table=table, t=t_axis, mean_grad_norm_sq=mean_sq,
+        stderr_grad_norm_sq=stderr_sq, empirical=empirical, theory=theory_report,
+        constants=constants, checks=checks, symbols=symbols, traces=traces,
     )
 
 
@@ -347,10 +356,10 @@ def write_artifacts(report: AggregateReport, out_root: Path) -> Path:
     """
     exp_dir = Path(out_root) / report.config_hash
     exp_dir.mkdir(parents=True, exist_ok=True)
-    # every trace of one run carries the same t, lr and batch arrays, so
-    # their text is formatted once
-    first = report.traces[0]
-    lead = csv_rows((first.t, first.lr, first.batch))
+    # every trace of one run has the same t, lr and batch columns, so their
+    # text is formatted once
+    t = report.t
+    lead = csv_rows((t, report.table.lr[t], report.table.batch[t]))
     for tr in report.traces:
         text = csv_text(
             "t,lr,batch,f,grad_norm_sq,lyapunov", (tr.f, tr.grad_norm_sq, tr.lyapunov), lead
@@ -381,7 +390,8 @@ class AuditReport:
         )
 
 
-def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> AuditReport:
+def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64,
+                           out_dir: str | Path | None = None) -> AuditReport:
     """Estimate E[L_{t+1} - L_t] per step and compare against the one-step bound.
 
     Requires the nshb parameterization and at least ``min_seeds`` master
@@ -389,7 +399,9 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> Aud
     (L_{t+1} - L_t) + (1/2)(1-beta) eta_t ||grad f(theta_t)||^2
     - (1/2)(1-beta) eta_t sigma^2/b_t lies at or below 3 standard errors of
     that combined per-seed statistic.  All steps are audited for T <= 512,
-    else 64 evenly spaced ones.
+    else 64 evenly spaced ones.  The run makes ``run_experiment``'s checks
+    before its first step; with ``out_dir`` it writes audit.csv into the
+    config-hash directory under it and no other artifact.
     """
     if config.alg != "nshb":
         raise ValueError("the Lyapunov descent audit is defined for the nshb parameterization")
@@ -398,7 +410,7 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> Aud
     if config.record_every != 1:
         raise ValueError("audit needs record_every = 1 for consecutive Lyapunov values")
 
-    report = run_experiment(config, out_dir=None)
+    report = _run(config, out_dir)
     traces = report.traces
     T = report.total_steps
     if T <= 512:
@@ -409,8 +421,8 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> Aud
     # (R, T+1) Lyapunov series: per-step values plus the post-run value
     lyap = np.stack([np.append(tr.lyapunov, tr.final_lyapunov) for tr in traces])
     gns = np.stack([tr.grad_norm_sq for tr in traces])
-    # record_every = 1, so every trace holds the whole schedule table
-    eta, batch = traces[0].lr, traces[0].batch
+    # record_every = 1, so every trace holds all T steps of the table
+    eta, batch = report.table.lr, report.table.batch
     sigma_sq = report.constants.sigma_sq
     half = 0.5 * (1.0 - config.beta) * eta
     noise = half * sigma_sq / batch.astype(np.float64)
@@ -435,15 +447,13 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64) -> Aud
             for t in audited
         ]
     )
-    return AuditReport(
-        t=audited,
-        mean_delta=mean_delta,
-        descent_rhs=rhs,
-        stderr=se_D,
-        ok=ok,
-        n_seeds=R,
-        all_ok=bool(np.all(ok)),
-    )
+    audit = AuditReport(t=audited, mean_delta=mean_delta, descent_rhs=rhs, stderr=se_D, ok=ok,
+                        n_seeds=R, all_ok=bool(np.all(ok)))
+    if out_dir is not None:
+        exp_dir = Path(out_dir) / report.config_hash
+        exp_dir.mkdir(parents=True, exist_ok=True)
+        (exp_dir / "audit.csv").write_text(audit.to_csv())
+    return audit
 
 
 @dataclass(frozen=True)
@@ -497,6 +507,8 @@ def rate_fit(x, y, mode: str = "loglog") -> RateFit:
         raise ValueError("x and y must be 1-D arrays of equal length")
     if x.shape[0] < 4:
         raise ValueError(f"need at least 4 budget points, got {x.shape[0]}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y values must be finite")
     if np.any(y <= 0):
         raise ValueError("y values must be positive for a log fit")
     if np.all(x == x[0]):

@@ -269,12 +269,12 @@ class RunTrace:
     Row k holds step t[k] quantities evaluated BEFORE the step-t[k] update:
     the exact objective, exact squared full-gradient norm, and Lyapunov value
     (using the step-(t-1) coefficient and momentum buffer).  The final_*
-    fields hold the same quantities at the post-run iterate theta_T.
+    fields hold the same quantities at the post-run iterate theta_T.  The
+    step's rate and batch size are ``table.lr[t]`` and ``table.batch[t]`` of
+    the schedule table the run stepped through.
     """
 
     t: np.ndarray
-    lr: np.ndarray
-    batch: np.ndarray
     f: np.ndarray
     grad_norm_sq: np.ndarray
     lyapunov: np.ndarray
@@ -282,7 +282,6 @@ class RunTrace:
     final_grad_norm_sq: float
     final_lyapunov: float
     seed: int
-    run_index: int
     theta: np.ndarray | None = None
     theta_final: np.ndarray | None = None
 
@@ -345,8 +344,7 @@ def run(
     if not seeds:
         raise ValueError("need at least one master seed")
     R, d = len(seeds), problem.d
-    run_indices = [int(run_index) + r for r in range(R)]
-    key = _stream_key(seeds, run_indices)
+    key = _stream_key(seeds, [int(run_index) + r for r in range(R)])
     _check_dataset_size(problem.n)
     if theta0 is None:
         theta0 = np.random.default_rng((int(theta0_seed),)).standard_normal(d)
@@ -443,15 +441,10 @@ def run(
         rows = final
         if stop is None and bad is not None:
             stop = table.T, bad[1]  # the post-run observation counts as step T
-    rec_k = rec_t[:rows]
-    lr = np.asarray(table.lr[rec_k], dtype=np.float64)
-    batch = np.asarray(table.batch[rec_k], dtype=np.int64)
     f, gns, lyap = rec
     traces = [
         RunTrace(
-            t=rec_k,
-            lr=lr,
-            batch=batch,
+            t=rec_t[:rows],
             f=f[r, :rows],
             grad_norm_sq=gns[r, :rows],
             lyapunov=lyap[r, :rows],
@@ -459,7 +452,6 @@ def run(
             final_grad_norm_sq=float(gns[r, final]),
             final_lyapunov=float(lyap[r, final]),
             seed=seeds[r],
-            run_index=run_indices[r],
             theta=rec_theta[r, :rows] if record_theta else None,
             theta_final=rec_theta[r, final] if record_theta else None,
         )

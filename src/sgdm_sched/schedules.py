@@ -37,7 +37,6 @@ __all__ = [
     "admissible_lr_bound",
     "validate_admissible",
     "table_to_csv",
-    "table_from_csv",
 ]
 
 DECAYING_KINDS = ("constant", "diminishing", "cosine", "polynomial")
@@ -291,15 +290,15 @@ class PhasePlan:
 
 @dataclass(frozen=True)
 class ScheduleTable:
-    """Immutable per-step (learning rate, batch size) table.
+    """Immutable per-step (learning rate, batch size) table of T >= 1 steps.
 
-    ``growth_constant_c`` is derived from ``lr``: the smallest c >= 1 with
-    lr[t+1] <= c * lr[t] over the whole table.
+    ``T`` is the table length, ``len(lr)``.  ``growth_constant_c`` is derived
+    from ``lr``: the smallest c >= 1 with lr[t+1] <= c * lr[t] over the whole
+    table.
     """
 
     lr: np.ndarray
     batch: np.ndarray
-    T: int
     growth_constant_c: float = field(init=False)
 
     def __post_init__(self):
@@ -307,8 +306,8 @@ class ScheduleTable:
         batch = np.ascontiguousarray(np.asarray(self.batch, dtype=np.int64))
         if lr.ndim != 1 or batch.shape != lr.shape:
             raise ScheduleError("lr and batch must be 1-D arrays of equal length")
-        if self.T != lr.shape[0] or self.T < 1:
-            raise ScheduleError(f"T must equal the table length and be >= 1, got T={self.T}")
+        if lr.size == 0:
+            raise ScheduleError("a schedule table needs at least one step")
         if not np.all(np.isfinite(lr)) or np.any(lr < 0.0):
             raise ScheduleError("learning rates must be finite and >= 0")
         if np.any(batch < 1):
@@ -318,6 +317,11 @@ class ScheduleTable:
         object.__setattr__(self, "lr", lr)
         object.__setattr__(self, "batch", batch)
         object.__setattr__(self, "growth_constant_c", _growth_constant_of(lr))
+
+    @property
+    def T(self) -> int:
+        """Number of steps."""
+        return len(self.lr)
 
 
 def _growth_constant_of(lam: np.ndarray) -> float:
@@ -380,7 +384,7 @@ def build_constant_bs_table(spec: ScheduleSpec, dataset_size: int | None = None)
         E = T // K
         epoch = np.floor_divide(np.arange(T), K).astype(np.float64)
     batch = np.full(T, int(b), dtype=np.int64)
-    return ScheduleTable(lr=_decaying_lr(spec, T, epoch, E), batch=batch, T=T)
+    return ScheduleTable(lr=_decaying_lr(spec, T, epoch, E), batch=batch)
 
 
 def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTable:
@@ -396,7 +400,7 @@ def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTa
     if spec.regime == "increasing-bs":
         epoch = plan.step_epochs().astype(np.float64) if spec.kind == "cosine" else None
         lam = _decaying_lr(spec, T, epoch, plan.total_epochs)
-        return ScheduleTable(lr=lam, batch=plan.step_batches(), T=T)
+        return ScheduleTable(lr=lam, batch=plan.step_batches())
     if spec.gamma >= plan.delta:
         raise ScheduleError(
             f"need gamma < delta so that gamma/delta < 1; got gamma={spec.gamma}, delta={plan.delta}"
@@ -412,7 +416,7 @@ def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTa
         post = phase > Mw
         epoch = plan.step_epochs().astype(np.float64)[post] - e_warm
         lam[post] = _decaying_lr(spec, epoch.size, epoch, plan.total_epochs - e_warm)
-    return ScheduleTable(lr=lam, batch=plan.step_batches(), T=T)
+    return ScheduleTable(lr=lam, batch=plan.step_batches())
 
 
 def admissible_lr_bound(beta: float, L: float, c: float, alg: str) -> float:
@@ -461,23 +465,3 @@ def validate_admissible(table: ScheduleTable, beta: float, L: float, alg: str) -
 def table_to_csv(table: ScheduleTable) -> str:
     """CSV text with header ``t,lr,batch``; floats carry 17 significant digits."""
     return csv_text("t,lr,batch", (np.arange(table.T), table.lr, table.batch))
-
-
-def table_from_csv(text: str) -> ScheduleTable:
-    """Parse ``table_to_csv`` output back into a ScheduleTable."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != "t,lr,batch":
-        raise ScheduleError("expected header 't,lr,batch'")
-    lrs, batches = [], []
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ScheduleError(f"malformed row {ln!r}")
-        t, lam, b = int(parts[0]), float(parts[1]), int(parts[2])
-        if t != i:
-            raise ScheduleError(f"non-contiguous step index {t} at row {i}")
-        lrs.append(lam)
-        batches.append(b)
-    return ScheduleTable(
-        lr=np.asarray(lrs, dtype=np.float64), batch=np.asarray(batches, dtype=np.int64), T=len(lrs)
-    )

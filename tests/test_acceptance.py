@@ -130,7 +130,7 @@ def test_criterion_03_nshb_shb_equivalence():
             else:
                 eta = constant_bs_table(kind, batch=2, T=int(rng.integers(5, 60)),
                                         lambda_max=lmax, p=2.0)
-        alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T)
+        alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch)
         seed = int(rng.integers(10_000))
         a = run("nshb", beta, eta, problem, seed, theta0_seed=trial, record_theta=True)
         b = run("shb", beta, alpha, problem, seed, theta0_seed=trial, record_theta=True)
@@ -200,8 +200,8 @@ def test_criterion_05_variance_floor():
                                   lambda_max=0.15, batch=16, T=T),
             seeds=tuple(range(24)), theta0_seed=11, budget=1e12)
         rep = run_experiment(cfg)
-        plateau_ok &= rep.min_mean_grad_norm_sq <= 1.0 / 16.0
-        pts.append((T, rep.min_mean_grad_norm))
+        plateau_ok &= rep.empirical["min_mean_grad_norm_sq"] <= 1.0 / 16.0
+        pts.append((T, rep.empirical["min_mean_grad_norm"]))
     fit = rate_fit([p[0] for p in pts], [p[1] for p in pts], mode="loglog")
     ok = verdict(5, "variance floor", plateau_ok and abs(fit.slope) < 0.1,
                  f"plateau <= 1/16: {plateau_ok}, |slope| = {abs(fit.slope):.3f}")
@@ -219,7 +219,7 @@ def test_criterion_06_sqrt_T_rate():
                                   b0=8, delta=2.0, epochs_per_phase=(8,) * (M + 1)),
             seeds=tuple(range(16)), theta0_seed=5, budget=1e12)
         rep = run_experiment(cfg)
-        pts.append((rep.total_steps, rep.min_mean_grad_norm))
+        pts.append((rep.total_steps, rep.empirical["min_mean_grad_norm"]))
     fit = rate_fit([p[0] for p in pts], [p[1] for p in pts], mode="loglog")
     ok = verdict(6, "1/sqrt(T) rate", abs(fit.slope + 0.5) <= 0.15,
                  f"slope = {fit.slope:.3f} over T in [{pts[0][0]}, {pts[-1][0]}]")
@@ -238,7 +238,7 @@ def test_criterion_07_exponential_rate():
                                   b0=8, delta=2.0, epochs_per_phase=(32,) * (M + 1)),
             seeds=tuple(range(16)), theta0_seed=5, budget=1e12)
         rep = run_experiment(cfg)
-        pts.append((M, rep.min_mean_grad_norm))
+        pts.append((M, rep.empirical["min_mean_grad_norm"]))
     fit = rate_fit([p[0] for p in pts], [p[1] for p in pts], mode="per-phase")
     ok = verdict(7, "exponential rate",
                  abs(fit.decay_factor - target) <= 0.1,
@@ -290,8 +290,8 @@ def test_criterion_10_schedule_hierarchy_ordering():
         cfg = ExperimentConfig(problem=BENCH, alg="nshb", beta=0.5, schedule=schedule,
                                seeds=tuple(range(64)), theta0_seed=11, budget=1e12)
         rep = run_experiment(cfg)
-        results[name] = (rep.final_mean_grad_norm, rep.final_stderr_grad_norm,
-                         rep.total_samples)
+        results[name] = (rep.empirical["final_mean_grad_norm"],
+                         rep.empirical["final_stderr_grad_norm"], rep.total_samples)
     budgets = {r[2] for r in results.values()}
     gap_a = results["i"][0] - results["ii"][0]
     gap_b = results["ii"][0] - results["iii"][0]

@@ -390,15 +390,15 @@ class TestScheduleCommand:
                   "--gamma", "1.5", "--warmup-phases", "1", "--b0", "8", "--delta", "2",
                   "--epochs-per-phase", "1,1,1", "--dataset-size", "32")
         assert res.returncode == 0
-        table = schedules.table_from_csv(res.stdout)
-        np.testing.assert_allclose(table.lr, [0.1] * 4 + [0.15] * 2 + [0.15], rtol=1e-15)
+        lr = [float(row.split(",")[1]) for row in res.stdout.splitlines()[1:]]
+        np.testing.assert_allclose(lr, [0.1] * 4 + [0.15] * 2 + [0.15], rtol=1e-15)
 
     def test_round_trip_exact(self):
         res = cli("schedule", "--regime", "constant-bs", "--kind", "diminishing",
                   "--lambda-max", "0.123456789012345", "--batch", "3", "--T", "50")
-        table = schedules.table_from_csv(res.stdout)
+        lr = [float(row.split(",")[1]) for row in res.stdout.splitlines()[1:]]
         expected = 0.123456789012345 / np.sqrt(np.arange(50) + 1.0)
-        np.testing.assert_array_equal(table.lr, expected)
+        np.testing.assert_array_equal(lr, expected)
 
     def test_invalid_parameters_exit_two(self):
         res = cli("schedule", "--regime", "constant-bs", "--kind", "cosine", "--lambda-max", "1",
@@ -744,6 +744,62 @@ def test_every_command_fails_through_the_one_exit_table(tmp_path, capsys, comman
     assert sgdm_cli.main(failing_argv(command, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("out, under", [("file", ""), ("file", "sub"), ("dangling-link", "")],
+                         ids=["file", "file-sub", "dangling-link"])
+def test_unusable_out_exits_two_before_any_step(tmp_path, capsys, monkeypatch, command, out,
+                                                under):
+    def no_run(*args, **kwargs):
+        raise AssertionError("optim.run was reached")
+
+    monkeypatch.setattr(harness.optim, "run", no_run)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(BASE_CONFIG.replace("seeds = 8", "seeds = 64"))
+    if out == "file":
+        (tmp_path / "out").write_text("kept")
+    else:
+        (tmp_path / "out").symlink_to(tmp_path / "missing")
+    assert sgdm_cli.main([command, str(cfg), "--out", str(tmp_path / "out" / under)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create directory ")
+    assert err.endswith(f"{tmp_path / 'out'} is not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "out"]
+    if out == "file":
+        assert (tmp_path / "out").read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_inadmissible_beats_unusable_out(tmp_path, capsys, command):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(momentum_conflict(BASE_CONFIG.replace("seeds = 8", "seeds = 64")))
+    (tmp_path / "out").write_text("")
+    assert sgdm_cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("admissibility: FAIL (")
+
+
+@pytest.mark.parametrize("text, field", [
+    ("{", None),
+    ('{"totals": {"T": 100}, "empirical": {"min_mean_grad_norm": NaN}}',
+     "empirical.min_mean_grad_norm = NaN"),
+    ('{"totals": {"T": Infinity}, "empirical": {"min_mean_grad_norm": 1.0}}',
+     "totals.T = Infinity"),
+], ids=["truncated", "nan-y", "infinite-x"])
+def test_ratefit_names_the_broken_report(tmp_path, capsys, text, field):
+    paths = []
+    for k in range(4):
+        p = tmp_path / f"r{k}.json"
+        p.write_text(json.dumps({"totals": {"T": 100 * (k + 1)},
+                                 "empirical": {"min_mean_grad_norm": 1.0 / (k + 1)}}))
+        paths.append(str(p))
+    (tmp_path / "r2.json").write_text(text)
+    assert sgdm_cli.main(["ratefit", *paths]) == 2
+    err = capsys.readouterr().err
+    if field is None:
+        assert err.startswith(f"config error: {paths[2]} is not JSON: Expecting property name")
+    else:
+        assert err == f"config error: {paths[2]}: {field} is not a finite number\n"
 
 
 @pytest.mark.parametrize("argv", [

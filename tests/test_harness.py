@@ -144,7 +144,7 @@ class TestRunExperiment:
     def test_aggregation_and_checks(self, tmp_path):
         report = run_experiment(small_config(), out_dir=tmp_path)
         assert report.t.shape == report.mean_grad_norm_sq.shape
-        assert report.min_mean_grad_norm_sq == report.mean_grad_norm_sq.min()
+        assert report.empirical["min_mean_grad_norm_sq"] == report.mean_grad_norm_sq.min()
         assert report.checks["theorem1_sq"]["pass"]
         assert report.checks["theorem1_norm"]["pass"]
         assert report.theory.rhs_norm == pytest.approx(math.sqrt(report.theory.rhs_sq))
@@ -154,6 +154,25 @@ class TestRunExperiment:
         assert sorted(p.name for p in exp_dir.glob("trace_*.csv")) == [
             f"trace_{s}.csv" for s in range(8)
         ]
+
+    def test_derived_totals(self):
+        cfg = small_config(schedule=ScheduleSpec(regime="increasing-bs", kind="diminishing",
+                                                 lambda_max=0.1, b0=4, delta=2.0,
+                                                 epochs_per_phase=(2, 2, 2)))
+        report = run_experiment(cfg)
+        assert report.config_hash == cfg.config_hash
+        # batches 4, 8, 16 for 2 epochs of 8, 4, 2 steps each
+        assert report.total_steps == report.table.T == len(report.traces[0].t) == 28
+        assert report.total_samples == report.table.batch.sum() == 4 * 16 + 8 * 8 + 16 * 4
+
+    def test_config_hash_is_computed_once(self, monkeypatch):
+        cfg = small_config()
+        calls = []
+        to_dict = ExperimentConfig.to_dict
+        monkeypatch.setattr(ExperimentConfig, "to_dict",
+                            lambda self: calls.append(self) or to_dict(self))
+        assert cfg.config_hash == cfg.config_hash == small_config().config_hash
+        assert len(calls) == 2  # once for cfg, once for the second config
 
     def test_report_json_fields(self, tmp_path):
         report = run_experiment(small_config(), out_dir=tmp_path)
@@ -387,6 +406,16 @@ class TestRateFit:
             rate_fit([0, 1, 2, 3], [1.0, 0.5, 0.3, 0.2])
         with pytest.raises(ValueError, match="not all be equal"):
             rate_fit([0, 0, 0, 0], [1.0, 0.5, 0.3, 0.2], mode="per-phase")
+
+    @pytest.mark.parametrize("x, y", [
+        ([1, 2, 3, 4], [1.0, 0.5, math.nan, 0.2]),
+        ([1, 2, 3, 4], [1.0, 0.5, math.inf, 0.2]),
+        ([1, 2, math.inf, 4], [1.0, 0.5, 0.3, 0.2]),
+    ], ids=["nan-y", "inf-y", "inf-x"])
+    def test_rejects_non_finite(self, x, y):
+        # json reads NaN and Infinity, and nan passes a y <= 0 check
+        with pytest.raises(ValueError, match="must be finite"):
+            rate_fit(x, y, mode="per-phase")
 
     def test_interval_uses_student_t(self, rng):
         stats = pytest.importorskip("scipy.stats")

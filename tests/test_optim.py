@@ -217,13 +217,21 @@ class TestRun:
         assert exc.trace.t[-1] == exc.step_index
         assert exc.trace.rows <= 10
 
-    def test_batch_sizes_follow_table(self):
+    def test_batch_sizes_follow_table(self, monkeypatch):
+        # step t draws table.batch[t] indices per seed
         prob = QuadraticMeanProblem.generate(2, 32, sigma_sq=1.0, seed=5)
         spec = schedules.ScheduleSpec("increasing-bs", lambda_max=0.1, b0=8, delta=2.0,
                                       epochs_per_phase=(1, 1, 1), dataset_size=32)
         table = spec.build(problem_n=None)[0]
-        trace = run("nshb", 0.0, table, prob, seed=1)
-        np.testing.assert_array_equal(trace.batch, table.batch)
+        drawn, gradient = [], prob.minibatch_gradient
+
+        def recording(theta, indices):
+            drawn.append(indices.shape[-1])
+            return gradient(theta, indices)
+
+        monkeypatch.setattr(prob, "minibatch_gradient", recording)
+        run("nshb", 0.0, table, prob, seed=1)
+        assert drawn == table.batch.tolist()
 
 
 class TestAlgorithmEquivalences:
@@ -239,7 +247,7 @@ class TestAlgorithmEquivalences:
         prob = QuadraticMeanProblem.generate(4, 16, sigma_sq=1.0, seed=6)
         beta = 0.9
         eta = constant_bs_table("diminishing", batch=4, T=80, lambda_max=0.15)
-        alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=eta.T)
+        alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch)
         a = run("nshb", beta, eta, prob, seed=3, theta0_seed=1, record_theta=True)
         b = run("shb", beta, alpha, prob, seed=3, theta0_seed=1, record_theta=True)
         scale = np.maximum(1.0, np.abs(a.theta))
@@ -282,7 +290,7 @@ class TestAlgorithmEquivalences:
             T = int(rng.integers(5, 50))
             lam = float(rng.uniform(0.01, 0.3))
             eta = const_table(lam, T=T, b=int(rng.integers(1, 5)))
-            alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch, T=T)
+            alpha = schedules.ScheduleTable(lr=eta.lr * (1 - beta), batch=eta.batch)
             seed = int(rng.integers(1000))
             a = run("nshb", beta, eta, prob, seed=seed, theta0_seed=7, record_theta=True)
             b = run("shb", beta, alpha, prob, seed=seed, theta0_seed=7, record_theta=True)
@@ -426,7 +434,6 @@ class TestLockstepEngine:
         traces = run(alg, beta, table, prob, self.SEEDS, theta0=theta0, record_theta=True)
         assert [tr.seed for tr in traces] == list(self.SEEDS)
         for r, tr in enumerate(traces):
-            assert tr.run_index == r
             thetas, f, gns, lyap = reference_run(alg, beta, table, prob, self.SEEDS[r], r, theta0)
             got = [
                 (np.vstack([tr.theta, tr.theta_final]), thetas),
@@ -460,7 +467,7 @@ class TestLockstepEngine:
         ]
         for r, got, k in variants:
             tr, ref = got[k], full[r]
-            assert (tr.seed, tr.run_index) == (ref.seed, ref.run_index)
+            assert tr.seed == ref.seed
             for field in ("theta", "f", "grad_norm_sq", "lyapunov"):
                 np.testing.assert_array_equal(getattr(tr, field), getattr(ref, field))
             np.testing.assert_array_equal(tr.theta_final, ref.theta_final)
@@ -476,7 +483,7 @@ class TestLockstepEngine:
         phases = {3: 700, 7: 800}  # batch: steps
         T = sum(phases.values())
         lr = np.where(np.arange(T) < 1000, 0.1, 20.0)
-        table = schedules.ScheduleTable(lr=lr, batch=np.repeat(*zip(*phases.items())), T=T)
+        table = schedules.ScheduleTable(lr=lr, batch=np.repeat(*zip(*phases.items())))
         block = {b: _BLOCK_WORDS // (len(seeds) * b) for b in phases}
         assert all(1 < steps / block[b] != steps // block[b] for b, steps in phases.items())
         theta0 = np.random.default_rng(5).uniform(-2, 2, size=prob.d)

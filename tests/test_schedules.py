@@ -14,7 +14,6 @@ from sgdm_sched.schedules import (
     ScheduleSpec,
     admissible_lr_bound,
     build_increasing_bs_table,
-    table_from_csv,
     table_to_csv,
     validate_admissible,
 )
@@ -202,10 +201,10 @@ class TestGrowthConstant:
 
     def test_zero_before_positive_rejected(self):
         with pytest.raises(ScheduleError, match="undefined"):
-            schedules.ScheduleTable(lr=np.array([0.0, 1.0]), batch=np.ones(2), T=2)
+            schedules.ScheduleTable(lr=np.array([0.0, 1.0]), batch=np.ones(2))
 
     def test_trailing_zeros_ok(self):
-        table = schedules.ScheduleTable(lr=np.array([1.0, 0.5, 0.0, 0.0]), batch=np.ones(4), T=4)
+        table = schedules.ScheduleTable(lr=np.array([1.0, 0.5, 0.0, 0.0]), batch=np.ones(4))
         assert table.growth_constant_c == 1.0
 
 
@@ -295,15 +294,12 @@ class TestCsvRoundTrip:
             plan_spec("joint-growth", plan, gamma=1.25, lambda0=0.0123456789012345), plan
         ) if plan.delta > 1.25 else constant_bs_table("diminishing", batch=3, T=17,
                                                       lambda_max=0.777)
-        text = table_to_csv(table)
-        parsed = table_from_csv(text)
-        np.testing.assert_array_equal(parsed.lr, table.lr)
-        np.testing.assert_array_equal(parsed.batch, table.batch)
-        assert parsed.T == table.T
-
-    def test_header_checked(self):
-        with pytest.raises(ScheduleError):
-            table_from_csv("a,b,c\n0,1,1\n")
+        header, *rows = table_to_csv(table).splitlines()
+        assert header == "t,lr,batch"
+        t, lr, batch = zip(*(row.split(",") for row in rows))
+        assert [int(s) for s in t] == list(range(table.T))
+        np.testing.assert_array_equal([float(s) for s in lr], table.lr)
+        np.testing.assert_array_equal([int(s) for s in batch], table.batch)
 
     # First 16 hex digits of the SHA-256 of table_to_csv for every kind
     # through each builder; a change here must be deliberate.
@@ -340,6 +336,18 @@ class TestCsvRoundTrip:
 
 
 class TestTableImmutability:
+    def test_length_is_the_table_length(self):
+        table = schedules.ScheduleTable(lr=[0.3, 0.2, 0.1], batch=[1, 2, 4])
+        assert table.T == 3 and isinstance(table.T, int)
+
+    def test_empty_table_refused(self):
+        with pytest.raises(ScheduleError, match="at least one step"):
+            schedules.ScheduleTable(lr=[], batch=[])
+
+    def test_length_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            schedules.ScheduleTable(lr=[0.1], batch=[1], T=1)
+
     def test_arrays_read_only(self):
         table = constant_bs_table("constant", batch=1, T=4, lambda_max=0.1)
         with pytest.raises(ValueError):

@@ -110,14 +110,14 @@ class TestTheoremRhs:
                     assert rep.V_T == pytest.approx(1.0 / b, rel=tol)
 
     def test_rejects_zero_lr_sum(self):
-        table = schedules.ScheduleTable(lr=np.zeros(3), batch=np.ones(3, dtype=np.int64), T=3)
+        table = schedules.ScheduleTable(lr=np.zeros(3), batch=np.ones(3, dtype=np.int64))
         constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         with pytest.raises(ValueError, match="positive"):
             build_report(constants, table)
 
     def test_growth_constant_is_the_tables(self):
-        table = schedules.ScheduleTable(lr=[0.25, 0.5], batch=[1, 1], T=2)
+        table = schedules.ScheduleTable(lr=[0.25, 0.5], batch=[1, 1])
         constants = TheoremConstants(L=1.0, beta=0.5, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         rep = build_report(constants, table)
@@ -126,8 +126,7 @@ class TestTheoremRhs:
 
     def test_rejects_overflowing_lr_sum(self):
         # each rate is finite; their sum is not
-        table = schedules.ScheduleTable(lr=np.full(2, 1e308), batch=np.ones(2, dtype=np.int64),
-                                        T=2)
+        table = schedules.ScheduleTable(lr=np.full(2, 1e308), batch=np.ones(2, dtype=np.int64))
         constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         with pytest.raises(ValueError, match="overflows"):
@@ -143,7 +142,7 @@ class TestTheoremRhs:
 
     def test_rejects_non_finite_report_value(self):
         # a subnormal rate sum: B_T = 1/sum(lr) overflows to inf
-        table = schedules.ScheduleTable(lr=[5e-324], batch=[1], T=1)
+        table = schedules.ScheduleTable(lr=[5e-324], batch=[1])
         constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
                                      sigma_sq=1.0, alg="nshb")
         with pytest.raises(ValueError, match="theory report value B_T = inf is not finite"):
