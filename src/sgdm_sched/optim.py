@@ -20,15 +20,18 @@ G = 0x9E3779B97F4A7C15 and all arithmetic mod 2^64.  The bounded map rejects
 the 2^64 mod n surplus words, so each index is exactly uniform on [0, n) when
 the hash words are (``batch_indices`` gives the argument).  Runs are deterministic,
 and streams can be shared across algorithms exactly.  ``run`` evaluates the
-same stream in blocks, drawing the indices of all seeds over a run of
-consecutive equal-batch steps in one vectorized call; since every word is a
-pure function of (s, i, t, j), blocking changes no index.
+same stream in blocks, drawing the (K, b, R) indices of all seeds over a run
+of K consecutive equal-batch steps in one vectorized call; since every word
+is a pure function of (s, i, t, j), blocking changes no index.
 
 ``run`` is a lockstep engine: the R master seeds of an experiment advance
 together as the rows of (R, d) parameter and momentum arrays, so each step
 makes one mini-batch gradient call and one ``step`` call for all seeds;
 ``step`` updates the arrays in place.  A single seed is the R = 1 case.
-Observations are made a block of recorded steps at a time: ``run`` copies
+Each drawn block of indices goes to the problem's ``minibatch_gradients``,
+which returns the block's per-step gradient functions (the quadratic
+gathers all K batch means of the block at once).  Observations are made a
+block of recorded steps at a time: ``run`` copies
 each recorded (theta_t, m_{t-1}) into a (J, R, d) block and observes the
 block's J*R rows in one ``value_and_grad`` call, so a block may step past a
 non-finite observation before its flush finds it and reports the earlier
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -103,6 +107,8 @@ class OptimizerState:
         return cls(theta=theta0, momentum=np.zeros_like(theta0), t=0, beta=beta, alg=alg)
 
 
+# divergence is detected explicitly below; let inf/nan flow, not warn
+@np.errstate(over="ignore", invalid="ignore")
 def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
     """One update: fold grad into the momentum buffer, move theta, bump t.
 
@@ -121,19 +127,17 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
         raise ValueError(
             f"gradient dimension {grad.shape} does not match parameters {state.theta.shape}"
         )
-    if lr < 0:
+    if not lr >= 0:  # NaN too
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     theta, m, finite = state._spare
-    # divergence is detected explicitly below; let inf/nan flow, not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(state.momentum, state.beta, out=m)
-        if state.alg == "nshb":
-            np.multiply(grad, 1.0 - state.beta, out=theta)  # theta as scratch
-            np.add(m, theta, out=m)
-        else:
-            np.add(m, grad, out=m)
-        np.multiply(m, lr, out=theta)
-        np.subtract(state.theta, theta, out=theta)
+    np.multiply(state.momentum, state.beta, out=m)
+    if state.alg == "nshb":
+        np.multiply(grad, 1.0 - state.beta, out=theta)  # theta as scratch
+        np.add(m, theta, out=m)
+    else:
+        np.add(m, grad, out=m)
+    np.multiply(m, lr, out=theta)
+    np.subtract(state.theta, theta, out=theta)
     # a non-finite gradient or state entry makes the same entry of the new
     # iterate non-finite, so the iterate alone decides
     np.isfinite(theta, out=finite)
@@ -221,22 +225,28 @@ def _draw(key: np.ndarray, t: int, b: int, n: int, steps: int = 1) -> np.ndarray
     return _bounded(_mix(step_keys[:, None, :] + counters), n)
 
 
-# Words per block of steps that ``run`` draws at once (unless one step needs
-# more): the block and the draw's temporaries are 32 KB arrays, far below
-# glibc's 128 KB mmap threshold.  2^13 words raised the log-cosh
-# benchmark's peak RSS by about 0.2 MB.
+# Index words per block of steps that ``run`` draws at once, and the
+# quadratic gathers at once (unless one step needs more): the block and the
+# draw's temporaries are 32 KB arrays, far below glibc's 128 KB mmap
+# threshold.  2^13 words raised the log-cosh benchmark's peak RSS by about
+# 0.2 MB, and 2^14 the quad-bench64 benchmark's by about 0.5 MB.
 _BLOCK_WORDS = 2**12
+# Words of each (J, R, d) array of recorded steps that ``run`` observes at
+# once: 2^12 words made quad-bench64 about 10% slower, and 2^15 raised the
+# log-cosh benchmark's peak RSS by a further 0.4 MB.
+_OBSERVE_WORDS = 2**14
 
 
-def _step_indices(key: np.ndarray, batch: np.ndarray, n: int):
-    """Yield each step's (R, b) indices, drawn a block of equal-batch steps at a time."""
+def _index_blocks(key: np.ndarray, batch: np.ndarray, n: int):
+    """Yield the (K, b, R) indices of the steps in order, one block of at most
+    max(1, _BLOCK_WORDS // (R*b)) consecutive equal-batch steps at a time."""
     R = key.size
     starts = [0, *(np.flatnonzero(np.diff(batch)) + 1).tolist()]
     for lo, hi in zip(starts, [*starts[1:], batch.size]):
         b = int(batch[lo])
         K = max(1, _BLOCK_WORDS // (R * b))
         for t in range(lo, hi, K):
-            yield from _draw(key, t, b, n, min(K, hi - t)).transpose(0, 2, 1)
+            yield _draw(key, t, b, n, min(K, hi - t))
 
 
 def batch_indices(master_seed, run_index, t: int, b: int, n: int) -> np.ndarray:
@@ -315,7 +325,8 @@ def run(
     (seed[r], run_index + r, t), and every seed and run index must lie in
     [0, 2^64), the stream's key range (ValueError otherwise).
 
-    Admissibility is the caller's decision: ``run`` steps through any table
+    theta0 must have length ``problem.d`` (ValueError otherwise, before any
+    step).  Admissibility is the caller's decision: ``run`` steps through any table
     (``schedules.validate_admissible`` checks one; ``harness.run_experiment``
     enforces it unless waived).  theta0 defaults to a deterministic seeded
     standard-normal draw.  Every iterate is passed to problem.check_iterate
@@ -329,7 +340,9 @@ def run(
     seed's trace truncated after the step's record; its final_* values are
     the observation at that step's iterate.
 
-    Recorded steps are observed J = max(1, _BLOCK_WORDS // (R*d)) at a time
+    Mini-batch gradients come from ``problem.minibatch_gradients``, one
+    drawn (K, b, R) index block at a time, and rates from ``table.lr`` read
+    once.  Recorded steps are observed J = max(1, _OBSERVE_WORDS // (R*d)) at a time
     (each theta_t is observed with the step's A_{t-1}), and the final
     iterate with the last block.  A block is flushed when full, at the end
     and before a box exit or a step divergence is reported, so the steps
@@ -351,6 +364,8 @@ def run(
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.ndim != 1:
         raise ValueError("theta0 must be a 1-D vector")
+    if theta0.size != d:
+        raise ValueError(f"theta0 has length {theta0.size} but the problem has d = {d}")
     state = OptimizerState.initial(np.tile(theta0, (R, 1)), beta, alg)
     one_minus_beta = 1.0 - beta
     # Lyapunov bookkeeping always uses the nshb parameterization: eta = lr
@@ -365,9 +380,9 @@ def run(
     rec_t = np.arange(0, table.T, record_every)
     rec = [np.empty((R, rec_t.size + 1)) for _ in range(3)]  # f, ||grad f||^2, Lyapunov
     rec_theta = np.empty((R, rec_t.size + 1, d)) if record_theta else None
-    J = max(1, _BLOCK_WORDS // (R * d))
-    # two arrays, not one (2, J, R, d): the single 64 KB block raised the
-    # cli-doubling benchmark's peak RSS by about 0.7 MB through heap placement
+    J = max(1, _OBSERVE_WORDS // (R * d))
+    # two arrays, not one (2, J, R, d): a single block raised the cli-doubling
+    # benchmark's peak RSS by about 0.7 MB through heap placement
     blk_theta, blk_m = np.empty((J, R, d)), np.empty((J, R, d))
     blk_t = np.empty((J, 1), dtype=np.int64)
     k = j = 0  # observations taken, of which the last j wait in the block
@@ -406,10 +421,13 @@ def run(
         return k - n + first, int(np.argmin(finite[first]))
 
     bad = stop = final = None
+    lr = table.lr.tolist()
+    gradients = chain.from_iterable(
+        map(problem.minibatch_gradients, _index_blocks(key, table.batch, problem.n)))
     # Divergence is detected explicitly, and a block may step past a
     # non-finite observation before its flush finds it: let inf/nan flow.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, idx in enumerate(_step_indices(key, table.batch, problem.n)):
+        for t, gradient in enumerate(gradients):
             if t % record_every == 0:
                 push(state)
                 if j == J and (bad := flush()):
@@ -422,9 +440,9 @@ def run(
                 raise problems.IterateOutsideCertifiedBox(
                     f"seed {seeds[exc.row]} at step {t}: {exc}", row=exc.row
                 ) from None
-            grad = problem.minibatch_gradient(state.theta, idx)
+            grad = gradient(state.theta)
             try:
-                state = step(state, grad, float(table.lr[t]))
+                state = step(state, grad, lr[t])
             except NumericalDivergence as exc:
                 stop = t, exc.row
                 break

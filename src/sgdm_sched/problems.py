@@ -6,6 +6,10 @@ convergence bounds is computable instead of estimated:
 - ``value_and_grad(theta) -> (f, g)``: the exact objective and full gradient;
 - ``minibatch_gradient(theta, indices)``: the mean of the per-sample
   gradients at ``indices``;
+- ``minibatch_gradients(indices)``: for a (K, b, R) block of K steps'
+  indices, K functions of ``theta[R, d]``; function k gives
+  ``minibatch_gradient(theta, indices[k].T)`` bit for bit (the quadratic
+  gathers and reduces the whole block's batch means at once);
 - the constants ``L`` (smoothness), ``sigma_sq`` (single-sample
   gradient-variance bound), ``f_star`` (the minimum for the quadratic
   family, the lower bound 0 for the log-cosh family), ``n`` and ``d``;
@@ -20,6 +24,7 @@ would be alone.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +88,21 @@ def _batch_mean(rows: np.ndarray, indices: np.ndarray, per_sample=None, theta=No
     return total
 
 
+def _per_step(gradient, indices: np.ndarray) -> list:
+    """The functions theta -> gradient(theta, indices[k].T) of a (K, b, R) index block."""
+    return [partial(gradient, indices=idx) for idx in indices.transpose(0, 2, 1)]
+
+
+def _aligned(count: int, shape: tuple) -> list:
+    """``count`` empty float64 arrays of ``shape`` in one allocation, each
+    starting on a 64-byte boundary (a cache line, and one AVX-512 vector)."""
+    size = math.prod(shape)
+    stride = -(-size // 8) * 8  # words, padded to whole 64-byte lines
+    buf = np.empty(count * stride + 7)
+    skip = (-buf.ctypes.data % 64) // 8
+    return [buf[skip + i * stride : skip + i * stride + size].reshape(shape) for i in range(count)]
+
+
 class QuadraticMeanProblem:
     """Mean-anchored quadratic: f_i(theta) = 0.5 * ||theta - a_i||^2.
 
@@ -143,6 +163,15 @@ class QuadraticMeanProblem:
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         return theta - _batch_mean(self.anchors, indices)
+
+    def minibatch_gradients(self, indices: np.ndarray) -> list:
+        if self.d == 1:  # keeps _batch_mean's row-major sum
+            return _per_step(self.minibatch_gradient, indices)
+        # the batch means do not depend on theta: gather and reduce all K at
+        # once; each (R, d) slice is summed over b in order, as _batch_mean does
+        means = np.add.reduce(self.anchors.take(indices, axis=0), axis=1)
+        means /= indices.shape[1]
+        return [lambda theta, mean=mean: theta - mean for mean in means]
 
     def minibatch_deviation_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Rows of grad f_B - grad f via centered anchors (cancellation-free)."""
@@ -215,13 +244,17 @@ class LogCoshProblem:
     ):
         if not all(0 < v < math.inf for v in (scale, amp, box_radius)):
             raise ValueError("scale, amp and box_radius must be finite and > 0")
-        self.anchors = _anchor_array(anchors)
-        self.n, self.d = self.anchors.shape
+        anchors = _anchor_array(anchors)
+        self.n, self.d = anchors.shape
+        # the anchors and value_and_grad's three work buffers, line-aligned:
+        # the ufuncs over them run faster than at an arbitrary heap offset
+        self.anchors, *self._work = _aligned(4, anchors.shape)
+        self.anchors[...] = anchors
+        self.anchors.flags.writeable = False
         self.scale = float(scale)
         self.amp = float(amp)
         self.box_radius = float(box_radius)
         self.f_star = 0.0  # lower bound: every per-sample loss is >= 0
-        self._work = np.empty((3, self.n, self.d))  # value_and_grad's buffers
         try:  # huge or tiny constants overflow L or the certificate
             with np.errstate(over="raise", invalid="raise"):
                 self.L = self.amp / self.scale**2
@@ -323,8 +356,8 @@ class LogCoshProblem:
         return v
 
     def value_and_grad(self, theta: np.ndarray):
-        # One seed row at a time through the preallocated (3, n, d) work
-        # array: the ufuncs write into it, so a call allocates nothing of
+        # One seed row at a time through the three preallocated (n, d) work
+        # buffers: the ufuncs write into them, so a call allocates nothing of
         # size n.  Each step is the same operation on the same values as the
         # expression form f = amp * mean(|z| + log1p(exp(-2|z|)) - log 2),
         # g = mean(c * tanh(z)), so f and g are bit-identical to it.
@@ -354,6 +387,9 @@ class LogCoshProblem:
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         return _batch_mean(self.anchors, indices, self._sample_gradients, theta)
+
+    def minibatch_gradients(self, indices: np.ndarray) -> list:
+        return _per_step(self.minibatch_gradient, indices)
 
     def _sample_gradients(self, a: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """(amp/scale) tanh((theta - a)/scale), computed in place over the gathered anchors a."""

@@ -8,15 +8,23 @@ import pytest
 from sgdm_sched import schedules, theory
 from sgdm_sched.optim import (
     _BLOCK_WORDS,
+    _OBSERVE_WORDS,
     NumericalDivergence,
     OptimizerState,
     _bounded,
+    _index_blocks,
     _mix,
+    _stream_key,
     batch_indices,
     run,
     step,
 )
-from sgdm_sched.problems import IterateOutsideCertifiedBox, LogCoshProblem, QuadraticMeanProblem
+from sgdm_sched.problems import (
+    IterateOutsideCertifiedBox,
+    LogCoshProblem,
+    QuadraticMeanProblem,
+    _batch_mean,
+)
 from conftest import constant_bs_table
 
 
@@ -50,6 +58,20 @@ class TestStep:
         state = OptimizerState.initial(np.zeros(3), beta=0.5, alg="nshb")
         with pytest.raises(ValueError, match="dimension"):
             step(state, np.zeros(2), lr=0.1)
+
+    @pytest.mark.parametrize("lr", [math.nan, -0.1])
+    def test_rate_must_be_a_non_negative_number(self, lr):
+        state = OptimizerState.initial(np.zeros(2), beta=0.5, alg="nshb")
+        with pytest.raises(ValueError, match="learning rate must be >= 0"):
+            step(state, np.ones(2), lr=lr)
+        assert state.t == 0
+
+    def test_overflow_diverges_under_any_caller_error_state(self):
+        # step sets its own error state: an overflow is a divergence, not a
+        # FloatingPointError or a warning
+        state = OptimizerState.initial(np.array([1e308]), beta=0.0, alg="nshb")
+        with np.errstate(all="raise"), pytest.raises(NumericalDivergence):
+            step(state, np.array([-1e308]), lr=2.0)
 
     def test_nonfinite_gradient_diverges(self):
         state = OptimizerState.initial(np.zeros(2), beta=0.5, alg="nshb")
@@ -217,19 +239,25 @@ class TestRun:
         assert exc.trace.t[-1] == exc.step_index
         assert exc.trace.rows <= 10
 
+    def test_theta0_length_must_match_the_problem(self):
+        prob = QuadraticMeanProblem.generate(4, 8, sigma_sq=0.5, seed=4)
+        with pytest.raises(ValueError, match=r"theta0 has length 3 but the problem has d = 4"):
+            run("nshb", 0.5, const_table(0.1, T=5), prob, [1, 2], theta0=np.zeros(3))
+
     def test_batch_sizes_follow_table(self, monkeypatch):
-        # step t draws table.batch[t] indices per seed
+        # step t draws table.batch[t] indices per seed, through the
+        # (K, b, R) index blocks the engine hands the problem
         prob = QuadraticMeanProblem.generate(2, 32, sigma_sq=1.0, seed=5)
         spec = schedules.ScheduleSpec("increasing-bs", lambda_max=0.1, b0=8, delta=2.0,
                                       epochs_per_phase=(1, 1, 1), dataset_size=32)
         table = spec.build(problem_n=None)[0]
-        drawn, gradient = [], prob.minibatch_gradient
+        drawn, gradients = [], prob.minibatch_gradients
 
-        def recording(theta, indices):
-            drawn.append(indices.shape[-1])
-            return gradient(theta, indices)
+        def recording(indices):
+            drawn.extend([indices.shape[1]] * indices.shape[0])
+            return gradients(indices)
 
-        monkeypatch.setattr(prob, "minibatch_gradient", recording)
+        monkeypatch.setattr(prob, "minibatch_gradients", recording)
         run("nshb", 0.0, table, prob, seed=1)
         assert drawn == table.batch.tolist()
 
@@ -394,7 +422,8 @@ class Poisoned:
 
     f = inf in the seed rows obs[k] of observation k, counting every row
     observed so far as k*R + r (run observes a block of steps per call), and
-    the mini-batch gradient of step t is inf in the rows grad[t].
+    the mini-batch gradient of step t is inf in the rows grad[t], whether
+    it comes from ``minibatch_gradient`` or from a block's functions.
     """
 
     def __init__(self, problem, R, obs=None, grad=None):
@@ -414,7 +443,13 @@ class Poisoned:
         return f, g
 
     def minibatch_gradient(self, theta, indices):
-        g = self.problem.minibatch_gradient(theta, indices)
+        return self._poison(self.problem.minibatch_gradient(theta, indices))
+
+    def minibatch_gradients(self, indices):
+        return [lambda theta, gradient=gradient: self._poison(gradient(theta))
+                for gradient in self.problem.minibatch_gradients(indices)]
+
+    def _poison(self, g):
         g[self.grad.get(self.steps, [])] = np.inf
         self.steps += 1
         return g
@@ -550,9 +585,9 @@ class TestLockstepEngine:
 
 
 class TestBlockedObservation:
-    # R*d = 45 does not divide 4096: blocks of J = 91 recorded steps
-    SEEDS, D, T, BETA = [11, 4, 29, 0, 7], 9, 300, 0.8
-    J = _BLOCK_WORDS // (len(SEEDS) * D)
+    # R*d = 180 does not divide 16384: blocks of J = 91 recorded steps
+    SEEDS, D, T, BETA = [11, 4, 29, 0, 7], 36, 300, 0.8
+    J = _OBSERVE_WORDS // (len(SEEDS) * D)
 
     def case(self, family, alg="nshb"):
         prob = small_problem(family, self.D)
@@ -567,7 +602,7 @@ class TestBlockedObservation:
     def test_blocks_match_one_observation_at_a_time(self, family, alg, record_every):
         prob, table, theta0 = self.case(family, alg)
         observations = -(-self.T // record_every) + 1  # with the final one
-        assert _BLOCK_WORDS % (len(self.SEEDS) * self.D) and observations > self.J
+        assert _OBSERVE_WORDS % (len(self.SEEDS) * self.D) and observations > self.J
         assert observations % self.J and self.T % self.J
         traces = run(alg, self.BETA, table, prob, self.SEEDS, theta0=theta0,
                      record_every=record_every)
@@ -602,7 +637,7 @@ class TestBlockedObservation:
         with pytest.raises(IterateOutsideCertifiedBox) as info:
             run("nshb", 0.0, table, prob, seeds, theta0=np.zeros(2))
         exit_step = int(str(info.value).split()[4].rstrip(":"))
-        assert 2 <= exit_step < _BLOCK_WORDS // 6  # one block holds every step
+        assert 2 <= exit_step < _OBSERVE_WORDS // 6  # one block holds every step
         poison = {exit_step - 2: [2]}
         with pytest.raises(NumericalDivergence) as info:
             run("nshb", 0.0, table, Poisoned(prob, 3, obs=poison), seeds, theta0=np.zeros(2))
@@ -612,6 +647,40 @@ class TestBlockedObservation:
             "nshb", 0.0, table, Poisoned(prob, 3, obs=poison), seeds, np.zeros(2))
         assert stop == (exit_step - 2, 2) and final[0, 2] == np.inf
         assert_trace_is_row(exc.trace, obs, final, 2)
+
+
+class TestBlockedGradients:
+    @pytest.mark.parametrize("d", [2, 10, 20])
+    @pytest.mark.parametrize("R", [1, 5, 64])
+    @pytest.mark.parametrize("b", [1, 3, 64])
+    @pytest.mark.parametrize("K", [1, 7])
+    def test_quadratic_block_means_equal_per_step_means(self, d, R, b, K, rng):
+        prob = QuadraticMeanProblem.generate(d, 97, sigma_sq=2.0, seed=d)
+        block = rng.integers(0, prob.n, size=(K, b, R))
+        theta = rng.standard_normal((R, d))
+        gradients = prob.minibatch_gradients(block)
+        assert len(gradients) == K
+        for k, gradient in enumerate(gradients):
+            got = gradient(theta)
+            assert_bits(got, theta - _batch_mean(prob.anchors, block[k].T))
+            assert_bits(got, prob.minibatch_gradient(theta, block[k].T))
+
+    @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
+    def test_blocks_end_where_the_batch_changes(self, family):
+        # b = 1000 gives blocks of K = 1 step; every other phase ends in a
+        # block cut short by the next batch size or the end of the table
+        prob = small_problem(family, 10)
+        seeds = [11, 4, 29, 0, 7]
+        batch = np.repeat([3, 1000, 1, 64], [50, 3, 300, 20])
+        blocks = list(_index_blocks(_stream_key(seeds, range(5)), batch, prob.n))
+        sizes = [(blk.shape[0], blk.shape[1]) for blk in blocks]
+        assert sizes == [(50, 3), (1, 1000), (1, 1000), (1, 1000), (300, 1), (12, 64), (8, 64)]
+        theta = np.random.default_rng(5).uniform(-2, 2, size=(5, prob.d))
+        gradients = [g for blk in blocks for g in prob.minibatch_gradients(blk)]
+        assert len(gradients) == batch.size
+        for t, gradient in enumerate(gradients):
+            idx = batch_indices(seeds, range(5), t, int(batch[t]), prob.n)
+            assert_bits(gradient(theta), prob.minibatch_gradient(theta, idx))
 
 
 class TestStepInPlace:

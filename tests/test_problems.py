@@ -358,6 +358,21 @@ class TestLogCoshObservation:
         assert isinstance(f_1, float) and f_1 == f_ref
         assert np.array_equal(g_1, g_ref)
 
+    @pytest.mark.parametrize("n, d", [(7, 3), (1024, 20)])
+    def test_anchors_and_buffers_are_line_aligned(self, n, d, rng):
+        # n*d = 21 words is not a whole number of 64-byte lines: the buffers
+        # are padded apart, so writing them leaves the anchors as they were
+        anchors = rng.standard_normal((n, d))
+        prob = LogCoshProblem(anchors, scale=0.7)
+        assert [a.ctypes.data % 64 for a in (prob.anchors, *prob._work)] == [0, 0, 0, 0]
+        assert not prob.anchors.flags.writeable
+        theta = rng.uniform(-6.0, 6.0, size=(3, d))
+        f, g = prob.value_and_grad(theta)
+        assert np.array_equal(prob.anchors, anchors)
+        for r in range(3):
+            f_r, g_r = _logcosh_expression(prob, theta[r])
+            assert f[r] == f_r and np.array_equal(g[r], g_r)
+
     def test_allocates_no_per_row_temporaries(self, rng):
         prob = LogCoshProblem.generate(20, 1024, seed=3)
         theta = rng.uniform(-6.0, 6.0, size=(16, 20))
