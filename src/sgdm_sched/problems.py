@@ -6,6 +6,11 @@ convergence bounds is computable instead of estimated:
 - ``value_and_grad(theta) -> (f, g)``: the exact objective and full gradient;
 - ``minibatch_gradient(theta, indices)``: the mean of the per-sample
   gradients at ``indices``;
+- ``minibatch_deviation_many(theta, indices)``: for one iterate ``theta[d]``
+  and K batches ``indices[K, b]``, the K rows of
+  ``minibatch_gradient - value_and_grad(theta)[1]`` (the quadratic takes them
+  from its centered anchors, free of that subtraction's cancellation, so
+  sigma_sq = 0 gives exactly 0);
 - ``minibatch_gradients(indices)``: for a (K, b, R) block of K steps'
   indices, K functions of ``theta[R, d]``; function k gives
   ``minibatch_gradient(theta, indices[k].T)`` bit for bit (the quadratic
@@ -358,16 +363,25 @@ class LogCoshProblem:
     def value_and_grad(self, theta: np.ndarray):
         # One seed row at a time through the three preallocated (n, d) work
         # buffers: the ufuncs write into them, so a call allocates nothing of
-        # size n.  Each step is the same operation on the same values as the
-        # expression form f = amp * mean(|z| + log1p(exp(-2|z|)) - log 2),
-        # g = mean(c * tanh(z)), so f and g are bit-identical to it.
+        # size n.  f and g equal the expression form
+        # f = amp * mean(|z| + log1p(exp(-2|z|)) - log 2), g = mean(c * tanh(z))
+        # bit for bit: every step is the same operation on the same values,
+        # except that the passes z / 1 and w * 1 are skipped (IEEE 754 makes
+        # them exact) and that at d >= 2 the column sums come from einsum,
+        # which adds the n rows of each column in order as the axis-0 reduce
+        # of mean does.  einsum starts from +0.0, so a column of only -0.0
+        # sums to +0.0 where mean gives -0.0; only ||g||^2 reaches an
+        # artifact, so no artifact byte changes.  At d = 1 einsum sums the
+        # contiguous column in its own unrolled order, so d = 1 keeps mean.
         rows = theta[None, :] if theta.ndim == 1 else theta
         f = np.empty(rows.shape[0])
         g = np.empty(rows.shape)
         z, w, u = self._work
+        c = self.amp / self.scale
         for r, row in enumerate(rows):
             np.subtract(row, self.anchors, out=z)
-            np.divide(z, self.scale, out=z)
+            if self.scale != 1.0:
+                np.divide(z, self.scale, out=z)
             # log(cosh(z)) = |z| + log1p(exp(-2|z|)) - log(2), stable for large |z|
             np.abs(z, out=w)
             np.multiply(w, -2.0, out=u)
@@ -379,8 +393,13 @@ class LogCoshProblem:
             # the float path of an all-samples mini-batch, so the unbiasedness
             # identity holds bit-exactly
             np.tanh(z, out=w)
-            np.multiply(w, self.amp / self.scale, out=w)
-            w.mean(axis=0, out=g[r])
+            if c != 1.0:
+                np.multiply(w, c, out=w)
+            if self.d == 1:
+                w.mean(axis=0, out=g[r])
+            else:
+                np.einsum("ij->j", w, out=g[r])
+                g[r] /= self.n
         if theta.ndim == 1:
             return float(f[0]), g[0]
         return f, g
@@ -390,6 +409,11 @@ class LogCoshProblem:
 
     def minibatch_gradients(self, indices: np.ndarray) -> list:
         return _per_step(self.minibatch_gradient, indices)
+
+    def minibatch_deviation_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Rows of grad f_B - grad f at the one iterate ``theta[d]``."""
+        batches = self.minibatch_gradient(np.broadcast_to(theta, (len(indices), self.d)), indices)
+        return batches - self.value_and_grad(theta)[1]
 
     def _sample_gradients(self, a: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """(amp/scale) tanh((theta - a)/scale), computed in place over the gathered anchors a."""
@@ -433,20 +457,12 @@ def empirical_minibatch_variance(
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a usable estimate")
     theta = np.asarray(theta, dtype=np.float64)
-    # the quadratic's deviations come from centered anchors, free of the
-    # cancellation in g_B - gbar, so sigma_sq = 0 estimates exactly 0
-    deviation_many = getattr(problem, "minibatch_deviation_many", None)
-    if deviation_many is None:
-        _, gbar = problem.value_and_grad(theta)
     sq = np.empty(trials)
     for lo in range(0, trials, chunk):
         runs = np.arange(lo, min(lo + chunk, trials))
         k = runs.size
         idx = optim.batch_indices([seed] * k, runs, 0, b, problem.n)
-        if deviation_many is not None:
-            dev = deviation_many(theta, idx)
-        else:
-            dev = problem.minibatch_gradient(np.broadcast_to(theta, (k, problem.d)), idx) - gbar
+        dev = problem.minibatch_deviation_many(theta, idx)
         sq[lo : lo + k] = np.einsum("ij,ij->i", dev, dev)
     value = float(sq.mean())
     stderr = float(sq.std(ddof=1) / math.sqrt(trials))

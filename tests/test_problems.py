@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sgdm_sched import optim
 from sgdm_sched.problems import (
     SIGMA_GRID_POINTS,
     IterateOutsideCertifiedBox,
@@ -129,9 +130,13 @@ class TestUnbiasedness:
         avg = prob.minibatch_gradient(theta, np.arange(prob.n))
         np.testing.assert_array_equal(avg, prob.value_and_grad(theta)[1])
 
-    def test_logcosh_all_samples_equals_full_gradient_exactly(self, rng):
-        prob = LogCoshProblem.generate(5, 17, spread=1.5, seed=2)
-        theta = rng.standard_normal(5)
+    @pytest.mark.parametrize(
+        "d, scale, amp",
+        [(5, 1.0, 1.0), (5, 0.7, 1.3), (1, 1.0, 1.0), (1, 0.7, 1.3)],
+    )
+    def test_logcosh_all_samples_equals_full_gradient_exactly(self, d, scale, amp, rng):
+        prob = LogCoshProblem.generate(d, 17, spread=1.5, scale=scale, amp=amp, seed=2)
+        theta = rng.standard_normal(d)
         avg = prob.minibatch_gradient(theta, np.arange(prob.n))
         np.testing.assert_array_equal(avg, prob.value_and_grad(theta)[1])
 
@@ -345,9 +350,15 @@ class TestLogCosh:
 
 
 class TestLogCoshObservation:
-    def test_buffered_equals_the_expression_form(self, rng):
-        prob = LogCoshProblem.generate(20, 1024, scale=0.7, amp=1.3, seed=3)
-        theta = rng.uniform(-6.0, 6.0, size=(16, 20))
+    # (20, 0.7, 1.3) runs every pass; scale = 1 skips the divide, amp/scale = 1
+    # the multiply, and d = 1 sums the column with mean instead of einsum
+    @pytest.mark.parametrize(
+        "d, scale, amp",
+        [(20, 0.7, 1.3), (20, 1.0, 1.0), (20, 0.5, 0.5), (20, 1.0, 2.0), (1, 1.0, 1.0), (1, 0.7, 1.3)],
+    )
+    def test_buffered_equals_the_expression_form(self, d, scale, amp, rng):
+        prob = LogCoshProblem.generate(d, 1024, scale=scale, amp=amp, seed=3)
+        theta = rng.uniform(-6.0, 6.0, size=(16, d))
         f, g = prob.value_and_grad(theta)
         for r in range(16):
             f_r, g_r = _logcosh_expression(prob, theta[r])
@@ -357,6 +368,15 @@ class TestLogCoshObservation:
         f_ref, g_ref = _logcosh_expression(prob, theta[5])
         assert isinstance(f_1, float) and f_1 == f_ref
         assert np.array_equal(g_1, g_ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 1024, 9000])
+    @pytest.mark.parametrize("d", [2, 3, 20, 64])
+    def test_einsum_column_sum_equals_mean(self, n, d):
+        # value_and_grad sums the gradient columns with einsum at d >= 2 and
+        # relies on it adding the rows in the order of mean's axis-0 reduce
+        w = np.tanh(np.random.default_rng((n, d)).standard_normal((n, d)))
+        by_einsum = np.einsum("ij->j", w) / n
+        assert np.array_equal(by_einsum.view(np.int64), w.mean(axis=0).view(np.int64))
 
     @pytest.mark.parametrize("n, d", [(7, 3), (1024, 20)])
     def test_anchors_and_buffers_are_line_aligned(self, n, d, rng):
@@ -435,6 +455,21 @@ class TestMinibatchVariance:
         exact = float(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1)))
         est = empirical_minibatch_variance(prob, theta, b=1, trials=20_000, seed=99)
         assert abs(est.value - exact) <= 3 * est.stderr
+
+    def test_logcosh_equals_the_batch_minus_full_gradient_form(self):
+        prob = LogCoshProblem.generate(3, 32, spread=2.0, scale=0.6, seed=11)
+        theta = np.array([0.4, -1.0, 0.7])
+        trials, chunk = 5000, 2048
+        est = empirical_minibatch_variance(prob, theta, b=3, trials=trials, seed=7, chunk=chunk)
+        _, gbar = prob.value_and_grad(theta)
+        sq = np.empty(trials)
+        for lo in range(0, trials, chunk):
+            runs = np.arange(lo, min(lo + chunk, trials))
+            idx = optim.batch_indices([7] * runs.size, runs, 0, 3, prob.n)
+            dev = prob.minibatch_gradient(np.broadcast_to(theta, (runs.size, 3)), idx) - gbar
+            sq[lo : lo + runs.size] = np.einsum("ij,ij->i", dev, dev)
+        assert est.value == float(sq.mean())
+        assert est.stderr == float(sq.std(ddof=1) / math.sqrt(trials))
 
     def test_trials_floor_enforced(self):
         prob = QuadraticMeanProblem.generate(2, 8, seed=0)
