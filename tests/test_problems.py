@@ -448,7 +448,7 @@ class TestMinibatchVariance:
         assert est.value == 0.0
 
     def test_logcosh_matches_exact_variance_at_b1(self):
-        # the generic g_B - grad f path, for a problem without centered deviations
+        # log-cosh has no centered anchors: its deviations are g_B - grad f
         prob = LogCoshProblem.generate(3, 32, spread=2.0, scale=0.6, seed=11)
         theta = np.array([0.4, -1.0, 0.7])
         g = _per_sample_gradients(prob, theta)
