@@ -18,13 +18,16 @@ from .schedules import (
     table_to_csv,
     validate_admissible,
 )
-from .problems import (
-    IterateOutsideCertifiedBox,
-    LogCoshProblem,
-    QuadraticMeanProblem,
+from .problems import IterateOutsideCertifiedBox, LogCoshProblem, QuadraticMeanProblem
+from .optim import (
+    NumericalDivergence,
+    OptimizerState,
+    RunTrace,
+    batch_indices,
     empirical_minibatch_variance,
+    run,
+    step,
 )
-from .optim import NumericalDivergence, OptimizerState, RunTrace, batch_indices, run, step
 from .theory import (
     TheoremConstants,
     TheoryReport,

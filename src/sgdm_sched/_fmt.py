@@ -53,22 +53,23 @@ def csv_text(header: str, columns: Sequence, lead: Sequence[str] | None = None) 
     return "\n".join([header, *csv_rows(columns, lead)]) + "\n"
 
 
-def dumps17(obj, indent: int = 2) -> str:
+def dumps17(obj) -> str:
     """JSON text with floats rendered at 17 significant digits.
 
     The stdlib json module hard-codes repr() for floats, so this tiny emitter
     exists to keep every numeric byte identical across runs.  Supports dicts
-    (insertion order preserved), lists/tuples, str, bool, None, int, float.
+    (insertion order preserved), lists/tuples, str, bool, None, int, float,
+    indented by two spaces a level.
     """
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    end_pad = " " * (indent * level)
+def _emit(obj, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    end_pad = "  " * level
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -90,7 +91,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be str, got {type(k)}")
             out.append(pad + _quote(k) + ": ")
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -100,13 +101,13 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "]")
     else:
         # numpy scalars and similar
         if hasattr(obj, "item"):
-            _emit(obj.item(), out, indent, level)
+            _emit(obj.item(), out, level)
         else:
             raise TypeError(f"cannot serialize {type(obj)} to JSON")
 

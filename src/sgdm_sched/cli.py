@@ -58,18 +58,12 @@ def _spec_fields(spec) -> dict:
     return kinds
 
 
-_OPTIMIZER_FIELDS = {"alg": str, "beta": float, "theta0_seed": int}
-_HARNESS_FIELDS = {
-    "seeds": "seeds",
-    "record_every": int,
-    "validation_mode": str,
-    "budget": float,
-}
+_CONFIG_FIELDS = {**_spec_fields(harness.ExperimentConfig), "seeds": "seeds"}  # or a count
 _SECTIONS = {
     "problem": _spec_fields(harness.ProblemSpec),
-    "optimizer": _OPTIMIZER_FIELDS,
     "schedule": _spec_fields(schedules.ScheduleSpec),
-    "harness": _HARNESS_FIELDS,
+    **{name: {key: _CONFIG_FIELDS[key] for key in keys}
+       for name, keys in harness.ExperimentConfig.SECTIONS.items()},
 }
 
 

@@ -38,9 +38,13 @@ __all__ = [
     "write_artifacts",
 ]
 
-# the fields each problem family does not read; they keep their defaults, so
-# they cannot change the config hash
-_FAMILY_IGNORES = {"quadratic": ("scale", "amp", "box_radius"), "logcosh": ("sigma_sq",)}
+# family -> (problem class, the fields its ``generate`` reads besides d, n and
+# seed); every other family field keeps its default, so it cannot change the
+# config hash
+_FAMILIES = {
+    "quadratic": (problems.QuadraticMeanProblem, ("sigma_sq", "spread")),
+    "logcosh": (problems.LogCoshProblem, ("spread", "scale", "amp", "box_radius")),
+}
 
 
 class BudgetExceeded(RuntimeError):
@@ -62,28 +66,18 @@ class ProblemSpec:
     box_radius: float = 6.0
 
     def __post_init__(self):
-        if self.family not in _FAMILY_IGNORES:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown problem family {self.family!r}")
-        for f in fields(self):
-            if f.name in _FAMILY_IGNORES[self.family]:
+        read = _FAMILIES[self.family][1]
+        for f in fields(self)[4:]:  # every family field: all but family, d, n and seed
+            if f.name not in read:
                 object.__setattr__(self, f.name, f.default)
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be positive")
 
     def build(self):
-        if self.family == "quadratic":
-            return problems.QuadraticMeanProblem.generate(
-                self.d, self.n, sigma_sq=self.sigma_sq, spread=self.spread, seed=self.seed
-            )
-        return problems.LogCoshProblem.generate(
-            self.d,
-            self.n,
-            spread=self.spread,
-            scale=self.scale,
-            amp=self.amp,
-            seed=self.seed,
-            box_radius=self.box_radius,
-        )
+        cls, read = _FAMILIES[self.family]
+        return cls.generate(self.d, self.n, seed=self.seed, **{k: getattr(self, k) for k in read})
 
 
 @dataclass(frozen=True)
@@ -97,6 +91,12 @@ class ExperimentConfig:
     validation_mode: str = "strict"
     budget: float = 1e10
     theta0_seed: int = 0
+
+    # the config-file section of each field that is not a spec of its own
+    SECTIONS = {
+        "optimizer": ("alg", "beta", "theta0_seed"),
+        "harness": ("seeds", "record_every", "validation_mode", "budget"),
+    }
 
     def __post_init__(self):
         object.__setattr__(self, "alg", schedules.check_alg(self.alg))
@@ -117,21 +117,9 @@ class ExperimentConfig:
             raise ValueError("budget must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "problem": asdict(self.problem),
-            "optimizer": {
-                "alg": self.alg,
-                "beta": self.beta,
-                "theta0_seed": self.theta0_seed,
-            },
-            "schedule": asdict(self.schedule),
-            "harness": {
-                "seeds": list(self.seeds),
-                "record_every": self.record_every,
-                "validation_mode": self.validation_mode,
-                "budget": self.budget,
-            },
-        }
+        own = {name: {k: getattr(self, k) for k in keys} for name, keys in self.SECTIONS.items()}
+        return {"problem": asdict(self.problem), "optimizer": own["optimizer"],
+                "schedule": asdict(self.schedule), "harness": own["harness"]}
 
     @functools.cached_property
     def config_hash(self) -> str:
@@ -159,7 +147,7 @@ class AggregateReport:
     constants: theory.TheoremConstants
     checks: dict
     symbols: dict  # the corollary's symbols, M and T_w among them
-    sigma_certificate: dict | None = None
+    sigma_certificate: dict | None  # the problem's, None for an exact sigma_sq
     traces: list = field(repr=False, default_factory=list)
 
     @property
@@ -279,9 +267,8 @@ def _run(config: ExperimentConfig, out_dir: str | Path | None) -> AggregateRepor
 
     traces = optim.run(config.alg, config.beta, table, problem, config.seeds,
                        theta0=theta0, record_every=config.record_every)
-    report = _aggregate(config, table, symbols, traces, admissibility, constants, theory_report)
-    report.sigma_certificate = getattr(problem, "sigma_search", None)
-    return report
+    return _aggregate(config, table, symbols, traces, admissibility, constants, theory_report,
+                      problem.sigma_certificate)
 
 
 def _check_out_dir(path: Path) -> None:
@@ -300,7 +287,8 @@ def _mean_se(x: np.ndarray):
     return x.mean(axis=0), se
 
 
-def _aggregate(config, table, symbols, traces, admissibility, constants, theory_report):
+def _aggregate(config, table, symbols, traces, admissibility, constants, theory_report,
+               sigma_certificate):
     t_axis = traces[0].t
     gns = np.stack([tr.grad_norm_sq for tr in traces])
     mean_sq, stderr_sq = _mean_se(gns)
@@ -343,7 +331,8 @@ def _aggregate(config, table, symbols, traces, admissibility, constants, theory_
     return AggregateReport(
         config=config, table=table, t=t_axis, mean_grad_norm_sq=mean_sq,
         stderr_grad_norm_sq=stderr_sq, empirical=empirical, theory=theory_report,
-        constants=constants, checks=checks, symbols=symbols, traces=traces,
+        constants=constants, checks=checks, symbols=symbols,
+        sigma_certificate=sigma_certificate, traces=traces,
     )
 
 
@@ -429,26 +418,15 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64,
 
     delta = lyap[:, audited + 1] - lyap[:, audited]
     D = delta + half[audited] * gns[:, audited] - noise[audited]
-    R = D.shape[0]
-    mean_D = D.mean(axis=0)
-    se_D = D.std(axis=0, ddof=1) / math.sqrt(R)
+    mean_D, se_D = _mean_se(D)
     ok = mean_D <= 3.0 * se_D
 
-    mean_delta = delta.mean(axis=0)
-    rhs = np.asarray(
-        [
-            theory.descent_inequality_rhs(
-                float(eta[t]),
-                config.beta,
-                sigma_sq,
-                int(batch[t]),
-                float(gns[:, t].mean()),
-            )
-            for t in audited
-        ]
-    )
-    audit = AuditReport(t=audited, mean_delta=mean_delta, descent_rhs=rhs, stderr=se_D, ok=ok,
-                        n_seeds=R, all_ok=bool(np.all(ok)))
+    # seed means of the contiguous rows: each sums pairwise, as a 1-D mean does
+    mean_gns = np.ascontiguousarray(gns[:, audited].T).mean(axis=1)
+    rhs = theory.descent_inequality_rhs(eta[audited], config.beta, sigma_sq, batch[audited],
+                                        mean_gns)
+    audit = AuditReport(t=audited, mean_delta=delta.mean(axis=0), descent_rhs=rhs, stderr=se_D,
+                        ok=ok, n_seeds=D.shape[0], all_ok=bool(np.all(ok)))
     if out_dir is not None:
         exp_dir = Path(out_dir) / report.config_hash
         exp_dir.mkdir(parents=True, exist_ok=True)

@@ -42,9 +42,11 @@ observed in.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +59,8 @@ __all__ = [
     "step",
     "STREAM_LIMIT",
     "batch_indices",
+    "empirical_minibatch_variance",
+    "VarianceEstimate",
     "run",
 ]
 
@@ -270,6 +274,40 @@ def batch_indices(master_seed, run_index, t: int, b: int, n: int) -> np.ndarray:
     single = np.ndim(master_seed) == 0 and np.ndim(run_index) == 0
     idx = _draw(_stream_key(master_seed, run_index), t, b, n)[0].T
     return np.ascontiguousarray(idx[0] if single else idx)
+
+
+class VarianceEstimate(NamedTuple):
+    value: float
+    stderr: float
+    trials: int
+
+
+def empirical_minibatch_variance(
+    problem, theta: np.ndarray, b: int, trials: int, seed: int, chunk: int = 4096
+) -> VarianceEstimate:
+    """Monte-Carlo estimate of E||grad f_B(theta) - grad f(theta)||^2.
+
+    Trial i draws its batch of size ``b`` i.i.d. with replacement from the
+    sampling stream every run uses: ``batch_indices(seed, i, 0, b, n)``,
+    run index i at step 0 of master seed ``seed``.  Trials are evaluated
+    ``chunk`` at a time to bound the memory of the gather; the standard
+    error of the mean comes from the same trials.
+    """
+    if b < 1:
+        raise ValueError("batch size must be >= 1")
+    if trials < 1000:
+        raise ValueError("need at least 1000 trials for a usable estimate")
+    theta = np.asarray(theta, dtype=np.float64)
+    sq = np.empty(trials)
+    for lo in range(0, trials, chunk):
+        runs = np.arange(lo, min(lo + chunk, trials))
+        k = runs.size
+        idx = batch_indices([seed] * k, runs, 0, b, problem.n)
+        dev = problem.minibatch_deviation_many(theta, idx)
+        sq[lo : lo + k] = np.einsum("ij,ij->i", dev, dev)
+    value = float(sq.mean())
+    stderr = float(sq.std(ddof=1) / math.sqrt(trials))
+    return VarianceEstimate(value, stderr, trials)
 
 
 @dataclass

@@ -17,31 +17,31 @@ convergence bounds is computable instead of estimated:
   gathers and reduces the whole block's batch means at once);
 - the constants ``L`` (smoothness), ``sigma_sq`` (single-sample
   gradient-variance bound), ``f_star`` (the minimum for the quadratic
-  family, the lower bound 0 for the log-cosh family), ``n`` and ``d``;
+  family, the lower bound 0 for the log-cosh family), ``n`` and ``d``, and
+  ``sigma_certificate``, the terms of a certified ``sigma_sq`` (None for the
+  quadratic, whose sigma_sq is exact);
 - ``check_iterate(theta)``, which raises IterateOutsideCertifiedBox for an
   iterate outside the region where ``sigma_sq`` is certified.
 
 The methods take one iterate ``theta[d]`` or a leading seed axis
 ``theta[R, d]`` (with ``indices[R, b]``); each row is computed exactly as it
-would be alone.
+would be alone.  Every batch mean goes through ``_batch_means``.  The
+Monte-Carlo estimate of the mini-batch variance,
+``optim.empirical_minibatch_variance``, lives in ``optim``, next to the
+sampling stream it draws from; this module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
-
-from . import optim
 
 __all__ = [
     "IterateOutsideCertifiedBox",
     "QuadraticMeanProblem",
     "LogCoshProblem",
-    "empirical_minibatch_variance",
-    "VarianceEstimate",
 ]
 
 
@@ -69,33 +69,30 @@ def _anchor_array(anchors) -> np.ndarray:
     return anchors
 
 
-def _batch_mean(rows: np.ndarray, indices: np.ndarray, per_sample=None, theta=None) -> np.ndarray:
-    """Mean over each batch of ``rows[i]``, or of ``per_sample(rows[i], theta)``.
+def _batch_means(rows: np.ndarray, block: np.ndarray, per_sample=None, theta=None) -> np.ndarray:
+    """One mean per step of ``rows[i]``, or of ``per_sample(rows[i], theta)``.
 
-    ``indices`` is one batch (b,) or R batches (R, b); ``per_sample`` may
-    overwrite the gathered rows it gets.  The gather is batch-major, (b, R, d),
-    so the sum runs over whole contiguous (R, d) slices, adding the b samples
-    of every element in order, as a row-major (R, b, d) sum over the batch
-    axis does; each row is thus computed as it would be alone.  With d = 1
-    that row-major sum runs pairwise over the contiguous batch axis instead,
-    so d = 1 keeps the C-contiguous row-major gather for the same bits.
+    ``block`` holds the indices of K steps: one batch each (K, b), or R
+    batches each (K, b, R); the result is (K, d) or (K, R, d).  ``per_sample``
+    may overwrite the gathered rows it gets.  The gather is batch-major,
+    (K, b, R, d), so the sum runs over whole contiguous (R, d) slices, adding
+    the b samples of every element in order, as a row-major (R, b, d) sum
+    over the batch axis does; each row is thus computed as it would be alone.
+    With d = 1 that row-major sum runs pairwise over the contiguous batch axis
+    instead, so d = 1 keeps the row-major gather, (K, R, b, 1), for the same
+    bits.
     """
     if rows.shape[1] == 1:
-        x = rows.take(np.ascontiguousarray(indices), axis=0)
+        x = rows.take(np.moveaxis(block, 1, -1), axis=0)
         if per_sample is not None:
             x = per_sample(x, theta[..., None, :])
         return x.mean(axis=-2)
-    x = rows.take(np.transpose(indices), axis=0)
+    x = rows.take(block, axis=0)
     if per_sample is not None:
         x = per_sample(x, theta)
-    total = np.add.reduce(x, axis=0)
-    total /= x.shape[0]
+    total = np.add.reduce(x, axis=1)
+    total /= x.shape[1]
     return total
-
-
-def _per_step(gradient, indices: np.ndarray) -> list:
-    """The functions theta -> gradient(theta, indices[k].T) of a (K, b, R) index block."""
-    return [partial(gradient, indices=idx) for idx in indices.transpose(0, 2, 1)]
 
 
 def _aligned(count: int, shape: tuple) -> list:
@@ -131,6 +128,7 @@ class QuadraticMeanProblem:
             raise ValueError(f"the anchors' variance sigma_sq = {self.sigma_sq} is not finite")
         self.L = 1.0
         self.f_star = 0.5 * self.sigma_sq
+        self.sigma_certificate = None  # sigma_sq is exact
 
     @classmethod
     def generate(
@@ -167,20 +165,15 @@ class QuadraticMeanProblem:
         return 0.5 * np.einsum("...j,...j->...", g, g) + self.f_star, g
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return theta - _batch_mean(self.anchors, indices)
+        return theta - _batch_means(self.anchors, np.transpose(indices)[None])[0]
 
     def minibatch_gradients(self, indices: np.ndarray) -> list:
-        if self.d == 1:  # keeps _batch_mean's row-major sum
-            return _per_step(self.minibatch_gradient, indices)
-        # the batch means do not depend on theta: gather and reduce all K at
-        # once; each (R, d) slice is summed over b in order, as _batch_mean does
-        means = np.add.reduce(self.anchors.take(indices, axis=0), axis=1)
-        means /= indices.shape[1]
-        return [lambda theta, mean=mean: theta - mean for mean in means]
+        # the batch means do not depend on theta: gather and reduce all K at once
+        return [lambda theta, mean=mean: theta - mean for mean in _batch_means(self.anchors, indices)]
 
     def minibatch_deviation_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Rows of grad f_B - grad f via centered anchors (cancellation-free)."""
-        return -_batch_mean(self._dev, indices)
+        return -_batch_means(self._dev, np.transpose(indices)[None])[0]
 
     def check_iterate(self, theta: np.ndarray) -> None:
         pass  # sigma_sq is global; nothing to enforce
@@ -236,7 +229,7 @@ class LogCoshProblem:
       such intervals finds the exact computed grid maximum.
 
     So sigma_sq = sum_j max_grid v_j + d M h^2/8 + d 4(n + 4) eps c^2.  The
-    terms are kept in ``sigma_search``.
+    terms are kept in ``sigma_certificate``.
     """
 
     def __init__(
@@ -263,7 +256,7 @@ class LogCoshProblem:
         try:  # huge or tiny constants overflow L or the certificate
             with np.errstate(over="raise", invalid="raise"):
                 self.L = self.amp / self.scale**2
-                self.sigma_search = s = self._certify_sigma()
+                self.sigma_certificate = s = self._certify_sigma()
         except ArithmeticError as exc:
             raise ValueError(f"log-cosh constants leave the float range: {exc}") from None
         self.sigma_sq = s["grid_max"] + s["curvature_slack"] + s["rounding_margin"]
@@ -405,10 +398,12 @@ class LogCoshProblem:
         return f, g
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return _batch_mean(self.anchors, indices, self._sample_gradients, theta)
+        block = np.transpose(indices)[None]
+        return _batch_means(self.anchors, block, self._sample_gradients, theta)[0]
 
     def minibatch_gradients(self, indices: np.ndarray) -> list:
-        return _per_step(self.minibatch_gradient, indices)
+        # the per-sample gradients depend on theta: one gather per step
+        return [partial(self.minibatch_gradient, indices=idx) for idx in indices.transpose(0, 2, 1)]
 
     def minibatch_deviation_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Rows of grad f_B - grad f at the one iterate ``theta[d]``."""
@@ -433,37 +428,3 @@ class LogCoshProblem:
                 f"certification box radius {self.box_radius:.6g}",
                 row=row,
             )
-
-
-class VarianceEstimate(NamedTuple):
-    value: float
-    stderr: float
-    trials: int
-
-
-def empirical_minibatch_variance(
-    problem, theta: np.ndarray, b: int, trials: int, seed: int, chunk: int = 4096
-) -> VarianceEstimate:
-    """Monte-Carlo estimate of E||grad f_B(theta) - grad f(theta)||^2.
-
-    Trial i draws its batch of size ``b`` i.i.d. with replacement from the
-    sampling stream every run uses: ``optim.batch_indices(seed, i, 0, b, n)``,
-    run index i at step 0 of master seed ``seed``.  Trials are evaluated
-    ``chunk`` at a time to bound the memory of the gather; the standard
-    error of the mean comes from the same trials.
-    """
-    if b < 1:
-        raise ValueError("batch size must be >= 1")
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for a usable estimate")
-    theta = np.asarray(theta, dtype=np.float64)
-    sq = np.empty(trials)
-    for lo in range(0, trials, chunk):
-        runs = np.arange(lo, min(lo + chunk, trials))
-        k = runs.size
-        idx = optim.batch_indices([seed] * k, runs, 0, b, problem.n)
-        dev = problem.minibatch_deviation_many(theta, idx)
-        sq[lo : lo + k] = np.einsum("ij,ij->i", dev, dev)
-    value = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / math.sqrt(trials))
-    return VarianceEstimate(value, stderr, trials)

@@ -19,7 +19,6 @@ from ._fmt import dumps17
 __all__ = [
     "TheoremConstants",
     "TheoryReport",
-    "c_alg",
     "lyapunov_coefficient_array",
     "lyapunov_value",
     "corollary_bounds",
@@ -34,11 +33,6 @@ REGIMES = tuple(
     for corollary, kinds, _ in schedules._REGIMES.values()
     for kind in kinds or ("",)
 )
-
-
-def c_alg(alg: str, beta: float) -> float:
-    """Algorithm constant: 1/(1-beta) for nshb, 1 for shb."""
-    return 1.0 / (1.0 - beta) if schedules.check_alg(alg) == "nshb" else 1.0
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,8 @@ class TheoremConstants:
 
     @property
     def C_alg(self) -> float:
-        return c_alg(self.alg, self.beta)
+        """Algorithm constant: 1/(1-beta) for nshb, 1 for shb."""
+        return 1.0 / (1.0 - self.beta) if self.alg == "nshb" else 1.0
 
 
 def lyapunov_coefficient_array(eta: np.ndarray, L: float, beta: float) -> np.ndarray:
@@ -277,12 +272,13 @@ def build_report(
     return report
 
 
-def descent_inequality_rhs(
-    eta_t: float, beta: float, sigma_sq: float, b_t: int, grad_norm_sq_expectation: float
-) -> float:
+def descent_inequality_rhs(eta_t, beta: float, sigma_sq: float, b_t, grad_norm_sq_expectation):
     """Upper bound on E[L_{t+1} - L_t] for one admissible step:
-    -(1/2)(1-beta) eta ||grad||^2-term + (1/2)(1-beta) eta sigma^2 / b."""
-    if b_t < 1:
+    -(1/2)(1-beta) eta ||grad||^2-term + (1/2)(1-beta) eta sigma^2 / b.
+
+    ``eta_t``, ``b_t`` and ``grad_norm_sq_expectation`` are floats, or arrays
+    with one entry per step that give the bound of every step at once."""
+    if np.any(b_t < 1):
         raise ValueError("batch size must be >= 1")
     half = 0.5 * (1.0 - beta) * eta_t
     return -half * grad_norm_sq_expectation + half * sigma_sq / b_t

@@ -21,8 +21,8 @@ from sgdm_sched.harness import (
     rate_fit,
     run_experiment,
 )
-from sgdm_sched.optim import run
-from sgdm_sched.problems import QuadraticMeanProblem, LogCoshProblem, empirical_minibatch_variance
+from sgdm_sched.optim import empirical_minibatch_variance, run
+from sgdm_sched.problems import QuadraticMeanProblem, LogCoshProblem
 from conftest import constant_bs_table, random_decaying_lr, random_plan
 
 BENCH = ProblemSpec(family="quadratic", d=20, n=256, sigma_sq=1.0, seed=7)

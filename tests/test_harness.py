@@ -1,14 +1,16 @@
 """Experiment orchestration: aggregation, artifact output, audits, rate fits."""
 
 import hashlib
+import inspect
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from sgdm_sched import optim, schedules
 from sgdm_sched.harness import (
+    _FAMILIES,
     BudgetExceeded,
     ExperimentConfig,
     ProblemSpec,
@@ -92,6 +94,19 @@ PINNED_ARTIFACTS = {
 
 def short_sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_family_reads_exactly_the_keywords_of_generate(self, family):
+        # a keyword of generate missing from the table would silently keep
+        # its default whatever the config says
+        cls, read = _FAMILIES[family]
+        params = inspect.signature(cls.generate).parameters.values()
+        keywords = [p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY]
+        assert sorted(read) == sorted(set(keywords) - {"seed"})
+        family_fields = {f.name for f in fields(ProblemSpec)} - {"family", "d", "n", "seed"}
+        assert set(read) <= family_fields
 
 
 class TestScheduleSpec:

@@ -1,7 +1,9 @@
 """Synthetic problem families: gradients, noise constants, certification."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,16 @@ from sgdm_sched.problems import (
     IterateOutsideCertifiedBox,
     LogCoshProblem,
     QuadraticMeanProblem,
-    empirical_minibatch_variance,
 )
+from sgdm_sched.optim import empirical_minibatch_variance
+
+
+def test_problems_module_imports_nothing_from_the_package():
+    # a leaf module: optim imports problems, so problems must not import back
+    source = Path(__file__).parents[1] / "src" / "sgdm_sched" / "problems.py"
+    relative = [node.lineno for node in ast.walk(ast.parse(source.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == []
 
 
 def _fd_gradient(fun, theta, h=1e-5):
@@ -228,7 +238,7 @@ class TestLogCosh:
     def test_search_trace_persisted(self):
         # the certificate's terms add up to sigma_sq and follow their formulas
         prob = LogCoshProblem.generate(3, 8, scale=0.7, amp=1.3, seed=0)
-        s = prob.sigma_search
+        s = prob.sigma_certificate
         assert prob.sigma_sq == s["grid_max"] + s["curvature_slack"] + s["rounding_margin"]
         assert (s["box_radius"], s["grid_points_per_coord"]) == (6.0, 2048)
         M = (2 + 8 / (3 * math.sqrt(3))) * 1.3**2 / 0.7**4
@@ -256,7 +266,7 @@ class TestLogCosh:
             n = int(rng.integers(1, 40))
             scale, amp = rng.uniform(0.3, 2.0), rng.uniform(0.3, 3.0)
             anchors = rng.normal(0.0, rng.uniform(0.1, 4.0), size=n)
-            M = LogCoshProblem(anchors[:, None], scale=scale, amp=amp).sigma_search[
+            M = LogCoshProblem(anchors[:, None], scale=scale, amp=amp).sigma_certificate[
                 "curvature_bound"]
 
             def v(x):
@@ -272,7 +282,7 @@ class TestLogCosh:
         # the certified value, and it exceeds them by no more than its slack
         prob = LogCoshProblem.generate(4, 64, spread=2.0, scale=0.6, amp=1.5, seed=11,
                                        box_radius=4.0)
-        s = prob.sigma_search
+        s = prob.sigma_certificate
         fine = np.linspace(-4.0, 4.0, 2**16)
         refined = 0.0
         for j in range(prob.d):
@@ -303,7 +313,7 @@ class TestLogCosh:
                 box_radius=float(rng.uniform(0.5, 10.0)),
                 seed=k,
             )
-            assert prob.sigma_search["grid_max"] == _full_grid_max(prob), k
+            assert prob.sigma_certificate["grid_max"] == _full_grid_max(prob), k
 
     @pytest.mark.parametrize("d, n, kwargs", [
         (3, 600, dict(spread=0.01, scale=0.05, box_radius=10.0, seed=7)),
@@ -323,7 +333,7 @@ class TestLogCosh:
         monkeypatch.setattr(LogCoshProblem, "_variance_terms", counting_terms)
         prob = LogCoshProblem.generate(d, n, **kwargs)
         assert calls <= 3 * d
-        assert prob.sigma_search["grid_max"] == _full_grid_max(prob)
+        assert prob.sigma_certificate["grid_max"] == _full_grid_max(prob)
 
     def test_search_evaluates_few_grid_points(self, monkeypatch):
         # every grid value comes from one row of a tanh call; count the rows
