@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import optim, problems, schedules, theory
-from ._fmt import csv_rows, csv_text, dumps17
+from ._fmt import csv_bytes, csv_cells, csv_text, dumps17
 from .schedules import ScheduleSpec
 
 __all__ = [
@@ -348,14 +348,13 @@ def write_artifacts(report: AggregateReport, out_root: Path) -> Path:
     # every trace of one run has the same t, lr and batch columns, so their
     # text is formatted once
     t = report.t
-    lead = csv_rows((t, report.table.lr[t], report.table.batch[t]))
+    lead = csv_cells((t, report.table.lr[t], report.table.batch[t]))
     for tr in report.traces:
-        text = csv_text(
+        (exp_dir / f"trace_{tr.seed}.csv").write_bytes(csv_bytes(
             "t,lr,batch,f,grad_norm_sq,lyapunov", (tr.f, tr.grad_norm_sq, tr.lyapunov), lead
-        )
-        (exp_dir / f"trace_{tr.seed}.csv").write_text(text)
+        ))
     aggregate = (report.t, report.mean_grad_norm_sq, report.stderr_grad_norm_sq)
-    (exp_dir / "aggregate.csv").write_text(csv_text("t,mean_grad_norm_sq,stderr", aggregate))
+    (exp_dir / "aggregate.csv").write_bytes(csv_bytes("t,mean_grad_norm_sq,stderr", aggregate))
     (exp_dir / "report.json").write_text(dumps17(report.to_dict()))
     return exp_dir
 
