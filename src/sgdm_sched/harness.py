@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import optim, problems, schedules, theory
-from ._fmt import csv_bytes, csv_cells, csv_text, dumps17
+from ._fmt import dumps17
 from .schedules import ScheduleSpec
 
 __all__ = [
@@ -343,6 +343,8 @@ def write_artifacts(report: AggregateReport, out_root: Path) -> Path:
     serialized with 17 significant digits so reruns are byte-identical, and a
     non-finite value is refused (ValueError) rather than written.
     """
+    from ._csv import csv_bytes, csv_cells  # loaded by the processes that write CSV only
+
     exp_dir = Path(out_root) / report.config_hash
     exp_dir.mkdir(parents=True, exist_ok=True)
     # every trace of one run has the same t, lr and batch columns, so their
@@ -372,6 +374,8 @@ class AuditReport:
     all_ok: bool
 
     def to_csv(self) -> str:
+        from ._csv import csv_text  # loaded by the processes that write CSV only
+
         return csv_text(
             "t,mean_delta_lyapunov,descent_rhs,stderr,ok",
             (self.t, self.mean_delta, self.descent_rhs, self.stderr, self.ok),

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._fmt import csv_text
-
 __all__ = [
     "ScheduleError",
     "MomentumTooLarge",
@@ -464,4 +462,6 @@ def validate_admissible(table: ScheduleTable, beta: float, L: float, alg: str) -
 
 def table_to_csv(table: ScheduleTable) -> str:
     """CSV text with header ``t,lr,batch``; floats carry 17 significant digits."""
+    from ._csv import csv_text  # loaded by the processes that write CSV only
+
     return csv_text("t,lr,batch", (np.arange(table.T), table.lr, table.batch))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sgdm_sched._fmt import _decimal, csv_cells, csv_text, dumps17, fmt_float
+from sgdm_sched._csv import _decimal, csv_cells, csv_text
+from sgdm_sched._fmt import dumps17, fmt_float
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 # Remainders in the undecided window: the truncated product rounds down, the
