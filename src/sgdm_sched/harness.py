@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -100,17 +101,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alg", schedules.check_alg(self.alg))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(optim._stream_words(self.seeds, "master seeds")))
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if not self.seeds:
             raise ValueError("need at least one master seed")
-        if any(not 0 <= s < optim.STREAM_LIMIT for s in self.seeds):
-            raise ValueError("master seeds must be in [0, 2**64), the sampling stream's key range")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("master seeds must be distinct")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
+            raise ValueError("record_every must be an integer >= 1")
         if self.validation_mode not in ("strict", "waived"):
             raise ValueError("validation_mode must be 'strict' or 'waived'")
         if not self.budget > 0:

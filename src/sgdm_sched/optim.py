@@ -18,16 +18,22 @@ counter-based stream (Salmon et al., SC'11): index j of the step-t batch of
 with mix the SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA'14),
 G = 0x9E3779B97F4A7C15 and all arithmetic mod 2^64.  The bounded map rejects
 the 2^64 mod n surplus words, so each index is exactly uniform on [0, n) when
-the hash words are (``batch_indices`` gives the argument).  Runs are deterministic,
-and streams can be shared across algorithms exactly.  ``run`` evaluates the
-same stream in blocks, drawing the (K, b, R) indices of all seeds over a run
-of K consecutive equal-batch steps in one vectorized call; since every word
-is a pure function of (s, i, t, j), blocking changes no index.
+the hash words are (``batch_indices`` gives the argument).  For n = 2^k there
+is no surplus and the map is the top k bits of the word, one shift.  Runs
+are deterministic, and streams can be shared across algorithms exactly.
+``run`` evaluates the same stream in blocks, drawing the (K, b, R) indices
+of all seeds over a run of K consecutive equal-batch steps in one
+vectorized call; since every word is a pure function of (s, i, t, j),
+blocking changes no index.
 
 ``run`` is a lockstep engine: the R master seeds of an experiment advance
 together as the rows of (R, d) parameter and momentum arrays, so each step
-makes one mini-batch gradient call and one ``step`` call for all seeds;
-``step`` updates the arrays in place.  A single seed is the R = 1 case.
+makes one mini-batch gradient call and one update for all seeds, in place.
+A single seed is the R = 1 case.  ``run`` applies the update through
+``_advance``, the arithmetic of ``step`` without its argument checks and
+error state: the loop holds the error state for all its steps, its
+gradients come from the problem in the state's shape, and its rates come
+from a ``ScheduleTable``, which refuses negative and non-finite ones.
 Each drawn block of indices goes to the problem's ``minibatch_gradients``,
 which returns the block's per-step gradient functions (the quadratic
 gathers all K batch means of the block at once).  Observations are made a
@@ -43,6 +49,7 @@ observed in.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -133,6 +140,12 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
         )
     if not lr >= 0:  # NaN too
         raise ValueError(f"learning rate must be >= 0, got {lr}")
+    return _advance(state, grad, lr)
+
+
+def _advance(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
+    """``step`` on checked arguments: a float64 gradient of the state's shape
+    and a rate >= 0, under an error state that lets inf/nan flow."""
     theta, m, finite = state._spare
     np.multiply(state.momentum, state.beta, out=m)
     if state.alg == "nshb":
@@ -176,12 +189,23 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _stream_words(values, what: str) -> np.ndarray:
-    """Non-negative integers below 2^64 as a 1-D uint64 array."""
-    ints = [int(v) for v in np.ravel(np.asarray(values, dtype=object))]
-    if any(not 0 <= v < STREAM_LIMIT for v in ints):
-        raise ValueError(f"{what} must be integers in [0, 2**64) to key the sampling stream")
-    return np.array(ints, dtype=np.uint64)
+def _stream_words(values, what: str) -> list[int]:
+    """A scalar or sequence of whole numbers in [0, 2^64) as a list of ints.
+
+    A value that is not a whole number (1.5, NaN, "3") is refused rather
+    than truncated: it would key another seed's stream.
+    """
+    words = []
+    for v in np.ravel(np.asarray(values, dtype=object)):
+        try:
+            w = int(v)
+        except (TypeError, ValueError, OverflowError):  # None, NaN, inf, "x"
+            w = -1
+        if w != v or not 0 <= w < STREAM_LIMIT:
+            raise ValueError(
+                f"{what} must be in [0, 2**64) and be integers, to key the sampling stream")
+        words.append(w)
+    return words
 
 
 def _bounded(x: np.ndarray, n: int) -> np.ndarray:
@@ -191,7 +215,13 @@ def _bounded(x: np.ndarray, n: int) -> np.ndarray:
     limbs of x.  Words whose low product word x*n mod 2^64 falls below
     2^64 mod n are rejected and redrawn as mix(x + G), so every index value
     keeps exactly floor(2^64/n) preimages and the map is exactly uniform.
+
+    For n = 2^k nothing is rejected (2^64 mod n = 0) and floor(x*2^k / 2^64)
+    is x >> (64 - k), computed as one shift; n = 1 shifts by 64, which numpy
+    defines as 0.
     """
+    if n & (n - 1) == 0:
+        return (x >> np.uint64(65 - int(n).bit_length())).view(np.int64)
     n64 = np.uint64(n)
     threshold = np.uint64(STREAM_LIMIT % n)
     while True:
@@ -206,8 +236,8 @@ def _bounded(x: np.ndarray, n: int) -> np.ndarray:
 
 def _stream_key(master_seed, run_index) -> np.ndarray:
     """Per-row stream keys mix(mix(s + G) + i*G), constant for a whole run."""
-    seeds = _stream_words(master_seed, "master seeds")
-    runs = _stream_words(run_index, "run indices")
+    seeds = np.array(_stream_words(master_seed, "master seeds"), dtype=np.uint64)
+    runs = np.array(_stream_words(run_index, "run indices"), dtype=np.uint64)
     if seeds.shape != runs.shape:
         raise ValueError(f"{seeds.size} master seeds but {runs.size} run indices")
     return _mix(_mix(seeds + _GOLDEN) + runs * _GOLDEN)
@@ -388,14 +418,15 @@ def run(
     order above holds as if every step were observed on its own.
     """
     alg = schedules.check_alg(alg)
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    if not isinstance(record_every, numbers.Integral) or record_every < 1:
+        raise ValueError("record_every must be an integer >= 1")
     single = np.ndim(seed) == 0
-    seeds = [int(seed)] if single else [int(s) for s in seed]
+    seeds = _stream_words(seed, "master seeds")
     if not seeds:
         raise ValueError("need at least one master seed")
     R, d = len(seeds), problem.d
-    key = _stream_key(seeds, [int(run_index) + r for r in range(R)])
+    (first,) = _stream_words(run_index, "run indices")
+    key = _stream_key(seeds, range(first, first + R))
     _check_dataset_size(problem.n)
     if theta0 is None:
         theta0 = np.random.default_rng((int(theta0_seed),)).standard_normal(d)
@@ -413,23 +444,24 @@ def run(
     A_prev = np.concatenate(([0.0], theory.lyapunov_coefficient_array(eta, problem.L, beta)))
 
     # Column c of rec holds observation c: the recorded steps in order, then
-    # the final iterate.  Observations wait in a block of (theta_t, m_{t-1},
-    # t) entries and are made a block at a time.
+    # the final iterate.  Observations wait in a block of (theta_t, m_{t-1})
+    # entries and are made a block at a time.  Column c observes step
+    # obs_t[c]: rec_t[c], and for the final column the state's t, set when
+    # it is pushed.
     rec_t = np.arange(0, table.T, record_every)
+    obs_t = np.append(rec_t, 0)[:, None]
     rec = [np.empty((R, rec_t.size + 1)) for _ in range(3)]  # f, ||grad f||^2, Lyapunov
     rec_theta = np.empty((R, rec_t.size + 1, d)) if record_theta else None
     J = max(1, _OBSERVE_WORDS // (R * d))
     # two arrays, not one (2, J, R, d): a single block raised the cli-doubling
     # benchmark's peak RSS by about 0.7 MB through heap placement
     blk_theta, blk_m = np.empty((J, R, d)), np.empty((J, R, d))
-    blk_t = np.empty((J, 1), dtype=np.int64)
     k = j = 0  # observations taken, of which the last j wait in the block
 
     def push(st: OptimizerState) -> None:
         nonlocal k, j
         blk_theta[j] = st.theta
         blk_m[j] = st.momentum
-        blk_t[j] = st.t
         if record_theta:
             rec_theta[:, k] = st.theta
         k += 1
@@ -446,7 +478,7 @@ def run(
         f = f.reshape(n, R)
         m_eq = blk_m[:n] if alg == "nshb" else one_minus_beta * blk_m[:n]
         m_sq = np.einsum("ijk,ijk->ij", m_eq, m_eq)
-        t = blk_t[:n]
+        t = obs_t[k - n : k]
         obs = (f, np.einsum("ij,ij->i", g, g).reshape(n, R),
                theory.lyapunov_value(f, m_sq, A_prev[t], t))
         finite = np.ones((n, R), dtype=bool)
@@ -480,13 +512,14 @@ def run(
                 ) from None
             grad = gradient(state.theta)
             try:
-                state = step(state, grad, lr[t])
+                state = _advance(state, grad, lr[t])
             except NumericalDivergence as exc:
                 stop = t, exc.row
                 break
         if bad is None:
+            final = k
+            obs_t[final] = state.t
             push(state)  # theta_T, or the iterate of the step that diverged
-            final = k - 1
             bad = flush()
     if bad is not None and bad[0] != final:
         # a recorded observation is non-finite: the run ends at its step

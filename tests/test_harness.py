@@ -319,6 +319,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="distinct"):
             small_config(seeds=(1, 1, 2))
 
+    @pytest.mark.parametrize("seeds", [(1.7, 2), (math.nan, 2), (2, -1), (2, 2**64)])
+    def test_seeds_must_be_stream_keys(self, seeds):
+        # 1.7 used to become seed 1, and NaN to fail in int()
+        with pytest.raises(ValueError,
+                           match=r"master seeds must be in \[0, 2\*\*64\) and be integers"):
+            small_config(seeds=seeds)
+        assert small_config(seeds=(np.uint64(3), 2.0)).seeds == (3, 2)
+
+    @pytest.mark.parametrize("record_every", [2.5, 2.0, 0])
+    def test_record_every_must_be_a_positive_integer(self, record_every):
+        # 2.5 used to be accepted and label step 5's observation t = 2.5
+        with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+            small_config(record_every=record_every)
+
     @pytest.mark.parametrize("alg", ["nshb", "shb"])
     @pytest.mark.parametrize("regime", sorted(LOGCOSH_SCHEDULES))
     def test_logcosh_unified_bound_dominance(self, regime, alg):

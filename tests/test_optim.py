@@ -142,7 +142,8 @@ class TestBatchIndices:
             np.testing.assert_array_equal(idx[r], batch_indices(s, i, 9, 12, 1000))
         assert batch_indices(11, 0, 9, b=12, n=1000).shape == (12,)
 
-    @pytest.mark.parametrize("n", [17, 1000, 2**32 - 1])
+    # every power of two takes the one-shift path, the others multiply-high
+    @pytest.mark.parametrize("n", [17, 1000, 2**32 - 1, *(2**k for k in range(32))])
     def test_bounded_map_is_the_exact_multiply_high(self, n, rng):
         words = [int(w) for w in rng.integers(0, 2**64, size=2000, dtype=np.uint64)]
         assert all((w * n) % 2**64 >= 2**64 % n for w in words)  # none rejected
@@ -157,13 +158,24 @@ class TestBatchIndices:
         redraw = _bounded(_mix(np.array([2**61 + 0x9E3779B97F4A7C15], dtype=np.uint64)), 1000)
         assert redraw[0] != 125
         np.testing.assert_array_equal(_bounded(x, 1000), [redraw[0], 500])
-        # a power-of-two n has nothing to reject
+        # a power-of-two n has nothing to reject (2^64 mod n = 0), and the map
+        # is the shift x >> (64 - log2 n): 2^61 >> 54 = 128, (2^63 + 1) >> 54 = 512
         np.testing.assert_array_equal(_bounded(x, 1024), [128, 512])
 
     def test_rejects_keys_outside_the_stream(self):
-        for seed, run_index in [(-1, 0), (2**64, 0), (0, 2**64)]:
-            with pytest.raises(ValueError, match=r"2\*\*64"):
+        # a non-integer key is refused, not truncated onto another seed's stream
+        for seed, run_index in [(-1, 0), (2**64, 0), (0, 2**64), (1.5, 0), (0, 2.5),
+                                (math.nan, 0), (0, math.inf), ("3", 0), ([1, 0.5], [0, 1])]:
+            with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\) and be integers"):
                 batch_indices(seed, run_index, 0, 4, 10)
+        prob = QuadraticMeanProblem.generate(2, 4, seed=0)
+        for seed, run_index in [(2.9, 0), ([1, 2.5], 0), (2, 0.5), (2, math.nan)]:
+            with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\) and be integers"):
+                run("nshb", 0.0, const_table(0.1, T=2), prob, seed, run_index=run_index)
+        # whole numbers of any type key the same stream as the int
+        for seed in (5.0, np.uint64(5), np.float64(5.0)):
+            np.testing.assert_array_equal(batch_indices(seed, 1, 3, 4, 10),
+                                          batch_indices(5, 1, 3, 4, 10))
         with pytest.raises(ValueError, match="run indices"):
             batch_indices([1, 2], [0], 0, 4, 10)
         with pytest.raises(ValueError, match="run indices"):
@@ -220,6 +232,14 @@ class TestRun:
         table = const_table(0.1, T=30, b=2)
         trace = run("nshb", 0.5, table, prob, seed=1, record_every=7)
         np.testing.assert_array_equal(trace.t, [0, 7, 14, 21, 28])
+
+    @pytest.mark.parametrize("record_every", [2.5, 2.0, np.float64(3.0), 0, -1, "2"])
+    def test_record_every_must_be_a_positive_integer(self, record_every):
+        # 2.5 would label step 5's observation as t = 2.5
+        prob = QuadraticMeanProblem.generate(3, 8, sigma_sq=0.5, seed=4)
+        with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+            run("nshb", 0.5, const_table(0.1, T=6, b=2), prob, seed=1,
+                record_every=record_every)
 
     def test_strict_rejects_inadmissible(self):
         prob = QuadraticMeanProblem.generate(3, 8, sigma_sq=0.5, seed=4)
@@ -717,6 +737,33 @@ class TestStepInPlace:
         listed = OptimizerState([0.0, 1.0], [0.0, 0.0], t=0, beta=0.0, alg="nshb")
         step(step(listed, np.ones(2), lr=1.0), np.ones(2), lr=1.0)
         np.testing.assert_array_equal(listed.theta, [-2.0, -1.0])
+
+    @pytest.mark.parametrize("alg", ["nshb", "shb"])
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_run_steps_as_a_loop_of_public_steps(self, alg, record_every):
+        # run updates through the unchecked core; its iterates and their
+        # observations are those of public step calls, bit for bit
+        prob = QuadraticMeanProblem.generate(6, 64, sigma_sq=1.0, seed=8)
+        table = constant_bs_table("diminishing", batch=3, T=40, lambda_max=0.3)
+        seeds, beta = [5, 2, 9], 0.6
+        theta0 = np.random.default_rng(2).standard_normal(prob.d)
+        traces = run(alg, beta, table, prob, seeds, theta0=theta0, record_every=record_every,
+                     record_theta=True)
+        state = OptimizerState.initial(np.tile(theta0, (len(seeds), 1)), beta, alg)
+        thetas = []
+        for t in range(table.T):
+            if t % record_every == 0:
+                thetas.append(state.theta.copy())
+            idx = batch_indices(seeds, range(len(seeds)), t, int(table.batch[t]), prob.n)
+            step(state, prob.minibatch_gradient(state.theta, idx), float(table.lr[t]))
+        for r, tr in enumerate(traces):
+            np.testing.assert_array_equal(tr.t, np.arange(0, table.T, record_every))
+            assert_bits(tr.theta, [theta[r] for theta in thetas])
+            assert_bits(tr.theta_final, state.theta[r])
+            f, g = prob.value_and_grad(np.vstack([tr.theta, tr.theta_final]))
+            assert_bits(np.append(tr.f, tr.final_f), f)
+            assert_bits(np.append(tr.grad_norm_sq, tr.final_grad_norm_sq),
+                        np.einsum("ij,ij->i", g, g))
 
     def test_step_matches_the_expression_form(self, rng):
         for alg in ("nshb", "shb"):
