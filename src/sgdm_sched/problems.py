@@ -61,7 +61,7 @@ def _anchor_array(anchors) -> np.ndarray:
     """Anchors as a read-only C-contiguous float64 array; ValueError unless
     they form a non-empty, finite (n, d) array."""
     anchors = np.ascontiguousarray(np.asarray(anchors, dtype=np.float64))
-    if anchors.ndim != 2 or anchors.shape[0] < 1:
+    if anchors.ndim != 2 or min(anchors.shape) < 1:
         raise ValueError("anchors must be a non-empty (n, d) array")
     if not np.all(np.isfinite(anchors)):
         raise ValueError("anchors must be finite")
@@ -226,7 +226,9 @@ class LogCoshProblem:
       an interval whose bound plus 3 rho is below the largest computed value
       so far holds no grid point whose computed value reaches it, and
       bisecting the index range of the grid, level by level, and dropping
-      such intervals finds the exact computed grid maximum.
+      such intervals finds the exact computed grid maximum.  The d searches
+      run together: all coordinates advance a level at a time, and one call
+      evaluates the level's points of every coordinate.
 
     So sigma_sq = sum_j max_grid v_j + d M h^2/8 + d 4(n + 4) eps c^2.  The
     terms are kept in ``sigma_certificate``.
@@ -287,70 +289,92 @@ class LogCoshProblem:
         h = float(np.diff(grid).max())
         eps = float(np.finfo(np.float64).eps)
         margin = 3.0 * 4.0 * (self.n + 4) * eps * c * c  # the search's 3 rho
-        per_coord_max = [self._grid_max(grid, j, M, margin) for j in range(self.d)]
         return {
             "box_radius": R,
             "grid_points_per_coord": SIGMA_GRID_POINTS,
-            "grid_max": math.fsum(per_coord_max),
+            "grid_max": math.fsum(self._grid_max(grid, M, margin)),
             "curvature_bound": M,
             "grid_spacing": h,
             "curvature_slack": self.d * M * h * h / 8.0,
             "rounding_margin": self.d * 4.0 * (self.n + 4) * eps * c * c,
         }
 
-    def _grid_max(self, grid: np.ndarray, j: int, M: float, margin: float) -> float:
-        """max of the computed v_j over ``grid``, by the search of the class docstring.
+    def _grid_max(self, grid: np.ndarray, M: float, margin: float) -> np.ndarray:
+        """The max of each computed v_j over ``grid``, by the search of the class docstring.
+
+        All d coordinates advance together, a level at a time.  Each interval
+        carries its coordinate, the grid indices lo < hi of its ends and their
+        two values; ``best`` and ``unseen`` are kept per coordinate, so every
+        coordinate prunes as it would alone, and one ``_variance_terms`` call
+        evaluates the level's points of all coordinates.
 
         Where v_j is flat against its curvature bound, bisection prunes
         nothing until the intervals are a few cells wide and so evaluates
         nearly every point, one level at a time.  As v_j >= 0, an interval
         four cells wide can only be pruned once the best value exceeds its
-        curvature slack.  So once an interior point has been seen, if the best
-        value is still below that slack and the kept intervals hold more than
-        half of the unevaluated points, the search evaluates all those points
-        in one call instead.  Either way the result is the computed grid
-        maximum, since each value is independent of the others.
+        curvature slack.  So once an interior point of coordinate j has been
+        seen, if its best value is still below that slack and its kept
+        intervals hold more than half of its unevaluated points, the level
+        evaluates all those points and drops the coordinate's intervals.
+        Either way the result is the computed grid maximum, since each value
+        is independent of the others.
         """
-        v = np.empty(grid.size)
-        v[[0, -1]] = self._variance_terms(grid[[0, -1]], j)
-        best = max(v[0], v[-1])
-        unseen = grid.size - 2
+        d, last = self.d, grid.size - 1
+        coord = np.arange(d)
+        lo, hi = np.zeros(d, dtype=np.intp), np.full(d, last)
+        ends = self._variance_terms(grid[np.concatenate((lo, hi))], np.concatenate((coord, coord)))
+        v_lo, v_hi = ends[:d], ends[d:]
+        best = np.maximum(v_lo, v_hi)
+        unseen = np.full(d, last - 1)
         cells4 = 4.0 * float(grid[1] - grid[0])
         flat = M * cells4 * cells4 / 8.0 + margin  # python floats: overflow gives inf
-        lo, hi = np.array([0]), np.array([grid.size - 1])
         while True:
             with np.errstate(over="ignore"):  # an infinite bound never prunes
-                reach = np.maximum(v[lo], v[hi]) + M * (grid[hi] - grid[lo]) ** 2 / 8.0 + margin
-            keep = (hi - lo >= 2) & (reach >= best)
+                reach = np.maximum(v_lo, v_hi) + M * (grid[hi] - grid[lo]) ** 2 / 8.0 + margin
+            keep = (hi - lo >= 2) & (reach >= best[coord])
             if not keep.any():
-                return float(best)
-            lo, hi = lo[keep], hi[keep]
-            if best <= flat and unseen < grid.size - 2 and 2 * int((hi - lo - 1).sum()) > unseen:
-                inside = np.zeros(grid.size + 1, dtype=np.int64)
-                inside[lo + 1] += 1  # the interiors of the kept intervals are disjoint
-                inside[hi] -= 1
-                rest = np.flatnonzero(np.cumsum(inside[:-1]))
-                return float(max(best, self._variance_terms(grid[rest], j).max()))
+                return best
+            coord, lo, hi, v_lo, v_hi = (a[keep] for a in (coord, lo, hi, v_lo, v_hi))
+            inner = hi - lo - 1
+            kept = np.bincount(coord, weights=inner, minlength=d)
+            at_once = ((best <= flat) & (unseen < last - 1) & (2 * kept > unseen))[coord]
+            # every point inside a flat coordinate's kept intervals: their
+            # interiors are disjoint and unseen
+            runs = inner[at_once]
+            rest = np.repeat(lo[at_once] + 1 - np.cumsum(runs) + runs, runs) + np.arange(runs.sum())
+            rest_coord = np.repeat(coord[at_once], runs)
+            coord, lo, hi, v_lo, v_hi = (a[~at_once] for a in (coord, lo, hi, v_lo, v_hi))
             mid = (lo + hi) // 2
-            v[mid] = self._variance_terms(grid[mid], j)
-            best = max(best, v[mid].max())
-            unseen -= mid.size
+            j = np.concatenate((coord, rest_coord))
+            v = self._variance_terms(grid[np.concatenate((mid, rest))], j)
+            np.maximum.at(best, j, v)
+            unseen -= np.bincount(coord, minlength=d)
+            v_mid = v[: mid.size]
+            coord = np.concatenate((coord, coord))
             lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+            v_lo, v_hi = np.concatenate((v_lo, v_mid)), np.concatenate((v_mid, v_hi))
 
-    def _variance_terms(self, x: np.ndarray, j: int) -> np.ndarray:
-        """v_j at the points ``x``.
+    def _variance_terms(self, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """v_j[k] at the points x[k], point k on coordinate j[k].
 
-        Each point's value comes from its own contiguous row of g, so it does
-        not depend on the other points; blocks hold about 2^18 values (2 MB)
-        whatever n is.
+        Each point's value comes from its own contiguous row of g, computed in
+        place from the point's anchor column, so it does not depend on the
+        other points; blocks hold about 2^13 values (64 KB) whatever n is.
         """
         c = self.amp / self.scale
-        a_j = self.anchors[None, :, j]
-        block = max(1, 2**18 // self.n)
+        columns = self.anchors.T
+        block = max(1, 2**13 // self.n)
         v = np.empty(x.size)
         for lo in range(0, x.size, block):
-            g = c * np.tanh((x[lo : lo + block, None] - a_j) / self.scale)
-            v[lo : lo + block] = np.einsum("pi,pi->p", g, g) / self.n - g.mean(axis=1) ** 2
+            g = columns[j[lo : lo + block]]
+            np.subtract(x[lo : lo + block, None], g, out=g)
+            g /= self.scale
+            np.tanh(g, out=g)
+            g *= c
+            u = v[lo : lo + block]
+            np.einsum("pi,pi->p", g, g, out=u)
+            u /= self.n
+            u -= g.mean(axis=1) ** 2
         return v
 
     def value_and_grad(self, theta: np.ndarray):

@@ -26,6 +26,13 @@ def test_problems_module_imports_nothing_from_the_package():
     assert relative == []
 
 
+@pytest.mark.parametrize("cls", [QuadraticMeanProblem, LogCoshProblem])
+@pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)])
+def test_anchors_without_rows_or_columns_are_refused(cls, shape):
+    with pytest.raises(ValueError, match=r"non-empty \(n, d\) array"):
+        cls(np.zeros(shape))
+
+
 def _fd_gradient(fun, theta, h=1e-5):
     """Central finite differences, the independent gradient oracle."""
     g = np.empty_like(theta)
@@ -249,8 +256,8 @@ class TestLogCosh:
         assert s["rounding_margin"] == pytest.approx(margin, rel=1e-14)
 
     def test_certificate_memory_is_bounded_in_n(self):
-        # the grid is evaluated in blocks of about 2^18 values, so set-up
-        # holds a few MB of temporaries however large n is
+        # the grid is evaluated in blocks of about 2^13 values, so set-up
+        # holds a few hundred KB of temporaries however large n is
         tracemalloc.start()
         try:
             LogCoshProblem.generate(1, 4096)
@@ -314,6 +321,54 @@ class TestLogCosh:
                 seed=k,
             )
             assert prob.sigma_certificate["grid_max"] == _full_grid_max(prob), k
+
+    def test_coordinates_finishing_at_different_levels(self):
+        # a different spread per column puts flat coordinates, evaluated in
+        # bulk, and sharp ones, bisected to the last level, in one search
+        rng = np.random.default_rng(2113)
+        for k in range(40):
+            d = int(rng.integers(3, 13))
+            n = round(10 ** rng.uniform(0.0, math.log10(600.0)))
+            anchors = rng.standard_normal((n, d)) * 10 ** rng.uniform(-2.5, 0.5, size=d)
+            prob = LogCoshProblem(
+                anchors,
+                scale=float(10 ** rng.uniform(math.log10(0.05), math.log10(3.0))),
+                amp=float(10 ** rng.uniform(-1.0, 1.0)),
+                box_radius=float(rng.uniform(0.5, 10.0)),
+            )
+            assert prob.sigma_certificate["grid_max"] == _full_grid_max(prob), k
+
+    def test_one_search_for_all_coordinates(self, monkeypatch):
+        # the d coordinates advance together: one call per level, so the
+        # call count follows log2 of the grid size, not d
+        calls = points = 0
+        terms = LogCoshProblem._variance_terms
+
+        def counting_terms(self, x, j):
+            nonlocal calls, points
+            calls += 1
+            points += x.size
+            return terms(self, x, j)
+
+        monkeypatch.setattr(LogCoshProblem, "_variance_terms", counting_terms)
+        LogCoshProblem.generate(20, 1024, seed=3)
+        assert calls <= math.log2(SIGMA_GRID_POINTS) + 3
+        assert points == 926
+
+    def test_certificate_transient_memory_on_the_benchmark_problem(self):
+        # the search holds 64 KB blocks and per-level interval arrays; a
+        # dense (d, grid) value array (320 KB here) or blocks of 2^14 values
+        # exceed the bound
+        anchors = np.random.default_rng((3,)).standard_normal((1024, 20))
+        LogCoshProblem(anchors)
+        tracemalloc.start()
+        try:
+            prob = LogCoshProblem(anchors)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prob.sigma_sq == LogCoshProblem.generate(20, 1024, seed=3).sigma_sq
+        assert peak - kept <= 256 * 2**10
 
     @pytest.mark.parametrize("d, n, kwargs", [
         (3, 600, dict(spread=0.01, scale=0.05, box_radius=10.0, seed=7)),
