@@ -18,13 +18,21 @@ counter-based stream (Salmon et al., SC'11): index j of the step-t batch of
 with mix the SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA'14),
 G = 0x9E3779B97F4A7C15 and all arithmetic mod 2^64.  The bounded map rejects
 the 2^64 mod n surplus words, so each index is exactly uniform on [0, n) when
-the hash words are (``batch_indices`` gives the argument).  For n = 2^k there
-is no surplus and the map is the top k bits of the word, one shift.  Runs
-are deterministic, and streams can be shared across algorithms exactly.
-``run`` evaluates the same stream in blocks, drawing the (K, b, R) indices
-of all seeds over a run of K consecutive equal-batch steps in one
-vectorized call; since every word is a pure function of (s, i, t, j),
-blocking changes no index.
+the hash words are (``batch_indices`` gives the argument).  Runs are
+deterministic, and streams can be shared across algorithms exactly.
+
+For n = 2^k (k <= 31, as n < 2^32) there is no surplus, and the map is
+floor(x*2^k / 2^64) = x >> (64 - k), the top k bits of the word.  Those bits
+are known before mix's last step x = y ^ (y >> 31): y >> 31 < 2^33, so the
+xor changes bits 0..32 of y only, and bits 33..63 of x are those of y.  As
+64 - k >= 33, idx = x >> (64 - k) = y >> (64 - k), and the draw skips that
+step for such n.  Any other n takes the whole finalizer and the bounded map.
+
+``run`` and ``batch_indices`` draw through one generator, ``_index_blocks``:
+it yields the (K, b, R) indices of all seeds over K consecutive equal-batch
+steps at a time, mixing the step keys mix(key + t*G) of several blocks at
+once and hashing each block's words in place.  Every word is a pure function
+of (s, i, t, j), so blocking changes no index.
 
 ``run`` is a lockstep engine: the R master seeds of an experiment advance
 together as the rows of (R, d) parameter and momentum arrays, so each step
@@ -176,17 +184,47 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 _LOW32 = np.uint64(0xFFFFFFFF)
 # shift counts as uint64 scalars: python-int operands cost a conversion per call
 _SHIFT = {k: np.uint64(k) for k in (27, 30, 31, 32)}
-STREAM_LIMIT = 2**64  # master seeds and run indices are stream words in [0, 2^64)
+STREAM_LIMIT = 2**64  # master seeds, run indices and steps are stream words in [0, 2^64)
+
+
+def _premix(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer up to its last step x ^= x >> 31, in place:
+    overwrites and returns x, with the x-shaped uint64 ``scratch`` holding
+    each shifted copy."""
+    for shift, mul in ((_SHIFT[30], _MUL1), (_SHIFT[27], _MUL2)):
+        np.right_shift(x, shift, out=scratch)
+        x ^= scratch
+        x *= mul
+    return x
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, a bijection of uint64 words; overwrites and returns x."""
-    x ^= x >> _SHIFT[30]
-    x *= _MUL1
-    x ^= x >> _SHIFT[27]
-    x *= _MUL2
-    x ^= x >> _SHIFT[31]
+    scratch = np.empty_like(x)
+    _premix(x, scratch)
+    np.right_shift(x, _SHIFT[31], out=scratch)
+    x ^= scratch
     return x
+
+
+def _whole(value) -> int | None:
+    """``value`` as an int if it is a whole number (2, 2.0, np.uint64(2)),
+    else None (2.5, NaN, inf, None, "2")."""
+    try:
+        w = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return w if w == value else None
+
+
+def _count(value, what: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int if it is a whole number in [lo, hi), hi a power of
+    two or None for no bound; else ValueError: 2.5 is refused, not truncated."""
+    w = _whole(value)
+    if w is None or w < lo or hi is not None and w >= hi:
+        where = f">= {lo}" if hi is None else f"in [{lo}, 2**{hi.bit_length() - 1})"
+        raise ValueError(f"{what} must be a whole number {where}, got {value!r}")
+    return w
 
 
 def _stream_words(values, what: str) -> list[int]:
@@ -195,16 +233,10 @@ def _stream_words(values, what: str) -> list[int]:
     A value that is not a whole number (1.5, NaN, "3") is refused rather
     than truncated: it would key another seed's stream.
     """
-    words = []
-    for v in np.ravel(np.asarray(values, dtype=object)):
-        try:
-            w = int(v)
-        except (TypeError, ValueError, OverflowError):  # None, NaN, inf, "x"
-            w = -1
-        if w != v or not 0 <= w < STREAM_LIMIT:
-            raise ValueError(
-                f"{what} must be in [0, 2**64) and be integers, to key the sampling stream")
-        words.append(w)
+    words = [_whole(v) for v in np.ravel(np.asarray(values, dtype=object))]
+    if not all(w is not None and 0 <= w < STREAM_LIMIT for w in words):
+        raise ValueError(
+            f"{what} must be in [0, 2**64) and be integers, to key the sampling stream")
     return words
 
 
@@ -215,13 +247,9 @@ def _bounded(x: np.ndarray, n: int) -> np.ndarray:
     limbs of x.  Words whose low product word x*n mod 2^64 falls below
     2^64 mod n are rejected and redrawn as mix(x + G), so every index value
     keeps exactly floor(2^64/n) preimages and the map is exactly uniform.
-
-    For n = 2^k nothing is rejected (2^64 mod n = 0) and floor(x*2^k / 2^64)
-    is x >> (64 - k), computed as one shift; n = 1 shifts by 64, which numpy
-    defines as 0.
+    For n = 2^k nothing is rejected (2^64 mod n = 0); the draw maps such n
+    by a shift instead (module docstring).
     """
-    if n & (n - 1) == 0:
-        return (x >> np.uint64(65 - int(n).bit_length())).view(np.int64)
     n64 = np.uint64(n)
     threshold = np.uint64(STREAM_LIMIT % n)
     while True:
@@ -234,6 +262,21 @@ def _bounded(x: np.ndarray, n: int) -> np.ndarray:
         return (high >> _SHIFT[32]).view(np.int64)  # < n < 2^32, so the bits agree
 
 
+def _indices(x: np.ndarray, n: int) -> np.ndarray:
+    """The indices on [0, n) of the hash words mix(x), as int64 of x's shape.
+
+    Overwrites x.  For n = 2^k the result is x itself: the top k bits of the
+    word before mix's last step, shifted down in place (the module docstring
+    proves them the bounded map's); any other n takes the whole finalizer
+    and ``_bounded``.
+    """
+    if n & (n - 1):
+        return _bounded(_mix(x), n)
+    _premix(x, np.empty_like(x))
+    x >>= np.uint64(65 - n.bit_length())  # n = 1 shifts by 64, which numpy defines as 0
+    return x.view(np.int64)
+
+
 def _stream_key(master_seed, run_index) -> np.ndarray:
     """Per-row stream keys mix(mix(s + G) + i*G), constant for a whole run."""
     seeds = np.array(_stream_words(master_seed, "master seeds"), dtype=np.uint64)
@@ -243,27 +286,15 @@ def _stream_key(master_seed, run_index) -> np.ndarray:
     return _mix(_mix(seeds + _GOLDEN) + runs * _GOLDEN)
 
 
-def _check_dataset_size(n: int) -> None:
-    if not 1 <= n < 2**32:
-        raise ValueError(f"dataset size n must be in [1, 2**32), got {n}")
-
-
-def _draw(key: np.ndarray, t: int, b: int, n: int, steps: int = 1) -> np.ndarray:
-    """(steps, b, R) indices on [0, n) of steps t..t+steps-1 for the R stream keys ``key``.
-
-    Every word is hashed and bounded on its own, so a step's indices are the
-    same whichever block of steps they are drawn in.
-    """
-    step_keys = _mix(key + np.arange(t, t + steps, dtype=np.uint64)[:, None] * _GOLDEN)
-    counters = np.arange(1, b + 1, dtype=np.uint64)[:, None] * _GOLDEN
-    return _bounded(_mix(step_keys[:, None, :] + counters), n)
-
-
 # Index words per block of steps that ``run`` draws at once, and the
-# quadratic gathers at once (unless one step needs more): the block and the
-# draw's temporaries are 32 KB arrays, far below glibc's 128 KB mmap
-# threshold.  2^13 words raised the log-cosh benchmark's peak RSS by about
-# 0.2 MB, and 2^14 the quad-bench64 benchmark's by about 0.5 MB.
+# quadratic gathers at once: a block has K = max(1, _BLOCK_WORDS // (R*b))
+# steps, so it is a 32 KB array unless one step needs more.  A step with
+# R*b > 2^12 is a block of its own, 512 KB at R = 16, b = 4096.  Besides the
+# block it yields, the draw holds at most max(2^12, R) mixed step keys; the
+# scratch array of a block's size that hashing works in is freed before the
+# block is yielded (kept for a whole run, it raised quad-bench64's peak RSS
+# by 0.2-0.3 MB).  2^13 words raised the log-cosh benchmark's peak RSS by
+# about 0.2 MB, and 2^14 the quad-bench64 benchmark's by about 0.5 MB.
 _BLOCK_WORDS = 2**12
 # Words of each (J, R, d) array of recorded steps that ``run`` observes at
 # once: 2^12 words made quad-bench64 about 10% slower, and 2^15 raised the
@@ -271,16 +302,31 @@ _BLOCK_WORDS = 2**12
 _OBSERVE_WORDS = 2**14
 
 
-def _index_blocks(key: np.ndarray, batch: np.ndarray, n: int):
-    """Yield the (K, b, R) indices of the steps in order, one block of at most
-    max(1, _BLOCK_WORDS // (R*b)) consecutive equal-batch steps at a time."""
+def _index_blocks(key: np.ndarray, batch, n: int, t0: int = 0):
+    """Yield the (K, b, R) indices on [0, n) of steps t0, t0 + 1, ... in order,
+    ``batch`` giving each step's batch size and ``key`` the R stream keys;
+    a block holds at most K = max(1, _BLOCK_WORDS // (R*b)) consecutive
+    equal-batch steps.
+
+    Every word is hashed and bounded on its own, so a step's indices are the
+    same whichever block they are drawn in.  Each yielded block is a new
+    array, hashed in place; the step keys are mixed G steps at a time, G a
+    whole number of blocks and at most max(K, _BLOCK_WORDS // R).
+    """
     R = key.size
+    batch = np.asarray(batch)
     starts = [0, *(np.flatnonzero(np.diff(batch)) + 1).tolist()]
     for lo, hi in zip(starts, [*starts[1:], batch.size]):
         b = int(batch[lo])
-        K = max(1, _BLOCK_WORDS // (R * b))
-        for t in range(lo, hi, K):
-            yield _draw(key, t, b, n, min(K, hi - t))
+        K = min(hi - lo, max(1, _BLOCK_WORDS // max(1, R * b)))
+        G = K * max(1, _BLOCK_WORDS // max(1, R * K))  # whole blocks of up to 2^12 keys
+        counters = np.arange(1, b + 1, dtype=np.uint64)[:, None] * _GOLDEN
+        for g in range(lo, hi, G):
+            steps = np.arange(min(G, hi - g), dtype=np.uint64) + np.uint64(t0 + g)
+            keys = _mix(key + steps[:, None] * _GOLDEN)[:, None, :]
+            for i in range(0, keys.shape[0], K):
+                x = np.add(keys[i : i + K], counters)
+                yield _indices(x, n)
 
 
 def batch_indices(master_seed, run_index, t: int, b: int, n: int) -> np.ndarray:
@@ -288,21 +334,25 @@ def batch_indices(master_seed, run_index, t: int, b: int, n: int) -> np.ndarray:
 
     A pure function of (master_seed, run_index, t, b, n), computed from the
     counter-based stream of the module docstring, so any step of any run can
-    be drawn on its own.  Scalar ``master_seed`` and ``run_index`` give shape
-    (b,); equal-length sequences of R seeds and run indices give (R, b), row
-    r equal to the scalar call for (master_seed[r], run_index[r]).
+    be drawn on its own; ``run`` draws through the same ``_index_blocks``.
+    Scalar ``master_seed`` and ``run_index`` give shape (b,); equal-length
+    sequences of R seeds and run indices give (R, b), row r equal to the
+    scalar call for (master_seed[r], run_index[r]).  t must be a whole
+    number in [0, 2^64), b one >= 0 and n one in [1, 2^32); 2.0 counts as
+    2, while 2.5 is refused (ValueError) rather than truncated onto another
+    sample.
 
     Exactly uniform: modelling the hash words x as uniform on [0, 2^64), the
     multiply-high map floor(x*n / 2^64) hits each index floor(2^64/n) or
     floor(2^64/n) + 1 times; rejecting the 2^64 mod n words whose low product
     word is below 2^64 mod n removes the surplus (Lemire, TOMACS 2019).
     """
-    b, n, t = int(b), int(n), int(t)
-    _check_dataset_size(n)
-    if b < 0 or t < 0:
-        raise ValueError(f"batch size and step must be >= 0, got b={b}, t={t}")
+    t = _count(t, "step t", 0, STREAM_LIMIT)
+    b = _count(b, "batch size b", 0)
+    n = _count(n, "dataset size n", 1, 2**32)
     single = np.ndim(master_seed) == 0 and np.ndim(run_index) == 0
-    idx = _draw(_stream_key(master_seed, run_index), t, b, n)[0].T
+    (idx,) = _index_blocks(_stream_key(master_seed, run_index), [b], n, t)
+    idx = idx[0].T
     return np.ascontiguousarray(idx[0] if single else idx)
 
 
@@ -321,12 +371,12 @@ def empirical_minibatch_variance(
     sampling stream every run uses: ``batch_indices(seed, i, 0, b, n)``,
     run index i at step 0 of master seed ``seed``.  Trials are evaluated
     ``chunk`` at a time to bound the memory of the gather; the standard
-    error of the mean comes from the same trials.
+    error of the mean comes from the same trials.  ``b``, ``trials`` and
+    ``chunk`` must be whole numbers (2.0 counts as 2; 2.5 is a ValueError).
     """
-    if b < 1:
-        raise ValueError("batch size must be >= 1")
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for a usable estimate")
+    b = _count(b, "batch size b", 1)
+    trials = _count(trials, "trials (for a usable estimate)", 1000)
+    chunk = _count(chunk, "chunk", 1)
     theta = np.asarray(theta, dtype=np.float64)
     sq = np.empty(trials)
     for lo in range(0, trials, chunk):
@@ -427,7 +477,7 @@ def run(
     R, d = len(seeds), problem.d
     (first,) = _stream_words(run_index, "run indices")
     key = _stream_key(seeds, range(first, first + R))
-    _check_dataset_size(problem.n)
+    _count(problem.n, "dataset size n", 1, 2**32)
     if theta0 is None:
         theta0 = np.random.default_rng((int(theta0_seed),)).standard_normal(d)
     theta0 = np.asarray(theta0, dtype=np.float64)

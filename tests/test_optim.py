@@ -13,6 +13,7 @@ from sgdm_sched.optim import (
     OptimizerState,
     _bounded,
     _index_blocks,
+    _indices,
     _mix,
     _stream_key,
     batch_indices,
@@ -142,7 +143,8 @@ class TestBatchIndices:
             np.testing.assert_array_equal(idx[r], batch_indices(s, i, 9, 12, 1000))
         assert batch_indices(11, 0, 9, b=12, n=1000).shape == (12,)
 
-    # every power of two takes the one-shift path, the others multiply-high
+    # powers of two included: the draw's shift for them is checked against
+    # this map in TestStreamOracle
     @pytest.mark.parametrize("n", [17, 1000, 2**32 - 1, *(2**k for k in range(32))])
     def test_bounded_map_is_the_exact_multiply_high(self, n, rng):
         words = [int(w) for w in rng.integers(0, 2**64, size=2000, dtype=np.uint64)]
@@ -198,6 +200,109 @@ class TestBatchIndices:
         sq = np.einsum("ij,ij->i", dev, dev)
         stderr = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(sq.mean() - prob.sigma_sq / b) <= 3.0 * stderr
+
+    @pytest.mark.parametrize("t, b, n", [
+        (2.5, 4, 256), (3, 4.9, 256), (3, 4, 256.7), (2**64, 4, 256), (-1, 4, 256),
+        (3, -1, 256), (3, 4, 0), (3, 4, 2**32), (math.nan, 4, 256), (3, math.inf, 256),
+        (3, 4, None), ("3", 4, 256),
+    ])
+    def test_refuses_a_step_batch_or_size_that_is_not_whole(self, t, b, n):
+        # 2.5 would draw step 2's indices, b = 4.9 four of them and n = 256.7
+        # from [0, 256)
+        with pytest.raises(ValueError, match="must be a whole number"):
+            batch_indices(3, 0, t, b, n)
+
+    def test_whole_floats_draw_the_int_sample(self):
+        ref = batch_indices([3, 4], [0, 1], 2, 4, 256)
+        for t, b, n in [(2.0, 4, 256), (2, 4.0, 256), (2, 4, 256.0),
+                        (np.float64(2.0), np.uint64(4), np.int32(256))]:
+            np.testing.assert_array_equal(batch_indices([3, 4], [0, 1], t, b, n), ref)
+
+
+# The sampling stream of the module docstring in Python ints: the reference
+# the vectorized draw is checked against.
+_M64, _G = 2**64, 0x9E3779B97F4A7C15
+_MUL1_INT, _MUL2_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def py_premix(x: int) -> int:
+    x ^= x >> 30
+    x = x * _MUL1_INT % _M64
+    x ^= x >> 27
+    return x * _MUL2_INT % _M64
+
+
+def py_mix(x: int) -> int:
+    x = py_premix(x)
+    return x ^ (x >> 31)
+
+
+def py_unpremix(y: int) -> int:
+    """The word x with py_premix(x) == y."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+    y = unshift(y * pow(_MUL2_INT, -1, _M64) % _M64, 27)
+    return unshift(y * pow(_MUL1_INT, -1, _M64) % _M64, 30)
+
+
+def py_bounded(x: int, n: int) -> int:
+    while (x * n) % _M64 < _M64 % n:  # reject, redraw mix(x + G)
+        x = py_mix((x + _G) % _M64)
+    return (x * n) >> 64
+
+
+def py_batch(seed: int, run_index: int, t: int, b: int, n: int) -> list[int]:
+    key = py_mix((py_mix((seed + _G) % _M64) + run_index * _G) % _M64)
+    step_key = py_mix((key + t * _G) % _M64)
+    return [py_bounded(py_mix((step_key + (j + 1) * _G) % _M64), n) for j in range(b)]
+
+
+ORACLE_SIZES = [1, 2, 256, 1024, 2**31, 17, 1000, 2**32 - 1]
+
+
+class TestStreamOracle:
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_batch_indices_equal_the_python_stream(self, n):
+        seeds, runs = [0, 2**64 - 1, 11], [5, 2**64 - 1, 0]
+        for t in (0, 7, 2**64 - 1):
+            idx = batch_indices(seeds, runs, t, 50, n)
+            assert idx.dtype == np.int64
+            assert idx.tolist() == [py_batch(s, i, t, 50, n) for s, i in zip(seeds, runs)]
+        assert batch_indices(9, 3, 2, 1, n).tolist() == py_batch(9, 3, 2, 1, n)
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_index_blocks_equal_the_python_stream(self, n):
+        # R = 2: b = 1 runs 2048 steps a block (K) and a key group (G), so its
+        # 2100 steps cross a group; b = 5 ends in a short block; b = 2100 is a
+        # K = 1 step of R*b > _BLOCK_WORDS words
+        seeds = [4, 2**63]
+        batch = np.repeat([1, 5, 2100], [2100, 30, 2])
+        blocks = list(_index_blocks(_stream_key(seeds, range(2)), batch, n))
+        steps = [step for blk in blocks for step in blk.transpose(0, 2, 1).tolist()]
+        assert len(steps) == batch.size
+        for t, got in enumerate(steps):
+            assert got == [py_batch(s, r, t, int(batch[t]), n) for r, s in enumerate(seeds)]
+
+    @pytest.mark.parametrize("k", range(32))
+    def test_power_of_two_shortcut_equals_the_full_map(self, k, rng):
+        # words y before mix's last step y ^ (y >> 31): random ones, and edges
+        # where the low bits that step changes are all 0, all 1 or straddle 2^32
+        n = 2**k
+        edges = [0, 2**64 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33 - 1, 2**63]
+        ys = edges + [int(w) for w in rng.integers(0, 2**64, size=500, dtype=np.uint64)]
+        x = np.array([py_unpremix(y) for y in ys], dtype=np.uint64)
+        full = _bounded(_mix(x.copy()), n)
+        got = _indices(x.copy(), n)
+        np.testing.assert_array_equal(got, full)
+        assert got.tolist() == [(py_mix(py_unpremix(y)) * n) >> 64 for y in ys]
+        assert got.tolist() == [y >> (64 - k) for y in ys]
+        # the same edges as the hashed words x themselves
+        x = np.array(edges, dtype=np.uint64)
+        np.testing.assert_array_equal(_indices(x.copy(), n),
+                                      _bounded(_mix(x.copy()), n))
 
 
 class TestRun:
@@ -702,6 +807,23 @@ class TestBlockedGradients:
         for t, gradient in enumerate(gradients):
             idx = batch_indices(seeds, range(5), t, int(batch[t]), prob.n)
             assert_bits(gradient(theta), prob.minibatch_gradient(theta, idx))
+
+
+    def test_collected_blocks_own_their_memory(self):
+        # n = 1024 maps by the shift in place; b = 2048 at R = 4 is a K = 1 step
+        # of 8192 > _BLOCK_WORDS words and b = 3 a run of K = 341 step blocks.
+        # A buffer reused across blocks would show in the blocks kept by list()
+        seeds, n = [11, 4, 29, 0], 1024
+        batch = np.repeat([2048, 3, 2048], [4, 700, 2])
+        assert 4 * 2048 > _BLOCK_WORDS
+        blocks = list(_index_blocks(_stream_key(seeds, range(4)), batch, n))
+        assert [blk.shape[:2] for blk in blocks] == [(1, 2048)] * 4 + [(341, 3)] * 2 + [
+            (18, 3), (1, 2048), (1, 2048)]
+        for i, a in enumerate(blocks):
+            assert not any(np.shares_memory(a, c) for c in blocks[i + 1 :])
+        steps = [step for blk in blocks for step in blk]
+        for t, got in enumerate(steps):
+            np.testing.assert_array_equal(got.T, batch_indices(seeds, range(4), t, int(batch[t]), n))
 
 
 class TestStepInPlace:

@@ -540,3 +540,20 @@ class TestMinibatchVariance:
         prob = QuadraticMeanProblem.generate(2, 8, seed=0)
         with pytest.raises(ValueError):
             empirical_minibatch_variance(prob, np.zeros(2), b=1, trials=999, seed=0)
+
+    @pytest.mark.parametrize("b, trials, chunk", [
+        (2.5, 1000, 4096), (1, 1000.5, 4096), (1, 1000, 100.5), (0, 1000, 4096),
+        (1, 1000, 0), (math.nan, 1000, 4096), (1, math.inf, 4096), ("2", 1000, 4096),
+    ])
+    def test_refuses_counts_that_are_not_whole(self, b, trials, chunk):
+        # b = 2.5 used to estimate the b = 2 variance; trials = 1000.5 was a TypeError
+        prob = QuadraticMeanProblem.generate(2, 8, seed=0)
+        with pytest.raises(ValueError, match="whole number"):
+            empirical_minibatch_variance(prob, np.zeros(2), b=b, trials=trials, seed=0, chunk=chunk)
+
+    def test_whole_float_counts_equal_the_ints(self):
+        prob = QuadraticMeanProblem.generate(2, 8, seed=0)
+        ref = empirical_minibatch_variance(prob, np.ones(2), b=2, trials=1000, seed=3, chunk=300)
+        got = empirical_minibatch_variance(prob, np.ones(2), b=2.0, trials=1000.0, seed=3.0,
+                                           chunk=np.float64(300.0))
+        assert got == ref and type(got.trials) is int
