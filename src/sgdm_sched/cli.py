@@ -6,9 +6,10 @@ pass, 1 bound-check failure, 2 config/flag error, 3 admissibility failure in
 strict mode, 4 divergence.  Every subcommand lets its failures propagate to
 `main`, whose `_EXIT_CODES` table alone maps an exception to its exit code
 and stderr line; every exit-2 failure (a bad config or flag, an unreadable
-input, an --out that cannot be made a directory, which is found before the
-first step) prints `config error: ...`.  `run` exits 0 when
-every check of the report passes (`AggregateReport.passed`), else 1.  The
+input, a schedule table too large to allocate, an --out that cannot be made
+a directory, which is found before the first step) prints
+`config error: ...`.  `run` exits 0 when every check of the report passes
+(`AggregateReport.passed`), else 1.  The
 SGDM_SCHED_OUT environment variable overrides the default output root
 (./runs).  Flags are never abbreviated.
 
@@ -296,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 # command becomes an exit code.  The first matching row wins: the
 # admissibility errors are ScheduleErrors, hence ValueErrors, so they come
 # before the config row.  OSError covers an unreadable input and an
-# unwritable --out.
+# unwritable --out, MemoryError a schedule table too large to allocate.
 _EXIT_CODES = (
     ((schedules.MomentumTooLarge, schedules.InadmissibleSchedule), EXIT_ADMISSIBILITY,
      "admissibility: FAIL ({})"),
     ((optim.NumericalDivergence, problems.IterateOutsideCertifiedBox), EXIT_DIVERGENCE,
      "divergence: FAIL ({})"),
-    ((ValueError, OSError, harness.BudgetExceeded), EXIT_CONFIG, "config error: {}"),
+    ((ValueError, OSError, MemoryError, harness.BudgetExceeded), EXIT_CONFIG, "config error: {}"),
 )
 
 

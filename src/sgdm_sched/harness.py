@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import optim, problems, schedules, theory
+from ._counts import _count
 from ._fmt import dumps17
 from .schedules import ScheduleSpec
 
@@ -73,6 +74,8 @@ class ProblemSpec:
         for f in fields(self)[4:]:  # every family field: all but family, d, n and seed
             if f.name not in read:
                 object.__setattr__(self, f.name, f.default)
+        for name, lo in (("d", None), ("n", None), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, lo))
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be positive")
 
@@ -101,6 +104,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alg", schedules.check_alg(self.alg))
+        object.__setattr__(self, "theta0_seed", _count(self.theta0_seed, "theta0_seed", 0))
         object.__setattr__(self, "seeds", tuple(optim._stream_words(self.seeds, "master seeds")))
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
@@ -247,7 +251,7 @@ def _run(config: ExperimentConfig, out_dir: str | Path | None) -> AggregateRepor
             f"estimated work {work:.3g} (T x seeds x d x mean batch) exceeds budget {config.budget:.3g}"
         )
 
-    theta0 = np.random.default_rng((int(config.theta0_seed),)).standard_normal(problem.d)
+    theta0 = optim._theta0(config.theta0_seed, problem.d)
     try:
         problem.check_iterate(theta0)
     except problems.IterateOutsideCertifiedBox as exc:

@@ -66,6 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import problems, schedules, theory
+from ._counts import _count, _whole
 
 __all__ = [
     "NumericalDivergence",
@@ -207,26 +208,6 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _whole(value) -> int | None:
-    """``value`` as an int if it is a whole number (2, 2.0, np.uint64(2)),
-    else None (2.5, NaN, inf, None, "2")."""
-    try:
-        w = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return w if w == value else None
-
-
-def _count(value, what: str, lo: int, hi: int | None = None) -> int:
-    """``value`` as an int if it is a whole number in [lo, hi), hi a power of
-    two or None for no bound; else ValueError: 2.5 is refused, not truncated."""
-    w = _whole(value)
-    if w is None or w < lo or hi is not None and w >= hi:
-        where = f">= {lo}" if hi is None else f"in [{lo}, 2**{hi.bit_length() - 1})"
-        raise ValueError(f"{what} must be a whole number {where}, got {value!r}")
-    return w
-
-
 def _stream_words(values, what: str) -> list[int]:
     """A scalar or sequence of whole numbers in [0, 2^64) as a list of ints.
 
@@ -238,6 +219,12 @@ def _stream_words(values, what: str) -> list[int]:
         raise ValueError(
             f"{what} must be in [0, 2**64) and be integers, to key the sampling stream")
     return words
+
+
+def _theta0(theta0_seed, d: int) -> np.ndarray:
+    """The default theta0: the standard-normal d-vector of ``theta0_seed``, a
+    whole number >= 0 (ValueError otherwise)."""
+    return np.random.default_rng((_count(theta0_seed, "theta0_seed", 0),)).standard_normal(d)
 
 
 def _bounded(x: np.ndarray, n: int) -> np.ndarray:
@@ -479,7 +466,7 @@ def run(
     key = _stream_key(seeds, range(first, first + R))
     _count(problem.n, "dataset size n", 1, 2**32)
     if theta0 is None:
-        theta0 = np.random.default_rng((int(theta0_seed),)).standard_normal(d)
+        theta0 = _theta0(theta0_seed, d)
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.ndim != 1:
         raise ValueError("theta0 must be a 1-D vector")

@@ -304,20 +304,9 @@ class LogCoshProblem:
 
         All d coordinates advance together, a level at a time.  Each interval
         carries its coordinate, the grid indices lo < hi of its ends and their
-        two values; ``best`` and ``unseen`` are kept per coordinate, so every
-        coordinate prunes as it would alone, and one ``_variance_terms`` call
-        evaluates the level's points of all coordinates.
-
-        Where v_j is flat against its curvature bound, bisection prunes
-        nothing until the intervals are a few cells wide and so evaluates
-        nearly every point, one level at a time.  As v_j >= 0, an interval
-        four cells wide can only be pruned once the best value exceeds its
-        curvature slack.  So once an interior point of coordinate j has been
-        seen, if its best value is still below that slack and its kept
-        intervals hold more than half of its unevaluated points, the level
-        evaluates all those points and drops the coordinate's intervals.
-        Either way the result is the computed grid maximum, since each value
-        is independent of the others.
+        two values; ``best`` is kept per coordinate, so every coordinate
+        prunes as it would alone, and one ``_variance_terms`` call evaluates
+        the midpoints of the level's kept intervals of all coordinates.
         """
         d, last = self.d, grid.size - 1
         coord = np.arange(d)
@@ -325,9 +314,6 @@ class LogCoshProblem:
         ends = self._variance_terms(grid[np.concatenate((lo, hi))], np.concatenate((coord, coord)))
         v_lo, v_hi = ends[:d], ends[d:]
         best = np.maximum(v_lo, v_hi)
-        unseen = np.full(d, last - 1)
-        cells4 = 4.0 * float(grid[1] - grid[0])
-        flat = M * cells4 * cells4 / 8.0 + margin  # python floats: overflow gives inf
         while True:
             with np.errstate(over="ignore"):  # an infinite bound never prunes
                 reach = np.maximum(v_lo, v_hi) + M * (grid[hi] - grid[lo]) ** 2 / 8.0 + margin
@@ -335,21 +321,9 @@ class LogCoshProblem:
             if not keep.any():
                 return best
             coord, lo, hi, v_lo, v_hi = (a[keep] for a in (coord, lo, hi, v_lo, v_hi))
-            inner = hi - lo - 1
-            kept = np.bincount(coord, weights=inner, minlength=d)
-            at_once = ((best <= flat) & (unseen < last - 1) & (2 * kept > unseen))[coord]
-            # every point inside a flat coordinate's kept intervals: their
-            # interiors are disjoint and unseen
-            runs = inner[at_once]
-            rest = np.repeat(lo[at_once] + 1 - np.cumsum(runs) + runs, runs) + np.arange(runs.sum())
-            rest_coord = np.repeat(coord[at_once], runs)
-            coord, lo, hi, v_lo, v_hi = (a[~at_once] for a in (coord, lo, hi, v_lo, v_hi))
             mid = (lo + hi) // 2
-            j = np.concatenate((coord, rest_coord))
-            v = self._variance_terms(grid[np.concatenate((mid, rest))], j)
-            np.maximum.at(best, j, v)
-            unseen -= np.bincount(coord, minlength=d)
-            v_mid = v[: mid.size]
+            v_mid = self._variance_terms(grid[mid], coord)
+            np.maximum.at(best, coord, v_mid)
             coord = np.concatenate((coord, coord))
             lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
             v_lo, v_hi = np.concatenate((v_lo, v_mid)), np.concatenate((v_mid, v_hi))

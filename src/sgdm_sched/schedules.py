@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._counts import _count
+
 __all__ = [
     "ScheduleError",
     "MomentumTooLarge",
@@ -117,10 +119,14 @@ class ScheduleSpec:
         for f in fields(self)[1:]:  # every field but regime
             if f.name not in read:
                 object.__setattr__(self, f.name, f.default)
+        # counts are refused, naming the field, unless whole: truncated, they
+        # would build another schedule than the corollary reads
+        for name in ("warmup_phases", "batch", "T", "b0", "dataset_size"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _count(value, name))
         if self.epochs_per_phase is not None:
-            object.__setattr__(
-                self, "epochs_per_phase", tuple(int(e) for e in self.epochs_per_phase)
-            )
+            object.__setattr__(self, "epochs_per_phase",
+                               tuple(_count(e, "epochs_per_phase") for e in self.epochs_per_phase))
 
     def build(self, problem_n: int | None):
         """Materialize (table, corollary regime, the corollary's symbols).
@@ -198,9 +204,10 @@ class PhasePlan:
     dataset_size: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "epochs_per_phase", tuple(int(e) for e in self.epochs_per_phase)
-        )
+        for name in ("b0", "dataset_size"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+        object.__setattr__(self, "epochs_per_phase",
+                           tuple(_count(e, "epochs_per_phase") for e in self.epochs_per_phase))
         if self.b0 < 1:
             raise ScheduleError(f"b0 must be a positive integer, got {self.b0}")
         if not self.delta > 1.0:
@@ -352,7 +359,7 @@ def _decaying_lr(spec: ScheduleSpec, T: int, epoch: np.ndarray | None, E: int | 
         return spec.lambda_max / np.sqrt(t + 1.0)
     if spec.kind == "polynomial":
         return (spec.lambda_max - spec.lambda_min) * (1.0 - t / T) ** spec.p + spec.lambda_min
-    peak = (spec.lambda0 * spec.gamma ** int(spec.warmup_phases) if spec.regime == "warmup"
+    peak = (spec.lambda0 * spec.gamma ** spec.warmup_phases if spec.regime == "warmup"
             else spec.lambda_max)
     return spec.lambda_min + 0.5 * (peak - spec.lambda_min) * (1.0 + np.cos(epoch * math.pi / E))
 
@@ -381,7 +388,7 @@ def build_constant_bs_table(spec: ScheduleSpec, dataset_size: int | None = None)
             )
         E = T // K
         epoch = np.floor_divide(np.arange(T), K).astype(np.float64)
-    batch = np.full(T, int(b), dtype=np.int64)
+    batch = np.full(T, b, dtype=np.int64)
     return ScheduleTable(lr=_decaying_lr(spec, T, epoch, E), batch=batch)
 
 
@@ -403,7 +410,7 @@ def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTa
         raise ScheduleError(
             f"need gamma < delta so that gamma/delta < 1; got gamma={spec.gamma}, delta={plan.delta}"
         )
-    Mw = plan.M if spec.regime == "joint-growth" else int(spec.warmup_phases)
+    Mw = plan.M if spec.regime == "joint-growth" else spec.warmup_phases
     if Mw > plan.M:
         raise ScheduleError(f"warmup_phases={Mw} exceeds the plan's last phase index M={plan.M}")
     phase = plan.step_phases()

@@ -552,6 +552,26 @@ def test_overflowing_batch_growth_exits_two(tmp_path, capsys, command, delta):
     assert capsys.readouterr().err.startswith("config error: final-phase batch size inf exceeds")
 
 
+@pytest.mark.parametrize("command", ["run", "bounds", "schedule"])
+def test_schedule_too_large_to_allocate_exits_two(tmp_path, capsys, command):
+    # 4e13 or more steps: each per-step array is above 2^47 bytes, beyond the
+    # x86-64 user address space, so the first allocation fails at once
+    epochs = "10000000000000,1"
+    if command == "run":
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_schedule(BASE_CONFIG, INCREASING_SCHEDULE.replace(
+            "epochs_per_phase = 1,1,1", f"epochs_per_phase = {epochs}")))
+        argv = ["run", str(cfg), "--out", str(tmp_path / "runs")]
+    else:
+        plan = ("increasing-bs", "--b0", "2", "--delta", "2", "--epochs-per-phase", epochs,
+                "--dataset-size", "8")
+        argv = bounds_argv(*plan) if command == "bounds" else ["schedule", "--regime", *plan]
+    assert sgdm_cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_overflowing_rate_sum_exits_two_before_any_step(tmp_path, capsys, monkeypatch, command):
     # every rate is finite, but sum(lr) is beyond the float range

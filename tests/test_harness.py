@@ -108,6 +108,20 @@ class TestProblemSpec:
         family_fields = {f.name for f in fields(ProblemSpec)} - {"family", "d", "n", "seed"}
         assert set(read) <= family_fields
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", -1), ("d", 2.5), ("n", 16.5), ("seed", "1"),
+    ])
+    def test_count_that_is_not_whole_is_refused(self, field, value):
+        # seed 1.5 would build seed 1's anchors under another config hash
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            ProblemSpec(**{field: value})
+
+    def test_whole_float_counts_equal_the_ints(self):
+        # stored as ints, so the config hash is the int config's
+        spec = ProblemSpec(d=4.0, n=32.0, seed=np.int64(3))
+        assert spec == ProblemSpec(d=4, n=32, seed=3)
+        assert all(type(v) is int for v in (spec.d, spec.n, spec.seed))
+
 
 class TestScheduleSpec:
     def test_constant_bs_regime_string(self):
@@ -153,6 +167,46 @@ class TestScheduleSpec:
                             epochs_per_phase=(1, 1, 1))
         with pytest.raises(ValueError, match=f"does not take kind '{kind}'"):
             spec.build(problem_n=32)
+
+    @pytest.mark.parametrize("regime, field, value", [
+        ("constant-bs", "batch", 4.5), ("constant-bs", "T", 3.5),
+        ("constant-bs", "dataset_size", 16.5), ("increasing-bs", "b0", 2.5),
+        ("increasing-bs", "epochs_per_phase", (1.5, 1)),
+        ("increasing-bs", "dataset_size", 16.5), ("warmup", "warmup_phases", 0.5),
+    ])
+    def test_count_that_is_not_whole_is_refused(self, regime, field, value):
+        # batch 4.5 would build a batch-4 table while the corollary reads 4.5
+        counts = dict(batch=4, T=10, dataset_size=16, b0=2, epochs_per_phase=(1, 1),
+                      warmup_phases=1)
+        with pytest.raises(ValueError, match=f"{field} must be a whole number, got"):
+            ScheduleSpec(regime, "constant", gamma=1.5, lambda0=0.02, delta=2.0,
+                         **counts | {field: value})
+
+    def test_count_the_regime_does_not_read_is_reset_not_refused(self):
+        spec = ScheduleSpec("increasing-bs", b0=2, delta=2.0, epochs_per_phase=(1, 1), T=3.5)
+        assert spec.T is None
+
+    def test_whole_float_counts_equal_the_ints(self):
+        floats = ScheduleSpec("increasing-bs", b0=2.0, delta=2.0, epochs_per_phase=[1.0, 2],
+                              dataset_size=np.int64(16))
+        ints = ScheduleSpec("increasing-bs", b0=2, delta=2.0, epochs_per_phase=(1, 2),
+                            dataset_size=16)
+        assert floats == ints
+        assert all(type(v) is int for v in (floats.b0, floats.dataset_size,
+                                             *floats.epochs_per_phase))
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("seed", [1.5, -1, math.nan, "1"])
+    def test_theta0_seed_that_is_not_whole_is_refused(self, seed):
+        # theta0_seed 1.5 would run seed 1's experiment under another hash
+        with pytest.raises(ValueError, match="theta0_seed must be a whole number >= 0"):
+            small_config(theta0_seed=seed)
+
+    def test_whole_float_theta0_seed_is_the_int(self):
+        config = small_config(theta0_seed=1.0)
+        assert config.theta0_seed == 1 and type(config.theta0_seed) is int
+        assert config.config_hash == small_config(theta0_seed=1).config_hash
 
 
 class TestRunExperiment:

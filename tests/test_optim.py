@@ -368,6 +368,22 @@ class TestRun:
         with pytest.raises(ValueError, match=r"theta0 has length 3 but the problem has d = 4"):
             run("nshb", 0.5, const_table(0.1, T=5), prob, [1, 2], theta0=np.zeros(3))
 
+    @pytest.mark.parametrize("seed", [2.7, -1, math.inf])
+    def test_theta0_seed_that_is_not_whole_is_refused(self, seed):
+        # 2.7 would run theta0_seed 2's trajectory
+        prob = QuadraticMeanProblem.generate(2, 8, sigma_sq=0.5, seed=4)
+        with pytest.raises(ValueError, match="theta0_seed must be a whole number >= 0"):
+            run("nshb", 0.5, const_table(0.1, T=3), prob, 1, theta0_seed=seed)
+
+    def test_default_theta0_is_the_seeded_normal_draw(self):
+        prob = QuadraticMeanProblem.generate(3, 8, sigma_sq=0.5, seed=4)
+        table = const_table(0.1, T=3)
+        theta0 = np.random.default_rng((2,)).standard_normal(3)
+        ref = run("nshb", 0.5, table, prob, 1, theta0=theta0, record_theta=True)
+        for seed in (2, 2.0, np.uint8(2)):
+            got = run("nshb", 0.5, table, prob, 1, theta0_seed=seed, record_theta=True)
+            np.testing.assert_array_equal(got.theta, ref.theta)
+
     def test_batch_sizes_follow_table(self, monkeypatch):
         # step t draws table.batch[t] indices per seed, through the
         # (K, b, R) index blocks the engine hands the problem

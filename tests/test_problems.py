@@ -323,8 +323,9 @@ class TestLogCosh:
             assert prob.sigma_certificate["grid_max"] == _full_grid_max(prob), k
 
     def test_coordinates_finishing_at_different_levels(self):
-        # a different spread per column puts flat coordinates, evaluated in
-        # bulk, and sharp ones, bisected to the last level, in one search
+        # a different spread per column puts nearly flat coordinates, which
+        # prune little, and sharp ones, bisected to the last level, in one
+        # search
         rng = np.random.default_rng(2113)
         for k in range(40):
             d = int(rng.integers(3, 13))
@@ -374,20 +375,26 @@ class TestLogCosh:
         (3, 600, dict(spread=0.01, scale=0.05, box_radius=10.0, seed=7)),
         (3, 50, dict(spread=0.01, seed=1)),
     ])
-    def test_flat_coordinates_are_evaluated_at_once(self, d, n, kwargs, monkeypatch):
-        # nearly flat v_j: bisection would evaluate the grid a level at a
-        # time, so the search evaluates the kept points in one call instead
-        calls = 0
+    def test_flat_coordinates_match_the_full_grid(self, d, n, kwargs):
+        # nearly flat v_j: little is pruned (the first problem evaluates the
+        # whole grid), and the maximum is still the full grid's bit for bit
+        prob = LogCoshProblem.generate(d, n, **kwargs)
+        assert prob.sigma_certificate["grid_max"] == _full_grid_max(prob)
+
+    def test_bisection_prunes_flat_coordinates(self, monkeypatch):
+        # nearly flat v_j still prunes: bisection evaluates 3,587 of the
+        # 6,144 grid points here
+        points = 0
         terms = LogCoshProblem._variance_terms
 
         def counting_terms(self, x, j):
-            nonlocal calls
-            calls += 1
+            nonlocal points
+            points += x.size
             return terms(self, x, j)
 
         monkeypatch.setattr(LogCoshProblem, "_variance_terms", counting_terms)
-        prob = LogCoshProblem.generate(d, n, **kwargs)
-        assert calls <= 3 * d
+        prob = LogCoshProblem.generate(3, 50, spread=0.01, seed=1)
+        assert points < prob.d * SIGMA_GRID_POINTS
         assert prob.sigma_certificate["grid_max"] == _full_grid_max(prob)
 
     def test_search_evaluates_few_grid_points(self, monkeypatch):
