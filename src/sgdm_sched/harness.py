@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -106,14 +105,12 @@ class ExperimentConfig:
         object.__setattr__(self, "alg", schedules.check_alg(self.alg))
         object.__setattr__(self, "theta0_seed", _count(self.theta0_seed, "theta0_seed", 0))
         object.__setattr__(self, "seeds", tuple(optim._stream_words(self.seeds, "master seeds")))
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
+        optim._check_beta(self.beta)
         if not self.seeds:
             raise ValueError("need at least one master seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("master seeds must be distinct")
-        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
-            raise ValueError("record_every must be an integer >= 1")
+        object.__setattr__(self, "record_every", optim._record_every(self.record_every))
         if self.validation_mode not in ("strict", "waived"):
             raise ValueError("validation_mode must be 'strict' or 'waived'")
         if not self.budget > 0:

@@ -36,28 +36,34 @@ of (s, i, t, j), so blocking changes no index.
 
 ``run`` is a lockstep engine: the R master seeds of an experiment advance
 together as the rows of (R, d) parameter and momentum arrays, so each step
-makes one mini-batch gradient call and one update for all seeds, in place.
-A single seed is the R = 1 case.  ``run`` applies the update through
-``_advance``, the arithmetic of ``step`` without its argument checks and
-error state: the loop holds the error state for all its steps, its
-gradients come from the problem in the state's shape, and its rates come
-from a ``ScheduleTable``, which refuses negative and non-finite ones.
-Each drawn block of indices goes to the problem's ``minibatch_gradients``,
-which returns the block's per-step gradient functions (the quadratic
-gathers all K batch means of the block at once).  Observations are made a
-block of recorded steps at a time: ``run`` copies
-each recorded (theta_t, m_{t-1}) into a (J, R, d) block and observes the
-block's J*R rows in one ``value_and_grad`` call, so a block may step past a
-non-finite observation before its flush finds it and reports the earlier
-step.  Every row is computed as it would be alone, so a seed's trace does
-not depend on the seeds that run beside it, nor on the block it is
-observed in.
+makes one mini-batch gradient call and one update for all seeds.  A single
+seed is the R = 1 case.  The update arithmetic lives in ``_update`` alone,
+which ``step`` and ``run`` both call.  Each drawn block of indices goes to
+the problem's ``minibatch_gradients``, which returns the block's per-step
+gradient functions (the quadratic gathers all K batch means of the block at
+once).
+
+``run`` keeps J = max(1, _OBSERVE_WORDS // (R*d)) steps at a time in a
+trajectory block, a pair of (J+1, R, d) arrays of iterates and momenta:
+slot s holds theta_{t0+s} and m_{t0+s-1}, and step t0+s writes theta_{t0+s+1}
+and m_{t0+s} straight into slot s+1, so a step makes no copy and no
+finiteness check.  Once per block, ``run`` checks the block's new iterates for
+finiteness and observes its recorded slots in one ``value_and_grad`` call.
+The check is exact: a non-finite entry of an iterate stays non-finite in
+every later one, as theta' = theta - lr*m is NaN or infinite wherever theta
+is (NaN - x is NaN, inf - x is inf or NaN), and a non-finite gradient or
+momentum entry makes the same entry of the new iterate non-finite (lr = 0
+included, as 0*inf is NaN).  So a finite last iterate clears the whole
+block; otherwise the first slot holding a non-finite entry, found in one
+pass over the block, is the new iterate of the step that diverged, and its
+lowest non-finite row is the row that diverged first.  Every row is
+computed as it would be alone, so a seed's trace does not depend on the
+seeds that run beside it, nor on the block it is observed in.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -105,26 +111,29 @@ class OptimizerState:
     t: int
     beta: float
     alg: str
-    # the arrays ``step`` writes the next momentum and iterate into, plus a
-    # finiteness mask; a finite step swaps the pair with (theta, momentum)
+    # the pair of arrays ``step`` writes the next iterate and momentum into;
+    # a finite step swaps it with (theta, momentum)
     _spare: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # owned float64 copies: ``step`` writes into these arrays later on
         self.theta = np.array(self.theta, dtype=np.float64)
         self.momentum = np.array(self.momentum, dtype=np.float64)
-        shape = self.theta.shape
-        self._spare = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+        self._spare = (np.empty(self.theta.shape), np.empty(self.theta.shape))
 
     @classmethod
     def initial(cls, theta0: np.ndarray, beta: float, alg: str) -> "OptimizerState":
         alg = schedules.check_alg(alg)
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {beta}")
+        _check_beta(beta)
         theta0 = np.asarray(theta0, dtype=np.float64)
         if theta0.ndim not in (1, 2):
             raise ValueError("theta0 must be a 1-D vector or an (R, d) array of seed rows")
         return cls(theta=theta0, momentum=np.zeros_like(theta0), t=0, beta=beta, alg=alg)
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta < 1.0:  # NaN too
+        raise ValueError(f"beta must be in [0, 1), got {beta}")
 
 
 # divergence is detected explicitly below; let inf/nan flow, not warn
@@ -149,31 +158,45 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
         )
     if not lr >= 0:  # NaN too
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    return _advance(state, grad, lr)
-
-
-def _advance(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
-    """``step`` on checked arguments: a float64 gradient of the state's shape
-    and a rate >= 0, under an error state that lets inf/nan flow."""
-    theta, m, finite = state._spare
-    np.multiply(state.momentum, state.beta, out=m)
-    if state.alg == "nshb":
-        np.multiply(grad, 1.0 - state.beta, out=theta)  # theta as scratch
-        np.add(m, theta, out=m)
-    else:
-        np.add(m, grad, out=m)
-    np.multiply(m, lr, out=theta)
-    np.subtract(state.theta, theta, out=theta)
+    theta, m = state._spare
+    _update(state.theta, state.momentum, grad, lr, state.beta, state.alg, theta, m)
     # a non-finite gradient or state entry makes the same entry of the new
-    # iterate non-finite, so the iterate alone decides
-    np.isfinite(theta, out=finite)
-    if np.count_nonzero(finite) < finite.size:  # cheaper than finite.all() on small arrays
-        rows_ok = finite.reshape(-1, finite.shape[-1]).all(axis=1)
-        raise NumericalDivergence(state.t, row=int(np.argmin(rows_ok)))
-    state._spare = (state.theta, state.momentum, finite)
+    # iterate non-finite (module docstring), so the iterate alone decides
+    bad = _first_nonfinite(np.isfinite(theta).reshape(1, -1, theta.shape[-1]))
+    if bad is not None:
+        raise NumericalDivergence(state.t, row=bad[1])
+    state._spare = (state.theta, state.momentum)
     state.theta, state.momentum = theta, m
     state.t += 1
     return state
+
+
+def _update(theta, momentum, grad, lr, beta, alg, theta_out, momentum_out) -> None:
+    """The momentum update, written once for ``step`` and ``run``:
+    momentum_out = beta*momentum + (1 - beta)*grad (nshb) or
+    beta*momentum + grad (shb), then theta_out = theta - lr*momentum_out.
+
+    Each output is written before every input is read, so neither may share
+    memory with an input.  Call it under an error state that lets inf/nan
+    flow."""
+    np.multiply(momentum, beta, out=momentum_out)
+    if alg == "nshb":
+        np.multiply(grad, 1.0 - beta, out=theta_out)  # theta_out as scratch
+        np.add(momentum_out, theta_out, out=momentum_out)
+    else:
+        np.add(momentum_out, grad, out=momentum_out)
+    np.multiply(momentum_out, lr, out=theta_out)
+    np.subtract(theta, theta_out, out=theta_out)
+
+
+def _first_nonfinite(finite: np.ndarray) -> tuple[int, int] | None:
+    """The (i, r) of the first false entry of the mask ``finite[i, r, ...]``:
+    the lowest i holding one, then the lowest r; None when all are true."""
+    if np.count_nonzero(finite) == finite.size:  # cheaper than finite.all() on small arrays
+        return None
+    rows = finite.reshape(finite.shape[0], finite.shape[1], -1).all(axis=2)
+    i = int(np.argmin(rows.all(axis=1)))
+    return i, int(np.argmin(rows[i]))
 
 
 # SplitMix64 constants (Steele, Lea & Flood 2014).  Every uint64 operation
@@ -225,6 +248,15 @@ def _theta0(theta0_seed, d: int) -> np.ndarray:
     """The default theta0: the standard-normal d-vector of ``theta0_seed``, a
     whole number >= 0 (ValueError otherwise)."""
     return np.random.default_rng((_count(theta0_seed, "theta0_seed", 0),)).standard_normal(d)
+
+
+def _record_every(value) -> int:
+    """``record_every`` as an int: a whole number >= 1 (2.0 counts as 2);
+    anything else is a ValueError, never truncated."""
+    w = _whole(value)
+    if w is None or w < 1:
+        raise ValueError("record_every must be an integer >= 1")
+    return w
 
 
 def _bounded(x: np.ndarray, n: int) -> np.ndarray:
@@ -283,9 +315,10 @@ def _stream_key(master_seed, run_index) -> np.ndarray:
 # by 0.2-0.3 MB).  2^13 words raised the log-cosh benchmark's peak RSS by
 # about 0.2 MB, and 2^14 the quad-bench64 benchmark's by about 0.5 MB.
 _BLOCK_WORDS = 2**12
-# Words of each (J, R, d) array of recorded steps that ``run`` observes at
-# once: 2^12 words made quad-bench64 about 10% slower, and 2^15 raised the
-# log-cosh benchmark's peak RSS by a further 0.4 MB.
+# Words of the J steps of iterates (and of momenta) that ``run`` keeps in
+# its trajectory block and observes at once: 2^12 words made quad-bench64
+# about 10% slower, and 2^15 raised the log-cosh benchmark's peak RSS by a
+# further 0.4 MB.
 _OBSERVE_WORDS = 2**14
 
 
@@ -429,6 +462,7 @@ def run(
     theta0 and advance in lockstep; row r samples its mini-batches from
     (seed[r], run_index + r, t), and every seed and run index must lie in
     [0, 2^64), the stream's key range (ValueError otherwise).
+    ``record_every`` is a whole number >= 1 (2.0 counts as 2).
 
     theta0 must have length ``problem.d`` (ValueError otherwise, before any
     step).  Admissibility is the caller's decision: ``run`` steps through any table
@@ -439,29 +473,34 @@ def run(
     seed and the step.  Divergence aborts the run at the first step t where
     any row goes non-finite, checked in this order: the observation at
     theta_t on recorded steps (f, ||grad f||^2 or the Lyapunov value), then
-    step t's gradient and new iterate; a non-finite observation at the
-    post-run iterate counts as step T.  The raised NumericalDivergence names
-    that step and the lowest non-finite row's master seed, and carries that
-    seed's trace truncated after the step's record; its final_* values are
-    the observation at that step's iterate.
+    the box check of theta_t, then step t's new iterate (a non-finite
+    gradient makes it non-finite); a non-finite observation at the post-run
+    iterate counts as step T.  The raised NumericalDivergence names that
+    step and the lowest non-finite row's master seed, and carries that seed's
+    trace truncated after the step's record; its final_* values are the
+    observation at that step's iterate.
 
     Mini-batch gradients come from ``problem.minibatch_gradients``, one
     drawn (K, b, R) index block at a time, and rates from ``table.lr`` read
-    once.  Recorded steps are observed J = max(1, _OBSERVE_WORDS // (R*d)) at a time
-    (each theta_t is observed with the step's A_{t-1}), and the final
-    iterate with the last block.  A block is flushed when full, at the end
-    and before a box exit or a step divergence is reported, so the steps
-    run past a non-finite observation never change the outcome: the failure
-    order above holds as if every step were observed on its own.
+    once.  The steps run J = max(1, _OBSERVE_WORDS // (R*d)) at a time
+    through the trajectory block of the module docstring; each recorded
+    theta_t is observed with the step's A_{t-1}.  A block is settled when
+    full, at the end and at a box exit: its new iterates are checked for
+    finiteness, which finds the step that diverged (module docstring), and
+    its recorded steps up to that step, or up to the iterate that left the
+    box, are observed in one call.  A non-finite
+    iterate also fails a box check, so the box exit is reported only when
+    the settled block holds no earlier failure, and the failure order above
+    holds as if every step were checked and observed on its own.
     """
     alg = schedules.check_alg(alg)
-    if not isinstance(record_every, numbers.Integral) or record_every < 1:
-        raise ValueError("record_every must be an integer >= 1")
+    _check_beta(beta)
+    every = _record_every(record_every)
     single = np.ndim(seed) == 0
     seeds = _stream_words(seed, "master seeds")
     if not seeds:
         raise ValueError("need at least one master seed")
-    R, d = len(seeds), problem.d
+    R, d, T = len(seeds), problem.d, table.T
     (first,) = _stream_words(run_index, "run indices")
     key = _stream_key(seeds, range(first, first + R))
     _count(problem.n, "dataset size n", 1, 2**32)
@@ -472,7 +511,6 @@ def run(
         raise ValueError("theta0 must be a 1-D vector")
     if theta0.size != d:
         raise ValueError(f"theta0 has length {theta0.size} but the problem has d = {d}")
-    state = OptimizerState.initial(np.tile(theta0, (R, 1)), beta, alg)
     one_minus_beta = 1.0 - beta
     # Lyapunov bookkeeping always uses the nshb parameterization: eta = lr
     # for nshb, eta = lr/(1-beta) and momentum scaled by (1-beta) for shb.
@@ -480,93 +518,101 @@ def run(
     # A_prev[t] = A_{t-1}, the momentum coefficient of the step-t Lyapunov value
     A_prev = np.concatenate(([0.0], theory.lyapunov_coefficient_array(eta, problem.L, beta)))
 
-    # Column c of rec holds observation c: the recorded steps in order, then
-    # the final iterate.  Observations wait in a block of (theta_t, m_{t-1})
-    # entries and are made a block at a time.  Column c observes step
-    # obs_t[c]: rec_t[c], and for the final column the state's t, set when
-    # it is pushed.
-    rec_t = np.arange(0, table.T, record_every)
-    obs_t = np.append(rec_t, 0)[:, None]
-    rec = [np.empty((R, rec_t.size + 1)) for _ in range(3)]  # f, ||grad f||^2, Lyapunov
-    rec_theta = np.empty((R, rec_t.size + 1, d)) if record_theta else None
+    # Column c of rec holds observation c: the recorded steps rec_t in order,
+    # then, in column FINAL, the iterate the run ends at.
+    rec_t = np.arange(0, T, every)
+    FINAL = rec_t.size
+    rec = [np.empty((R, FINAL + 1)) for _ in range(3)]  # f, ||grad f||^2, Lyapunov
+    rec_theta = np.empty((R, FINAL + 1, d)) if record_theta else None
     J = max(1, _OBSERVE_WORDS // (R * d))
-    # two arrays, not one (2, J, R, d): a single block raised the cli-doubling
-    # benchmark's peak RSS by about 0.7 MB through heap placement
-    blk_theta, blk_m = np.empty((J, R, d)), np.empty((J, R, d))
-    k = j = 0  # observations taken, of which the last j wait in the block
+    # The trajectory block: slot s holds theta_{t0+s} and m_{t0+s-1}.  Two
+    # arrays, not one (2, J+1, R, d): a single block raised the cli-doubling
+    # benchmark's peak RSS by about 0.7 MB through heap placement.
+    th, mo = np.empty((J + 1, R, d)), np.empty((J + 1, R, d))
+    th[0], mo[0] = theta0, 0.0
 
-    def push(st: OptimizerState) -> None:
-        nonlocal k, j
-        blk_theta[j] = st.theta
-        blk_m[j] = st.momentum
-        if record_theta:
-            rec_theta[:, k] = st.theta
-        k += 1
-        j += 1
-
-    def flush() -> tuple[int, int] | None:
-        """Observe the waiting entries into their columns of rec; return the
-        (column, lowest row) of the first non-finite one, or None."""
-        nonlocal j
-        n, j = j, 0
+    def observe(slots: slice, cols: slice, t: np.ndarray) -> tuple[int, int] | None:
+        """Observe the iterates th[slots] of steps t into the columns ``cols``
+        of rec; return the (column, lowest row) of the first non-finite
+        observation, or None."""
+        n = t.size
         if n == 0:
             return None
-        f, g = problem.value_and_grad(blk_theta[:n].reshape(n * R, d))
+        # contiguous, so the sums run as over a block of recorded steps
+        # alone (th[slots] is a strided view when record_every > 1)
+        theta, m = np.ascontiguousarray(th[slots]), np.ascontiguousarray(mo[slots])
+        f, g = problem.value_and_grad(theta.reshape(n * R, d))
         f = f.reshape(n, R)
-        m_eq = blk_m[:n] if alg == "nshb" else one_minus_beta * blk_m[:n]
+        m_eq = m if alg == "nshb" else one_minus_beta * m
         m_sq = np.einsum("ijk,ijk->ij", m_eq, m_eq)
-        t = obs_t[k - n : k]
+        t = t[:, None]
         obs = (f, np.einsum("ij,ij->i", g, g).reshape(n, R),
                theory.lyapunov_value(f, m_sq, A_prev[t], t))
         finite = np.ones((n, R), dtype=bool)
         for column, values in zip(rec, obs):
-            column[:, k - n : k] = values.T
+            column[:, cols] = values.T
             finite &= np.isfinite(values)
-        if finite.all():
-            return None
-        first = int(np.argmin(finite.all(axis=1)))
-        return k - n + first, int(np.argmin(finite[first]))
+        if record_theta:
+            rec_theta[:, cols] = theta.swapaxes(0, 1)
+        bad = _first_nonfinite(finite)
+        return None if bad is None else (cols.start + bad[0], bad[1])
 
-    bad = stop = final = None
-    lr = table.lr.tolist()
+    check = problem.check_iterate
+    lr = iter(table.lr.tolist())
     gradients = chain.from_iterable(
         map(problem.minibatch_gradients, _index_blocks(key, table.batch, problem.n)))
-    # Divergence is detected explicitly, and a block may step past a
-    # non-finite observation before its flush finds it: let inf/nan flow.
+    t0 = c = 0  # the step of slot 0; recorded steps observed so far
+    # Divergence is detected once per block, after the block's steps ran on
+    # past it: let inf/nan flow.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, gradient in enumerate(gradients):
-            if t % record_every == 0:
-                push(state)
-                if j == J and (bad := flush()):
+        while True:
+            box, n = None, 0
+            theta, m = th[0], mo[0]
+            # zip takes a slot first, so a full block consumes no rate or gradient
+            for theta_next, m_next, rate, gradient in zip(th[1:], mo[1:], lr, gradients):
+                try:
+                    check(theta)
+                except problems.IterateOutsideCertifiedBox as exc:
+                    box = exc
                     break
-            try:
-                problem.check_iterate(state.theta)
-            except problems.IterateOutsideCertifiedBox as exc:
-                if bad := flush():
-                    break
-                raise problems.IterateOutsideCertifiedBox(
-                    f"seed {seeds[exc.row]} at step {t}: {exc}", row=exc.row
-                ) from None
-            grad = gradient(state.theta)
-            try:
-                state = _advance(state, grad, lr[t])
-            except NumericalDivergence as exc:
-                stop = t, exc.row
+                _update(theta, m, gradient(theta), rate, beta, alg, theta_next, m_next)
+                theta, m = theta_next, m_next
+                n += 1
+            t = t0 + n  # the step of slot n, the block's last iterate
+            # (i, row): step t0 + i diverged, its new iterate in slot i + 1.
+            # A non-finite entry stays non-finite, so a finite last iterate
+            # clears every step of the block
+            div = None
+            if np.count_nonzero(np.isfinite(theta)) < theta.size:
+                div = _first_nonfinite(np.isfinite(th[1 : n + 1]))
+            # observe the recorded slots before `end`: up to the step that
+            # diverged, up to the iterate that left the box, or the steps run
+            end = div[0] + 1 if div else n + 1 if box else n
+            c_end = -(-(t0 + end) // every)
+            bad = observe(slice(c * every - t0, end, every), slice(c, c_end), rec_t[c:c_end])
+            c = c_end
+            if bad is None and (div or t == T):
+                last = div[0] if div else n  # the slot of the iterate the run ends at
+                bad = observe(slice(last, last + 1), slice(FINAL, FINAL + 1), np.array([t0 + last]))
+            if bad or div or box or t == T:
                 break
-        if bad is None:
-            final = k
-            obs_t[final] = state.t
-            push(state)  # theta_T, or the iterate of the step that diverged
-            bad = flush()
-    if bad is not None and bad[0] != final:
+            th[0], mo[0] = theta, m  # slot J starts the next block
+            t0 = t
+    if bad is not None and bad[0] != FINAL:
         # a recorded observation is non-finite: the run ends at its step
-        final = bad[0]
+        final, rows = bad[0], bad[0] + 1
         stop = int(rec_t[final]), bad[1]
-        rows = final + 1
     else:
-        rows = final
-        if stop is None and bad is not None:
-            stop = table.T, bad[1]  # the post-run observation counts as step T
+        final, rows = FINAL, c
+        if div:
+            stop = t0 + div[0], div[1]
+        elif bad:
+            stop = T, bad[1]  # the post-run observation counts as step T
+        elif box:
+            raise problems.IterateOutsideCertifiedBox(
+                f"seed {seeds[box.row]} at step {t}: {box}", row=box.row)
+        else:
+            stop = None
     f, gns, lyap = rec
     traces = [
         RunTrace(

@@ -28,7 +28,8 @@ The methods take one iterate ``theta[d]`` or a leading seed axis
 would be alone.  Every batch mean goes through ``_batch_means``.  The
 Monte-Carlo estimate of the mini-batch variance,
 ``optim.empirical_minibatch_variance``, lives in ``optim``, next to the
-sampling stream it draws from; this module imports nothing from the package.
+sampling stream it draws from; this module imports nothing from the package
+but ``_counts``, the leaf module of the whole-number rule for seeds.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ import math
 from functools import partial
 
 import numpy as np
+
+from ._counts import _count
 
 __all__ = [
     "IterateOutsideCertifiedBox",
@@ -142,7 +145,7 @@ class QuadraticMeanProblem:
     ) -> "QuadraticMeanProblem":
         """Seeded Gaussian anchors; ``sigma_sq`` rescales deviations to hit the
         target single-sample variance exactly (up to roundoff)."""
-        rng = np.random.default_rng((int(seed),))
+        rng = np.random.default_rng((_count(seed, "seed", 0),))
         # a spread that is not finite or overflows is a ValueError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             anchors = spread * rng.standard_normal((n, d))
@@ -275,7 +278,7 @@ class LogCoshProblem:
         seed: int = 0,
         box_radius: float = 6.0,
     ) -> "LogCoshProblem":
-        rng = np.random.default_rng((int(seed),))
+        rng = np.random.default_rng((_count(seed, "seed", 0),))
         with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects inf/nan
             anchors = spread * rng.standard_normal((n, d))
         return cls(anchors, scale=scale, amp=amp, box_radius=box_radius)
@@ -342,9 +345,11 @@ class LogCoshProblem:
         for lo in range(0, x.size, block):
             g = columns[j[lo : lo + block]]
             np.subtract(x[lo : lo + block, None], g, out=g)
-            g /= self.scale
+            if self.scale != 1.0:  # the passes /1 and *1 are exact: skip them
+                g /= self.scale
             np.tanh(g, out=g)
-            g *= c
+            if c != 1.0:
+                g *= c
             u = v[lo : lo + block]
             np.einsum("pi,pi->p", g, g, out=u)
             u /= self.n
@@ -411,9 +416,11 @@ class LogCoshProblem:
     def _sample_gradients(self, a: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """(amp/scale) tanh((theta - a)/scale), computed in place over the gathered anchors a."""
         np.subtract(theta, a, out=a)
-        a /= self.scale
+        if self.scale != 1.0:  # the passes /1 and *1 are exact: skip them
+            a /= self.scale
         np.tanh(a, out=a)
-        a *= self.amp / self.scale
+        if (c := self.amp / self.scale) != 1.0:
+            a *= c
         return a
 
     def check_iterate(self, theta: np.ndarray) -> None:

@@ -381,11 +381,22 @@ class TestRunExperiment:
             small_config(seeds=seeds)
         assert small_config(seeds=(np.uint64(3), 2.0)).seeds == (3, 2)
 
-    @pytest.mark.parametrize("record_every", [2.5, 2.0, 0])
+    @pytest.mark.parametrize("record_every", [2.5, 0])
     def test_record_every_must_be_a_positive_integer(self, record_every):
         # 2.5 used to be accepted and label step 5's observation t = 2.5
         with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
             small_config(record_every=record_every)
+
+    @pytest.mark.parametrize("whole", [2.0, np.float64(2.0)], ids=["float", "np.float64"])
+    def test_whole_record_every_is_its_int(self, whole):
+        # a whole float is the int it equals: the same config, hash and run
+        cfg, ref = small_config(record_every=whole), small_config(record_every=2)
+        assert type(cfg.record_every) is int and cfg.record_every == 2
+        assert cfg.config_hash == ref.config_hash
+        got, want = run_experiment(cfg, None), run_experiment(ref, None)
+        for tr, tr_ref in zip(got.traces, want.traces):
+            np.testing.assert_array_equal(tr.t, tr_ref.t)
+            np.testing.assert_array_equal(tr.grad_norm_sq, tr_ref.grad_norm_sq)
 
     @pytest.mark.parametrize("alg", ["nshb", "shb"])
     @pytest.mark.parametrize("regime", sorted(LOGCOSH_SCHEDULES))

@@ -338,13 +338,24 @@ class TestRun:
         trace = run("nshb", 0.5, table, prob, seed=1, record_every=7)
         np.testing.assert_array_equal(trace.t, [0, 7, 14, 21, 28])
 
-    @pytest.mark.parametrize("record_every", [2.5, 2.0, np.float64(3.0), 0, -1, "2"])
+    @pytest.mark.parametrize("record_every", [2.5, 0, -1, "2"])
     def test_record_every_must_be_a_positive_integer(self, record_every):
         # 2.5 would label step 5's observation as t = 2.5
         prob = QuadraticMeanProblem.generate(3, 8, sigma_sq=0.5, seed=4)
         with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
             run("nshb", 0.5, const_table(0.1, T=6, b=2), prob, seed=1,
                 record_every=record_every)
+
+    @pytest.mark.parametrize("whole", [2.0, np.float64(2.0), np.int64(2)],
+                             ids=["float", "np.float64", "np.int64"])
+    def test_whole_record_every_runs_as_its_int(self, whole):
+        prob = QuadraticMeanProblem.generate(3, 8, sigma_sq=0.5, seed=4)
+        table = const_table(0.1, T=7, b=2)
+        got = run("nshb", 0.5, table, prob, seed=1, record_every=whole)
+        ref = run("nshb", 0.5, table, prob, seed=1, record_every=2)
+        assert got.t.dtype == ref.t.dtype and got.t.tolist() == [0, 2, 4, 6]
+        for name in ("t", "f", "grad_norm_sq", "lyapunov"):
+            assert_bits(getattr(got, name), getattr(ref, name))
 
     def test_strict_rejects_inadmissible(self):
         prob = QuadraticMeanProblem.generate(3, 8, sigma_sq=0.5, seed=4)
@@ -787,6 +798,94 @@ class TestBlockedObservation:
             "nshb", 0.0, table, Poisoned(prob, 3, obs=poison), seeds, np.zeros(2))
         assert stop == (exit_step - 2, 2) and final[0, 2] == np.inf
         assert_trace_is_row(exc.trace, obs, final, 2)
+
+
+class TestTrajectoryBlock:
+    """run steps on to the end of a block of J steps past a divergence and
+    finds it when it settles the block; every outcome must equal that of the
+    per-step engine."""
+
+    SEEDS, D, T, BETA = [11, 4, 29, 0, 7], 36, 300, 0.8
+    J = _OBSERVE_WORDS // (len(SEEDS) * D)  # 91 steps per block
+
+    def case(self, family="quadratic"):
+        prob = small_problem(family, self.D)
+        table = constant_bs_table("diminishing", batch=3, T=self.T, lambda_max=0.2)
+        return prob, table, np.random.default_rng(5).uniform(-2, 2, size=prob.d)
+
+    def assert_same_outcome(self, prob, table, theta0, poison, record_every=1):
+        with pytest.raises(NumericalDivergence) as info:
+            run("nshb", self.BETA, table, Poisoned(prob, 5, grad=poison), self.SEEDS,
+                theta0=theta0, record_every=record_every, record_theta=True)
+        exc = info.value
+        obs, final, stop = observed_one_step_at_a_time(
+            "nshb", self.BETA, table, Poisoned(prob, 5, grad=poison), self.SEEDS, theta0,
+            record_every)
+        assert stop == (exc.step_index, exc.row)
+        assert exc.trace.seed == self.SEEDS[exc.row]
+        assert_trace_is_row(exc.trace, obs, final, exc.row)
+        return exc
+
+    @pytest.mark.parametrize("block, slot", [(0, 1), (1, 1), (0, "last"), (2, "last")])
+    def test_divergence_at_the_first_and_last_slot_of_a_block(self, block, slot):
+        # step t0 + s writes slot s + 1: slot 1 is the block's first new
+        # iterate and slot J its last, which starts the next block
+        s = self.J if slot == "last" else slot
+        t = block * self.J + s - 1
+        prob, table, theta0 = self.case()
+        exc = self.assert_same_outcome(prob, table, theta0, {t: [4, 2]})
+        assert (exc.step_index, exc.row) == (t, 2)
+        # the trace ends at the step that diverged, and its final_* (and
+        # theta_final) are those of the iterate the step started from
+        np.testing.assert_array_equal(exc.trace.t, np.arange(t + 1))
+        thetas = reference_run("nshb", self.BETA, table, prob, self.SEEDS[2], 2, theta0)[0]
+        assert_bits(exc.trace.theta, thetas[: t + 1])
+        assert_bits(exc.trace.theta_final, thetas[t])
+
+    def test_divergence_at_a_step_that_is_not_recorded(self):
+        # record_every = 3 records steps 0, 3, ...: step 131 is not recorded,
+        # so the trace ends at step 129 and final_* observe step 131's iterate
+        prob, table, theta0 = self.case()
+        assert 131 % 3 and self.J < 131 < 2 * self.J
+        exc = self.assert_same_outcome(prob, table, theta0, {131: [3]}, record_every=3)
+        assert (exc.step_index, exc.row) == (131, 3)
+        np.testing.assert_array_equal(exc.trace.t, np.arange(0, 130, 3))
+        thetas = reference_run("nshb", self.BETA, table, prob, self.SEEDS[3], 3, theta0)[0]
+        assert_bits(exc.trace.theta_final, thetas[131])
+
+    def test_nan_iterate_that_the_box_check_lets_through(self):
+        # lr = 0 from step 40 on turns row 1's inf gradient into a NaN iterate
+        # (theta - 0*inf); the log-cosh box check passes NaN, so the block runs
+        # on to its end before the finiteness pass reports step 40
+        prob, table, theta0 = self.case("logcosh")
+        lr = table.lr.copy()
+        lr[40:] = 0.0  # a table refuses a zero rate followed by a positive one
+        table = schedules.ScheduleTable(lr=lr, batch=table.batch)
+        prob.check_iterate(np.full((2, self.D), np.nan))  # raises nothing
+        exc = self.assert_same_outcome(prob, table, theta0, {40: [1]})
+        assert (exc.step_index, exc.row) == (40, 1)
+
+    def test_inf_iterate_is_divergence_before_its_box_exit(self):
+        # an inf gradient at step 40 makes row 1's iterate -inf or +inf, which
+        # fails step 41's box check; the divergence at step 40 comes first
+        prob, table, theta0 = self.case("logcosh")
+        with pytest.raises(IterateOutsideCertifiedBox):
+            prob.check_iterate(np.full((1, self.D), -np.inf))
+        exc = self.assert_same_outcome(prob, table, theta0, {40: [1]})
+        assert (exc.step_index, exc.row) == (40, 1)
+
+    def test_zero_rate_with_an_infinite_momentum_entry(self):
+        # the inf gradient of step 12 makes one momentum entry infinite; at
+        # lr = 0 the new iterate is theta - 0*inf = NaN, a divergence at step 12
+        prob, table, theta0 = self.case()
+        table = schedules.ScheduleTable(lr=np.zeros(self.T), batch=table.batch)
+        exc = self.assert_same_outcome(prob, table, theta0, {12: [0]})
+        assert (exc.step_index, exc.row) == (12, 0)
+        # step, on the same body of arithmetic, says the same
+        state = OptimizerState.initial(np.zeros((2, 3)), self.BETA, "nshb")
+        with pytest.raises(NumericalDivergence) as info:
+            step(state, np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]), lr=0.0)
+        assert (info.value.step_index, info.value.row) == (0, 1)
 
 
 class TestBlockedGradients:

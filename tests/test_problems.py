@@ -19,11 +19,27 @@ from sgdm_sched.optim import empirical_minibatch_variance
 
 
 def test_problems_module_imports_nothing_from_the_package():
-    # a leaf module: optim imports problems, so problems must not import back
-    source = Path(__file__).parents[1] / "src" / "sgdm_sched" / "problems.py"
-    relative = [node.lineno for node in ast.walk(ast.parse(source.read_text()))
+    # a leaf module: optim imports problems, so problems must not import back.
+    # Its one package import is the seed rule of _counts, itself a leaf
+    package = Path(__file__).parents[1] / "src" / "sgdm_sched"
+
+    def relative_imports(name):
+        tree = ast.parse((package / name).read_text())
+        return [(node.module, [a.name for a in node.names]) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level > 0]
-    assert relative == []
+
+    assert relative_imports("problems.py") == [("_counts", ["_count"])]
+    assert relative_imports("_counts.py") == []
+
+
+@pytest.mark.parametrize("cls", [QuadraticMeanProblem, LogCoshProblem])
+def test_generate_takes_a_whole_seed_and_refuses_the_rest(cls):
+    # int(seed) used to truncate 2.9 onto seed 2's anchors
+    np.testing.assert_array_equal(cls.generate(3, 8, seed=2.0).anchors,
+                                  cls.generate(3, 8, seed=2).anchors)
+    for seed in (2.9, -1, math.nan):
+        with pytest.raises(ValueError, match=r"seed must be a whole number >= 0"):
+            cls.generate(3, 8, seed=seed)
 
 
 @pytest.mark.parametrize("cls", [QuadraticMeanProblem, LogCoshProblem])
