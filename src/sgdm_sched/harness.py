@@ -105,7 +105,7 @@ class ExperimentConfig:
         object.__setattr__(self, "alg", schedules.check_alg(self.alg))
         object.__setattr__(self, "theta0_seed", _count(self.theta0_seed, "theta0_seed", 0))
         object.__setattr__(self, "seeds", tuple(optim._stream_words(self.seeds, "master seeds")))
-        optim._check_beta(self.beta)
+        schedules.check_beta(self.beta)
         if not self.seeds:
             raise ValueError("need at least one master seed")
         if len(set(self.seeds)) != len(self.seeds):

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -111,29 +111,20 @@ class OptimizerState:
     t: int
     beta: float
     alg: str
-    # the pair of arrays ``step`` writes the next iterate and momentum into;
-    # a finite step swaps it with (theta, momentum)
-    _spare: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # owned float64 copies: ``step`` writes into these arrays later on
+        # float64 copies, so the state never shares memory with the caller
         self.theta = np.array(self.theta, dtype=np.float64)
         self.momentum = np.array(self.momentum, dtype=np.float64)
-        self._spare = (np.empty(self.theta.shape), np.empty(self.theta.shape))
 
     @classmethod
     def initial(cls, theta0: np.ndarray, beta: float, alg: str) -> "OptimizerState":
         alg = schedules.check_alg(alg)
-        _check_beta(beta)
+        schedules.check_beta(beta)
         theta0 = np.asarray(theta0, dtype=np.float64)
         if theta0.ndim not in (1, 2):
             raise ValueError("theta0 must be a 1-D vector or an (R, d) array of seed rows")
         return cls(theta=theta0, momentum=np.zeros_like(theta0), t=0, beta=beta, alg=alg)
-
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta < 1.0:  # NaN too
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
 
 
 # divergence is detected explicitly below; let inf/nan flow, not warn
@@ -145,11 +136,9 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
     non-finite gradient or new iterate raises NumericalDivergence naming the
     lowest row that is non-finite at this step.
 
-    The update runs in place and returns ``state`` itself: the new momentum
-    and iterate are written into the state's spare pair of arrays, which is
-    swapped in only when the new iterate is finite, so a step that raises
-    leaves theta, momentum and t as they were.  The arrays a step swaps out
-    are overwritten by the next one; copy ``state.theta`` to keep it.
+    It returns ``state`` itself: the new momentum and iterate are written
+    into new arrays, which the state takes only when the new iterate is
+    finite, so a step that raises leaves theta, momentum and t as they were.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != state.theta.shape:
@@ -158,14 +147,13 @@ def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
         )
     if not lr >= 0:  # NaN too
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    theta, m = state._spare
+    theta, m = np.empty(grad.shape), np.empty(grad.shape)
     _update(state.theta, state.momentum, grad, lr, state.beta, state.alg, theta, m)
     # a non-finite gradient or state entry makes the same entry of the new
     # iterate non-finite (module docstring), so the iterate alone decides
     bad = _first_nonfinite(np.isfinite(theta).reshape(1, -1, theta.shape[-1]))
     if bad is not None:
         raise NumericalDivergence(state.t, row=bad[1])
-    state._spare = (state.theta, state.momentum)
     state.theta, state.momentum = theta, m
     state.t += 1
     return state
@@ -382,25 +370,28 @@ class VarianceEstimate(NamedTuple):
     trials: int
 
 
+# Trials per gather of empirical_minibatch_variance, to bound its memory.
+_VARIANCE_CHUNK = 4096
+
+
 def empirical_minibatch_variance(
-    problem, theta: np.ndarray, b: int, trials: int, seed: int, chunk: int = 4096
+    problem, theta: np.ndarray, b: int, trials: int, seed: int
 ) -> VarianceEstimate:
     """Monte-Carlo estimate of E||grad f_B(theta) - grad f(theta)||^2.
 
     Trial i draws its batch of size ``b`` i.i.d. with replacement from the
     sampling stream every run uses: ``batch_indices(seed, i, 0, b, n)``,
     run index i at step 0 of master seed ``seed``.  Trials are evaluated
-    ``chunk`` at a time to bound the memory of the gather; the standard
-    error of the mean comes from the same trials.  ``b``, ``trials`` and
-    ``chunk`` must be whole numbers (2.0 counts as 2; 2.5 is a ValueError).
+    _VARIANCE_CHUNK at a time to bound the memory of the gather; the
+    standard error of the mean comes from the same trials.  ``b`` and
+    ``trials`` must be whole numbers (2.0 counts as 2; 2.5 is a ValueError).
     """
     b = _count(b, "batch size b", 1)
     trials = _count(trials, "trials (for a usable estimate)", 1000)
-    chunk = _count(chunk, "chunk", 1)
     theta = np.asarray(theta, dtype=np.float64)
     sq = np.empty(trials)
-    for lo in range(0, trials, chunk):
-        runs = np.arange(lo, min(lo + chunk, trials))
+    for lo in range(0, trials, _VARIANCE_CHUNK):
+        runs = np.arange(lo, min(lo + _VARIANCE_CHUNK, trials))
         k = runs.size
         idx = batch_indices([seed] * k, runs, 0, b, problem.n)
         dev = problem.minibatch_deviation_many(theta, idx)
@@ -494,7 +485,7 @@ def run(
     holds as if every step were checked and observed on its own.
     """
     alg = schedules.check_alg(alg)
-    _check_beta(beta)
+    schedules.check_beta(beta)
     every = _record_every(record_every)
     single = np.ndim(seed) == 0
     seeds = _stream_words(seed, "master seeds")

@@ -9,8 +9,8 @@ convergence bounds is computable instead of estimated:
 - ``minibatch_deviation_many(theta, indices)``: for one iterate ``theta[d]``
   and K batches ``indices[K, b]``, the K rows of
   ``minibatch_gradient - value_and_grad(theta)[1]`` (the quadratic takes them
-  from its centered anchors, free of that subtraction's cancellation, so
-  sigma_sq = 0 gives exactly 0);
+  from the gathered anchors, centred in place, free of that subtraction's
+  cancellation, so sigma_sq = 0 gives exactly 0; it stores no centred copy);
 - ``minibatch_gradients(indices)``: for a (K, b, R) block of K steps'
   indices, K functions of ``theta[R, d]``; function k gives
   ``minibatch_gradient(theta, indices[k].T)`` bit for bit (the quadratic
@@ -124,9 +124,8 @@ class QuadraticMeanProblem:
             abar = anchors[0].copy()  # keep sigma_sq exactly zero, not O(eps^2)
         abar.flags.writeable = False
         self.abar = abar
-        self._dev = anchors - abar
-        self._dev.flags.writeable = False
-        self.sigma_sq = float(np.einsum("ij,ij->", self._dev, self._dev) / self.n)
+        dev = anchors - abar
+        self.sigma_sq = float(np.einsum("ij,ij->", dev, dev) / self.n)
         if not math.isfinite(self.sigma_sq):
             raise ValueError(f"the anchors' variance sigma_sq = {self.sigma_sq} is not finite")
         self.L = 1.0
@@ -175,8 +174,11 @@ class QuadraticMeanProblem:
         return [lambda theta, mean=mean: theta - mean for mean in _batch_means(self.anchors, indices)]
 
     def minibatch_deviation_many(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Rows of grad f_B - grad f via centered anchors (cancellation-free)."""
-        return -_batch_means(self._dev, np.transpose(indices)[None])[0]
+        """Rows of grad f_B - grad f = abar - mean(a_B), from the gathered
+        anchors centred in place (cancellation-free)."""
+        means = _batch_means(self.anchors, np.transpose(indices)[None],
+                             lambda a, abar: np.subtract(a, abar, out=a), self.abar)
+        return -means[0]
 
     def check_iterate(self, theta: np.ndarray) -> None:
         pass  # sigma_sq is global; nothing to enforce
@@ -338,19 +340,13 @@ class LogCoshProblem:
         place from the point's anchor column, so it does not depend on the
         other points; blocks hold about 2^13 values (64 KB) whatever n is.
         """
-        c = self.amp / self.scale
         columns = self.anchors.T
         block = max(1, 2**13 // self.n)
         v = np.empty(x.size)
         for lo in range(0, x.size, block):
-            g = columns[j[lo : lo + block]]
-            np.subtract(x[lo : lo + block, None], g, out=g)
-            if self.scale != 1.0:  # the passes /1 and *1 are exact: skip them
-                g /= self.scale
-            np.tanh(g, out=g)
-            if c != 1.0:
-                g *= c
-            u = v[lo : lo + block]
+            hi = lo + block
+            g = self._sample_gradients(columns[j[lo:hi]], x[lo:hi, None])
+            u = v[lo:hi]
             np.einsum("pi,pi->p", g, g, out=u)
             u /= self.n
             u -= g.mean(axis=1) ** 2

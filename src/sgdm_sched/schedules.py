@@ -34,6 +34,7 @@ __all__ = [
     "build_constant_bs_table",
     "build_increasing_bs_table",
     "check_alg",
+    "check_beta",
     "admissible_lr_bound",
     "validate_admissible",
     "table_to_csv",
@@ -77,6 +78,12 @@ def check_alg(alg: str) -> str:
     if alg not in ALGS:
         raise ScheduleError(f"unknown algorithm {alg!r}; expected one of {ALGS}")
     return alg
+
+
+def check_beta(beta: float) -> None:
+    """ScheduleError unless the momentum beta is in [0, 1)."""
+    if not 0.0 <= beta < 1.0:  # NaN too
+        raise ScheduleError(f"beta must be in [0, 1), got {beta}")
 
 
 @dataclass(frozen=True)
@@ -345,22 +352,21 @@ def _growth_constant_of(lam: np.ndarray) -> float:
     return max(1.0, float(np.max(nxt[ok] / prev[ok])))
 
 
-def _decaying_lr(spec: ScheduleSpec, T: int, epoch: np.ndarray | None, E: int | None) -> np.ndarray:
-    """Rate of a decaying kind at steps 0..T-1.
+def _decaying_lr(spec: ScheduleSpec, peak: float, T: int, epoch: np.ndarray | None,
+                 E: int | None) -> np.ndarray:
+    """Rate of a decaying kind at steps 0..T-1, starting from ``peak``.
 
-    The cosine kind walks the per-step epoch index ``epoch`` over E epochs,
-    from its peak rate (lambda_max, or lambda0 * gamma^warmup_phases for the
-    tail of a warm-up) down to lambda_min.
+    ``peak`` is lambda_max for the decaying regimes and the last warm-up rate
+    for the tail of a warm-up.  The cosine kind walks the per-step epoch
+    index ``epoch`` over E epochs, from ``peak`` down to lambda_min.
     """
     if spec.kind == "constant":
-        return np.full(T, float(spec.lambda_max))
+        return np.full(T, float(peak))
     t = np.arange(T, dtype=np.float64)
     if spec.kind == "diminishing":
-        return spec.lambda_max / np.sqrt(t + 1.0)
+        return peak / np.sqrt(t + 1.0)
     if spec.kind == "polynomial":
-        return (spec.lambda_max - spec.lambda_min) * (1.0 - t / T) ** spec.p + spec.lambda_min
-    peak = (spec.lambda0 * spec.gamma ** spec.warmup_phases if spec.regime == "warmup"
-            else spec.lambda_max)
+        return (peak - spec.lambda_min) * (1.0 - t / T) ** spec.p + spec.lambda_min
     return spec.lambda_min + 0.5 * (peak - spec.lambda_min) * (1.0 + np.cos(epoch * math.pi / E))
 
 
@@ -389,7 +395,7 @@ def build_constant_bs_table(spec: ScheduleSpec, dataset_size: int | None = None)
         E = T // K
         epoch = np.floor_divide(np.arange(T), K).astype(np.float64)
     batch = np.full(T, b, dtype=np.int64)
-    return ScheduleTable(lr=_decaying_lr(spec, T, epoch, E), batch=batch)
+    return ScheduleTable(lr=_decaying_lr(spec, spec.lambda_max, T, epoch, E), batch=batch)
 
 
 def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTable:
@@ -404,7 +410,7 @@ def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTa
     T = plan.total_steps
     if spec.regime == "increasing-bs":
         epoch = plan.step_epochs().astype(np.float64) if spec.kind == "cosine" else None
-        lam = _decaying_lr(spec, T, epoch, plan.total_epochs)
+        lam = _decaying_lr(spec, spec.lambda_max, T, epoch, plan.total_epochs)
         return ScheduleTable(lr=lam, batch=plan.step_batches())
     if spec.gamma >= plan.delta:
         raise ScheduleError(
@@ -420,7 +426,8 @@ def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTa
         e_warm = plan.warmup_epochs(Mw)
         post = phase > Mw
         epoch = plan.step_epochs().astype(np.float64)[post] - e_warm
-        lam[post] = _decaying_lr(spec, epoch.size, epoch, plan.total_epochs - e_warm)
+        peak = lam[plan.warmup_steps(Mw) - 1]  # the last warm-up rate
+        lam[post] = _decaying_lr(spec, peak, epoch.size, epoch, plan.total_epochs - e_warm)
     return ScheduleTable(lr=lam, batch=plan.step_batches())
 
 
@@ -431,8 +438,7 @@ def admissible_lr_bound(beta: float, L: float, c: float, alg: str) -> float:
     Raises MomentumTooLarge when c >= 1/beta^2 (empty range).
     """
     alg = check_alg(alg)
-    if not 0.0 <= beta < 1.0:
-        raise ScheduleError(f"beta must be in [0, 1), got {beta}")
+    check_beta(beta)
     if not L > 0.0:
         raise ScheduleError(f"L must be > 0, got {L}")
     if c < 1.0:

@@ -52,8 +52,7 @@ class TheoremConstants:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.L > 0:
             raise ValueError(f"L must be > 0, got {self.L}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
+        schedules.check_beta(self.beta)
         if self.f0_minus_fstar < 0.0:
             raise ValueError("initial suboptimality must be >= 0")
         if self.sigma_sq < 0.0:
@@ -212,8 +211,6 @@ def corollary_bounds(regime: str, **params) -> tuple[float, float]:
         post = dict(params)
         post.update(T=T - T_w, lambda_max=lam_max)
         kind = regime[len("cor3.4-") :]
-        if kind == "cosine":
-            _req(params, "lambda_min")
         B = B_w + _decaying_B_bound(kind, post)
         V = V_w + _growing_batch_V_bound(kind, post)
         return B, V

@@ -468,6 +468,7 @@ def warmup(kind, *flags):
 
 # SHA-256 prefixes of the stdout of `bounds` for every corollary regime and of
 # `schedule` for one kind per table-builder branch
+@pytest.mark.pinned
 @pytest.mark.parametrize("argv, digest", [
     (bounds_argv(*constant_bs("constant", "--lambda-max", "0.1", "--batch", "10", "--T", "100")),
      "0cddb6fb74e513a4"),

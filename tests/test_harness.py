@@ -254,6 +254,7 @@ class TestRunExperiment:
         assert doc["empirical"]["min_mean_grad_norm_sq"] >= 0
         assert list(doc["checks"]) == ["admissible", "theorem1_sq", "theorem1_norm"]
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("overrides, expected", [
         ({}, "c5f253fb83e9bde5"),
         (EVERY_FIELD, "38be79718d498a1a"),
@@ -262,6 +263,7 @@ class TestRunExperiment:
         # the hash names the artifact directory, so it must not drift
         assert small_config(**overrides).config_hash == expected
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("overrides, name", [({}, "defaults"), (EVERY_FIELD, "every-field")],
                              ids=["defaults", "every-field"])
     def test_artifact_bytes_are_pinned(self, tmp_path, overrides, name):
@@ -277,6 +279,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="non-finite value inf"):
             write_artifacts(report, tmp_path)
 
+    @pytest.mark.pinned
     def test_table_and_audit_csv_bytes_are_pinned(self):
         spec = ScheduleSpec(regime="warmup", kind="cosine", gamma=1.5, lambda0=0.02,
                             warmup_phases=1, lambda_min=0.001, b0=4, delta=2.0,

@@ -888,6 +888,52 @@ class TestTrajectoryBlock:
         assert (info.value.step_index, info.value.row) == (0, 1)
 
 
+class TestOneStepBlocks:
+    """R*d > _OBSERVE_WORDS gives blocks of J = 1 step; with record_every = 3,
+    two blocks of every three hold no recorded step, the last one of them
+    just before the post-run observation."""
+
+    R, D, T, EVERY, BETA = 60, 300, 11, 3, 0.8
+
+    def case(self, family):
+        assert _OBSERVE_WORDS // (self.R * self.D) == 0  # J = 1
+        prob = small_problem(family, self.D)
+        table = constant_bs_table("diminishing", batch=3, T=self.T, lambda_max=0.2)
+        seeds = list(range(100, 100 + self.R))
+        return prob, table, seeds, np.random.default_rng(5).uniform(-2, 2, size=self.D)
+
+    @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
+    def test_traces_equal_each_seed_run_alone(self, family):
+        prob, table, seeds, theta0 = self.case(family)
+        traces = run("nshb", self.BETA, table, prob, seeds, theta0=theta0,
+                     record_every=self.EVERY, record_theta=True)
+        for i, (seed, tr) in enumerate(zip(seeds, traces)):
+            alone = run("nshb", self.BETA, table, prob, seed, run_index=i, theta0=theta0,
+                        record_every=self.EVERY, record_theta=True)
+            assert tr.seed == alone.seed == seed
+            np.testing.assert_array_equal(tr.t, [0, 3, 6, 9])
+            np.testing.assert_array_equal(alone.t, tr.t)
+            for name in ("theta", "f", "grad_norm_sq", "lyapunov", "theta_final",
+                         "final_f", "final_grad_norm_sq", "final_lyapunov"):
+                assert_bits(getattr(tr, name), getattr(alone, name))
+
+    @pytest.mark.parametrize("family", ["quadratic", "logcosh"])
+    def test_divergence_at_a_step_that_is_not_recorded(self, family):
+        prob, table, seeds, theta0 = self.case(family)
+        poison = {4: [7, 3]}  # step 4 is not recorded
+        with pytest.raises(NumericalDivergence) as info:
+            run("nshb", self.BETA, table, Poisoned(prob, self.R, grad=poison), seeds,
+                theta0=theta0, record_every=self.EVERY)
+        exc = info.value
+        obs, final, stop = observed_one_step_at_a_time(
+            "nshb", self.BETA, table, Poisoned(prob, self.R, grad=poison), seeds, theta0,
+            self.EVERY)
+        assert stop == (exc.step_index, exc.row) == (4, 3)
+        assert exc.trace.seed == seeds[3]
+        np.testing.assert_array_equal(exc.trace.t, [0, 3])
+        assert_trace_is_row(exc.trace, obs, final, 3)
+
+
 class TestBlockedGradients:
     @pytest.mark.parametrize("d", [1, 2, 10, 20])
     @pytest.mark.parametrize("R", [1, 5, 64])

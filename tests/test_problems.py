@@ -547,8 +547,9 @@ class TestMinibatchVariance:
     def test_logcosh_equals_the_batch_minus_full_gradient_form(self):
         prob = LogCoshProblem.generate(3, 32, spread=2.0, scale=0.6, seed=11)
         theta = np.array([0.4, -1.0, 0.7])
-        trials, chunk = 5000, 2048
-        est = empirical_minibatch_variance(prob, theta, b=3, trials=trials, seed=7, chunk=chunk)
+        trials, chunk = 5000, optim._VARIANCE_CHUNK
+        assert chunk < trials  # the trials cross a chunk boundary
+        est = empirical_minibatch_variance(prob, theta, b=3, trials=trials, seed=7)
         _, gbar = prob.value_and_grad(theta)
         sq = np.empty(trials)
         for lo in range(0, trials, chunk):
@@ -564,19 +565,17 @@ class TestMinibatchVariance:
         with pytest.raises(ValueError):
             empirical_minibatch_variance(prob, np.zeros(2), b=1, trials=999, seed=0)
 
-    @pytest.mark.parametrize("b, trials, chunk", [
-        (2.5, 1000, 4096), (1, 1000.5, 4096), (1, 1000, 100.5), (0, 1000, 4096),
-        (1, 1000, 0), (math.nan, 1000, 4096), (1, math.inf, 4096), ("2", 1000, 4096),
+    @pytest.mark.parametrize("b, trials", [
+        (2.5, 1000), (1, 1000.5), (0, 1000), (math.nan, 1000), (1, math.inf), ("2", 1000),
     ])
-    def test_refuses_counts_that_are_not_whole(self, b, trials, chunk):
+    def test_refuses_counts_that_are_not_whole(self, b, trials):
         # b = 2.5 used to estimate the b = 2 variance; trials = 1000.5 was a TypeError
         prob = QuadraticMeanProblem.generate(2, 8, seed=0)
         with pytest.raises(ValueError, match="whole number"):
-            empirical_minibatch_variance(prob, np.zeros(2), b=b, trials=trials, seed=0, chunk=chunk)
+            empirical_minibatch_variance(prob, np.zeros(2), b=b, trials=trials, seed=0)
 
     def test_whole_float_counts_equal_the_ints(self):
         prob = QuadraticMeanProblem.generate(2, 8, seed=0)
-        ref = empirical_minibatch_variance(prob, np.ones(2), b=2, trials=1000, seed=3, chunk=300)
-        got = empirical_minibatch_variance(prob, np.ones(2), b=2.0, trials=1000.0, seed=3.0,
-                                           chunk=np.float64(300.0))
+        ref = empirical_minibatch_variance(prob, np.ones(2), b=2, trials=1000, seed=3)
+        got = empirical_minibatch_variance(prob, np.ones(2), b=2.0, trials=1000.0, seed=3.0)
         assert got == ref and type(got.trials) is int
