@@ -44,11 +44,19 @@ before the point (one in exponent notation, none below 1) form an integer,
 written without leading zeros; the rest, left-aligned in 16 digits, form
 the fraction, written without trailing zeros.  Each comes from table words
 of four digits, one division by 10^4 a word.
+
+Adjacent float columns of a block are formatted together: their values,
+taken row-major, go through one such pass of about 60 numpy operations,
+and every value gets the word count of the widest, the extra words being
+zero bytes that the row strip drops.  A cli-doubling trace (three float
+columns after a preformatted lead) costs about 130 ns per float, against
+155 ns formatted a column at a time, on a shared 2-vCPU AVX-512 host.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -123,9 +131,9 @@ def _decimal(x: np.ndarray):
     be = (bits >> 52 & 2047).astype(np.int64)  # q = be - 1075
     m = bits & 2**52 - 1 | 2**52
     E = (be - 1023) * 78913 >> 18
-    X = E + (np.abs(x) >= T_k[E + 1 - _KMIN])
+    X = E + (np.abs(x) >= T_k.take(E + 1 - _KMIN))
     k = 16 - X - _KMIN
-    P, t = P_k[k], (S_k[k] + 1075 - be).astype(np.uint64)
+    P, t = P_k.take(k), (S_k.take(k) + 1075 - be).astype(np.uint64)
     m0, m1, p0, p1 = m & _LOW32, m >> 32, P & _LOW32, P >> 32
     low, cross, cross2 = m0 * p0, m0 * p1, m1 * p0
     mid = (low >> 32) + (cross & _LOW32) + (cross2 & _LOW32)
@@ -137,7 +145,7 @@ def _decimal(x: np.ndarray):
     D = (high << 64 - t | low >> t) + up
     carry = D == 10**17
     D[carry] = 10**16
-    return D, X + carry, (up | (F + m * inexact[k] < half)) & (be != 0)
+    return D, X + carry, (up | (F + m * inexact.take(k) < half)) & (be != 0)
 
 
 def _integer_words(u: np.ndarray) -> list[np.ndarray]:
@@ -146,7 +154,7 @@ def _integer_words(u: np.ndarray) -> list[np.ndarray]:
     quads, words = _digit_words()[0], []
     while True:
         high = u // 10**4
-        words.append(quads[u - high * 10**4 + (high == 0) * np.uint64(10**4)])
+        words.append(quads.take(u - high * 10**4 + (high == 0) * np.uint64(10**4)))
         if not high.any():
             return words[::-1]
         u = high
@@ -158,35 +166,36 @@ def _int_words(v: np.ndarray, sep: bool) -> list[np.ndarray]:
     u[neg] = -u[neg]
     words = _integer_words(u)
     words[-1][u == 0] = _ZERO
-    return [_PREFIX[neg + 2 * sep], *words]
+    return [_PREFIX.take(neg + 2 * sep), *words]
 
 
-def _float_words(x: np.ndarray, sep: bool) -> list[np.ndarray]:
+def _float_words(x: np.ndarray, sep: np.ndarray) -> list[np.ndarray]:
+    """Words of float64 ``x``, a value preceded by a comma where ``sep``."""
     D, X, decided = _decimal(x)
     quads, exp = _digit_words()
     fixed = np.where((X >= -4) & (X < 17), X, 0)
     c = np.maximum(fixed, -1)  # index of the last digit before the point
-    split = _SPLIT[c + 1]
+    split = _SPLIT.take(c + 1)
     integer = D // split
-    u = (D - integer * split) * _SHIFT[c + 1]  # the fraction, 16 digits
+    u = (D - integer * split) * _SHIFT.take(c + 1)  # the fraction, 16 digits
     frac, low_zero = [], True
     for _ in range(4):
         high = u // 10**4
         digits = u - high * 10**4
-        frac.append(quads[digits + low_zero * np.uint64(2 * 10**4)])
+        frac.append(quads.take(digits + low_zero * np.uint64(2 * 10**4)))
         low_zero = low_zero & (digits == 0)
         u = high
     int_words = _integer_words(integer)  # integer = 0 exactly where c < 0
     int_words[-1][c < 0] = _ZERO_POINT
     point = ~low_zero & (c >= 0)
-    words = [_PREFIX[(x < 0) + 2 * sep], *int_words,
-             _FRAC_TOP[u.astype(np.int64) + 10 * (c - fixed) + 40 * point], *frac[::-1]]
+    words = [_PREFIX.take((x < 0) + 2 * sep), *int_words,
+             _FRAC_TOP.take(u.astype(np.int64) + 10 * (c - fixed) + 40 * point), *frac[::-1]]
     if (fixed != X).any():
-        exp = exp[X + 308]
-        words += [exp[:, 0]] if (np.abs(X) < 100).all() else list(exp.T)
+        e = X + 308
+        words += [exp[:, j].take(e) for j in range(1 if (np.abs(X) < 100).all() else 2)]
     for i in np.flatnonzero(~decided):
-        text = (b"," * sep + _fmt.fmt_float(float(x[i])).encode()).ljust(4 * len(words), b"\0")
-        for w, t in zip(words, _words(text)):
+        text = b"," * int(sep[i]) + _fmt.fmt_float(float(x[i])).encode()
+        for w, t in zip(words, _words(text.ljust(4 * len(words), b"\0"))):
             w[i] = t
     return words
 
@@ -216,8 +225,16 @@ def _rows(cols: list[np.ndarray], lead: np.ndarray | None, end: bytes):
 
 def _block(cols: list[np.ndarray], lead: np.ndarray | None, end: bytes) -> np.ndarray:
     words = [] if lead is None else [lead.view(np.uint32)]
-    for col in cols:
-        words += (_float_words if col.dtype.kind == "f" else _int_words)(col, bool(words))
+    for is_float, run in itertools.groupby(cols, lambda col: col.dtype.kind == "f"):
+        if is_float:
+            # adjacent float columns are formatted row-major in one pass: each
+            # value gets the run's word count, the extra words zero bytes
+            x = np.column_stack(list(run))
+            sep = np.broadcast_to(np.arange(x.shape[1]) + bool(words) > 0, x.shape).ravel()
+            words.append(np.column_stack(_float_words(x.ravel(), sep)).reshape(len(x), -1))
+        else:
+            for col in run:
+                words += _int_words(col, bool(words))
     words.append(np.full(len(words[0]), _words(end.ljust(4, b"\0"))[0]))
     return np.column_stack(words).view(np.uint8)
 

@@ -370,8 +370,10 @@ class VarianceEstimate(NamedTuple):
     trials: int
 
 
-# Trials per gather of empirical_minibatch_variance, to bound its memory.
+# Trials, and gathered values (trials * b * d), per gather of
+# empirical_minibatch_variance, to bound its memory.
 _VARIANCE_CHUNK = 4096
+_VARIANCE_VALUES = 2**20
 
 
 def empirical_minibatch_variance(
@@ -382,16 +384,20 @@ def empirical_minibatch_variance(
     Trial i draws its batch of size ``b`` i.i.d. with replacement from the
     sampling stream every run uses: ``batch_indices(seed, i, 0, b, n)``,
     run index i at step 0 of master seed ``seed``.  Trials are evaluated
-    _VARIANCE_CHUNK at a time to bound the memory of the gather; the
-    standard error of the mean comes from the same trials.  ``b`` and
-    ``trials`` must be whole numbers (2.0 counts as 2; 2.5 is a ValueError).
+    at most _VARIANCE_CHUNK, and at most _VARIANCE_VALUES gathered values,
+    at a time to bound the memory of the gather.  Each trial's row is
+    computed as it would be alone, so the chunking does not change the
+    estimate.  The standard error of the mean comes from the same trials.
+    ``b`` and ``trials`` must be whole numbers (2.0 counts as 2; 2.5 is a
+    ValueError).
     """
     b = _count(b, "batch size b", 1)
     trials = _count(trials, "trials (for a usable estimate)", 1000)
     theta = np.asarray(theta, dtype=np.float64)
     sq = np.empty(trials)
-    for lo in range(0, trials, _VARIANCE_CHUNK):
-        runs = np.arange(lo, min(lo + _VARIANCE_CHUNK, trials))
+    chunk = max(1, min(_VARIANCE_CHUNK, _VARIANCE_VALUES // (b * problem.d)))
+    for lo in range(0, trials, chunk):
+        runs = np.arange(lo, min(lo + chunk, trials))
         k = runs.size
         idx = batch_indices([seed] * k, runs, 0, b, problem.n)
         dev = problem.minibatch_deviation_many(theta, idx)

@@ -35,6 +35,7 @@ __all__ = [
     "build_increasing_bs_table",
     "check_alg",
     "check_beta",
+    "growth_rates",
     "admissible_lr_bound",
     "validate_admissible",
     "table_to_csv",
@@ -398,6 +399,16 @@ def build_constant_bs_table(spec: ScheduleSpec, dataset_size: int | None = None)
     return ScheduleTable(lr=_decaying_lr(spec, spec.lambda_max, T, epoch, E), batch=batch)
 
 
+def growth_rates(lambda0: float, gamma: float, M: int) -> np.ndarray:
+    """lambda0 gamma^m for m = 0..M: the rate of growth phase m.
+
+    The growth tables and ``theory.corollary_bounds``' warm-up peak both read
+    it, so they agree to the bit: numpy's array ``power`` and Python's ``**``
+    may round gamma^m differently (1.2^4 on AVX-512).
+    """
+    return lambda0 * gamma ** np.arange(M + 1.0)
+
+
 def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTable:
     """Materialize a phase plan: batch delta^m * b0 on phase m, the rate per ``spec.regime``.
 
@@ -420,7 +431,7 @@ def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTa
     if Mw > plan.M:
         raise ScheduleError(f"warmup_phases={Mw} exceeds the plan's last phase index M={plan.M}")
     phase = plan.step_phases()
-    lam = spec.lambda0 * spec.gamma ** np.minimum(phase, Mw).astype(np.float64)
+    lam = growth_rates(spec.lambda0, spec.gamma, Mw)[np.minimum(phase, Mw)]
     if spec.kind == "cosine" and Mw < plan.M:
         # the tail restarts the epoch count at the end of the warm-up
         e_warm = plan.warmup_epochs(Mw)

@@ -207,7 +207,7 @@ def corollary_bounds(regime: str, **params) -> tuple[float, float]:
         T, T_w, gamma, lam0, M_w = _req(params, "T", "T_w", "gamma", "lambda0", "M_w")
         if T <= T_w:
             raise ValueError("warm-up bounds need at least one post-warm-up step (T > T_w)")
-        lam_max = lam0 * gamma**M_w
+        lam_max = float(schedules.growth_rates(lam0, gamma, M_w)[-1])
         post = dict(params)
         post.update(T=T - T_w, lambda_max=lam_max)
         kind = regime[len("cor3.4-") :]

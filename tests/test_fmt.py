@@ -38,6 +38,9 @@ def _special_floats():
 
 
 def test_rows_match_per_value_formatting():
+    # adjacent float columns are formatted in one pass and share a word
+    # count: a row where one column needs exponent words or the scalar
+    # fallback and another does not must still match per-value formatting
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64)
     random_bits = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
@@ -50,9 +53,22 @@ def test_rows_match_per_value_formatting():
     ints = rng.integers(-(2**62), 2**62, floats.size)
     ints[:4] = [-(2**63), 2**63 - 1, 0, -1]
     flags = rng.random(floats.size) < 0.5
-    expected = "".join(f"{int(i)},{fmt_float(x)},{int(b)}\n"
-                       for i, x, b in zip(ints.tolist(), floats.tolist(), flags.tolist()))
-    assert csv_text("i,x,b", (ints, floats, flags)) == "i,x,b\n" + expected
+    plain = rng.standard_normal(floats.size)  # mostly fixed notation
+    (_, X, decided), (_, X_plain, decided_plain) = _decimal(floats), _decimal(plain)
+    assert (((X < -4) | (X > 16)) & (X_plain >= -4) & (X_plain <= 16)).any()  # exponent words
+    assert (~decided & decided_plain).any()  # the scalar fallback
+    values = {"i": ints, "x": floats, "b": flags, "p": plain, "r": floats[::-1]}
+    text = {"i": [str(v) for v in ints.tolist()], "b": [str(int(v)) for v in flags.tolist()],
+            "x": [fmt_float(v) for v in floats.tolist()],
+            "p": [fmt_float(v) for v in plain.tolist()]}
+    text["r"] = text["x"][::-1]
+    for header in ("i,x,b", "i,x,p,r", "x,r,b"):  # three float columns; a float one first
+        names = header.split(",")
+        lines = csv_text(header, [values[c] for c in names]).split("\n")
+        expected = [header, *map(",".join, zip(*(text[c] for c in names))), ""]
+        # the first wrong row, not a diff of 200,000 lines
+        wrong = next(((i, a, b) for i, (a, b) in enumerate(zip(lines, expected)) if a != b), None)
+        assert wrong is None and len(lines) == len(expected)
 
 
 def test_unsigned_columns_use_every_bit():

@@ -560,6 +560,29 @@ class TestMinibatchVariance:
         assert est.value == float(sq.mean())
         assert est.stderr == float(sq.std(ddof=1) / math.sqrt(trials))
 
+    @pytest.mark.parametrize("make", [
+        lambda: QuadraticMeanProblem.generate(20, 4096, seed=0),
+        lambda: LogCoshProblem.generate(20, 1024, seed=3),
+    ], ids=["quadratic", "logcosh"])
+    def test_gather_memory_is_bounded_in_trials_times_b(self, make):
+        # one gather of 4096 trials at b = 256, d = 20 held 176 MB; a chunk
+        # holds at most _VARIANCE_VALUES gathered values
+        prob = make()
+        tracemalloc.start()
+        try:
+            empirical_minibatch_variance(prob, np.full(20, 0.1), b=256, trials=4096, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_chunk_size_does_not_change_the_estimate(self, monkeypatch):
+        prob = LogCoshProblem.generate(5, 64, seed=2)
+        theta = np.linspace(-0.5, 0.5, 5)
+        whole = empirical_minibatch_variance(prob, theta, b=8, trials=1000, seed=4)
+        monkeypatch.setattr(optim, "_VARIANCE_VALUES", 8 * 5 * 37)  # chunks of 37 trials
+        assert empirical_minibatch_variance(prob, theta, b=8, trials=1000, seed=4) == whole
+
     def test_trials_floor_enforced(self):
         prob = QuadraticMeanProblem.generate(2, 8, seed=0)
         with pytest.raises(ValueError):

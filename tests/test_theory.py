@@ -71,6 +71,7 @@ class TestLyapunovValue:
 
 
 class TestTheoremRhs:
+    @pytest.mark.pinned
     def test_constant_table_terms(self):
         table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
         constants = TheoremConstants(L=1.0, beta=0.0, f0_minus_fstar=1.0,
@@ -81,6 +82,7 @@ class TestTheoremRhs:
         assert rep.rhs_sq == pytest.approx(0.3, rel=1e-15)
         assert rep.rhs_norm == pytest.approx(math.sqrt(0.3), rel=1e-15)
 
+    @pytest.mark.pinned
     def test_calg_scaling(self):
         table = constant_bs_table("constant", batch=10, T=100, lambda_max=0.1)
         constants = TheoremConstants(L=1.0, beta=0.5, f0_minus_fstar=1.0,
@@ -190,6 +192,28 @@ class TestCorollaryBounds:
             corollary_bounds("cor3.4-constant", delta=2.0, gamma=1.5, lambda0=0.1,
                              b0=8, K_min=1, K_max=1, E_min=1, E_max=1, M_w=2,
                              T=10, T_w=10)
+
+    @pytest.mark.parametrize("gamma", [1.1, 1.2, 1.3, 1.7])
+    @pytest.mark.parametrize("lambda0", [0.05, 1.0])
+    def test_warmup_peak_is_the_tables_last_warmup_rate(self, gamma, lambda0, monkeypatch):
+        # numpy's power gives 1.2^4 = 2.0735999999999994 on AVX-512 and
+        # Python's ** 2.0736: the bound must read the table's own peak
+        peaks = []
+
+        def spy(kind, params):
+            peaks.append(params["lambda_max"])
+            return decaying(kind, params)
+
+        decaying = theory._decaying_B_bound
+        monkeypatch.setattr(theory, "_decaying_B_bound", spy)
+        for Mw in range(6):
+            spec = ScheduleSpec("warmup", "cosine", gamma=gamma, lambda0=lambda0,
+                                warmup_phases=Mw, lambda_min=0.0, b0=1, delta=2.0,
+                                epochs_per_phase=(1,) * (Mw + 2), dataset_size=64)
+            table, regime, symbols = spec.build(problem_n=None)
+            peaks.clear()
+            corollary_bounds(regime, **symbols)
+            assert peaks == [table.lr[symbols["T_w"] - 1]]
 
     def test_exponential_decay_affine_in_M(self):
         # log B_bound falls by exactly log(gamma) per extra phase
