@@ -46,6 +46,7 @@ _FAMILIES = {
     "quadratic": (problems.QuadraticMeanProblem, ("sigma_sq", "spread")),
     "logcosh": (problems.LogCoshProblem, ("spread", "scale", "amp", "box_radius")),
 }
+_AUDIT_MIN_SEEDS = 64  # master seeds ``lyapunov_descent_audit`` needs
 
 
 class BudgetExceeded(RuntimeError):
@@ -382,12 +383,12 @@ class AuditReport:
         )
 
 
-def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64,
+def lyapunov_descent_audit(config: ExperimentConfig,
                            out_dir: str | Path | None = None) -> AuditReport:
     """Estimate E[L_{t+1} - L_t] per step and compare against the one-step bound.
 
-    Requires the nshb parameterization and at least ``min_seeds`` master
-    seeds.  Each audited step passes when the seed-mean of
+    Requires the nshb parameterization and at least _AUDIT_MIN_SEEDS (64)
+    master seeds.  Each audited step passes when the seed-mean of
     (L_{t+1} - L_t) + (1/2)(1-beta) eta_t ||grad f(theta_t)||^2
     - (1/2)(1-beta) eta_t sigma^2/b_t lies at or below 3 standard errors of
     that combined per-seed statistic.  All steps are audited for T <= 512,
@@ -397,8 +398,8 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64,
     """
     if config.alg != "nshb":
         raise ValueError("the Lyapunov descent audit is defined for the nshb parameterization")
-    if len(config.seeds) < min_seeds:
-        raise ValueError(f"audit needs at least {min_seeds} seeds, got {len(config.seeds)}")
+    if len(config.seeds) < _AUDIT_MIN_SEEDS:
+        raise ValueError(f"audit needs at least {_AUDIT_MIN_SEEDS} seeds, got {len(config.seeds)}")
     if config.record_every != 1:
         raise ValueError("audit needs record_every = 1 for consecutive Lyapunov values")
 
@@ -414,20 +415,18 @@ def lyapunov_descent_audit(config: ExperimentConfig, min_seeds: int = 64,
     lyap = np.stack([np.append(tr.lyapunov, tr.final_lyapunov) for tr in traces])
     gns = np.stack([tr.grad_norm_sq for tr in traces])
     # record_every = 1, so every trace holds all T steps of the table
-    eta, batch = report.table.lr, report.table.batch
+    eta, batch = report.table.lr[audited], report.table.batch[audited]
     sigma_sq = report.constants.sigma_sq
-    half = 0.5 * (1.0 - config.beta) * eta
-    noise = half * sigma_sq / batch.astype(np.float64)
+    half, noise = theory.descent_terms(eta, config.beta, sigma_sq, batch)
 
     delta = lyap[:, audited + 1] - lyap[:, audited]
-    D = delta + half[audited] * gns[:, audited] - noise[audited]
+    D = delta + half * gns[:, audited] - noise
     mean_D, se_D = _mean_se(D)
     ok = mean_D <= 3.0 * se_D
 
     # seed means of the contiguous rows: each sums pairwise, as a 1-D mean does
     mean_gns = np.ascontiguousarray(gns[:, audited].T).mean(axis=1)
-    rhs = theory.descent_inequality_rhs(eta[audited], config.beta, sigma_sq, batch[audited],
-                                        mean_gns)
+    rhs = theory.descent_inequality_rhs(eta, config.beta, sigma_sq, batch, mean_gns)
     audit = AuditReport(t=audited, mean_delta=delta.mean(axis=0), descent_rhs=rhs, stderr=se_D,
                         ok=ok, n_seeds=D.shape[0], all_ok=bool(np.all(ok)))
     if out_dir is not None:

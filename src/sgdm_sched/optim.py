@@ -48,17 +48,19 @@ trajectory block, a pair of (J+1, R, d) arrays of iterates and momenta:
 slot s holds theta_{t0+s} and m_{t0+s-1}, and step t0+s writes theta_{t0+s+1}
 and m_{t0+s} straight into slot s+1, so a step makes no copy and no
 finiteness check.  Once per block, ``run`` checks the block's new iterates for
-finiteness and observes its recorded slots in one ``value_and_grad`` call.
-The check is exact: a non-finite entry of an iterate stays non-finite in
-every later one, as theta' = theta - lr*m is NaN or infinite wherever theta
-is (NaN - x is NaN, inf - x is inf or NaN), and a non-finite gradient or
-momentum entry makes the same entry of the new iterate non-finite (lr = 0
-included, as 0*inf is NaN).  So a finite last iterate clears the whole
-block; otherwise the first slot holding a non-finite entry, found in one
-pass over the block, is the new iterate of the step that diverged, and its
-lowest non-finite row is the row that diverged first.  Every row is
-computed as it would be alone, so a seed's trace does not depend on the
-seeds that run beside it, nor on the block it is observed in.
+finiteness and observes its recorded slots in one ``value_and_grad`` call;
+the block loop stops at the first failure, and one settle after it decides
+how the run ends and observes the iterate it ends at.  The check is exact:
+a non-finite entry of an iterate stays non-finite in every later one, as
+theta' = theta - lr*m is NaN or infinite wherever theta is (NaN - x is NaN,
+inf - x is inf or NaN), and a non-finite gradient or momentum entry makes
+the same entry of the new iterate non-finite (lr = 0 included, as 0*inf is
+NaN).  So a finite last iterate clears the whole block; otherwise the first
+slot holding a non-finite entry, found in one pass over the block, is the
+new iterate of the step that diverged, and its lowest non-finite row is the
+row that diverged first.  Every row is computed as it would be alone, so a
+seed's trace does not depend on the seeds that run beside it, nor on the
+block it is observed in.
 """
 
 from __future__ import annotations
@@ -481,14 +483,14 @@ def run(
     drawn (K, b, R) index block at a time, and rates from ``table.lr`` read
     once.  The steps run J = max(1, _OBSERVE_WORDS // (R*d)) at a time
     through the trajectory block of the module docstring; each recorded
-    theta_t is observed with the step's A_{t-1}.  A block is settled when
-    full, at the end and at a box exit: its new iterates are checked for
-    finiteness, which finds the step that diverged (module docstring), and
-    its recorded steps up to that step, or up to the iterate that left the
-    box, are observed in one call.  A non-finite
-    iterate also fails a box check, so the box exit is reported only when
-    the settled block holds no earlier failure, and the failure order above
-    holds as if every step were checked and observed on its own.
+    theta_t is observed with the step's A_{t-1}.  When a block is full, at
+    the end and at a box exit, its new iterates are checked for finiteness
+    (module docstring) and its recorded steps up to the first failure are
+    observed in one call.  One settle after the last block applies the order
+    above: a non-finite recorded observation, else a box exit with no
+    earlier divergence (a non-finite iterate fails a box check too), else
+    the observation of the iterate the run ends at, the diverged step's or
+    theta_T.  So the order holds as if each step were checked on its own.
     """
     alg = schedules.check_alg(alg)
     schedules.check_beta(beta)
@@ -588,28 +590,22 @@ def run(
             c_end = -(-(t0 + end) // every)
             bad = observe(slice(c * every - t0, end, every), slice(c, c_end), rec_t[c:c_end])
             c = c_end
-            if bad is None and (div or t == T):
-                last = div[0] if div else n  # the slot of the iterate the run ends at
-                bad = observe(slice(last, last + 1), slice(FINAL, FINAL + 1), np.array([t0 + last]))
             if bad or div or box or t == T:
                 break
             th[0], mo[0] = theta, m  # slot J starts the next block
             t0 = t
-    if bad is not None and bad[0] != FINAL:
-        # a recorded observation is non-finite: the run ends at its step
-        final, rows = bad[0], bad[0] + 1
-        stop = int(rec_t[final]), bad[1]
-    else:
-        final, rows = FINAL, c
-        if div:
-            stop = t0 + div[0], div[1]
-        elif bad:
-            stop = T, bad[1]  # the post-run observation counts as step T
-        elif box:
+        # the settle, the one place that decides how the run ends
+        if bad:  # a recorded observation is non-finite: the run ends at its step
+            final, rows = bad[0], bad[0] + 1
+            stop = int(rec_t[final]), bad[1]
+        elif box and not div:
             raise problems.IterateOutsideCertifiedBox(
                 f"seed {seeds[box.row]} at step {t}: {box}", row=box.row)
-        else:
-            stop = None
+        else:  # observe the iterate the run ends at: the diverged step's, or theta_T
+            final, rows, last = FINAL, c, div[0] if div else n
+            bad = observe(slice(last, last + 1), slice(FINAL, FINAL + 1), np.array([t0 + last]))
+            # a non-finite observation at theta_T counts as step T
+            stop = (t0 + div[0], div[1]) if div else (T, bad[1]) if bad else None
     f, gns, lyap = rec
     traces = [
         RunTrace(

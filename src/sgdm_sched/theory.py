@@ -3,7 +3,9 @@
 Evaluates the Lyapunov coefficient and function, the exact bias term
 B_T = 1/sum(lr) and variance term V_T = sum(lr/b)/sum(lr), the unified
 upper bound on the minimum expected squared gradient norm, the per-regime
-closed-form bounds on B_T and V_T, and the single-step descent inequality.
+closed-form bounds on B_T and V_T (the warm-up bound cor3.4 is cor3.3 over
+the warm-up phases plus cor3.2 over the tail), and the single-step descent
+inequality, whose two terms ``descent_terms`` gives to it and to the audit.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "lyapunov_value",
     "corollary_bounds",
     "build_report",
+    "descent_terms",
     "descent_inequality_rhs",
     "REGIMES",
 ]
@@ -162,23 +165,8 @@ def _growing_batch_V_bound(kind: str, params: dict) -> float:
     raise ValueError(f"unknown decaying kind {kind!r}")
 
 
-def _joint_growth_bounds(params: dict, M_key: str) -> tuple[float, float]:
-    delta, gamma, lam0, b0, K_min, E_min, K_max, E_max, M = _req(
-        params, "delta", "gamma", "lambda0", "b0", "K_min", "E_min", "K_max", "E_max", M_key
-    )
-    if delta <= 1.0:
-        raise ValueError(f"delta must be > 1, got {delta}")
-    if gamma <= 1.0:
-        raise ValueError(f"gamma must be > 1, got {gamma}")
-    gamma_hat = gamma / delta
-    if gamma_hat >= 1.0:
-        raise ValueError(f"need gamma/delta < 1, got {gamma_hat:.6g}")
-    B = delta**2 / (lam0 * K_min * E_min * gamma**M)
-    # V combines sum(lr/b) <= K_max E_max lambda0 / (b0 (1-gamma_hat)) with
-    # sum(lr) > lambda0 K_min E_min gamma^M / delta^2; lambda0 cancels, so the
-    # bound is dimensionless in the learning rate (as V_T itself is)
-    V = K_max * E_max * delta**2 / (K_min * E_min * b0 * (1.0 - gamma_hat) * gamma**M)
-    return B, V
+# the joint-growth symbols besides its exponent, M for cor3.3 and M_w for cor3.4
+_JOINT = ("delta", "gamma", "lambda0", "b0", "K_min", "E_min", "K_max", "E_max")
 
 
 def corollary_bounds(regime: str, **params) -> tuple[float, float]:
@@ -186,34 +174,44 @@ def corollary_bounds(regime: str, **params) -> tuple[float, float]:
 
     Regime names: cor3.1-{constant,diminishing,cosine,polynomial} (fixed batch),
     cor3.2-{...} (growing batch, decaying LR), cor3.3 (joint exponential
-    growth), cor3.4-{constant,cosine} (warm-up).  Parameters carry the symbols
+    growth), cor3.4-{constant,cosine} (warm-up: cor3.3 up to phase M_w plus
+    cor3.2 over the T - T_w steps after it).  Parameters carry the symbols
     each formula needs; realized maxima/minima of a concrete plan are accepted
     for K_max/K_min/E_max/E_min.
     """
-    if regime.startswith("cor3.1-"):
-        kind = regime[len("cor3.1-") :]
+    corollary, dash, kind = regime.partition("-")
+    if dash and corollary in ("cor3.1", "cor3.2"):
         B = _decaying_B_bound(kind, params)
+        if corollary == "cor3.2":
+            return B, _growing_batch_V_bound(kind, params)
         (b,) = _req(params, "batch")
         if b < 1:
             raise ValueError("batch must be >= 1")
         return B, 1.0 / b
-    if regime.startswith("cor3.2-"):
-        kind = regime[len("cor3.2-") :]
-        return _decaying_B_bound(kind, params), _growing_batch_V_bound(kind, params)
     if regime == "cor3.3":
-        return _joint_growth_bounds(params, "M")
-    if regime in ("cor3.4-constant", "cor3.4-cosine"):
-        B_w, V_w = _joint_growth_bounds(params, "M_w")
-        T, T_w, gamma, lam0, M_w = _req(params, "T", "T_w", "gamma", "lambda0", "M_w")
+        delta, gamma, lam0, b0, K_min, E_min, K_max, E_max, M = _req(params, *_JOINT, "M")
+        if delta <= 1.0:
+            raise ValueError(f"delta must be > 1, got {delta}")
+        if gamma <= 1.0:
+            raise ValueError(f"gamma must be > 1, got {gamma}")
+        gamma_hat = gamma / delta
+        if gamma_hat >= 1.0:
+            raise ValueError(f"need gamma/delta < 1, got {gamma_hat:.6g}")
+        B = delta**2 / (lam0 * K_min * E_min * gamma**M)
+        # V combines sum(lr/b) <= K_max E_max lambda0 / (b0 (1-gamma_hat)) with
+        # sum(lr) > lambda0 K_min E_min gamma^M / delta^2; lambda0 cancels, so
+        # the bound is dimensionless in the learning rate (as V_T itself is)
+        V = K_max * E_max * delta**2 / (K_min * E_min * b0 * (1.0 - gamma_hat) * gamma**M)
+        return B, V
+    if corollary == "cor3.4" and kind in ("constant", "cosine"):
+        M_w = _req(params, *_JOINT, "M_w")[-1]  # a missing symbol is named in cor3.3's order
+        B_w, V_w = corollary_bounds("cor3.3", **{**params, "M": M_w})
+        T, T_w, gamma, lam0 = _req(params, "T", "T_w", "gamma", "lambda0")
         if T <= T_w:
             raise ValueError("warm-up bounds need at least one post-warm-up step (T > T_w)")
         lam_max = float(schedules.growth_rates(lam0, gamma, M_w)[-1])
-        post = dict(params)
-        post.update(T=T - T_w, lambda_max=lam_max)
-        kind = regime[len("cor3.4-") :]
-        B = B_w + _decaying_B_bound(kind, post)
-        V = V_w + _growing_batch_V_bound(kind, post)
-        return B, V
+        B, V = corollary_bounds(f"cor3.2-{kind}", **{**params, "T": T - T_w, "lambda_max": lam_max})
+        return B_w + B, V_w + V
     raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
 
 
@@ -269,13 +267,18 @@ def build_report(
     return report
 
 
-def descent_inequality_rhs(eta_t, beta: float, sigma_sq: float, b_t, grad_norm_sq_expectation):
-    """Upper bound on E[L_{t+1} - L_t] for one admissible step:
-    -(1/2)(1-beta) eta ||grad||^2-term + (1/2)(1-beta) eta sigma^2 / b.
-
-    ``eta_t``, ``b_t`` and ``grad_norm_sq_expectation`` are floats, or arrays
-    with one entry per step that give the bound of every step at once."""
+def descent_terms(eta_t, beta: float, sigma_sq: float, b_t):
+    """The descent inequality's gradient coefficient (1/2)(1-beta) eta_t and
+    noise term (1/2)(1-beta) eta_t sigma^2 / b_t, for floats or per-step arrays."""
     if np.any(b_t < 1):
         raise ValueError("batch size must be >= 1")
     half = 0.5 * (1.0 - beta) * eta_t
-    return -half * grad_norm_sq_expectation + half * sigma_sq / b_t
+    return half, half * sigma_sq / b_t
+
+
+def descent_inequality_rhs(eta_t, beta: float, sigma_sq: float, b_t, grad_norm_sq_expectation):
+    """Upper bound on E[L_{t+1} - L_t] for one admissible step: -half * the
+    ||grad||^2-term + noise, with (half, noise) the ``descent_terms``.  Floats,
+    or arrays with one entry per step that give every step's bound at once."""
+    half, noise = descent_terms(eta_t, beta, sigma_sq, b_t)
+    return -half * grad_norm_sq_expectation + noise

@@ -435,9 +435,9 @@ class TestRunExperiment:
 
 class TestLyapunovAudit:
     def test_small_admissible_audit_passes(self):
-        cfg = small_config(seeds=tuple(range(48)))
-        report = lyapunov_descent_audit(cfg, min_seeds=48)
-        assert report.n_seeds == 48
+        cfg = small_config(seeds=tuple(range(64)))
+        report = lyapunov_descent_audit(cfg)
+        assert report.n_seeds == 64
         assert report.t.shape[0] == 40  # every step audited for short runs
         assert report.all_ok
         text = report.to_csv()
@@ -445,7 +445,7 @@ class TestLyapunovAudit:
 
     def test_requires_nshb(self):
         with pytest.raises(ValueError, match="nshb"):
-            lyapunov_descent_audit(small_config(alg="shb"), min_seeds=8)
+            lyapunov_descent_audit(small_config(alg="shb", seeds=tuple(range(64))))
 
     def test_requires_enough_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
@@ -455,9 +455,9 @@ class TestLyapunovAudit:
         cfg = small_config(
             schedule=ScheduleSpec(regime="constant-bs", kind="constant",
                                   lambda_max=0.1, batch=8, T=600),
-            seeds=tuple(range(8)),
+            seeds=tuple(range(64)),
         )
-        report = lyapunov_descent_audit(cfg, min_seeds=8)
+        report = lyapunov_descent_audit(cfg)
         assert report.t.shape[0] == 64
         assert report.t[0] == 0 and report.t[-1] == 599
 
@@ -467,9 +467,9 @@ class TestLyapunovAudit:
             problem=ProblemSpec(family="quadratic", d=4, n=32, sigma_sq=0.0, seed=3),
             schedule=ScheduleSpec(regime="constant-bs", kind="constant",
                                   lambda_max=0.15, batch=8, T=50),
-            seeds=tuple(range(8)),
+            seeds=tuple(range(64)),
         )
-        report = lyapunov_descent_audit(cfg, min_seeds=8)
+        report = lyapunov_descent_audit(cfg)
         assert np.all(report.mean_delta <= 1e-15)
         assert report.all_ok
 

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from sgdm_sched import schedules, theory
+from sgdm_sched import optim, schedules, theory
+from sgdm_sched.problems import QuadraticMeanProblem
 from sgdm_sched.schedules import ScheduleSpec
 from sgdm_sched.theory import (
     TheoremConstants,
@@ -149,6 +150,38 @@ class TestTheoremRhs:
                                      sigma_sq=1.0, alg="nshb")
         with pytest.raises(ValueError, match="theory report value B_T = inf is not finite"):
             build_report(constants, table)
+
+
+class TestTheorem1WeightedExact:
+    """Theorem 1's weighted form, checked exactly where the run is exact.
+
+    Summing the descent inequality over t < T (L_0 = f(theta_0), L_T >= f*)
+    gives sum_t lr_t ||grad f(theta_t)||^2 / sum_t lr_t <= rhs_sq, which is
+    at least the theorem's min over t.  At sigma^2 = 0 the identical anchors
+    make every mini-batch gradient the full one, so one seed is the
+    expectation.  At beta = 0 both algorithms are gradient descent on
+    0.5||theta - abar||^2 (L = 1), where ||grad f(theta_t)||^2 =
+    (1 - lr)^(2t) ||grad f(theta_0)||^2 and rhs_sq = ||grad f(theta_0)||^2 /
+    (T lr), so the ratio is (1 - (1 - lr)^(2T)) / (2 - lr) in closed form.
+    """
+
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("alg", ["nshb", "shb"])
+    def test_weighted_average_is_below_rhs_sq(self, alg, beta, r):
+        problem = QuadraticMeanProblem.generate(5, 16, sigma_sq=0.0, seed=3)
+        lr = r * schedules.admissible_lr_bound(beta, problem.L, 1.0, alg)
+        for T in (50, 400):
+            table = schedules.ScheduleTable(np.full(T, lr), np.full(T, 4))
+            trace = optim.run(alg, beta, table, problem, seed=0)
+            constants = TheoremConstants(L=problem.L, beta=beta, sigma_sq=0.0, alg=alg,
+                                         f0_minus_fstar=float(trace.f[0]) - problem.f_star)
+            rhs_sq = build_report(constants, table).rhs_sq
+            weighted = math.fsum(table.lr * trace.grad_norm_sq) / math.fsum(table.lr)
+            assert weighted <= rhs_sq * (1 + 1e-12), (T, weighted / rhs_sq)
+            if beta == 0.0:
+                closed = rhs_sq * (1.0 - (1.0 - lr) ** (2 * T)) / (2.0 - lr)
+                assert abs(weighted - closed) <= 1e-12 * closed, (T, weighted / closed)
 
 
 class TestCorollaryBounds:
