@@ -251,8 +251,9 @@ class LogCoshProblem:
             raise ValueError("scale, amp and box_radius must be finite and > 0")
         anchors = _anchor_array(anchors)
         self.n, self.d = anchors.shape
-        # the anchors and value_and_grad's three work buffers, line-aligned:
-        # the ufuncs over them run faster than at an arbitrary heap offset
+        # the anchors and three work buffers, line-aligned: the ufuncs over
+        # them run faster than at an arbitrary heap offset.  value_and_grad
+        # works in all three; the certificate, which runs first, in two
         self.anchors, *self._work = _aligned(4, anchors.shape)
         self.anchors[...] = anchors
         self.anchors.flags.writeable = False
@@ -311,8 +312,11 @@ class LogCoshProblem:
         carries its coordinate, the grid indices lo < hi of its ends and their
         two values; ``best`` is kept per coordinate, so every coordinate
         prunes as it would alone, and one ``_variance_terms`` call evaluates
-        the midpoints of the level's kept intervals of all coordinates.
+        the midpoints of the level's kept intervals of all coordinates.  The
+        search first copies the anchor columns into the first work buffer,
+        as the contiguous (d, n) array ``_variance_terms`` gathers from.
         """
+        self._work[0].reshape(self.d, self.n)[...] = self.anchors.T
         d, last = self.d, grid.size - 1
         coord = np.arange(d)
         lo, hi = np.zeros(d, dtype=np.intp), np.full(d, last)
@@ -337,19 +341,29 @@ class LogCoshProblem:
         """v_j[k] at the points x[k], point k on coordinate j[k].
 
         Each point's value comes from its own contiguous row of g, computed in
-        place from the point's anchor column, so it does not depend on the
-        other points; blocks hold about 2^13 values (64 KB) whatever n is.
+        place from the point's anchor column, which ``_grid_max`` has copied
+        into the first work buffer.  A block holds max(d, 2^13 // n) points,
+        gathered into the second work buffer (or, when that is too small, one
+        array per call), so no block allocates.  Up to n = 2^13 a row's
+        value does not depend on the other points of its block.  einsum sums
+        a longer row alone in 2^13-value pieces, and so gets other bits than
+        for the same row in a block: such rows always go one at a time, and
+        each value still does not depend on the other points.
         """
-        columns = self.anchors.T
-        block = max(1, 2**13 // self.n)
+        n = self.n
+        columns = self._work[0].reshape(self.d, n)
+        block = max(self.d, 2**13 // n) if n <= 2**13 else 1
+        rows = self._work[1].reshape(-1) if block <= self.d else np.empty(block * n)
         v = np.empty(x.size)
         for lo in range(0, x.size, block):
-            hi = lo + block
-            g = self._sample_gradients(columns[j[lo:hi]], x[lo:hi, None])
+            hi = min(lo + block, x.size)
+            g = rows[: (hi - lo) * n].reshape(hi - lo, n)
+            columns.take(j[lo:hi], axis=0, out=g, mode="clip")  # "raise" writes via a copy
+            self._sample_gradients(g, x[lo:hi, None])
             u = v[lo:hi]
             np.einsum("pi,pi->p", g, g, out=u)
-            u /= self.n
-            u -= g.mean(axis=1) ** 2
+            u /= n
+            u -= (np.add.reduce(g, axis=1) / n) ** 2  # g.mean(axis=1)'s operations
         return v
 
     def value_and_grad(self, theta: np.ndarray):

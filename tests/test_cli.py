@@ -407,6 +407,7 @@ class TestScheduleCommand:
 
 
 class TestBoundsCommand:
+    @pytest.mark.pinned
     def test_constant_regime_golden(self):
         res = cli("bounds", "--regime", "constant-bs", "--lambda-max", "0.1", "--batch", "10",
                   "--T", "100", "--sigma-sq", "1", "--f0-gap", "1", "--beta", "0",

@@ -72,10 +72,12 @@ def _per_sample_gradients(prob, theta):
 
 def _full_grid_max(prob):
     """sum_j max of v_j over every certificate grid point, in blocks of about
-    2^18 values: the evaluation the pruned search replaces."""
+    2^18 values: the evaluation the pruned search replaces.  A row longer than
+    2^13 goes alone, as the search evaluates it: einsum sums a lone row of
+    that length in other pieces, and other bits, than a row in a block."""
     c = prob.amp / prob.scale
     grid = np.linspace(-prob.box_radius, prob.box_radius, SIGMA_GRID_POINTS)
-    block = max(1, 2**18 // prob.n)
+    block = max(1, 2**18 // prob.n) if prob.n <= 2**13 else 1
     per_coord = []
     for j in range(prob.d):
         a_j = prob.anchors[None, :, j]
@@ -272,8 +274,8 @@ class TestLogCosh:
         assert s["rounding_margin"] == pytest.approx(margin, rel=1e-14)
 
     def test_certificate_memory_is_bounded_in_n(self):
-        # the grid is evaluated in blocks of about 2^13 values, so set-up
-        # holds a few hundred KB of temporaries however large n is
+        # a block holds at most max(d * n, 2^13) values, so set-up holds a
+        # few hundred KB of temporaries however large n is
         tracemalloc.start()
         try:
             LogCoshProblem.generate(1, 4096)
@@ -373,9 +375,10 @@ class TestLogCosh:
         assert points == 926
 
     def test_certificate_transient_memory_on_the_benchmark_problem(self):
-        # the search holds 64 KB blocks and per-level interval arrays; a
-        # dense (d, grid) value array (320 KB here) or blocks of 2^14 values
-        # exceed the bound
+        # the search gathers its blocks into the problem's work buffers and
+        # holds per-level interval arrays (96 KB here); a dense (d, grid)
+        # value array (320 KB here) or one fresh (d, n) array (160 KB), such
+        # as a gathered block or a copy of the anchor columns, exceeds the bound
         anchors = np.random.default_rng((3,)).standard_normal((1024, 20))
         LogCoshProblem(anchors)
         tracemalloc.start()
@@ -385,7 +388,7 @@ class TestLogCosh:
         finally:
             tracemalloc.stop()
         assert prob.sigma_sq == LogCoshProblem.generate(20, 1024, seed=3).sigma_sq
-        assert peak - kept <= 256 * 2**10
+        assert peak - kept <= 128 * 2**10
 
     @pytest.mark.parametrize("d, n, kwargs", [
         (3, 600, dict(spread=0.01, scale=0.05, box_radius=10.0, seed=7)),
@@ -395,6 +398,13 @@ class TestLogCosh:
         # nearly flat v_j: little is pruned (the first problem evaluates the
         # whole grid), and the maximum is still the full grid's bit for bit
         prob = LogCoshProblem.generate(d, n, **kwargs)
+        assert prob.sigma_certificate["grid_max"] == _full_grid_max(prob)
+
+    @pytest.mark.parametrize("d, n", [(3, 8193), (3, 12000), (2, 20000)])
+    def test_rows_longer_than_2_13_match_the_full_grid(self, d, n):
+        # rows longer than 2^13 go one at a time; at n = 12000 and 20000 the
+        # same rows evaluated in multi-row blocks give other bits
+        prob = LogCoshProblem.generate(d, n, seed=5)
         assert prob.sigma_certificate["grid_max"] == _full_grid_max(prob)
 
     def test_bisection_prunes_flat_coordinates(self, monkeypatch):
