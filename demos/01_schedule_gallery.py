@@ -1,4 +1,4 @@
-"""Gallery of the schedules of all four regimes and the phase plans behind them.
+"""Gallery of the schedules of all four regimes and the phases behind them.
 
 Builds one small table per rate kind through ``ScheduleSpec.build``, prints
 the per-phase picture and a corollary's symbols, and shows the growth
@@ -8,7 +8,7 @@ Run:  python3 demos/01_schedule_gallery.py
 
 import numpy as np
 
-from sgdm_sched import PhasePlan, ScheduleSpec, table_to_csv, validate_admissible
+from sgdm_sched import ScheduleSpec, table_to_csv, validate_admissible
 
 
 def show(name, table, max_rows=8):
@@ -29,9 +29,12 @@ for name, kind, p in [("constant", "constant", 1.0), ("diminishing", "diminishin
 # ---- growing batch ----------------------------------------------------------
 print("\n== batch doubling per phase (b0=8, n=64, 2 epochs each) ==")
 plan = dict(b0=8, delta=2.0, epochs_per_phase=(2, 2, 2, 2), dataset_size=64)
-phases = PhasePlan(**plan)
-print(f"phases m=0..{phases.M}: batches {phases.batch_sizes}, steps/epoch "
-      f"{phases.steps_per_epoch_all}, boundaries {phases.phase_starts}")
+# every phase here has its own batch, so a phase starts where the batch changes
+table, _, symbols = ScheduleSpec("increasing-bs", **plan).build(problem_n=None)
+starts = (0, *(np.flatnonzero(np.diff(table.batch)) + 1).tolist(), table.T)
+batches = tuple(int(table.batch[t]) for t in starts[:-1])
+steps = tuple((b - a) // e for a, b, e in zip(starts, starts[1:], plan["epochs_per_phase"]))
+print(f"phases m=0..{symbols['M']}: batches {batches}, steps/epoch {steps}, boundaries {starts}")
 growth = dict(gamma=1.5, lambda0=0.02)
 specs = {
     "decaying + growth": ScheduleSpec("increasing-bs", "cosine", lambda_max=0.1, **plan),

@@ -9,12 +9,9 @@ from .schedules import (
     AdmissibilityReport,
     InadmissibleSchedule,
     MomentumTooLarge,
-    PhasePlan,
     ScheduleError,
     ScheduleSpec,
     ScheduleTable,
-    build_constant_bs_table,
-    build_increasing_bs_table,
     table_to_csv,
     validate_admissible,
 )
@@ -60,7 +57,6 @@ __all__ = [
     "MomentumTooLarge",
     "NumericalDivergence",
     "OptimizerState",
-    "PhasePlan",
     "ProblemSpec",
     "QuadraticMeanProblem",
     "RateFit",
@@ -71,8 +67,6 @@ __all__ = [
     "TheoremConstants",
     "TheoryReport",
     "batch_indices",
-    "build_constant_bs_table",
-    "build_increasing_bs_table",
     "build_report",
     "corollary_bounds",
     "descent_inequality_rhs",

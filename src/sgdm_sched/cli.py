@@ -9,9 +9,9 @@ and stderr line; every exit-2 failure (a bad config or flag, an unreadable
 input, a schedule table too large to allocate, an --out that cannot be made
 a directory, which is found before the first step) prints
 `config error: ...`.  `run` exits 0 when every check of the report passes
-(`AggregateReport.passed`), else 1.  The
-SGDM_SCHED_OUT environment variable overrides the default output root
-(./runs).  Flags are never abbreviated.
+(`AggregateReport.passed`), else 1.  The SGDM_SCHED_OUT environment
+variable overrides the default output root (./runs).  Flags are never
+abbreviated.
 
 `schedule` and `bounds` describe a schedule with one flag per [schedule]
 config key (--regime, --kind, --lambda-max, --b0, --epochs-per-phase, ...),

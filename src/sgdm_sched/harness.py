@@ -2,8 +2,9 @@
 
 Builds the problem from a ``ProblemSpec`` and the schedule table from a
 ``schedules.ScheduleSpec`` (re-exported here), settles admissibility, the
-budget and the closed-form bound report before the first step, runs all master seeds of an experiment in one lockstep ``optim.run``
-call, aggregates per-step statistics, checks the empirical minimum against
+budget and the closed-form bound report before the first step, runs all
+master seeds of an experiment in one lockstep ``optim.run`` call,
+aggregates per-step statistics, checks the empirical minimum against
 the bound with a 3-standard-error inflation, and writes machine-readable
 artifacts (trace_<seed>.csv, aggregate.csv, report.json) into a directory
 named by a content hash of the config.
@@ -203,7 +204,9 @@ def run_experiment(
     """Settle the policy, run every master seed, aggregate, write artifacts.
 
     Deterministic given the config.  Before any step, in this order: the
-    admissibility check (unless waived), the budget, theta0 inside the
+    problem and then the schedule table are built (a spec the table cannot
+    be built from is a ScheduleError), the admissibility check (unless
+    waived), the budget, theta0 inside the
     certified box, the bound report, the config hash and, when ``out_dir``
     is given, that the experiment directory under it can be created; a
     theta0 outside the box, an unmet corollary hypothesis and a non-finite

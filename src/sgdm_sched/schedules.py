@@ -26,13 +26,10 @@ __all__ = [
     "MomentumTooLarge",
     "InadmissibleSchedule",
     "ScheduleSpec",
-    "PhasePlan",
     "ScheduleTable",
     "AdmissibilityReport",
     "ALGS",
     "DECAYING_KINDS",
-    "build_constant_bs_table",
-    "build_increasing_bs_table",
     "check_alg",
     "check_beta",
     "growth_rates",
@@ -139,9 +136,10 @@ class ScheduleSpec:
     def build(self, problem_n: int | None):
         """Materialize (table, corollary regime, the corollary's symbols).
 
-        The rate fields are checked first.  The symbols are read off the spec,
-        the built table and, for the phase regimes, its PhasePlan; M_w and T_w
-        exist for the warm-up regime only.
+        The rate fields are checked first, then the builder of the regime
+        checks the batch fields.  The symbols are the spec's rate fields plus
+        the ones the builder fixes; M_w and T_w exist for the warm-up regime
+        only.
         """
         corollary, kinds, read = _REGIMES[self.regime]
         if kinds and self.kind not in kinds:
@@ -168,137 +166,13 @@ class ScheduleSpec:
                     raise ScheduleError("lambda_min must be finite and >= 0")
 
         n = self.dataset_size if self.dataset_size is not None else problem_n
-        regime = corollary.format(kind=self.kind)
         symbols = {name: getattr(self, name) for name in read if name in _RATE_SYMBOLS}
-        if self.regime == "constant-bs":
-            table = build_constant_bs_table(self, n)
-            return table, regime, symbols | {"T": table.T, "batch": self.batch}
-
-        if self.b0 is None or self.delta is None or self.epochs_per_phase is None:
-            raise ScheduleError(f"regime {self.regime!r} needs b0, delta and epochs_per_phase")
-        if n is None:
-            raise ScheduleError(
-                f"regime {self.regime!r} needs a dataset_size to fix the steps per epoch"
-            )
-        plan = PhasePlan(self.b0, self.delta, self.epochs_per_phase, n)
-        table = build_increasing_bs_table(self, plan)
-        symbols |= {
-            "delta": plan.delta,
-            "b0": plan.b0,
-            "K_max": max(plan.steps_per_epoch_all),
-            "K_min": min(plan.steps_per_epoch_all),
-            "E_max": max(plan.epochs_per_phase),
-            "E_min": min(plan.epochs_per_phase),
-            "T": table.T,
-            "M": plan.M,
-        }
-        if self.regime == "warmup":
-            symbols.update(M_w=self.warmup_phases, T_w=plan.warmup_steps(self.warmup_phases))
-        return table, regime, symbols
-
-
-@dataclass(frozen=True)
-class PhasePlan:
-    """Phase bookkeeping for increasing-batch schedules.
-
-    Phase m in [0:M] holds the batch size at round(delta^m * b0) for
-    ``epochs_per_phase[m]`` epochs of ceil(dataset_size / b_m) steps each.
-    The phase intervals partition [0, T) with no gaps or overlaps.
-    """
-
-    b0: int
-    delta: float
-    epochs_per_phase: tuple[int, ...]
-    dataset_size: int
-
-    def __post_init__(self):
-        for name in ("b0", "dataset_size"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        object.__setattr__(self, "epochs_per_phase",
-                           tuple(_count(e, "epochs_per_phase") for e in self.epochs_per_phase))
-        if self.b0 < 1:
-            raise ScheduleError(f"b0 must be a positive integer, got {self.b0}")
-        if not self.delta > 1.0:
-            raise ScheduleError(f"batch growth factor delta must be > 1, got {self.delta}")
-        if not self.epochs_per_phase or any(e < 1 for e in self.epochs_per_phase):
-            raise ScheduleError("epochs_per_phase must be a non-empty list of positive integers")
-        if self.dataset_size < 1:
-            raise ScheduleError(f"dataset_size must be positive, got {self.dataset_size}")
-        try:
-            b_last = self.batch_size(self.M)
-        except OverflowError:  # delta^M * b0 beyond the float range
-            b_last = math.inf
-        if b_last > self.dataset_size:
-            raise ScheduleError(
-                f"final-phase batch size {b_last} exceeds dataset size {self.dataset_size}"
-            )
-
-    @property
-    def M(self) -> int:
-        """Index of the last phase (phases are m in [0:M])."""
-        return len(self.epochs_per_phase) - 1
-
-    def batch_size(self, m: int) -> int:
-        # sample counts: nearest integer (half rounds up), never below 1
-        return max(1, int(math.floor(self.delta**m * self.b0 + 0.5)))
-
-    def steps_per_epoch(self, m: int) -> int:
-        return math.ceil(self.dataset_size / self.batch_size(m))
-
-    @property
-    def batch_sizes(self) -> tuple[int, ...]:
-        return tuple(self.batch_size(m) for m in range(self.M + 1))
-
-    @property
-    def steps_per_epoch_all(self) -> tuple[int, ...]:
-        return tuple(self.steps_per_epoch(m) for m in range(self.M + 1))
-
-    @property
-    def phase_lengths(self) -> tuple[int, ...]:
-        return tuple(
-            self.steps_per_epoch(m) * self.epochs_per_phase[m] for m in range(self.M + 1)
-        )
-
-    @property
-    def phase_starts(self) -> tuple[int, ...]:
-        """Start step of each phase, plus the total step count as sentinel."""
-        starts = [0]
-        for length in self.phase_lengths:
-            starts.append(starts[-1] + length)
-        return tuple(starts)
-
-    @property
-    def total_steps(self) -> int:
-        return self.phase_starts[-1]
-
-    @property
-    def total_epochs(self) -> int:
-        return sum(self.epochs_per_phase)
-
-    def warmup_steps(self, warmup_phases: int) -> int:
-        """Steps in phases 0..warmup_phases inclusive (the warm-up period)."""
-        return self.phase_starts[warmup_phases + 1]
-
-    def warmup_epochs(self, warmup_phases: int) -> int:
-        return sum(self.epochs_per_phase[: warmup_phases + 1])
-
-    def step_phases(self) -> np.ndarray:
-        """Phase index m for each step t in [0, T)."""
-        return np.repeat(np.arange(self.M + 1), self.phase_lengths)
-
-    def step_batches(self) -> np.ndarray:
-        return np.repeat(np.asarray(self.batch_sizes, dtype=np.int64), self.phase_lengths)
-
-    def step_epochs(self) -> np.ndarray:
-        """Global epoch index for each step t in [0, T)."""
-        chunks = []
-        epoch_base = 0
-        for m in range(self.M + 1):
-            K = self.steps_per_epoch(m)
-            E = self.epochs_per_phase[m]
-            chunks.append(epoch_base + np.repeat(np.arange(E), K))
-            epoch_base += E
-        return np.concatenate(chunks)
+        # looked up as module globals on each call: the benchmark's
+        # schedules.build span rebinds these two names
+        builder = (build_constant_bs_table if self.regime == "constant-bs"
+                   else build_increasing_bs_table)
+        table, fixed = builder(self, n)
+        return table, corollary.format(kind=self.kind), symbols | fixed
 
 
 @dataclass(frozen=True)
@@ -371,8 +245,8 @@ def _decaying_lr(spec: ScheduleSpec, peak: float, T: int, epoch: np.ndarray | No
     return spec.lambda_min + 0.5 * (peak - spec.lambda_min) * (1.0 + np.cos(epoch * math.pi / E))
 
 
-def build_constant_bs_table(spec: ScheduleSpec, dataset_size: int | None = None) -> ScheduleTable:
-    """Materialize a constant-bs spec: its decaying rate with the batch held at ``spec.batch``.
+def build_constant_bs_table(spec: ScheduleSpec, dataset_size: int | None):
+    """A constant-bs spec's (table, {T, batch}): its decaying rate with the batch held.
 
     The cosine kind groups the step axis into epochs of K = ceil(dataset_size/batch)
     steps; T must then be a whole number of epochs.
@@ -396,7 +270,8 @@ def build_constant_bs_table(spec: ScheduleSpec, dataset_size: int | None = None)
         E = T // K
         epoch = np.floor_divide(np.arange(T), K).astype(np.float64)
     batch = np.full(T, b, dtype=np.int64)
-    return ScheduleTable(lr=_decaying_lr(spec, spec.lambda_max, T, epoch, E), batch=batch)
+    table = ScheduleTable(lr=_decaying_lr(spec, spec.lambda_max, T, epoch, E), batch=batch)
+    return table, {"T": T, "batch": b}
 
 
 def growth_rates(lambda0: float, gamma: float, M: int) -> np.ndarray:
@@ -409,37 +284,76 @@ def growth_rates(lambda0: float, gamma: float, M: int) -> np.ndarray:
     return lambda0 * gamma ** np.arange(M + 1.0)
 
 
-def build_increasing_bs_table(spec: ScheduleSpec, plan: PhasePlan) -> ScheduleTable:
-    """Materialize a phase plan: batch delta^m * b0 on phase m, the rate per ``spec.regime``.
+def build_increasing_bs_table(spec: ScheduleSpec, dataset_size: int | None):
+    """A phase spec's (table, the phase symbols it fixes).
 
-    increasing-bs pairs a decaying kind with the plan as-is (cosine walks the
-    global epoch index against the plan's total epoch count).  joint-growth
-    multiplies the rate by gamma at every phase boundary; warmup does so
-    through phase ``warmup_phases`` and then holds (kind constant) or
-    cosine-decays (kind cosine) the rate.
+    Phase m in [0:M] holds the batch at round(delta^m * b0) for
+    ``epochs_per_phase[m]`` epochs of K_m = ceil(dataset_size / b_m) steps
+    each.  increasing-bs pairs a decaying kind with those phases (cosine
+    walks the global epoch index over all epochs).  joint-growth multiplies
+    the rate by gamma at every phase boundary; warmup does so through phase
+    ``warmup_phases`` and then holds (kind constant) or cosine-decays (kind
+    cosine) the rate.
     """
-    T = plan.total_steps
-    if spec.regime == "increasing-bs":
-        epoch = plan.step_epochs().astype(np.float64) if spec.kind == "cosine" else None
-        lam = _decaying_lr(spec, spec.lambda_max, T, epoch, plan.total_epochs)
-        return ScheduleTable(lr=lam, batch=plan.step_batches())
-    if spec.gamma >= plan.delta:
+    b0, delta, epochs, n = spec.b0, spec.delta, spec.epochs_per_phase, dataset_size
+    if b0 is None or delta is None or epochs is None:
+        raise ScheduleError(f"regime {spec.regime!r} needs b0, delta and epochs_per_phase")
+    if n is None:
         raise ScheduleError(
-            f"need gamma < delta so that gamma/delta < 1; got gamma={spec.gamma}, delta={plan.delta}"
+            f"regime {spec.regime!r} needs a dataset_size to fix the steps per epoch"
         )
-    Mw = plan.M if spec.regime == "joint-growth" else spec.warmup_phases
-    if Mw > plan.M:
-        raise ScheduleError(f"warmup_phases={Mw} exceeds the plan's last phase index M={plan.M}")
-    phase = plan.step_phases()
-    lam = growth_rates(spec.lambda0, spec.gamma, Mw)[np.minimum(phase, Mw)]
-    if spec.kind == "cosine" and Mw < plan.M:
-        # the tail restarts the epoch count at the end of the warm-up
-        e_warm = plan.warmup_epochs(Mw)
-        post = phase > Mw
-        epoch = plan.step_epochs().astype(np.float64)[post] - e_warm
-        peak = lam[plan.warmup_steps(Mw) - 1]  # the last warm-up rate
-        lam[post] = _decaying_lr(spec, peak, epoch.size, epoch, plan.total_epochs - e_warm)
-    return ScheduleTable(lr=lam, batch=plan.step_batches())
+    n = _count(n, "dataset_size")  # a problem's n is not counted by the spec
+    if b0 < 1:
+        raise ScheduleError(f"b0 must be a positive integer, got {b0}")
+    if not delta > 1.0:
+        raise ScheduleError(f"batch growth factor delta must be > 1, got {delta}")
+    if not epochs or any(e < 1 for e in epochs):
+        raise ScheduleError("epochs_per_phase must be a non-empty list of positive integers")
+    if n < 1:
+        raise ScheduleError(f"dataset_size must be positive, got {n}")
+    M = len(epochs) - 1
+    try:
+        # sample counts: nearest integer (half rounds up), never below 1
+        batches = [max(1, math.floor(delta**m * b0 + 0.5)) for m in range(M + 1)]
+    except OverflowError:  # delta^M * b0 beyond the float range
+        batches = [math.inf]
+    if batches[-1] > n:
+        raise ScheduleError(f"final-phase batch size {batches[-1]} exceeds dataset size {n}")
+    K = [math.ceil(n / b) for b in batches]
+    lengths = [k * e for k, e in zip(K, epochs)]
+    T = sum(lengths)
+    fixed = {"delta": delta, "b0": b0, "K_max": max(K), "K_min": min(K),
+             "E_max": max(epochs), "E_min": min(epochs), "T": T, "M": M}
+
+    def step_epochs(first: int) -> np.ndarray:
+        """Epoch index, counted from global epoch ``first``, of the steps from there on."""
+        return np.repeat(np.arange(sum(epochs) - first, dtype=np.float64),
+                         np.repeat(K, epochs)[first:])
+
+    if spec.regime == "increasing-bs":
+        epoch = step_epochs(0) if spec.kind == "cosine" else None
+        lam = _decaying_lr(spec, spec.lambda_max, T, epoch, sum(epochs))
+    else:
+        if spec.gamma >= delta:
+            raise ScheduleError(
+                f"need gamma < delta so that gamma/delta < 1; got gamma={spec.gamma}, delta={delta}"
+            )
+        Mw = M if spec.regime == "joint-growth" else spec.warmup_phases
+        if Mw > M:
+            raise ScheduleError(f"warmup_phases={Mw} exceeds the plan's last phase index M={M}")
+        rates = growth_rates(spec.lambda0, spec.gamma, Mw)
+        lam = np.repeat(rates[np.minimum(np.arange(M + 1), Mw)], lengths)
+        T_w = sum(lengths[: Mw + 1])
+        if spec.kind == "cosine" and Mw < M:
+            # the tail restarts the epoch count at the end of the warm-up,
+            # from the last warm-up rate
+            e_warm = sum(epochs[: Mw + 1])
+            lam[T_w:] = _decaying_lr(spec, lam[T_w - 1], T - T_w, step_epochs(e_warm),
+                                     sum(epochs) - e_warm)
+        if spec.regime == "warmup":
+            fixed.update(M_w=Mw, T_w=T_w)
+    batch = np.repeat(np.asarray(batches, dtype=np.int64), lengths)
+    return ScheduleTable(lr=lam, batch=batch), fixed
 
 
 def admissible_lr_bound(beta: float, L: float, c: float, alg: str) -> float:

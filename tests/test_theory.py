@@ -46,8 +46,9 @@ class TestLyapunovCoefficient:
         eta = 1.0 / (L * (1 - beta))
         assert coefficient(eta, L, beta) == pytest.approx(0.0, abs=1e-18)
 
+    @pytest.mark.pinned
     def test_interior_value(self):
-        # (0.5 - 1*0.5*0.25) / (2*0.5) = 0.375
+        # A = (eta - L(1-beta) eta^2) / (2(1-beta)) = (0.5 - 1*0.5*0.25) / (2*0.5) = 0.375
         assert coefficient(0.5, L=1.0, beta=0.5) == pytest.approx(0.375)
 
     def test_nonnegative_across_admissible_range(self):
@@ -194,12 +195,15 @@ class TestCorollaryBounds:
         assert B_exact == pytest.approx(1.0 / (1.0 + 1.0 / math.sqrt(2) + 1.0 / math.sqrt(3)))
         assert B_exact <= B
 
+    @pytest.mark.pinned
     def test_polynomial_bound(self):
+        # B = (p + 1) / ((p lambda_min + lambda_max) T) = 2 / 10, V = 1 / batch = 1 / 4
         B, V = corollary_bounds("cor3.1-polynomial", lambda_max=1.0, lambda_min=0.0,
                                 p=1.0, T=10, batch=4)
         assert B == pytest.approx(0.2)
         assert V == 0.25
 
+    @pytest.mark.pinned
     def test_joint_growth_example(self):
         # delta^2 / (lambda0 K_min E_min gamma^M) = 4 / (0.1 * 4 * 1 * 1.5^3)
         B, V = corollary_bounds(
@@ -349,8 +353,9 @@ class TestDescentInequalityRhs:
         assert descent_inequality_rhs(0.1, 0.5, sigma_sq=0.0, b_t=4,
                                       grad_norm_sq_expectation=2.0) < 0.0
 
+    @pytest.mark.pinned
     def test_noise_term_value(self):
-        # (1/2)(1-0.5)(0.1)(4/4) = 0.025
+        # (1/2)(1-beta) eta sigma^2 / b = (1/2)(1-0.5)(0.1)(4/4) = 0.025
         assert descent_inequality_rhs(0.1, 0.5, sigma_sq=4.0, b_t=4,
                                       grad_norm_sq_expectation=0.0) == pytest.approx(0.025)
 
