@@ -18,12 +18,10 @@ from .schedules import (
 from .problems import IterateOutsideCertifiedBox, LogCoshProblem, QuadraticMeanProblem
 from .optim import (
     NumericalDivergence,
-    OptimizerState,
     RunTrace,
     batch_indices,
     empirical_minibatch_variance,
     run,
-    step,
 )
 from .theory import (
     TheoremConstants,
@@ -56,7 +54,6 @@ __all__ = [
     "LogCoshProblem",
     "MomentumTooLarge",
     "NumericalDivergence",
-    "OptimizerState",
     "ProblemSpec",
     "QuadraticMeanProblem",
     "RateFit",
@@ -76,7 +73,6 @@ __all__ = [
     "rate_fit",
     "run",
     "run_experiment",
-    "step",
     "table_to_csv",
     "validate_admissible",
 ]

@@ -37,11 +37,10 @@ of (s, i, t, j), so blocking changes no index.
 ``run`` is a lockstep engine: the R master seeds of an experiment advance
 together as the rows of (R, d) parameter and momentum arrays, so each step
 makes one mini-batch gradient call and one update for all seeds.  A single
-seed is the R = 1 case.  The update arithmetic lives in ``_update`` alone,
-which ``step`` and ``run`` both call.  Each drawn block of indices goes to
-the problem's ``minibatch_gradients``, which returns the block's per-step
-gradient functions (the quadratic gathers all K batch means of the block at
-once).
+seed is the R = 1 case.  The update arithmetic lives in ``step`` alone, which
+``run`` calls once per step.  Each drawn block of indices goes to the
+problem's ``minibatch_gradients``, which returns the block's per-step gradient
+functions (the quadratic gathers all K batch means of the block at once).
 
 ``run`` keeps J = max(1, _OBSERVE_WORDS // (R*d)) steps at a time in a
 trajectory block, a pair of (J+1, R, d) arrays of iterates and momenta:
@@ -78,9 +77,7 @@ from ._counts import _count, _whole
 
 __all__ = [
     "NumericalDivergence",
-    "OptimizerState",
     "RunTrace",
-    "step",
     "STREAM_LIMIT",
     "batch_indices",
     "empirical_minibatch_variance",
@@ -92,83 +89,29 @@ __all__ = [
 class NumericalDivergence(RuntimeError):
     """A gradient, parameter coordinate or observed value became non-finite.
 
-    Carries the offending step index, the lowest non-finite seed row and,
-    when raised out of ``run``, that row's master seed and its trace
-    truncated at the step; the message then names the seed.
+    Carries the offending step index, the lowest non-finite seed row, that
+    row's master seed and its trace truncated at the step; the message names
+    the seed.
     """
 
-    def __init__(self, step_index: int, trace: "RunTrace | None" = None, row: int = 0):
-        self.seed = None if trace is None else trace.seed
-        what = "non-finite value encountered" if trace is None else f"seed {self.seed} diverged"
-        super().__init__(f"{what} at step {step_index}")
+    def __init__(self, step_index: int, trace: "RunTrace", row: int):
+        self.seed = trace.seed
+        super().__init__(f"seed {self.seed} diverged at step {step_index}")
         self.step_index = step_index
         self.trace = trace
         self.row = row
 
 
-@dataclass
-class OptimizerState:
-    theta: np.ndarray
-    momentum: np.ndarray
-    t: int
-    beta: float
-    alg: str
-
-    def __post_init__(self):
-        # float64 copies, so the state never shares memory with the caller
-        self.theta = np.array(self.theta, dtype=np.float64)
-        self.momentum = np.array(self.momentum, dtype=np.float64)
-
-    @classmethod
-    def initial(cls, theta0: np.ndarray, beta: float, alg: str) -> "OptimizerState":
-        alg = schedules.check_alg(alg)
-        schedules.check_beta(beta)
-        theta0 = np.asarray(theta0, dtype=np.float64)
-        if theta0.ndim not in (1, 2):
-            raise ValueError("theta0 must be a 1-D vector or an (R, d) array of seed rows")
-        return cls(theta=theta0, momentum=np.zeros_like(theta0), t=0, beta=beta, alg=alg)
-
-
-# divergence is detected explicitly below; let inf/nan flow, not warn
-@np.errstate(over="ignore", invalid="ignore")
-def step(state: OptimizerState, grad: np.ndarray, lr: float) -> OptimizerState:
-    """One update: fold grad into the momentum buffer, move theta, bump t.
-
-    The state holds one iterate theta[d] or seed rows theta[R, d].  A
-    non-finite gradient or new iterate raises NumericalDivergence naming the
-    lowest row that is non-finite at this step.
-
-    It returns ``state`` itself: the new momentum and iterate are written
-    into new arrays, which the state takes only when the new iterate is
-    finite, so a step that raises leaves theta, momentum and t as they were.
-    """
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != state.theta.shape:
-        raise ValueError(
-            f"gradient dimension {grad.shape} does not match parameters {state.theta.shape}"
-        )
-    if not lr >= 0:  # NaN too
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
-    theta, m = np.empty(grad.shape), np.empty(grad.shape)
-    _update(state.theta, state.momentum, grad, lr, state.beta, state.alg, theta, m)
-    # a non-finite gradient or state entry makes the same entry of the new
-    # iterate non-finite (module docstring), so the iterate alone decides
-    bad = _first_nonfinite(np.isfinite(theta).reshape(1, -1, theta.shape[-1]))
-    if bad is not None:
-        raise NumericalDivergence(state.t, row=bad[1])
-    state.theta, state.momentum = theta, m
-    state.t += 1
-    return state
-
-
-def _update(theta, momentum, grad, lr, beta, alg, theta_out, momentum_out) -> None:
-    """The momentum update, written once for ``step`` and ``run``:
+def step(theta, momentum, grad, lr, beta, alg, theta_out, momentum_out) -> None:
+    """The momentum update, the package's only one:
     momentum_out = beta*momentum + (1 - beta)*grad (nshb) or
     beta*momentum + grad (shb), then theta_out = theta - lr*momentum_out.
 
     Each output is written before every input is read, so neither may share
-    memory with an input.  Call it under an error state that lets inf/nan
-    flow."""
+    memory with an input.  It checks nothing: ``run`` calls it under an
+    error state that lets inf/nan flow and decides non-finite values itself.
+    ``run`` looks the name up as a module global on every step, as the
+    benchmark's ``optim.step`` span hooks it by this name."""
     np.multiply(momentum, beta, out=momentum_out)
     if alg == "nshb":
         np.multiply(grad, 1.0 - beta, out=theta_out)  # theta_out as scratch
@@ -562,8 +505,9 @@ def run(
         map(problem.minibatch_gradients, _index_blocks(key, table.batch, problem.n)))
     t0 = c = 0  # the step of slot 0; recorded steps observed so far
     # Divergence is detected once per block, after the block's steps ran on
-    # past it: let inf/nan flow.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # past it: let inf/nan flow, and let no caller's error state turn an
+    # underflow or an overflow into an exception.
+    with np.errstate(all="ignore"):
         while True:
             box, n = None, 0
             theta, m = th[0], mo[0]
@@ -574,7 +518,7 @@ def run(
                 except problems.IterateOutsideCertifiedBox as exc:
                     box = exc
                     break
-                _update(theta, m, gradient(theta), rate, beta, alg, theta_next, m_next)
+                step(theta, m, gradient(theta), rate, beta, alg, theta_next, m_next)
                 theta, m = theta_next, m_next
                 n += 1
             t = t0 + n  # the step of slot n, the block's last iterate

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._counts import _count
+from ._counts import _count, _whole
 
 __all__ = [
     "ScheduleError",
@@ -136,10 +136,11 @@ class ScheduleSpec:
     def build(self, problem_n: int | None):
         """Materialize (table, corollary regime, the corollary's symbols).
 
-        The rate fields are checked first, then the builder of the regime
-        checks the batch fields.  The symbols are the spec's rate fields plus
-        the ones the builder fixes; M_w and T_w exist for the warm-up regime
-        only.
+        The rate fields are checked first, then the dataset size n (the
+        spec's, else ``problem_n``) is counted, then the builder of the
+        regime checks the batch fields.  The symbols are the spec's rate
+        fields plus the ones the builder fixes; M_w and T_w exist for the
+        warm-up regime only.
         """
         corollary, kinds, read = _REGIMES[self.regime]
         if kinds and self.kind not in kinds:
@@ -166,6 +167,8 @@ class ScheduleSpec:
                     raise ScheduleError("lambda_min must be finite and >= 0")
 
         n = self.dataset_size if self.dataset_size is not None else problem_n
+        if n is not None:
+            n = _count(n, "dataset_size")  # a problem's n is not counted by the spec
         symbols = {name: getattr(self, name) for name in read if name in _RATE_SYMBOLS}
         # looked up as module globals on each call: the benchmark's
         # schedules.build span rebinds these two names
@@ -190,7 +193,12 @@ class ScheduleTable:
 
     def __post_init__(self):
         lr = np.ascontiguousarray(np.asarray(self.lr, dtype=np.float64))
-        batch = np.ascontiguousarray(np.asarray(self.batch, dtype=np.int64))
+        batch = np.asarray(self.batch)
+        if batch.dtype.kind not in "iu":  # 2.0 counts as 2; 2.5, NaN or 1e30 is refused
+            for b in batch.ravel().tolist():
+                if _whole(b) is None or not 1 <= b < 2**63:
+                    raise ScheduleError(f"batch sizes must be positive integers, got {b!r}")
+        batch = np.ascontiguousarray(batch, dtype=np.int64)
         if lr.ndim != 1 or batch.shape != lr.shape:
             raise ScheduleError("lr and batch must be 1-D arrays of equal length")
         if lr.size == 0:
@@ -302,7 +310,6 @@ def build_increasing_bs_table(spec: ScheduleSpec, dataset_size: int | None):
         raise ScheduleError(
             f"regime {spec.regime!r} needs a dataset_size to fix the steps per epoch"
         )
-    n = _count(n, "dataset_size")  # a problem's n is not counted by the spec
     if b0 < 1:
         raise ScheduleError(f"b0 must be a positive integer, got {b0}")
     if not delta > 1.0:
@@ -366,7 +373,7 @@ def admissible_lr_bound(beta: float, L: float, c: float, alg: str) -> float:
     check_beta(beta)
     if not L > 0.0:
         raise ScheduleError(f"L must be > 0, got {L}")
-    if c < 1.0:
+    if not c >= 1.0:  # NaN too
         raise ScheduleError(f"growth constant must be >= 1, got {c}")
     if beta > 0.0 and c >= 1.0 / beta**2:
         raise MomentumTooLarge(

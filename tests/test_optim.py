@@ -10,7 +10,6 @@ from sgdm_sched.optim import (
     _BLOCK_WORDS,
     _OBSERVE_WORDS,
     NumericalDivergence,
-    OptimizerState,
     _bounded,
     _index_blocks,
     _indices,
@@ -32,64 +31,67 @@ def const_table(lam, T, b=1):
     return constant_bs_table("constant", batch=b, T=T, lambda_max=lam)
 
 
+def stepped(theta, m, grad, lr, beta, alg):
+    """The (theta, momentum) that one ``step`` writes into new output buffers."""
+    theta, m, grad = (np.asarray(a, dtype=np.float64) for a in (theta, m, grad))
+    theta_out, m_out = np.empty_like(theta), np.empty_like(m)
+    step(theta, m, grad, lr, beta, alg, theta_out, m_out)
+    return theta_out, m_out
+
+
 class TestStep:
+    """The update ``step``, and how ``run`` treats a step that goes non-finite."""
+
     def test_nshb_beta_zero_is_plain_sgd(self):
-        state = OptimizerState.initial(np.array([1.0]), beta=0.0, alg="nshb")
-        out = step(state, np.array([2.0]), lr=0.5)
-        np.testing.assert_array_equal(out.theta, [0.0])
-        np.testing.assert_array_equal(out.momentum, [2.0])
-        assert out.t == 1
+        theta, m = stepped([1.0], [0.0], [2.0], lr=0.5, beta=0.0, alg="nshb")
+        np.testing.assert_array_equal(theta, [0.0])
+        np.testing.assert_array_equal(m, [2.0])
 
     def test_shb_buffer_update(self):
         # m = 0.5*4 + 2 = 4, theta = 0 - 0.1*4 = -0.4
-        state = OptimizerState(np.array([0.0]), np.array([4.0]), t=3, beta=0.5, alg="shb")
-        out = step(state, np.array([2.0]), lr=0.1)
-        np.testing.assert_allclose(out.momentum, [4.0])
-        np.testing.assert_allclose(out.theta, [-0.4])
+        theta, m = stepped([0.0], [4.0], [2.0], lr=0.1, beta=0.5, alg="shb")
+        np.testing.assert_allclose(m, [4.0])
+        np.testing.assert_allclose(theta, [-0.4])
 
     def test_nshb_buffer_update(self):
         # m = 0.5*4 + 0.5*2 = 3, theta = 0 - 0.1*3 = -0.3
-        state = OptimizerState(np.array([0.0]), np.array([4.0]), t=3, beta=0.5, alg="nshb")
-        out = step(state, np.array([2.0]), lr=0.1)
-        np.testing.assert_allclose(out.momentum, [3.0])
-        np.testing.assert_allclose(out.theta, [-0.3])
-
-    def test_dimension_mismatch(self):
-        state = OptimizerState.initial(np.zeros(3), beta=0.5, alg="nshb")
-        with pytest.raises(ValueError, match="dimension"):
-            step(state, np.zeros(2), lr=0.1)
-
-    @pytest.mark.parametrize("lr", [math.nan, -0.1])
-    def test_rate_must_be_a_non_negative_number(self, lr):
-        state = OptimizerState.initial(np.zeros(2), beta=0.5, alg="nshb")
-        with pytest.raises(ValueError, match="learning rate must be >= 0"):
-            step(state, np.ones(2), lr=lr)
-        assert state.t == 0
+        theta, m = stepped([0.0], [4.0], [2.0], lr=0.1, beta=0.5, alg="nshb")
+        np.testing.assert_allclose(m, [3.0])
+        np.testing.assert_allclose(theta, [-0.3])
 
     def test_overflow_diverges_under_any_caller_error_state(self):
-        # step sets its own error state: an overflow is a divergence, not a
-        # FloatingPointError or a warning
-        state = OptimizerState.initial(np.array([1e308]), beta=0.0, alg="nshb")
-        with np.errstate(all="raise"), pytest.raises(NumericalDivergence):
-            step(state, np.array([-1e308]), lr=2.0)
+        # run sets its own error state: an overflow in the update (lr*m) is a
+        # divergence, not a FloatingPointError or a warning
+        prob = QuadraticMeanProblem.generate(2, 4, sigma_sq=0.0, seed=0)
+        with np.errstate(all="raise"), pytest.raises(NumericalDivergence) as info:
+            run("nshb", 0.0, const_table(1e200, T=10), prob, seed=1, theta0=np.ones(2))
+        assert info.value.step_index == 1 and info.value.seed == 1
 
     def test_nonfinite_gradient_diverges(self):
-        state = OptimizerState.initial(np.zeros(2), beta=0.5, alg="nshb")
-        with pytest.raises(NumericalDivergence):
-            step(state, np.array([1.0, np.inf]), lr=0.1)
+        # an inf gradient entry makes the same entry of the new iterate
+        # non-finite, the premise of run's finiteness check
+        theta, _ = stepped(np.zeros((2, 2)), np.zeros((2, 2)), [[1.0, 1.0], [1.0, np.inf]],
+                           lr=0.1, beta=0.5, alg="nshb")
+        np.testing.assert_array_equal(np.isfinite(theta), [[True, True], [True, False]])
+        prob = Poisoned(QuadraticMeanProblem.generate(2, 4, seed=0), 1, grad={0: [0]})
+        with pytest.raises(NumericalDivergence) as info:
+            run("nshb", 0.5, const_table(0.1, T=3), prob, seed=1)
+        assert info.value.step_index == 0
 
     def test_divergence_names_lowest_nonfinite_row(self):
-        # row 2 has a non-finite gradient, row 1 overflows in the update
-        state = OptimizerState(np.array([[0.0], [1e308], [0.0]]), np.zeros((3, 1)), t=4,
-                               beta=0.0, alg="nshb")
-        with pytest.raises(NumericalDivergence) as info:
-            step(state, np.array([[1.0], [-1e308], [np.nan]]), lr=1.0)
-        assert info.value.row == 1 and info.value.step_index == 4
+        # at step 4 row 2 gets a NaN gradient and row 1 overflows in the update
+        class Overflowing(Poisoned):
+            def _poison(self, g):
+                if self.steps == 4:
+                    g[1], g[2] = -1e308, np.nan
+                self.steps += 1
+                return g
 
-    def test_momentum_starts_at_zero(self):
-        state = OptimizerState.initial(np.ones(4), beta=0.9, alg="shb")
-        np.testing.assert_array_equal(state.momentum, np.zeros(4))
-        assert state.t == 0
+        prob = Overflowing(QuadraticMeanProblem.generate(1, 4, seed=0), 3)
+        with pytest.raises(NumericalDivergence) as info:
+            run("nshb", 0.0, const_table(2.0, T=10), prob, [10, 11, 12])
+        exc = info.value
+        assert (exc.step_index, exc.row, exc.seed) == (4, 1, 11)
 
 
 class TestBatchIndices:
@@ -395,6 +397,19 @@ class TestRun:
             got = run("nshb", 0.5, table, prob, 1, theta0_seed=seed, record_theta=True)
             np.testing.assert_array_equal(got.theta, ref.theta)
 
+    def test_caller_error_state_changes_no_bit(self):
+        # run decides non-finite values itself: under a caller's
+        # all="raise", the harmless underflow of a converging run is no
+        # FloatingPointError, and every bit of the trace stays the same
+        prob = QuadraticMeanProblem.generate(3, 8, sigma_sq=0.0, seed=1)
+        table = constant_bs_table("constant", batch=2, T=3000, lambda_max=0.9)
+        ref = run("nshb", 0.5, table, prob, 0, theta0=prob.abar + 1.0, record_theta=True)
+        with np.errstate(all="raise"):
+            got = run("nshb", 0.5, table, prob, 0, theta0=prob.abar + 1.0, record_theta=True)
+        for name in ("t", "theta", "f", "grad_norm_sq", "lyapunov", "theta_final",
+                     "final_f", "final_grad_norm_sq", "final_lyapunov"):
+            assert_bits(getattr(got, name), getattr(ref, name))
+
     def test_batch_sizes_follow_table(self, monkeypatch):
         # step t draws table.batch[t] indices per seed, through the
         # (K, b, R) index blocks the engine hands the problem
@@ -516,39 +531,42 @@ def observed_one_step_at_a_time(alg, beta, table, problem, seeds, theta0, record
 
     Returns (obs, final, stop): obs[k] holds (f, ||grad f||^2, Lyapunov
     value) per seed row at recorded step k, final the same at the last
-    iterate, and stop the (step, row) of the divergence, or None.
+    iterate, and stop the (step, row) of the divergence, or None.  The update is the plain expression form, as in ``reference_run``, and the
+    step that diverged is the first whose new iterate is non-finite, its
+    lowest non-finite row the row that diverged.
     """
     R = len(seeds)
     eta = table.lr if alg == "nshb" else table.lr / (1 - beta)
     A = theory.lyapunov_coefficient_array(eta, problem.L, beta)
-    state = OptimizerState.initial(np.tile(theta0, (R, 1)), beta, alg)
+    theta, m = np.tile(theta0, (R, 1)), np.zeros((R, problem.d))
 
-    def observe(st):
-        f, g = problem.value_and_grad(st.theta)
-        m = st.momentum if alg == "nshb" else (1 - beta) * st.momentum
-        A_prev = float(A[st.t - 1]) if st.t > 0 else 0.0
-        lyap = theory.lyapunov_value(f, np.einsum("ij,ij->i", m, m), A_prev, st.t)
+    def observe(theta, m, t):
+        f, g = problem.value_and_grad(theta)
+        m = m if alg == "nshb" else (1 - beta) * m
+        A_prev = float(A[t - 1]) if t > 0 else 0.0
+        lyap = theory.lyapunov_value(f, np.einsum("ij,ij->i", m, m), A_prev, t)
         return np.array([f, np.einsum("ij,ij->i", g, g), lyap])
 
-    def bad_row(values):
-        bad = ~np.isfinite(values).all(axis=0)
+    def bad_row(values, axis=0):
+        bad = ~np.isfinite(values).all(axis=axis)
         return int(np.argmax(bad)) if bad.any() else None
 
     obs = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(table.T):
             if t % record_every == 0:
-                obs.append(observe(state))
+                obs.append(observe(theta, m, t))
                 if (row := bad_row(obs[-1])) is not None:
                     return np.array(obs), obs[-1], (t, row)
-            problem.check_iterate(state.theta)
+            problem.check_iterate(theta)
             idx = batch_indices(seeds, list(range(R)), t, int(table.batch[t]), problem.n)
-            grad = problem.minibatch_gradient(state.theta, idx)
-            try:
-                state = step(state, grad, float(table.lr[t]))
-            except NumericalDivergence as exc:
-                return np.array(obs), observe(state), (t, exc.row)
-        final = observe(state)
+            grad = problem.minibatch_gradient(theta, idx)
+            m_next = beta * m + ((1 - beta) * grad if alg == "nshb" else grad)
+            theta_next = theta - float(table.lr[t]) * m_next
+            if (row := bad_row(theta_next, axis=1)) is not None:
+                return np.array(obs), observe(theta, m, t), (t, row)
+            theta, m = theta_next, m_next
+        final = observe(theta, m, table.T)
     row = bad_row(final)
     return np.array(obs), final, None if row is None else (table.T, row)
 
@@ -881,11 +899,6 @@ class TestTrajectoryBlock:
         table = schedules.ScheduleTable(lr=np.zeros(self.T), batch=table.batch)
         exc = self.assert_same_outcome(prob, table, theta0, {12: [0]})
         assert (exc.step_index, exc.row) == (12, 0)
-        # step, on the same body of arithmetic, says the same
-        state = OptimizerState.initial(np.zeros((2, 3)), self.BETA, "nshb")
-        with pytest.raises(NumericalDivergence) as info:
-            step(state, np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]), lr=0.0)
-        assert (info.value.step_index, info.value.row) == (0, 1)
 
 
 class TestOneStepBlocks:
@@ -988,61 +1001,29 @@ class TestBlockedGradients:
 
 
 class TestStepInPlace:
-    def test_raising_step_leaves_state_unchanged(self):
-        state = OptimizerState(np.array([[0.0], [1e308], [0.0]]), np.array([[1.0], [2.0], [3.0]]),
-                               t=4, beta=0.5, alg="nshb")
-        theta, momentum = state.theta.copy(), state.momentum.copy()
-        with pytest.raises(NumericalDivergence):
-            step(state, np.array([[1.0], [-1e308], [np.nan]]), lr=1.0)
-        assert state.t == 4
-        np.testing.assert_array_equal(state.theta, theta)
-        np.testing.assert_array_equal(state.momentum, momentum)
-        # and it steps on as a fresh state with the same values would
-        grad = np.array([[1.0], [2.0], [3.0]])
-        fresh = OptimizerState(theta, momentum, t=4, beta=0.5, alg="nshb")
-        out, ref = step(state, grad, lr=0.1), step(fresh, grad, lr=0.1)
-        assert out is state and out.t == ref.t == 5
-        assert_bits(out.theta, ref.theta)
-        assert_bits(out.momentum, ref.momentum)
-
-    def test_constructor_owns_float64_copies(self):
-        # an int state built by hand steps twice; the caller's arrays stay put
-        theta, momentum = np.array([0]), np.array([4])
-        state = OptimizerState(theta, momentum, t=3, beta=0.5, alg="shb")
-        step(state, np.array([1.0]), lr=0.5)
-        step(state, np.array([1.0]), lr=0.5)
-        assert state.t == 5 and state.theta.dtype == np.float64
-        # m: 4 -> 3 -> 2.5; theta: 0 -> -1.5 -> -2.75
-        np.testing.assert_array_equal(state.momentum, [2.5])
-        np.testing.assert_array_equal(state.theta, [-2.75])
-        np.testing.assert_array_equal(theta, [0])
-        np.testing.assert_array_equal(momentum, [4])
-        listed = OptimizerState([0.0, 1.0], [0.0, 0.0], t=0, beta=0.0, alg="nshb")
-        step(step(listed, np.ones(2), lr=1.0), np.ones(2), lr=1.0)
-        np.testing.assert_array_equal(listed.theta, [-2.0, -1.0])
-
     @pytest.mark.parametrize("alg", ["nshb", "shb"])
     @pytest.mark.parametrize("record_every", [1, 3])
     def test_run_steps_as_a_loop_of_public_steps(self, alg, record_every):
-        # run updates through the unchecked core; its iterates and their
-        # observations are those of public step calls, bit for bit
+        # run steps inside its trajectory block; its iterates and their
+        # observations are those of a loop of step calls, bit for bit
         prob = QuadraticMeanProblem.generate(6, 64, sigma_sq=1.0, seed=8)
         table = constant_bs_table("diminishing", batch=3, T=40, lambda_max=0.3)
         seeds, beta = [5, 2, 9], 0.6
         theta0 = np.random.default_rng(2).standard_normal(prob.d)
         traces = run(alg, beta, table, prob, seeds, theta0=theta0, record_every=record_every,
                      record_theta=True)
-        state = OptimizerState.initial(np.tile(theta0, (len(seeds), 1)), beta, alg)
+        theta, m = np.tile(theta0, (len(seeds), 1)), np.zeros((len(seeds), prob.d))
         thetas = []
         for t in range(table.T):
             if t % record_every == 0:
-                thetas.append(state.theta.copy())
+                thetas.append(theta)
             idx = batch_indices(seeds, range(len(seeds)), t, int(table.batch[t]), prob.n)
-            step(state, prob.minibatch_gradient(state.theta, idx), float(table.lr[t]))
+            theta, m = stepped(theta, m, prob.minibatch_gradient(theta, idx),
+                               float(table.lr[t]), beta, alg)
         for r, tr in enumerate(traces):
             np.testing.assert_array_equal(tr.t, np.arange(0, table.T, record_every))
-            assert_bits(tr.theta, [theta[r] for theta in thetas])
-            assert_bits(tr.theta_final, state.theta[r])
+            assert_bits(tr.theta, [theta_t[r] for theta_t in thetas])
+            assert_bits(tr.theta_final, theta[r])
             f, g = prob.value_and_grad(np.vstack([tr.theta, tr.theta_final]))
             assert_bits(np.append(tr.f, tr.final_f), f)
             assert_bits(np.append(tr.grad_norm_sq, tr.final_grad_norm_sq),
@@ -1051,10 +1032,10 @@ class TestStepInPlace:
     def test_step_matches_the_expression_form(self, rng):
         for alg in ("nshb", "shb"):
             theta, m, g = rng.standard_normal((3, 4, 6))
-            state = OptimizerState(theta.copy(), m.copy(), t=0, beta=0.7, alg=alg)
+            got_theta, got_m = theta, m
             for _ in range(3):
                 m = 0.7 * m + ((1.0 - 0.7) * g if alg == "nshb" else g)
                 theta = theta - 0.05 * m
-                step(state, g, 0.05)
-                assert_bits(state.theta, theta)
-                assert_bits(state.momentum, m)
+                got_theta, got_m = stepped(got_theta, got_m, g, 0.05, 0.7, alg)
+                assert_bits(got_theta, theta)
+                assert_bits(got_m, m)

@@ -1,5 +1,6 @@
 """Every span the benchmark's tracer hooks still finds its function, and the
-schedule build still calls the functions its span hooks.
+schedule build and the optimizer's run still call the functions their spans
+hook.
 
 ``perfbench/tracing.py`` attaches spans by name, and a renamed or deleted
 function makes its span "absent" without failing the benchmark.  The tracer
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from sgdm_sched import schedules
+from sgdm_sched import optim, problems, schedules
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +57,21 @@ def test_schedule_build_reaches_its_span(monkeypatch, regime, fields, builder):
     phases = dict(b0=2, delta=2.0, epochs_per_phase=(1, 1))
     schedules.ScheduleSpec(regime, **fields, **phases).build(problem_n=16)
     assert calls == {name: int(name == builder) for name in BUILDERS}
+
+
+@pytest.mark.parametrize("R, d", [(3, 5), (60, 300)])  # 60*300 > 2^14: blocks of J = 1 step
+def test_run_reaches_the_step_span(monkeypatch, R, d):
+    # the optim.step span wraps the module-level update; run calls it once
+    # per step for all R seeds, so a run that bypassed it would read 0 calls
+    calls = []
+    update = optim.step
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return update(*args)
+
+    monkeypatch.setattr(optim, "step", counted)
+    prob = problems.QuadraticMeanProblem.generate(d, 24, sigma_sq=1.0, seed=3)
+    table = schedules.ScheduleTable(lr=[0.1] * 7, batch=[3] * 7)
+    optim.run("nshb", 0.5, table, prob, list(range(R)), record_every=3)
+    assert calls == [(R, d)] * table.T

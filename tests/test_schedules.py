@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -153,6 +154,25 @@ class TestPhasePlan:
         with pytest.raises(ValueError, match="dataset_size must be a whole number, got 40.5"):
             spec.build(40.5)
 
+    @pytest.mark.parametrize("regime, fields", [
+        ("constant-bs", dict(kind="cosine", batch=8, T=10)),
+        ("constant-bs", dict(kind="diminishing", batch=8, T=6)),
+        ("increasing-bs", dict(b0=4, delta=2.0, epochs_per_phase=(1, 1))),
+        ("joint-growth", dict(gamma=1.5, lambda0=0.1, b0=4, delta=2.0, epochs_per_phase=(1, 1))),
+        ("warmup", dict(gamma=1.5, lambda0=0.1, warmup_phases=0, b0=4, delta=2.0,
+                        epochs_per_phase=(1, 1))),
+    ])
+    def test_every_regime_counts_a_problem_n(self, regime, fields):
+        # 40.5 would make a cosine epoch ceil(40.5/8) = 6 steps; every regime
+        # refuses it, whether or not its table reads n, and 40.0 counts as 40
+        spec = ScheduleSpec(regime, **fields)
+        with pytest.raises(ValueError, match="dataset_size must be a whole number, got 40.5"):
+            spec.build(40.5)
+        (table, corollary, symbols), ref = spec.build(40.0), spec.build(40)
+        np.testing.assert_array_equal(table.lr, ref[0].lr)
+        np.testing.assert_array_equal(table.batch, ref[0].batch)
+        assert (corollary, symbols) == ref[1:]
+
 
 DOUBLING = dict(b0=8, delta=2.0, epochs_per_phase=(1, 1, 1), dataset_size=32)
 
@@ -252,6 +272,10 @@ class TestAdmissibility:
         # 1/0.95^2 = 1.108... < 1.2, so no admissible rate exists
         with pytest.raises(MomentumTooLarge, match="1/beta\\^2"):
             admissible_lr_bound(0.95, 1.0, 1.2, "nshb")
+
+    def test_nan_growth_constant_refused(self):
+        with pytest.raises(ScheduleError, match="growth constant must be >= 1, got nan"):
+            admissible_lr_bound(0.5, 1.0, math.nan, "nshb")
 
     @pytest.mark.pinned
     def test_validate_pass_and_fail(self):
@@ -380,6 +404,19 @@ class TestTableImmutability:
     def test_empty_table_refused(self):
         with pytest.raises(ScheduleError, match="at least one step"):
             schedules.ScheduleTable(lr=[], batch=[])
+
+    @pytest.mark.parametrize("batch, bad", [([2.5, 3.7], 2.5), ([2.0, math.nan], math.nan),
+                                            ([1e30, 2.0], 1e30), ([1.0, 0.0], 0.0),
+                                            (["2", "3"], "2")])
+    def test_batch_entries_must_be_whole_numbers(self, batch, bad):
+        # 2.5 would be stored as batch 2; NaN and 1e30 fail numpy's int cast
+        with pytest.raises(ScheduleError, match=re.escape(
+                f"batch sizes must be positive integers, got {bad!r}")):
+            schedules.ScheduleTable(lr=[0.1, 0.1], batch=batch)
+
+    def test_whole_float_batches_are_their_ints(self):
+        table = schedules.ScheduleTable(lr=[0.1, 0.1], batch=[2.0, np.float32(3.0)])
+        assert table.batch.dtype == np.int64 and table.batch.tolist() == [2, 3]
 
     def test_length_is_not_an_argument(self):
         with pytest.raises(TypeError):
