@@ -3,9 +3,10 @@
 Evaluates the Lyapunov coefficient and function, the exact bias term
 B_T = 1/sum(lr) and variance term V_T = sum(lr/b)/sum(lr), the unified
 upper bound on the minimum expected squared gradient norm, the per-regime
-closed-form bounds on B_T and V_T (the warm-up bound cor3.4 is cor3.3 over
-the warm-up phases plus cor3.2 over the tail), and the single-step descent
-inequality, whose two terms ``descent_terms`` gives to it and to the audit.
+closed-form bounds on B_T and V_T (each V bound is its B bound times a bound
+on sum(lr/b); the warm-up bound cor3.4 is cor3.3 over the warm-up phases plus
+cor3.2 over the tail), and the single-step descent inequality, whose two
+terms ``descent_terms`` gives to it and to the audit.
 """
 
 from __future__ import annotations
@@ -122,46 +123,38 @@ def _req(params: dict, *names: str) -> list[float]:
     for name in names:
         if name not in params or params[name] is None:
             raise ValueError(f"regime parameter {name!r} is required")
-        out.append(float(params[name]))
+        value = float(params[name])
+        if not math.isfinite(value):
+            raise ValueError(f"regime parameter {name!r} must be finite, got {value}")
+        out.append(value)
     return out
+
+
+def _positive(value: float, symbols: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{symbols} must be positive and finite, got {value}")
+    return value
 
 
 def _decaying_B_bound(kind: str, params: dict) -> float:
     (T,) = _req(params, "T")
-    if T < 1:
+    if not T >= 1:
         raise ValueError("T must be >= 1")
     if kind == "constant":
         (lam,) = _req(params, "lambda_max")
-        return 1.0 / (lam * T)
+        return 1.0 / _positive(lam * T, "lambda_max*T")
     if kind == "diminishing":
         (lam,) = _req(params, "lambda_max")
-        return 1.0 / (2.0 * lam * (math.sqrt(T + 1.0) - 1.0))
+        rate_sum = 2.0 * lam * (math.sqrt(T + 1.0) - 1.0)
+        return 1.0 / _positive(rate_sum, "2*lambda_max*(sqrt(T+1)-1)")
     if kind == "cosine":
         lam_min, lam_max = _req(params, "lambda_min", "lambda_max")
-        return 2.0 / ((lam_min + lam_max) * T)
+        return 2.0 / _positive((lam_min + lam_max) * T, "(lambda_min+lambda_max)*T")
     if kind == "polynomial":
         lam_min, lam_max, p = _req(params, "lambda_min", "lambda_max", "p")
-        if p <= 0:
+        if not p > 0:
             raise ValueError("p must be > 0")
-        return (p + 1.0) / ((p * lam_min + lam_max) * T)
-    raise ValueError(f"unknown decaying kind {kind!r}")
-
-
-def _growing_batch_V_bound(kind: str, params: dict) -> float:
-    delta, b0, K_max, E_max, T = _req(params, "delta", "b0", "K_max", "E_max", "T")
-    if delta <= 1.0:
-        raise ValueError(f"delta must be > 1, got {delta}")
-    base = delta * K_max * E_max / ((delta - 1.0) * b0)
-    if kind == "constant":
-        return base / T
-    if kind == "diminishing":
-        return base / (2.0 * (math.sqrt(T + 1.0) - 1.0))
-    if kind == "cosine":
-        lam_min, lam_max = _req(params, "lambda_min", "lambda_max")
-        return 2.0 * lam_max * base / ((lam_min + lam_max) * T)
-    if kind == "polynomial":
-        lam_min, lam_max, p = _req(params, "lambda_min", "lambda_max", "p")
-        return (p + 1.0) * lam_max * base / ((p * lam_min + lam_max) * T)
+        return (p + 1.0) / _positive((p * lam_min + lam_max) * T, "(p*lambda_min+lambda_max)*T")
     raise ValueError(f"unknown decaying kind {kind!r}")
 
 
@@ -177,37 +170,43 @@ def corollary_bounds(regime: str, **params) -> tuple[float, float]:
     growth), cor3.4-{constant,cosine} (warm-up: cor3.3 up to phase M_w plus
     cor3.2 over the T - T_w steps after it).  Parameters carry the symbols
     each formula needs; realized maxima/minima of a concrete plan are accepted
-    for K_max/K_min/E_max/E_min.
+    for K_max/K_min/E_max/E_min.  A symbol that is missing, not finite or out of
+    range, or a divisor that is not positive, is a ValueError naming it.
     """
     corollary, dash, kind = regime.partition("-")
     if dash and corollary in ("cor3.1", "cor3.2"):
         B = _decaying_B_bound(kind, params)
         if corollary == "cor3.2":
-            return B, _growing_batch_V_bound(kind, params)
+            # sum(lr/b) <= sum_m K_max E_max lambda_max / (b0 delta^m), a geometric series
+            delta, b0, K_max, E_max, lam_max = _req(
+                params, "delta", "b0", "K_max", "E_max", "lambda_max")
+            if not delta > 1.0:
+                raise ValueError(f"delta must be > 1, got {delta}")
+            lr_over_b = lam_max * delta * K_max * E_max / ((delta - 1.0) * _positive(b0, "b0"))
+            return B, B * lr_over_b
         (b,) = _req(params, "batch")
-        if b < 1:
+        if not b >= 1:
             raise ValueError("batch must be >= 1")
         return B, 1.0 / b
     if regime == "cor3.3":
         delta, gamma, lam0, b0, K_min, E_min, K_max, E_max, M = _req(params, *_JOINT, "M")
-        if delta <= 1.0:
+        if not delta > 1.0:
             raise ValueError(f"delta must be > 1, got {delta}")
-        if gamma <= 1.0:
+        if not gamma > 1.0:
             raise ValueError(f"gamma must be > 1, got {gamma}")
         gamma_hat = gamma / delta
-        if gamma_hat >= 1.0:
+        if not gamma_hat < 1.0:
             raise ValueError(f"need gamma/delta < 1, got {gamma_hat:.6g}")
-        B = delta**2 / (lam0 * K_min * E_min * gamma**M)
-        # V combines sum(lr/b) <= K_max E_max lambda0 / (b0 (1-gamma_hat)) with
-        # sum(lr) > lambda0 K_min E_min gamma^M / delta^2; lambda0 cancels, so
-        # the bound is dimensionless in the learning rate (as V_T itself is)
-        V = K_max * E_max * delta**2 / (K_min * E_min * b0 * (1.0 - gamma_hat) * gamma**M)
-        return B, V
+        # sum(lr) > lambda0 K_min E_min gamma^M / delta^2; phase m's rate over its batch
+        # is lambda0 gamma_hat^m / b0, so sum(lr/b) < lambda0 K_max E_max / (b0 (1-gamma_hat))
+        B = delta**2 / _positive(lam0 * K_min * E_min * gamma**M, "lambda0*K_min*E_min*gamma^M")
+        lr_over_b = lam0 * K_max * E_max / (_positive(b0, "b0") * (1.0 - gamma_hat))
+        return B, B * lr_over_b
     if corollary == "cor3.4" and kind in ("constant", "cosine"):
         M_w = _req(params, *_JOINT, "M_w")[-1]  # a missing symbol is named in cor3.3's order
         B_w, V_w = corollary_bounds("cor3.3", **{**params, "M": M_w})
         T, T_w, gamma, lam0 = _req(params, "T", "T_w", "gamma", "lambda0")
-        if T <= T_w:
+        if not T > T_w:
             raise ValueError("warm-up bounds need at least one post-warm-up step (T > T_w)")
         lam_max = float(schedules.growth_rates(lam0, gamma, M_w)[-1])
         B, V = corollary_bounds(f"cor3.2-{kind}", **{**params, "T": T - T_w, "lambda_max": lam_max})

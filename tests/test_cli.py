@@ -480,15 +480,15 @@ def warmup(kind, *flags):
      "ffbee7b0dc28e7ea"),
     (bounds_argv(*constant_bs("polynomial", "--lambda-max", "0.2", "--lambda-min", "0.01",
                               "--p", "2", "--batch", "4", "--T", "50")), "523bddb8c0f88392"),
-    (bounds_argv(*increasing_bs("constant", "--lambda-max", "0.1")), "f75f157d48b093a6"),
+    (bounds_argv(*increasing_bs("constant", "--lambda-max", "0.1")), "02a6a9a5e8d65507"),
     (bounds_argv(*increasing_bs("diminishing", "--lambda-max", "0.2")), "065eb6850898c66c"),
     (bounds_argv(*increasing_bs("cosine", "--lambda-max", "0.2", "--lambda-min", "0.01")),
      "70e5b64b96fe331e"),
     (bounds_argv(*increasing_bs("polynomial", "--lambda-max", "0.2", "--lambda-min", "0.01",
-                                "--p", "2")), "3ea5e3af950b6876"),
+                                "--p", "2")), "674c1e2375ca0d50"),
     (bounds_argv("joint-growth", *GROWTH_FLAGS), "3c9c63da0958fa69"),
-    (bounds_argv(*warmup("constant")), "2490e2af3b04e7ba"),
-    (bounds_argv(*warmup("cosine", "--lambda-min", "0.001")), "6dae8ccbb2a177d8"),
+    (bounds_argv(*warmup("constant")), "782d5ef284f68a6d"),
+    (bounds_argv(*warmup("cosine", "--lambda-min", "0.001")), "f68a47051380094b"),
     (["schedule", "--regime", *constant_bs("cosine", "--lambda-max", "1", "--lambda-min", "0.1",
                                            "--batch", "2", "--dataset-size", "6", "--T", "9")],
      "29e6cdf0e5b878d3"),

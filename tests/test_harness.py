@@ -77,7 +77,7 @@ PINNED_ARTIFACTS = {
     },
     "every-field": {
         "aggregate.csv": "16e7e550d8596644",
-        "report.json": "973fe4383d62e4a4",
+        "report.json": "1a4712a225704d52",
         "trace_0.csv": "ecf7b540a40a31ef",
         "trace_1.csv": "d321c37a0dcdc0d4",
         "trace_2.csv": "4585e27625790da9",

@@ -184,8 +184,125 @@ class TestTheorem1WeightedExact:
                 closed = rhs_sq * (1.0 - (1.0 - lr) ** (2 * T)) / (2.0 - lr)
                 assert abs(weighted - closed) <= 1e-12 * closed, (T, weighted / closed)
 
+    @pytest.mark.parametrize("sigma_sq", [1.0, 10.0])
+    @pytest.mark.parametrize("b", [1, 4, 16])
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("alg", ["nshb", "shb"])
+    def test_noisy_expectation_is_below_rhs_sq(self, alg, r, b, sigma_sq):
+        # at beta = 0 the noise abar_B - abar is independent of theta_t, has mean 0
+        # and E||.||^2 = sigma^2 / b (draws with replacement), so P_t = E||grad f||^2
+        # follows P_{t+1} = (1 - lr)^2 P_t + lr^2 sigma^2 / b exactly
+        problem = QuadraticMeanProblem.generate(5, 16, sigma_sq=sigma_sq, seed=3)
+        lr = r * schedules.admissible_lr_bound(0.0, problem.L, 1.0, alg)
+        for T in (50, 400):
+            P = [5.0]  # theta_0 = abar + 1
+            for _ in range(T - 1):
+                P.append((1.0 - lr) ** 2 * P[-1] + lr * lr * problem.sigma_sq / b)
+            table = schedules.ScheduleTable(np.full(T, lr), np.full(T, b))
+            constants = TheoremConstants(L=problem.L, beta=0.0, sigma_sq=problem.sigma_sq,
+                                         alg=alg, f0_minus_fstar=P[0] / 2)
+            rhs_sq = build_report(constants, table).rhs_sq
+            weighted = math.fsum(table.lr * np.array(P)) / math.fsum(table.lr)
+            assert weighted <= rhs_sq * (1 + 1e-12), (T, weighted / rhs_sq)
+            assert min(P) <= weighted
+
+
+def paper_cor32(kind, lambda_max, T, delta, b0, K_max, E_max, lambda_min=None, p=None, **_):
+    """Cor. 3.1's B and cor. 3.2's V bound as the paper prints them, per rate kind."""
+    base = delta * K_max * E_max / ((delta - 1.0) * b0)
+    if kind == "constant":
+        return 1.0 / (lambda_max * T), base / T
+    if kind == "diminishing":
+        root = math.sqrt(T + 1.0) - 1.0
+        return 1.0 / (2.0 * lambda_max * root), base / (2.0 * root)
+    if kind == "cosine":
+        return (2.0 / ((lambda_min + lambda_max) * T),
+                2.0 * lambda_max * base / ((lambda_min + lambda_max) * T))
+    return ((p + 1.0) / ((p * lambda_min + lambda_max) * T),
+            (p + 1.0) * lambda_max * base / ((p * lambda_min + lambda_max) * T))
+
+
+def paper_cor33(delta, gamma, lambda0, b0, K_min, E_min, K_max, E_max, M, **_):
+    """Cor. 3.3's B and V bounds as the paper prints them."""
+    gamma_hat = gamma / delta
+    return (delta**2 / (lambda0 * K_min * E_min * gamma**M),
+            K_max * E_max * delta**2 / (K_min * E_min * b0 * (1.0 - gamma_hat) * gamma**M))
+
+
+def random_symbols(rng, corollary):
+    """Valid symbols of one corollary, with its regime name."""
+    delta = float(rng.uniform(1.01, 4.0))
+    K_max, E_max = int(rng.integers(1, 200)), int(rng.integers(1, 10))
+    s = dict(delta=delta, b0=int(rng.integers(1, 65)), K_max=K_max, E_max=E_max)
+    if corollary == "cor3.2":
+        kind = str(rng.choice(["constant", "diminishing", "cosine", "polynomial"]))
+        lambda_max = float(rng.uniform(1e-3, 2.0))
+        s.update(lambda_max=lambda_max, T=int(rng.integers(1, 10_000)))
+        if kind in ("cosine", "polynomial"):
+            s.update(lambda_min=float(rng.uniform(0.0, lambda_max)), p=float(rng.uniform(0.1, 4.0)))
+        return f"cor3.2-{kind}", s
+    s.update(gamma=float(rng.uniform(1.001, delta - 1e-6)), lambda0=float(rng.uniform(1e-3, 1.0)),
+             K_min=int(rng.integers(1, K_max + 1)), E_min=int(rng.integers(1, E_max + 1)))
+    if corollary == "cor3.3":
+        return "cor3.3", {**s, "M": int(rng.integers(0, 20))}
+    kind = str(rng.choice(["constant", "cosine"]))
+    T_w = int(rng.integers(1, 5_000))
+    s.update(M_w=int(rng.integers(0, 10)), T_w=T_w, T=T_w + int(rng.integers(1, 5_000)),
+             lambda_min=float(rng.uniform(0.0, 1e-3)))
+    return f"cor3.4-{kind}", s
+
+
+def paper_bounds(regime, s):
+    """The paper's (B, V) bound of a regime; cor. 3.4 is cor. 3.3 plus cor. 3.2."""
+    if regime == "cor3.3":
+        return paper_cor33(**s)
+    corollary, _, kind = regime.partition("-")
+    if corollary == "cor3.2":
+        return paper_cor32(kind, **s)
+    B_w, V_w = paper_cor33(**s, M=s["M_w"])
+    peak = float(schedules.growth_rates(s["lambda0"], s["gamma"], s["M_w"])[-1])
+    B, V = paper_cor32(kind, **{**s, "lambda_max": peak, "T": s["T"] - s["T_w"]})
+    return B_w + B, V_w + V
+
 
 class TestCorollaryBounds:
+    @pytest.mark.parametrize("corollary", ["cor3.2", "cor3.3", "cor3.4"])
+    def test_bounds_match_the_papers_closed_forms(self, corollary):
+        # each V bound is computed as its B bound times a bound on sum(lr/b): the
+        # same formula as the paper's, up to rounding
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            regime, s = random_symbols(rng, corollary)
+            B, V = corollary_bounds(regime, **s)
+            B_ref, V_ref = paper_bounds(regime, s)
+            assert B == B_ref, (regime, s)
+            assert abs(V - V_ref) <= 4 * 2.0**-52 * V_ref, (regime, s, (V - V_ref) / V_ref)
+
+    @pytest.mark.parametrize("regime, change, message", [
+        ("cor3.1-constant", {"lambda_max": math.nan}, "'lambda_max' must be finite, got nan"),
+        ("cor3.1-constant", {"T": math.nan}, "'T' must be finite, got nan"),
+        ("cor3.1-constant", {"T": math.inf}, "'T' must be finite, got inf"),
+        ("cor3.1-constant", {"lambda_max": 0.0}, r"lambda_max\*T must be .*, got 0.0"),
+        ("cor3.1-constant", {"lambda_max": -1.0, "T": 3}, r"lambda_max\*T must be .*, got -3.0"),
+        ("cor3.2-constant", {"delta": math.nan}, "'delta' must be finite, got nan"),
+        ("cor3.2-constant", {"b0": 0}, "b0 must be positive and finite, got 0.0"),
+        ("cor3.3", {"lambda0": 0.0}, r"lambda0\*K_min\*E_min\*gamma\^M must be .*, got 0.0"),
+        ("cor3.3", {"gamma": math.nan}, "'gamma' must be finite, got nan"),
+        ("cor3.3", {"delta": math.nan}, "'delta' must be finite, got nan"),
+        ("cor3.3", {"b0": 0}, "b0 must be positive and finite, got 0.0"),
+    ], ids=["nan-lambda_max", "nan-T", "inf-T", "zero-lambda_max", "negative-lambda_max",
+            "cor3.2-nan-delta", "cor3.2-zero-b0", "cor3.3-zero-lambda0", "cor3.3-nan-gamma",
+            "cor3.3-nan-delta", "cor3.3-zero-b0"])
+    def test_refuses_malformed_symbols(self, regime, change, message):
+        symbols = {
+            "cor3.1-constant": dict(lambda_max=0.1, T=10, batch=2),
+            "cor3.2-constant": dict(lambda_max=0.1, T=10, delta=2.0, b0=4, K_max=4, E_max=1),
+            "cor3.3": dict(delta=2.0, gamma=1.5, lambda0=0.1, b0=8, K_min=4, K_max=4,
+                           E_min=1, E_max=1, M=3),
+        }[regime]
+        with pytest.raises(ValueError, match=message):
+            corollary_bounds(regime, **{**symbols, **change})
+
     def test_diminishing_bound_and_dominance(self):
         # bound = 1/(2 * 1 * (sqrt(4) - 1)) = 0.5; exact B_3 = 1/(1 + 1/sqrt2 + 1/sqrt3)
         B, V = corollary_bounds("cor3.1-diminishing", lambda_max=1.0, T=3, batch=2)
