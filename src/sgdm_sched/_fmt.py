@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 FLOAT_FMT = "%.17g"
@@ -24,7 +25,8 @@ def dumps17(obj) -> str:
     The stdlib json module hard-codes repr() for floats, so this tiny emitter
     exists to keep every numeric byte identical across runs.  Supports dicts
     (insertion order preserved), lists/tuples, str, bool, None, int, float,
-    indented by two spaces a level.
+    indented by two spaces a level; keys and strings are quoted by
+    ``json.dumps``, so any string, control characters included, reads back.
     """
     out: list[str] = []
     _emit(obj, out, 0)
@@ -35,14 +37,8 @@ def dumps17(obj) -> str:
 def _emit(obj, out: list[str], level: int) -> None:
     pad = "  " * (level + 1)
     end_pad = "  " * level
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
+    if obj is None or isinstance(obj, (bool, str)):
+        out.append(json.dumps(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -55,7 +51,7 @@ def _emit(obj, out: list[str], level: int) -> None:
         for i, (k, v) in enumerate(obj.items()):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be str, got {type(k)}")
-            out.append(pad + _quote(k) + ": ")
+            out.append(pad + json.dumps(k) + ": ")
             _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "}")
@@ -69,20 +65,8 @@ def _emit(obj, out: list[str], level: int) -> None:
             _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "]")
+    elif hasattr(obj, "item"):  # numpy scalars and similar
+        _emit(obj.item(), out, level)
     else:
-        # numpy scalars and similar
-        if hasattr(obj, "item"):
-            _emit(obj.item(), out, level)
-        else:
-            raise TypeError(f"cannot serialize {type(obj)} to JSON")
+        raise TypeError(f"cannot serialize {type(obj)} to JSON")
 
-
-def _quote(s: str) -> str:
-    escaped = (
-        s.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-    return f'"{escaped}"'

@@ -45,11 +45,12 @@ functions (the quadratic gathers all K batch means of the block at once).
 ``run`` keeps J = max(1, _OBSERVE_WORDS // (R*d)) steps at a time in a
 trajectory block, a pair of (J+1, R, d) arrays of iterates and momenta:
 slot s holds theta_{t0+s} and m_{t0+s-1}, and step t0+s writes theta_{t0+s+1}
-and m_{t0+s} straight into slot s+1, so a step makes no copy and no
-finiteness check.  Once per block, ``run`` checks the block's new iterates for
-finiteness and observes its recorded slots in one ``value_and_grad`` call;
-the block loop stops at the first failure, and one settle after it decides
-how the run ends and observes the iterate it ends at.  The check is exact:
+and m_{t0+s} straight into slot s+1, so a step makes no copy and no check.
+Once per block, ``run`` box-checks the iterates its steps ran on in one
+``check_iterate`` call, cutting the block at the first exit, checks its new
+iterates for finiteness and observes its recorded slots in one
+``value_and_grad`` call; one settle after the block loop decides how the run
+ends and observes the iterate it ends at.  The finiteness check is exact:
 a non-finite entry of an iterate stays non-finite in every later one, as
 theta' = theta - lr*m is NaN or infinite wherever theta is (NaN - x is NaN,
 inf - x is inf or NaN), and a non-finite gradient or momentum entry makes
@@ -410,8 +411,8 @@ def run(
     step).  Admissibility is the caller's decision: ``run`` steps through any table
     (``schedules.validate_admissible`` checks one; ``harness.run_experiment``
     enforces it unless waived).  theta0 defaults to a deterministic seeded
-    standard-normal draw.  Every iterate is passed to problem.check_iterate
-    before its step; an IterateOutsideCertifiedBox names the lowest offending
+    standard-normal draw.  Every iterate a step runs on is passed to
+    problem.check_iterate; an IterateOutsideCertifiedBox names the lowest offending
     seed and the step.  Divergence aborts the run at the first step t where
     any row goes non-finite, checked in this order: the observation at
     theta_t on recorded steps (f, ||grad f||^2 or the Lyapunov value), then
@@ -426,14 +427,15 @@ def run(
     drawn (K, b, R) index block at a time, and rates from ``table.lr`` read
     once.  The steps run J = max(1, _OBSERVE_WORDS // (R*d)) at a time
     through the trajectory block of the module docstring; each recorded
-    theta_t is observed with the step's A_{t-1}.  When a block is full, at
-    the end and at a box exit, its new iterates are checked for finiteness
-    (module docstring) and its recorded steps up to the first failure are
-    observed in one call.  One settle after the last block applies the order
-    above: a non-finite recorded observation, else a box exit with no
-    earlier divergence (a non-finite iterate fails a box check too), else
-    the observation of the iterate the run ends at, the diverged step's or
-    theta_T.  So the order holds as if each step were checked on its own.
+    theta_t is observed with the step's A_{t-1}.  When a block is full, and
+    at the end, the iterates its steps ran on are box-checked in one call,
+    which cuts the block at the first exit; its new iterates are checked for
+    finiteness (module docstring) and its recorded steps up to the first
+    failure are observed in one call.  One settle after the last block
+    applies the order above: a non-finite recorded observation, else a box
+    exit with no earlier divergence (an infinite iterate fails a box check
+    too), else the observation of the iterate the run ends at, the diverged
+    step's or theta_T.  So the order holds as if each step were checked alone.
     """
     alg = schedules.check_alg(alg)
     schedules.check_beta(beta)
@@ -499,7 +501,6 @@ def run(
         bad = _first_nonfinite(finite)
         return None if bad is None else (cols.start + bad[0], bad[1])
 
-    check = problem.check_iterate
     lr = iter(table.lr.tolist())
     gradients = chain.from_iterable(
         map(problem.minibatch_gradients, _index_blocks(key, table.batch, problem.n)))
@@ -513,14 +514,13 @@ def run(
             theta, m = th[0], mo[0]
             # zip takes a slot first, so a full block consumes no rate or gradient
             for theta_next, m_next, rate, gradient in zip(th[1:], mo[1:], lr, gradients):
-                try:
-                    check(theta)
-                except problems.IterateOutsideCertifiedBox as exc:
-                    box = exc
-                    break
                 step(theta, m, gradient(theta), rate, beta, alg, theta_next, m_next)
                 theta, m = theta_next, m_next
                 n += 1
+            try:  # the box of the n iterates stepped from; cut the block at the first exit
+                problem.check_iterate(th[:n])
+            except problems.IterateOutsideCertifiedBox as exc:
+                box, (n, row) = exc, divmod(exc.row, R)
             t = t0 + n  # the step of slot n, the block's last iterate
             # (i, row): step t0 + i diverged, its new iterate in slot i + 1.
             # A non-finite entry stays non-finite, so a finite last iterate
@@ -544,7 +544,7 @@ def run(
             stop = int(rec_t[final]), bad[1]
         elif box and not div:
             raise problems.IterateOutsideCertifiedBox(
-                f"seed {seeds[box.row]} at step {t}: {box}", row=box.row)
+                f"seed {seeds[row]} at step {t}: {box}", row=row)
         else:  # observe the iterate the run ends at: the diverged step's, or theta_T
             final, rows, last = FINAL, c, div[0] if div else n
             bad = observe(slice(last, last + 1), slice(FINAL, FINAL + 1), np.array([t0 + last]))

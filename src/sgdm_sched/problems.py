@@ -20,8 +20,9 @@ convergence bounds is computable instead of estimated:
   family, the lower bound 0 for the log-cosh family), ``n`` and ``d``, and
   ``sigma_certificate``, the terms of a certified ``sigma_sq`` (None for the
   quadratic, whose sigma_sq is exact);
-- ``check_iterate(theta)``, which raises IterateOutsideCertifiedBox for an
-  iterate outside the region where ``sigma_sq`` is certified.
+- ``check_iterate(theta)``, which raises IterateOutsideCertifiedBox if an
+  iterate of the stack ``theta[..., d]`` is outside the region where
+  ``sigma_sq`` is certified.
 
 The methods take one iterate ``theta[d]`` or a leading seed axis
 ``theta[R, d]`` (with ``indices[R, b]``); each row is computed exactly as it
@@ -51,8 +52,8 @@ __all__ = [
 class IterateOutsideCertifiedBox(RuntimeError):
     """An iterate left the box over which sigma_sq was certified.
 
-    ``row`` is the lowest offending row of a ``theta[R, d]`` batch (0 for a
-    single iterate).
+    ``row`` is the lowest offending row of a stack ``theta[..., d]`` in C
+    order (0 for a single iterate).
     """
 
     def __init__(self, message: str, row: int = 0):

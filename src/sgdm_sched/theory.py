@@ -136,25 +136,40 @@ def _positive(value: float, symbols: str) -> float:
     return value
 
 
+def _over(numerator: float, rate_sum: float, symbols: str) -> float:
+    """The B bound numerator/rate_sum, ``rate_sum`` the bound on sum(lr) that ``symbols``
+    name: a ValueError names them unless it is positive and the quotient finite."""
+    if (B := numerator / _positive(rate_sum, symbols)) == math.inf:  # a subnormal sum
+        raise ValueError(f"{symbols} = {rate_sum!r} is too small: {numerator!r}/({symbols}) is inf")
+    return B
+
+
+def _power(base: float, exponent: float, symbols: str) -> float:
+    try:  # a float power that leaves the float range raises, unlike a product
+        return base**exponent
+    except OverflowError:
+        raise ValueError(f"{symbols} = {base!r}^{exponent!r} overflows the float range") from None
+
+
 def _decaying_B_bound(kind: str, params: dict) -> float:
     (T,) = _req(params, "T")
     if not T >= 1:
         raise ValueError("T must be >= 1")
     if kind == "constant":
         (lam,) = _req(params, "lambda_max")
-        return 1.0 / _positive(lam * T, "lambda_max*T")
+        return _over(1.0, lam * T, "lambda_max*T")
     if kind == "diminishing":
         (lam,) = _req(params, "lambda_max")
         rate_sum = 2.0 * lam * (math.sqrt(T + 1.0) - 1.0)
-        return 1.0 / _positive(rate_sum, "2*lambda_max*(sqrt(T+1)-1)")
+        return _over(1.0, rate_sum, "2*lambda_max*(sqrt(T+1)-1)")
     if kind == "cosine":
         lam_min, lam_max = _req(params, "lambda_min", "lambda_max")
-        return 2.0 / _positive((lam_min + lam_max) * T, "(lambda_min+lambda_max)*T")
+        return _over(2.0, (lam_min + lam_max) * T, "(lambda_min+lambda_max)*T")
     if kind == "polynomial":
         lam_min, lam_max, p = _req(params, "lambda_min", "lambda_max", "p")
         if not p > 0:
             raise ValueError("p must be > 0")
-        return (p + 1.0) / _positive((p * lam_min + lam_max) * T, "(p*lambda_min+lambda_max)*T")
+        return _over(p + 1.0, (p * lam_min + lam_max) * T, "(p*lambda_min+lambda_max)*T")
     raise ValueError(f"unknown decaying kind {kind!r}")
 
 
@@ -171,7 +186,8 @@ def corollary_bounds(regime: str, **params) -> tuple[float, float]:
     cor3.2 over the T - T_w steps after it).  Parameters carry the symbols
     each formula needs; realized maxima/minima of a concrete plan are accepted
     for K_max/K_min/E_max/E_min.  A symbol that is missing, not finite or out of
-    range, or a divisor that is not positive, is a ValueError naming it.
+    range, a divisor that is not positive, a rate-sum bound too small for a
+    finite B and a power beyond the float range are ValueErrors naming them.
     """
     corollary, dash, kind = regime.partition("-")
     if dash and corollary in ("cor3.1", "cor3.2"):
@@ -199,7 +215,8 @@ def corollary_bounds(regime: str, **params) -> tuple[float, float]:
             raise ValueError(f"need gamma/delta < 1, got {gamma_hat:.6g}")
         # sum(lr) > lambda0 K_min E_min gamma^M / delta^2; phase m's rate over its batch
         # is lambda0 gamma_hat^m / b0, so sum(lr/b) < lambda0 K_max E_max / (b0 (1-gamma_hat))
-        B = delta**2 / _positive(lam0 * K_min * E_min * gamma**M, "lambda0*K_min*E_min*gamma^M")
+        B = _over(_power(delta, 2, "delta^2"), lam0 * K_min * E_min * _power(gamma, M, "gamma^M"),
+                  "lambda0*K_min*E_min*gamma^M")
         lr_over_b = lam0 * K_max * E_max / (_positive(b0, "b0") * (1.0 - gamma_hat))
         return B, B * lr_over_b
     if corollary == "cor3.4" and kind in ("constant", "cosine"):
@@ -227,7 +244,7 @@ def build_report(
     The gradient-norm (non-squared) form is the square root (``rhs_norm``).
     The growth constant c is the table's own.  A sum beyond the float range
     and a report value that is not finite (a subnormal rate sum makes B_T
-    inf) are ValueErrors naming the value.
+    inf) are ValueErrors naming the value, the exact ones before the corollary's.
     """
     lam = [float(x) for x in table.lr]
     try:
@@ -245,25 +262,20 @@ def build_report(
         bound = schedules.admissible_lr_bound(constants.beta, constants.L, c, constants.alg)
     except schedules.MomentumTooLarge:
         bound = None
+    exact = _finite(B_T=B_T, V_T=V_T, rhs_sq=rhs_sq, rhs_norm=math.sqrt(rhs_sq),
+                    admissible_lr_max=bound, c=c, C_alg=constants.C_alg)
     B_bound = V_bound = None
     if regime is not None:
         B_bound, V_bound = corollary_bounds(regime, **(regime_params or {}))
-    report = TheoryReport(
-        B_T=B_T,
-        V_T=V_T,
-        rhs_sq=rhs_sq,
-        rhs_norm=math.sqrt(rhs_sq),
-        B_bound=B_bound,
-        V_bound=V_bound,
-        regime=regime,
-        admissible_lr_max=bound,
-        c=c,
-        C_alg=constants.C_alg,
-    )
-    for name, value in vars(report).items():
+    return TheoryReport(**exact, **_finite(B_bound=B_bound, V_bound=V_bound), regime=regime)
+
+
+def _finite(**values) -> dict:
+    """``values``, unless a float among them is not finite: a ValueError names it."""
+    for name, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"theory report value {name} = {value} is not finite")
-    return report
+    return values
 
 
 def descent_terms(eta_t, beta: float, sigma_sq: float, b_t):

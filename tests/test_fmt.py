@@ -1,5 +1,6 @@
 """Deterministic serialization: the columnar CSV writer and the JSON emitter."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -144,3 +145,11 @@ def test_dumps17_refuses_non_finite(bad):
         dumps17({"x": [1.0, bad]})
     with pytest.raises(ValueError, match="non-finite"):
         dumps17({"x": np.float64(bad)})
+
+
+def test_dumps17_strings_round_trip_through_json():
+    # control characters must be escaped, not written raw, for the text to parse
+    obj = {"a\x01b": "\b\x01", "tab\tkey": ["café", "σ²", 'q"\\'],
+           "über": {"\x1f": "line\nbreak\r"}, "words": [None, True, False, "null", ""]}
+    assert json.loads(dumps17(obj)) == obj
+    assert json.loads(dumps17({"flag": np.bool_(True)})) == {"flag": True}

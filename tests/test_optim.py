@@ -531,7 +531,9 @@ def observed_one_step_at_a_time(alg, beta, table, problem, seeds, theta0, record
 
     Returns (obs, final, stop): obs[k] holds (f, ||grad f||^2, Lyapunov
     value) per seed row at recorded step k, final the same at the last
-    iterate, and stop the (step, row) of the divergence, or None.  The update is the plain expression form, as in ``reference_run``, and the
+    iterate, and stop the (step, row) of the divergence, or None.  Each
+    iterate's box is checked before its step, and an exit is raised as the
+    engine names it.  The update is the plain expression form, as in ``reference_run``, and the
     step that diverged is the first whose new iterate is non-finite, its
     lowest non-finite row the row that diverged.
     """
@@ -558,7 +560,11 @@ def observed_one_step_at_a_time(alg, beta, table, problem, seeds, theta0, record
                 obs.append(observe(theta, m, t))
                 if (row := bad_row(obs[-1])) is not None:
                     return np.array(obs), obs[-1], (t, row)
-            problem.check_iterate(theta)
+            try:
+                problem.check_iterate(theta)
+            except IterateOutsideCertifiedBox as exc:
+                raise IterateOutsideCertifiedBox(
+                    f"seed {seeds[exc.row]} at step {t}: {exc}", row=exc.row) from None
             idx = batch_indices(seeds, list(range(R)), t, int(table.batch[t]), problem.n)
             grad = problem.minibatch_gradient(theta, idx)
             m_next = beta * m + ((1 - beta) * grad if alg == "nshb" else grad)
@@ -591,12 +597,14 @@ class Poisoned:
 
     f = inf in the seed rows obs[k] of observation k, counting every row
     observed so far as k*R + r (run observes a block of steps per call), and
-    the mini-batch gradient of step t is inf in the rows grad[t], whether
-    it comes from ``minibatch_gradient`` or from a block's functions.
+    the mini-batch gradient of step t is ``value`` (inf unless given) in the
+    rows grad[t], whether it comes from ``minibatch_gradient`` or from a
+    block's functions.
     """
 
-    def __init__(self, problem, R, obs=None, grad=None):
+    def __init__(self, problem, R, obs=None, grad=None, value=np.inf):
         self.problem, self.R, self.obs, self.grad = problem, R, obs or {}, grad or {}
+        self.value = value
         self.rows = self.steps = 0
 
     def __getattr__(self, name):
@@ -619,7 +627,7 @@ class Poisoned:
                 for gradient in self.problem.minibatch_gradients(indices)]
 
     def _poison(self, g):
-        g[self.grad.get(self.steps, [])] = np.inf
+        g[self.grad.get(self.steps, [])] = self.value
         self.steps += 1
         return g
 
@@ -899,6 +907,77 @@ class TestTrajectoryBlock:
         table = schedules.ScheduleTable(lr=np.zeros(self.T), batch=table.batch)
         exc = self.assert_same_outcome(prob, table, theta0, {12: [0]})
         assert (exc.step_index, exc.row) == (12, 0)
+
+
+class TestBlockedBoxCheck:
+    """run checks the certified box once per trajectory block, on the stack of
+    iterates its steps ran on, and cuts the block at the first exit.  A large
+    finite gradient pushes chosen rows out of the log-cosh box at a chosen
+    step; every outcome must equal that of the per-step check."""
+
+    SEEDS, D, T, BETA, KICK = [11, 4, 29, 0, 7], 36, 300, 0.8, 1e5
+    J = _OBSERVE_WORDS // (len(SEEDS) * D)  # 91 steps per block; the last block has 27
+
+    def outcome(self, kick, poison=None, obs=None):
+        """run's exception and the per-step engine's outcome (its exception on
+        a box exit), with step t's gradient KICK in the rows kick[t] and inf
+        in the rows poison[t], and f = inf in the rows obs[t] of step t."""
+        prob = small_problem("logcosh", self.D)
+        table = constant_bs_table("diminishing", batch=3, T=self.T, lambda_max=0.2)
+        theta0 = np.random.default_rng(5).uniform(-2, 2, size=self.D)
+
+        def problem():
+            return Poisoned(Poisoned(prob, 5, grad=kick, value=self.KICK), 5, obs, poison)
+
+        with pytest.raises((IterateOutsideCertifiedBox, NumericalDivergence)) as info:
+            run("nshb", self.BETA, table, problem(), self.SEEDS, theta0=theta0)
+        try:
+            ref = observed_one_step_at_a_time("nshb", self.BETA, table, problem(), self.SEEDS,
+                                              theta0)
+        except IterateOutsideCertifiedBox as exc:
+            ref = exc
+        return info.value, ref
+
+    @pytest.mark.parametrize("exit_step", [J, J + 40, J - 1, T - 1],
+                             ids=["slot-0-of-block-1", "mid-block", "last-slot-of-block-0",
+                                  "last-slot-of-the-last-block"])
+    def test_exit_matches_the_per_step_check(self, exit_step):
+        # rows 4 and 2 leave the box at exit_step: the lower row is named
+        exc, ref = self.outcome({exit_step - 1: [4, 2]})
+        assert isinstance(exc, IterateOutsideCertifiedBox)
+        assert isinstance(ref, IterateOutsideCertifiedBox)
+        assert str(exc) == str(ref) and exc.row == ref.row == 2
+        assert str(exc).startswith(f"seed 29 at step {exit_step}: |theta|_inf = ")
+        assert float(str(exc).split()[7]) > self.KICK / 1e3
+
+    def test_divergence_in_the_exit_slot_comes_first(self):
+        # step t pushes row 2 out of the box and makes row 3 non-finite: both
+        # show in the slot of theta_{t+1}, and step t's divergence comes first
+        t = self.J + 40
+        exc, (obs, final, stop) = self.outcome({t: [2]}, poison={t: [3]})
+        assert isinstance(exc, NumericalDivergence)
+        assert stop == (exc.step_index, exc.row) == (t, 3)
+        assert exc.trace.seed == self.SEEDS[3]
+        assert_trace_is_row(exc.trace, obs, final, 3)
+
+    def test_nonfinite_observation_at_the_exit_comes_first(self):
+        # row 2 leaves the box at step t, where row 4's recorded f is inf: the
+        # observation of theta_t is checked before its box
+        t = self.J + 40
+        exc, (obs, final, stop) = self.outcome({t - 1: [2]}, obs={t: [4]})
+        assert isinstance(exc, NumericalDivergence)
+        assert stop == (exc.step_index, exc.row) == (t, 4)
+        assert_trace_is_row(exc.trace, obs, final, 4)
+
+    def test_exit_one_slot_before_a_nonfinite_iterate_comes_first(self):
+        # row 3 leaves the box at the last slot block 0 checks, J - 1; row 1's
+        # iterate goes non-finite one slot later, in slot J, which the block
+        # stepped to but does not check
+        exc, ref = self.outcome({self.J - 2: [3]}, poison={self.J - 1: [1]})
+        assert isinstance(exc, IterateOutsideCertifiedBox)
+        assert isinstance(ref, IterateOutsideCertifiedBox)
+        assert str(exc) == str(ref) and exc.row == ref.row == 3
+        assert str(exc).startswith(f"seed 0 at step {self.J - 1}: ")
 
 
 class TestOneStepBlocks:

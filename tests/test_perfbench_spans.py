@@ -75,3 +75,24 @@ def test_run_reaches_the_step_span(monkeypatch, R, d):
     table = schedules.ScheduleTable(lr=[0.1] * 7, batch=[3] * 7)
     optim.run("nshb", 0.5, table, prob, list(range(R)), record_every=3)
     assert calls == [(R, d)] * table.T
+
+
+@pytest.mark.parametrize("R, d", [(3, 5), (60, 300)])  # 60*300 > 2^14: blocks of J = 1 step
+def test_run_checks_the_box_once_per_block(monkeypatch, R, d):
+    # the problems.check_iterate span wraps the problem class's method; run
+    # calls it once per trajectory block, on the (n, R, d) stack of iterates
+    # the block's n steps ran on, never on theta_T
+    calls = []
+    check = problems.QuadraticMeanProblem.check_iterate
+
+    def counted(self, theta):
+        calls.append(theta.shape)
+        return check(self, theta)
+
+    monkeypatch.setattr(problems.QuadraticMeanProblem, "check_iterate", counted)
+    prob = problems.QuadraticMeanProblem.generate(d, 24, sigma_sq=1.0, seed=3)
+    table = schedules.ScheduleTable(lr=[0.1] * 7, batch=[3] * 7)
+    optim.run("nshb", 0.5, table, prob, list(range(R)), record_every=3)
+    J = max(1, optim._OBSERVE_WORDS // (R * d))
+    assert calls == [(min(J, table.T - t0), R, d) for t0 in range(0, table.T, J)]
+    assert len(calls) == (1 if J > 1 else table.T)

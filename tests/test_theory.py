@@ -3,6 +3,7 @@ bounds and their dominance over the exact sums."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,38 @@ class TestCorollaryBounds:
         }[regime]
         with pytest.raises(ValueError, match=message):
             corollary_bounds(regime, **{**symbols, **change})
+
+    JOINT = dict(delta=2.0, gamma=1.5, lambda0=0.1, b0=8, K_min=4, K_max=4, E_min=1,
+                 E_max=1)
+
+    @pytest.mark.parametrize("regime, change, message", [
+        ("cor3.3", dict(M=2000), r"gamma\^M = 1\.5\^2000\.0"),
+        ("cor3.4-constant", dict(M_w=2000, T=10**9, T_w=10), r"gamma\^M = 1\.5\^2000\.0"),
+        ("cor3.3", dict(M=3, delta=1e200), r"delta\^2 = 1e\+200\^2"),
+    ], ids=["cor3.3-gamma^M", "cor3.4-gamma^M", "cor3.3-delta^2"])
+    def test_refuses_an_overflowing_power(self, regime, change, message):
+        # a float power beyond the float range is a ValueError naming it, not an OverflowError
+        with pytest.raises(ValueError, match=f"^{message} overflows the float range$"):
+            corollary_bounds(regime, **{**self.JOINT, **change})
+
+    @pytest.mark.parametrize("regime, symbols, sum_symbols", [
+        *((f"cor3.1-{kind}", dict(lambda_max=1e-320, lambda_min=0.0, p=2.0, T=3, batch=2),
+           sum_symbols) for kind, sum_symbols in [
+              ("constant", "lambda_max*T"),
+              ("diminishing", "2*lambda_max*(sqrt(T+1)-1)"),
+              ("cosine", "(lambda_min+lambda_max)*T"),
+              ("polynomial", "(p*lambda_min+lambda_max)*T")]),
+        ("cor3.2-constant", dict(lambda_max=1e-320, T=10, delta=2.0, b0=4, K_max=4, E_max=1),
+         "lambda_max*T"),
+        ("cor3.3", {**JOINT, "lambda0": 1e-320, "M": 3}, "lambda0*K_min*E_min*gamma^M"),
+    ], ids=["cor3.1-constant", "cor3.1-diminishing", "cor3.1-cosine", "cor3.1-polynomial",
+            "cor3.2-constant", "cor3.3"])
+    def test_refuses_a_subnormal_rate_sum_bound(self, regime, symbols, sum_symbols):
+        # a positive but subnormal bound on sum(lr) has no finite reciprocal:
+        # B (and V with it) would be inf
+        with pytest.raises(ValueError, match=f"^{re.escape(sum_symbols)} = .* is too small: "
+                                             f".*/\\({re.escape(sum_symbols)}\\) is inf$"):
+            corollary_bounds(regime, **symbols)
 
     def test_diminishing_bound_and_dominance(self):
         # bound = 1/(2 * 1 * (sqrt(4) - 1)) = 0.5; exact B_3 = 1/(1 + 1/sqrt2 + 1/sqrt3)
