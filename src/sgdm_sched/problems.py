@@ -31,11 +31,23 @@ Monte-Carlo estimate of the mini-batch variance,
 ``optim.empirical_minibatch_variance``, lives in ``optim``, next to the
 sampling stream it draws from; this module imports nothing from the package
 but ``_counts``, the leaf module of the whole-number rule for seeds.
+
+The log-cosh observation spreads its seed rows over L lanes, one per CPU the
+process may run on (``os.sched_getaffinity``), and never more than the rows:
+the calling thread is lane 0, and lanes 1 .. L-1 are daemon threads started
+on first use, shared by every problem and dropped in a forked child.  Lanes
+claim rows one at a time, so a slow CPU takes fewer rows, and each row runs
+the same operations into its own slot of the result, so every value is the
+same at any L.  With one CPU, L = 1 and no thread starts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import queue
+import threading
 from functools import partial
 
 import numpy as np
@@ -107,6 +119,42 @@ def _aligned(count: int, shape: tuple) -> list:
     buf = np.empty(count * stride + 7)
     skip = (-buf.ctypes.data % 64) // 8
     return [buf[skip + i * stride : skip + i * stride + size].reshape(shape) for i in range(count)]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The job queues of the worker lanes 1, 2, ...: one daemon thread each,
+# started on first use.  A forked child has the queues but not the threads,
+# so it drops the queues and starts its own lanes.
+_workers: list = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_workers.clear)
+
+
+def _serve(jobs) -> None:
+    """A worker lane: run each job under its caller's numpy error state, then
+    hand back the job's own completion token."""
+    while True:
+        lane, buffers, err, done = jobs.get()
+        with np.errstate(**err):
+            lane(*buffers)
+        done.put(None)
+        del lane, buffers  # an idle lane keeps no problem or array alive
+
+
+def _worker_queues(count: int) -> list:
+    """The job queues of the first ``count`` worker lanes, starting any not yet running."""
+    while len(_workers) < count:
+        jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
+        _workers.append(jobs)
+    return _workers[:count]
 
 
 class QuadraticMeanProblem:
@@ -238,6 +286,12 @@ class LogCoshProblem:
 
     So sigma_sq = sum_j max_grid v_j + d M h^2/8 + d 4(n + 4) eps c^2.  The
     terms are kept in ``sigma_certificate``.
+
+    ``value_and_grad`` observes the seed rows on L lanes (see the module
+    docstring), each with its own two line-aligned (n, d) work buffers, so a
+    problem holds (1 + 2L) n d 8 bytes with its anchors.  The lanes write
+    into the problem's buffers: one problem must not be observed from two
+    threads at once.
     """
 
     def __init__(
@@ -252,10 +306,12 @@ class LogCoshProblem:
             raise ValueError("scale, amp and box_radius must be finite and > 0")
         anchors = _anchor_array(anchors)
         self.n, self.d = anchors.shape
-        # the anchors and three work buffers, line-aligned: the ufuncs over
-        # them run faster than at an arbitrary heap offset.  value_and_grad
-        # works in all three; the certificate, which runs first, in two
-        self.anchors, *self._work = _aligned(4, anchors.shape)
+        # the anchors and lane 0's two work buffers, line-aligned: the ufuncs
+        # over them run faster than at an arbitrary heap offset.  The
+        # certificate, which runs first, works in lane 0's buffers too;
+        # value_and_grad adds a pair per further lane when it first needs it
+        self.anchors, *lane0 = _aligned(3, anchors.shape)
+        self._work = [tuple(lane0)]
         self.anchors[...] = anchors
         self.anchors.flags.writeable = False
         self.scale = float(scale)
@@ -317,7 +373,7 @@ class LogCoshProblem:
         search first copies the anchor columns into the first work buffer,
         as the contiguous (d, n) array ``_variance_terms`` gathers from.
         """
-        self._work[0].reshape(self.d, self.n)[...] = self.anchors.T
+        self._work[0][0].reshape(self.d, self.n)[...] = self.anchors.T
         d, last = self.d, grid.size - 1
         coord = np.arange(d)
         lo, hi = np.zeros(d, dtype=np.intp), np.full(d, last)
@@ -352,9 +408,9 @@ class LogCoshProblem:
         each value still does not depend on the other points.
         """
         n = self.n
-        columns = self._work[0].reshape(self.d, n)
+        columns = self._work[0][0].reshape(self.d, n)
         block = max(self.d, 2**13 // n) if n <= 2**13 else 1
-        rows = self._work[1].reshape(-1) if block <= self.d else np.empty(block * n)
+        rows = self._work[0][1].reshape(-1) if block <= self.d else np.empty(block * n)
         v = np.empty(x.size)
         for lo in range(0, x.size, block):
             hi = min(lo + block, x.size)
@@ -368,48 +424,77 @@ class LogCoshProblem:
         return v
 
     def value_and_grad(self, theta: np.ndarray):
-        # One seed row at a time through the three preallocated (n, d) work
-        # buffers: the ufuncs write into them, so a call allocates nothing of
-        # size n.  f and g equal the expression form
-        # f = amp * mean(|z| + log1p(exp(-2|z|)) - log 2), g = mean(c * tanh(z))
-        # bit for bit: every step is the same operation on the same values,
-        # except that the passes z / 1 and w * 1 are skipped (IEEE 754 makes
-        # them exact) and that at d >= 2 the column sums come from einsum,
-        # which adds the n rows of each column in order as the axis-0 reduce
-        # of mean does.  einsum starts from +0.0, so a column of only -0.0
-        # sums to +0.0 where mean gives -0.0; only ||g||^2 reaches an
-        # artifact, so no artifact byte changes.  At d = 1 einsum sums the
-        # contiguous column in its own unrolled order, so d = 1 keeps mean.
+        # The rows go to L lanes (module docstring); each call hands its
+        # workers their own completion queue, so a call that an interrupt
+        # abandons cannot complete a later one.  The exception of the lowest
+        # failing row is raised once every lane has finished.
         rows = theta[None, :] if theta.ndim == 1 else theta
         f = np.empty(rows.shape[0])
         g = np.empty(rows.shape)
-        z, w, u = self._work
-        c = self.amp / self.scale
-        for r, row in enumerate(rows):
-            np.subtract(row, self.anchors, out=z)
-            if self.scale != 1.0:
-                np.divide(z, self.scale, out=z)
-            # log(cosh(z)) = |z| + log1p(exp(-2|z|)) - log(2), stable for large |z|
-            np.abs(z, out=w)
-            np.multiply(w, -2.0, out=u)
-            np.exp(u, out=u)
-            np.log1p(u, out=u)
-            np.add(w, u, out=u)
-            np.subtract(u, math.log(2.0), out=u)
-            f[r] = self.amp * float(u.sum() / self.n)
-            # the float path of an all-samples mini-batch, so the unbiasedness
-            # identity holds bit-exactly
-            np.tanh(z, out=w)
-            if c != 1.0:
-                np.multiply(w, c, out=w)
-            if self.d == 1:
-                w.mean(axis=0, out=g[r])
-            else:
-                np.einsum("ij->j", w, out=g[r])
-                g[r] /= self.n
+        lanes = min(_cpus(), len(rows))
+        if len(self._work) < lanes:
+            fresh = _aligned(2 * (lanes - len(self._work)), self.anchors.shape)
+            self._work += zip(fresh[::2], fresh[1::2])
+        failed = []
+        lane = partial(self._observe_rows, rows, f, g, itertools.count().__next__, failed)
+        done, err = queue.SimpleQueue(), np.geterr()
+        for jobs, buffers in zip(_worker_queues(lanes - 1), self._work[1:lanes]):
+            jobs.put((lane, buffers, err, done))
+        lane(*self._work[0])
+        for _ in range(lanes - 1):
+            done.get()
+        if failed:
+            raise min(failed, key=lambda rf: rf[0])[1]
         if theta.ndim == 1:
             return float(f[0]), g[0]
         return f, g
+
+    def _observe_rows(self, rows, f, g, claim, failed: list, z: np.ndarray, w: np.ndarray) -> None:
+        """Observe the rows that ``claim`` hands out into f and g, through the
+        (n, d) buffers z and w; a failing row goes to ``failed`` as (row,
+        exception) and ends the lane.
+
+        The rows' lowest failure is always among them: rows are claimed in
+        order, so every row below a failing one is already claimed.  f and g
+        equal the expression form
+        f = amp * mean(|z| + log1p(exp(-2|z|)) - log 2), g = mean(c * tanh(z))
+        bit for bit: every step is the same operation on the same values,
+        except that the passes z / 1 and w * 1 are skipped (IEEE 754 makes
+        them exact) and that at d >= 2 the column sums come from einsum,
+        which adds the n rows of each column in order as the axis-0 reduce
+        of mean does.  einsum starts from +0.0, so a column of only -0.0
+        sums to +0.0 where mean gives -0.0; only ||g||^2 reaches an
+        artifact, so no artifact byte changes.  At d = 1 einsum sums the
+        contiguous column in its own unrolled order, so d = 1 keeps mean.
+        The gradient goes first, so the loss can reuse z for |z|.
+        """
+        c = self.amp / self.scale
+        while (r := claim()) < len(rows):
+            try:
+                np.subtract(rows[r], self.anchors, out=z)
+                if self.scale != 1.0:
+                    np.divide(z, self.scale, out=z)
+                # the float path of an all-samples mini-batch, so the
+                # unbiasedness identity holds bit-exactly
+                np.tanh(z, out=w)
+                if c != 1.0:
+                    np.multiply(w, c, out=w)
+                if self.d == 1:
+                    w.mean(axis=0, out=g[r])
+                else:
+                    np.einsum("ij->j", w, out=g[r])
+                    g[r] /= self.n
+                # log(cosh(z)) = |z| + log1p(exp(-2|z|)) - log(2), stable for large |z|
+                np.abs(z, out=z)
+                np.multiply(z, -2.0, out=w)
+                np.exp(w, out=w)
+                np.log1p(w, out=w)
+                np.add(z, w, out=w)
+                np.subtract(w, math.log(2.0), out=w)
+                f[r] = self.amp * float(w.sum() / self.n)
+            except Exception as exc:
+                failed.append((r, exc))
+                return
 
     def minibatch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         block = np.transpose(indices)[None]

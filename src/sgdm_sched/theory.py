@@ -144,6 +144,14 @@ def _over(numerator: float, rate_sum: float, symbols: str) -> float:
     return B
 
 
+def _bounded_sum(value: float, symbols: str) -> float:
+    """``value``, the bound on sum(lr/b) that ``symbols`` name: a ValueError
+    names them when it overflows, as V = B * value would be inf."""
+    if value == math.inf:
+        raise ValueError(f"{symbols} overflows the float range")
+    return value
+
+
 def _power(base: float, exponent: float, symbols: str) -> float:
     try:  # a float power that leaves the float range raises, unlike a product
         return base**exponent
@@ -187,7 +195,8 @@ def corollary_bounds(regime: str, **params) -> tuple[float, float]:
     each formula needs; realized maxima/minima of a concrete plan are accepted
     for K_max/K_min/E_max/E_min.  A symbol that is missing, not finite or out of
     range, a divisor that is not positive, a rate-sum bound too small for a
-    finite B and a power beyond the float range are ValueErrors naming them.
+    finite B, and a power or a sum(lr/b) bound beyond the float range are
+    ValueErrors naming them.
     """
     corollary, dash, kind = regime.partition("-")
     if dash and corollary in ("cor3.1", "cor3.2"):
@@ -198,7 +207,9 @@ def corollary_bounds(regime: str, **params) -> tuple[float, float]:
                 params, "delta", "b0", "K_max", "E_max", "lambda_max")
             if not delta > 1.0:
                 raise ValueError(f"delta must be > 1, got {delta}")
-            lr_over_b = lam_max * delta * K_max * E_max / ((delta - 1.0) * _positive(b0, "b0"))
+            lr_over_b = _bounded_sum(
+                lam_max * delta * K_max * E_max / ((delta - 1.0) * _positive(b0, "b0")),
+                "lambda_max*delta*K_max*E_max/((delta-1)*b0)")
             return B, B * lr_over_b
         (b,) = _req(params, "batch")
         if not b >= 1:
@@ -217,7 +228,8 @@ def corollary_bounds(regime: str, **params) -> tuple[float, float]:
         # is lambda0 gamma_hat^m / b0, so sum(lr/b) < lambda0 K_max E_max / (b0 (1-gamma_hat))
         B = _over(_power(delta, 2, "delta^2"), lam0 * K_min * E_min * _power(gamma, M, "gamma^M"),
                   "lambda0*K_min*E_min*gamma^M")
-        lr_over_b = lam0 * K_max * E_max / (_positive(b0, "b0") * (1.0 - gamma_hat))
+        lr_over_b = _bounded_sum(lam0 * K_max * E_max / (_positive(b0, "b0") * (1.0 - gamma_hat)),
+                                 "lambda0*K_max*E_max/(b0*(1-gamma/delta))")
         return B, B * lr_over_b
     if corollary == "cor3.4" and kind in ("constant", "cosine"):
         M_w = _req(params, *_JOINT, "M_w")[-1]  # a missing symbol is named in cor3.3's order

@@ -3,12 +3,19 @@
 import hashlib
 import inspect
 import math
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+import threading
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgdm_sched import optim, schedules
+from sgdm_sched import optim, problems, schedules
 from sgdm_sched.harness import (
     _FAMILIES,
     BudgetExceeded,
@@ -431,6 +438,49 @@ class TestRunExperiment:
         assert np.all(np.diff(report.mean_grad_norm_sq) < 0)
         assert report.checks["theorem1_sq"]["pass"]
         assert report.checks["theorem1_sq"]["margin"] > 0
+
+
+def artifact_digest(exp_dir: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(exp_dir.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+class TestObservationLanes:
+    """The log-cosh observation runs one lane per CPU; no byte may depend on it."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")
+    def test_one_cpu_child_writes_the_bytes_of_three_lanes(self, tmp_path, monkeypatch):
+        config = small_config(seeds=tuple(range(6)),
+                              problem=ProblemSpec(family="logcosh", d=5, n=160, spread=1.5, seed=4))
+        monkeypatch.setattr(problems, "_cpus", lambda: 3)
+        report = run_experiment(config, tmp_path / "lanes")
+        script = textwrap.dedent("""
+            import os, pickle, sys, threading
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            from sgdm_sched import harness, problems
+            config, out = pickle.loads(sys.stdin.buffer.read())
+            report = harness.run_experiment(config, out)
+            print(problems._cpus(), threading.active_count(), report.config_hash)
+        """)
+        src = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                            os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              input=pickle.dumps((config, str(tmp_path / "one"))),
+                              capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr.decode()
+        cpus, threads, config_hash = proc.stdout.decode().split()
+        assert (cpus, threads, config_hash) == ("1", "1", report.config_hash)
+        assert (artifact_digest(tmp_path / "one" / config_hash)
+                == artifact_digest(tmp_path / "lanes" / report.config_hash))
+
+    def test_quadratic_run_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(problems, "_cpus", lambda: 3)
+        monkeypatch.setattr(problems, "_workers", [])
+        before = threading.active_count()
+        run_experiment(small_config())
+        assert threading.active_count() == before and problems._workers == []
 
 
 class TestLyapunovAudit:

@@ -2,20 +2,31 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+import warnings
+import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgdm_sched import optim
+from sgdm_sched import optim, problems
 from sgdm_sched.problems import (
     SIGMA_GRID_POINTS,
     IterateOutsideCertifiedBox,
     LogCoshProblem,
     QuadraticMeanProblem,
 )
-from sgdm_sched.optim import empirical_minibatch_variance
+from sgdm_sched.optim import NumericalDivergence, empirical_minibatch_variance
+
+from conftest import constant_bs_table
 
 
 def test_problems_module_imports_nothing_from_the_package():
@@ -477,19 +488,25 @@ class TestLogCoshObservation:
         assert np.array_equal(by_einsum.view(np.int64), w.mean(axis=0).view(np.int64))
 
     @pytest.mark.parametrize("n, d", [(7, 3), (1024, 20)])
-    def test_anchors_and_buffers_are_line_aligned(self, n, d, rng):
+    def test_anchors_and_buffers_are_line_aligned(self, n, d, rng, monkeypatch):
         # n*d = 21 words is not a whole number of 64-byte lines: the buffers
-        # are padded apart, so writing them leaves the anchors as they were
+        # are padded apart, so writing them leaves the anchors as they were.
+        # Each lane that observes a row has its own two buffers
         anchors = rng.standard_normal((n, d))
-        prob = LogCoshProblem(anchors, scale=0.7)
-        assert [a.ctypes.data % 64 for a in (prob.anchors, *prob._work)] == [0, 0, 0, 0]
-        assert not prob.anchors.flags.writeable
-        theta = rng.uniform(-6.0, 6.0, size=(3, d))
-        f, g = prob.value_and_grad(theta)
-        assert np.array_equal(prob.anchors, anchors)
-        for r in range(3):
-            f_r, g_r = _logcosh_expression(prob, theta[r])
-            assert f[r] == f_r and np.array_equal(g[r], g_r)
+        for lanes in (1, 3):
+            monkeypatch.setattr(problems, "_cpus", lambda lanes=lanes: lanes)
+            prob = LogCoshProblem(anchors, scale=0.7)
+            assert not prob.anchors.flags.writeable
+            theta = rng.uniform(-6.0, 6.0, size=(3, d))
+            f, g = prob.value_and_grad(theta)
+            buffers = [a for lane in prob._work for a in lane]
+            assert len(buffers) == 2 * min(lanes, len(theta))
+            assert all(a.shape == (n, d) for a in buffers)
+            assert [a.ctypes.data % 64 for a in (prob.anchors, *buffers)] == [0] * (1 + len(buffers))
+            assert np.array_equal(prob.anchors, anchors)
+            for r in range(3):
+                f_r, g_r = _logcosh_expression(prob, theta[r])
+                assert f[r] == f_r and np.array_equal(g[r], g_r)
 
     def test_allocates_no_per_row_temporaries(self, rng):
         prob = LogCoshProblem.generate(20, 1024, seed=3)
@@ -514,6 +531,172 @@ class TestLogCoshObservation:
         prob.value_and_grad(-theta[0])
         assert np.array_equal(f, f_copy) and np.array_equal(g, g_copy)
         assert np.array_equal(g_1, g_1_copy)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class WorkerLanesOnly(LogCoshProblem):
+    """Lane 0, the calling thread, takes no row when there are other lanes, so
+    the worker lanes observe every row (each takes a row when it wakes)."""
+
+    def _observe_rows(self, rows, f, g, claim, failed, z, w):
+        lanes = min(problems._cpus(), len(rows))
+        if lanes > 1 and threading.current_thread() is threading.main_thread():
+            claim = partial(len, rows)
+        super()._observe_rows(rows, f, g, claim, failed, z, w)
+
+
+class TestObservationLanes:
+    """value_and_grad spreads its rows over lanes: no value may depend on how many."""
+
+    @pytest.mark.parametrize("d, n, scale, amp", [(20, 1024, 0.7, 1.3), (1, 300, 1.0, 1.0),
+                                                  (3, 50, 0.5, 1.0), (4, 9, 1.0, 2.5)])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7])
+    def test_every_lane_count_gives_the_same_bits(self, d, n, scale, amp, rows, rng, monkeypatch):
+        # 1 and 2 rows are fewer than 3 lanes; 0 rows is a (0, d) stack
+        prob = WorkerLanesOnly.generate(d, n, scale=scale, amp=amp, seed=5)
+        theta = rng.uniform(-6.0, 6.0, size=(rows, d))
+        results = {}
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(problems, "_cpus", lambda lanes=lanes: lanes)
+            f, g = prob.value_and_grad(theta)
+            assert f.shape == (rows,) and g.shape == (rows, d)
+            results[lanes] = (_bits(f), _bits(g))
+            if rows:
+                f_1, g_1 = prob.value_and_grad(theta[-1])  # a single vector
+                f_ref, g_ref = _logcosh_expression(prob, theta[-1])
+                assert isinstance(f_1, float) and _bits(f_1) == _bits(f_ref)
+                assert np.array_equal(_bits(g_1), _bits(g_ref))
+        for lanes in (2, 3):
+            assert all(np.array_equal(a, b) for a, b in zip(results[1], results[lanes]))
+        for r in range(rows):
+            f_r, g_r = _logcosh_expression(prob, theta[r])
+            assert results[1][0][r] == _bits(f_r) and np.array_equal(results[1][1][r], _bits(g_r))
+
+    def test_more_lanes_than_cpus_under_a_short_switch_interval(self, rng, monkeypatch):
+        # every row is claimed by exactly one lane: a row claimed twice or
+        # never would leave a wrong or an uninitialised value in f or g
+        prob = LogCoshProblem.generate(3, 40, scale=0.7, amp=1.3, seed=6)
+        theta = rng.uniform(-6.0, 6.0, size=(64, 3))
+        monkeypatch.setattr(problems, "_cpus", lambda: 1)
+        f_1, g_1 = prob.value_and_grad(theta)
+        monkeypatch.setattr(problems, "_cpus", lambda: 5)  # more lanes than a small host has CPUs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                f, g = prob.value_and_grad(theta)
+                assert np.array_equal(_bits(f), _bits(f_1)) and np.array_equal(_bits(g), _bits(g_1))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_lane_starts_no_thread(self, rng, monkeypatch):
+        monkeypatch.setattr(problems, "_cpus", lambda: 1)
+        monkeypatch.setattr(problems, "_workers", [])
+        before = threading.active_count()
+        LogCoshProblem.generate(3, 40, seed=1).value_and_grad(rng.uniform(-1, 1, (9, 3)))
+        assert threading.active_count() == before and problems._workers == []
+
+    def test_idle_lanes_keep_no_problem_alive(self, rng, monkeypatch):
+        monkeypatch.setattr(problems, "_cpus", lambda: 2)
+        prob = WorkerLanesOnly.generate(3, 40, seed=1)
+        prob.value_and_grad(rng.uniform(-1.0, 1.0, size=(4, 3)))
+        ref = weakref.ref(prob)
+        del prob
+        deadline = time.monotonic() + 10.0  # the worker drops its job after the token
+        while ref() is not None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert ref() is None
+
+    # scale 0.5: row 1e308 overflows the divide, row 4e307 only underflows exp
+    HUGE, UNDER = 1e308, 4e307
+
+    def huge_rows(self, rng, where):
+        theta = rng.uniform(-3.0, 3.0, size=(8, 3))
+        for row, value in where.items():
+            theta[row] = value
+        return WorkerLanesOnly.generate(3, 40, scale=0.5, seed=2), theta
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_raise_gives_the_lowest_failing_rows_error(self, lanes, rng, monkeypatch):
+        monkeypatch.setattr(problems, "_cpus", lambda: lanes)
+        for where, message in [({2: self.UNDER, 5: self.HUGE}, "underflow encountered in exp"),
+                               ({1: self.HUGE, 6: self.UNDER}, "overflow encountered in divide"),
+                               ({7: self.HUGE}, "overflow encountered in divide")]:
+            prob, theta = self.huge_rows(rng, where)
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError, match=message):
+                prob.value_and_grad(theta)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_warnings_as_errors_raise_the_warning(self, lanes, rng, monkeypatch):
+        monkeypatch.setattr(problems, "_cpus", lambda: lanes)
+        prob, theta = self.huge_rows(rng, {4: self.HUGE})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow encountered in divide"):
+                prob.value_and_grad(theta)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_ignore_gives_inf_and_the_other_rows(self, lanes, rng, monkeypatch):
+        monkeypatch.setattr(problems, "_cpus", lambda: lanes)
+        prob, theta = self.huge_rows(rng, {4: self.HUGE})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                f, g = prob.value_and_grad(theta)
+                f_4, g_4 = _logcosh_expression(prob, theta[4])
+        assert f[4] == f_4 == np.inf and np.array_equal(g[4], g_4)
+        for r in (0, 1, 2, 3, 5, 6, 7):
+            f_r, g_r = _logcosh_expression(prob, theta[r])
+            assert f[r] == f_r and np.array_equal(g[r], g_r)
+
+    def test_diverging_run_is_the_same_at_every_lane_count(self, monkeypatch):
+        class Unboxed(WorkerLanesOnly):
+            def check_iterate(self, theta):
+                pass  # let the iterates grow until an observation overflows
+
+        prob = Unboxed.generate(3, 32, seed=4)
+        table = constant_bs_table("constant", batch=4, T=40, lambda_max=1e306)
+        outcomes = []
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(problems, "_cpus", lambda lanes=lanes: lanes)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the run lets no lane warn
+                with pytest.raises(NumericalDivergence) as info:
+                    optim.run("nshb", 0.9, table, prob, [7, 1, 5, 3], theta0=np.zeros(3))
+            exc = info.value
+            outcomes.append((exc.step_index, exc.row, exc.trace.seed, _bits(exc.trace.f).tolist(),
+                             _bits(exc.trace.grad_norm_sq).tolist()))
+        assert outcomes[0][0] > 0 and outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_observes_on_two_lanes(self):
+        # the parent's worker thread does not exist in the child: without a
+        # fresh one the child's call would wait for ever (alarm: 60 s)
+        script = textwrap.dedent("""
+            import os, signal, sys, warnings
+            import numpy as np
+            from sgdm_sched import problems
+            problems._cpus = lambda: 2
+            prob = problems.LogCoshProblem.generate(4, 64, seed=1)
+            theta = np.random.default_rng(0).uniform(-3.0, 3.0, size=(9, 4))
+            f, g = prob.value_and_grad(theta)
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with a thread
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                f_c, g_c = prob.value_and_grad(theta)
+                os._exit(0 if np.array_equal(f, f_c) and np.array_equal(g, g_c) else 3)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMinibatchVariance:

@@ -317,6 +317,18 @@ class TestCorollaryBounds:
         with pytest.raises(ValueError, match=f"^{message} overflows the float range$"):
             corollary_bounds(regime, **{**self.JOINT, **change})
 
+    @pytest.mark.parametrize("regime, symbols, message", [
+        ("cor3.2-constant", dict(lambda_max=1e308, T=1, delta=1 + 1e-10, b0=4, K_max=4, E_max=1),
+         r"lambda_max\*delta\*K_max\*E_max/\(\(delta-1\)\*b0\)"),
+        ("cor3.3", {**JOINT, "lambda0": 1e300, "K_max": 1e10, "M": 3},
+         r"lambda0\*K_max\*E_max/\(b0\*\(1-gamma/delta\)\)"),
+    ], ids=["cor3.2-constant", "cor3.3"])
+    def test_refuses_an_overflowing_lr_over_b_bound(self, regime, symbols, message):
+        # V = B * sum(lr/b) bound; an infinite second factor made V inf where
+        # the product of the exact terms is finite (B is about 1e-308 here)
+        with pytest.raises(ValueError, match=f"^{message} overflows the float range$"):
+            corollary_bounds(regime, **symbols)
+
     @pytest.mark.parametrize("regime, symbols, sum_symbols", [
         *((f"cor3.1-{kind}", dict(lambda_max=1e-320, lambda_min=0.0, p=2.0, T=3, batch=2),
            sum_symbols) for kind, sum_symbols in [
